@@ -25,7 +25,7 @@ Conventions (used consistently by every module in this package):
 
 Structure constants are stored sparsely: a missing tuple means the zero
 vector.  All values are immutable after construction and all operations are
-pure, so categories can be shared freely between threads or processes.
+pure, so categories can be shared freely.
 """
 
 from __future__ import annotations
@@ -224,14 +224,8 @@ class AInfCategory:
             coeff = field.one
             for _, c in combo:
                 coeff = field.mul(coeff, c)
-            if coeff == 0:
-                continue
-            for lab, c in entry.items():
-                v = field.add(out.get(lab, field.zero), field.mul(coeff, c))
-                if v == 0:
-                    out.pop(lab, None)
-                else:
-                    out[lab] = v
+            if coeff != 0:
+                field.add_scaled(out, entry, coeff)
         return out
 
     def element_to_coords(self, elem: dict, x, y):
@@ -250,23 +244,10 @@ class AInfCategory:
 
     # -- chains ------------------------------------------------------------
 
-    def composable_tuples(self, n: int):
-        """All length-n composable basis tuples, in deterministic order."""
-        by_tgt: dict = {x: [] for x in self.objects}
-        for lab in self.all_labels():
-            by_tgt[self.tgt(lab)].append(lab)
-
-        def extend(chain, src_obj):
-            if len(chain) == n:
-                yield tuple(chain)
-                return
-            for lab in by_tgt[src_obj]:
-                chain.append(lab)
-                yield from extend(chain, self.src(lab))
-                chain.pop()
-
-        for first in self.all_labels():
-            yield from extend([first], self.src(first))
+    def composable(self, labels) -> bool:
+        """Whether ``src(a_u) = tgt(a_{u+1})`` along the tuple."""
+        info = self._info
+        return all(info[a][0] == info[b][1] for a, b in zip(labels, labels[1:]))
 
     # -- equality / copies --------------------------------------------------
 
@@ -314,8 +295,7 @@ def validate_structure(c: AInfCategory) -> ValidationReport:
     compos_bad = []
     for p, table in sorted(c.mult.items()):
         for key in sorted(table):
-            ok = all(c.src(key[u]) == c.tgt(key[u + 1]) for u in range(p - 1))
-            if not ok:
+            if not c.composable(key):
                 compos_bad.append({"arity": p, "tuple": list(key), "reason": "inputs not composable"})
                 continue
             out_pair = (c.src(key[-1]), c.tgt(key[0]))
@@ -366,82 +346,58 @@ def validate_structure(c: AInfCategory) -> ValidationReport:
 # the defining relations
 
 
-def stasheff_defect(c: AInfCategory, labels) -> dict:
-    """Value of the total arity-n relation on one composable basis tuple."""
-    field = c.field
-    n = len(labels)
-    degs = [c.deg(l) for l in labels]
-    out: dict = {}
-    for r in range(n):
-        pre_deg = sum(degs[:r])
-        for s in range(1, n - r + 1):
-            t = n - r - s
-            outer_arity = r + 1 + t
-            inner = c.apply_labels(s, labels[r:r + s])
-            if not inner:
-                continue
-            if outer_arity not in c.mult:
-                continue
-            exp = (r + s * t + s * pre_deg) % 2
-            sign = field.one if exp == 0 else field.neg(field.one)
-            outer_table = c.mult[outer_arity]
-            for lab, coeff in inner.items():
-                key = labels[:r] + (lab,) + labels[r + s:]
-                entry = outer_table.get(tuple(key))
-                if not entry:
-                    continue
-                factor = field.mul(sign, coeff)
-                for olab, oc in entry.items():
-                    v = field.add(out.get(olab, field.zero), field.mul(factor, oc))
-                    if v == 0:
-                        out.pop(olab, None)
-                    else:
-                        out[olab] = v
-    return out
+def insertions(outer: dict, inner: dict):
+    """The Gerstenhaber insertions of one sparse table into another.
+
+    Both tables map label tuples to sparse output vectors.  For every outer
+    key K, slot r and inner key J whose output has coefficient ``coeff`` at
+    the label K[r], yields ``(K[:r] + J + K[r+1:], r, len(J), coeff,
+    outer[K])``.  Callers attach their own signs and sum the terms of each
+    tuple; only pairs that meet at a label are ever visited.
+    """
+    by_output: dict = {}
+    for key, vec in inner.items():
+        for lab, coeff in vec.items():
+            by_output.setdefault(lab, []).append((key, coeff))
+    for key, out in outer.items():
+        for r, lab in enumerate(key):
+            for j, coeff in by_output.get(lab, ()):
+                yield key[:r] + j + key[r + 1:], r, len(j), coeff, out
 
 
-def _stasheff_chunk(c: AInfCategory, chunk) -> list:
-    witnesses = []
-    for n, labels in chunk:
-        defect = stasheff_defect(c, labels)
-        if defect:
-            witnesses.append(
-                {
-                    "arity": n,
-                    "tuple": list(labels),
-                    "defect": {lab: c.field.unparse(v) for lab, v in sorted(defect.items())},
-                }
-            )
-    return witnesses
-
-
-def check_stasheff(c: AInfCategory, n_max: int | None = None, jobs: int = 1) -> ValidationReport:
+def check_stasheff(c: AInfCategory, n_max: int | None = None) -> ValidationReport:
     """Evaluate the defining relations on every composable tuple up to n_max.
 
+    The relation sum is the insertion of the structure maps into themselves,
+    so every nonzero term comes from :func:`insertions` of the tables into
+    the tables; a tuple no term reaches satisfies its relation trivially.
     The default bound 2*arity_bound - 1 is sharp: above it every insertion
-    term vanishes identically.  With ``jobs > 1`` the sweep is split across
-    worker processes; the report is assembled deterministically either way.
+    term vanishes identically.
     """
-    report = ValidationReport()
-    bound = c.arity_bound
+    field = c.field
     if n_max is None:
-        n_max = max(2 * bound - 1, 1)
-    work = [(n, labels) for n in range(1, n_max + 1) for labels in c.composable_tuples(n)]
-    if jobs > 1 and len(work) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        size = max(1, -(-len(work) // jobs))
-        chunks = [work[i:i + size] for i in range(0, len(work), size)]
-        witnesses = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_stasheff_chunk, itertools.repeat(c), chunks):
-                witnesses.extend(part)
-    else:
-        witnesses = _stasheff_chunk(c, work)
+        n_max = max(2 * c.arity_bound - 1, 1)
+    table = {key: vec for t in c.mult.values() for key, vec in t.items()}
+    defects: dict = {}
+    for labels, r, s, coeff, out in insertions(table, table):
+        n = len(labels)
+        if n > n_max or not c.composable(labels):
+            continue
+        exp = r + s * (n - r - s) + s * sum(c.deg(lab) for lab in labels[:r])
+        field.add_scaled(defects.setdefault(labels, {}), out,
+                         field.neg(coeff) if exp % 2 else coeff)
 
     by_arity: dict = {n: [] for n in range(1, n_max + 1)}
-    for w in witnesses:
-        by_arity[w["arity"]].append(w)
+    for labels, defect in defects.items():
+        if defect:
+            by_arity[len(labels)].append(
+                {
+                    "arity": len(labels),
+                    "tuple": list(labels),
+                    "defect": {lab: field.unparse(v) for lab, v in sorted(defect.items())},
+                }
+            )
+    report = ValidationReport()
     for n in range(1, n_max + 1):
         report.add(f"stasheff_n{n}", not by_arity[n], witnesses=by_arity[n])
     return report

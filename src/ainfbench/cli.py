@@ -14,7 +14,8 @@ Subcommands:
 Every command prints a report (JSON unless asked otherwise) and exits with
 0 when all mathematical checks pass, 1 when a check fails (the report carries
 the witnesses), and 2 on usage or parse errors.  Reports are deterministic up
-to the timing fields: witness lists are sorted.
+to the timing fields: witness lists are sorted.  ``--jobs N`` is accepted for
+compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+JOBS_HELP = "accepted for compatibility; has no effect (every command runs serially)"
+
 
 def _emit(report: dict, started: float) -> None:
     report["timings"] = {"total_s": round(time.perf_counter() - started, 6)}
@@ -70,7 +73,7 @@ def cmd_validate(args) -> int:
     started = time.perf_counter()
     spec = _load(args.file)
     structure = validate_structure(spec.category)
-    relations = check_stasheff(spec.category, jobs=args.jobs)
+    relations = check_stasheff(spec.category)
     ok = structure.passed and relations.passed
     _emit(
         {
@@ -89,7 +92,7 @@ def cmd_stasheff(args) -> int:
     spec = _load(args.file)
     structure = validate_structure(spec.category)
     pre_ok = structure.check("degrees").passed and structure.check("composability").passed
-    report = check_stasheff(spec.category, n_max=args.max_arity, jobs=args.jobs)
+    report = check_stasheff(spec.category, n_max=args.max_arity)
     ok = pre_ok and report.passed
     _emit(
         {
@@ -193,7 +196,7 @@ def cmd_gamma_build(args) -> int:
         )
         return EXIT_FAIL
     aus = build_auslander(spec.category, filt)
-    relations = check_stasheff(aus.gamma, jobs=args.jobs)
+    relations = check_stasheff(aus.gamma)
     structure = validate_structure(aus.gamma)
     lifts_ok = verify_lift_independence(aus, trials=args.lift_trials)
     ok = relations.passed and structure.passed and lifts_ok
@@ -227,7 +230,7 @@ def cmd_sod(args) -> int:
         )
         return EXIT_FAIL
     aus = build_auslander(spec.category, filt)
-    rep = sod_report(aus, jobs=args.jobs)
+    rep = sod_report(aus)
     data = rep.to_json()
     data["command"] = "sod"
     if args.format == "text":
@@ -318,13 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="structure and relation checks")
     p.add_argument("file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("stasheff", help="evaluate the defining relations")
     p.add_argument("file")
     p.add_argument("--max-arity", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.set_defaults(func=cmd_stasheff)
 
     p = sub.add_parser("filtration", help="filtration tools")
@@ -351,14 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     q = gsub.add_parser("build", help="build the quotient category on 0..n-1")
     q.add_argument("file")
     q.add_argument("-o", "--output", required=True)
-    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     q.add_argument("--lift-trials", type=int, default=50)
     q.set_defaults(func=cmd_gamma_build)
 
     p = sub.add_parser("sod", help="semiorthogonality report")
     p.add_argument("file")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.set_defaults(func=cmd_sod)
 
     p = sub.add_parser("deform", help="deform by a Hochschild cochain "

@@ -11,8 +11,8 @@ vanishes; that equivalence is the content of the deformation operation and is
 what the test suite quantifies over.
 
 The differential is the arity-(n+1) component of the graded commutator of the
-cochain with the structure maps, normalized so that on an associative algebra
-in degree 0 it is the classical alternating sum
+cochain with m_2, normalized so that on an associative algebra in degree 0 it
+is the classical alternating sum
 
     (d phi)(a_1, ..., a_{n+1}) = a_1 phi(a_2, ...) - phi(a_1 a_2, ...)
         + phi(a_1, a_2 a_3, ...) - ... + (-1)^(n+1) phi(a_1, ..., a_n) a_{n+1}.
@@ -21,13 +21,16 @@ On associative bases the commutator has no other components, so d o d = 0 and
 the deformation equivalence are exact there; for bases with higher products
 the remaining components are not captured by a single-arity cochain and the
 structure checker remains the judge of a deformation.
+
+The differential, the functor equations of :func:`coboundary_trivialization`
+and the relation check of :mod:`ainfbench.ainf` are all sums of Gerstenhaber
+insertions, and all three take their terms from the one sparse join
+:func:`ainfbench.ainf.insertions`.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .ainf import AInfCategory
+from .ainf import AInfCategory, insertions
 from .linalg import GradedSpace
 
 
@@ -214,7 +217,7 @@ class HochschildCochain:
             for lab in key:
                 if lab not in base._info:
                     raise HochschildError(f"unknown base label {lab!r} in cochain")
-            if any(base.src(key[u]) != base.tgt(key[u + 1]) for u in range(arity - 1)):
+            if not base.composable(key):
                 raise HochschildError(f"cochain key {key} is not composable")
             if enforce_normalized and any(base.is_unit(lab) for lab in key):
                 raise HochschildError(f"cochain not normalized: unit argument in {key}")
@@ -242,114 +245,43 @@ class HochschildCochain:
     def is_zero(self) -> bool:
         return not self.table
 
-    def apply(self, args) -> dict:
-        """Multilinear evaluation on sparse base elements (arity >= 1)."""
-        if self.arity == 0:
-            raise HochschildError("arity-0 cochains are indexed by objects")
-        field = self.base.field
-        out: dict = {}
-        for combo in itertools.product(*[list(a.items()) for a in args]):
-            key = tuple(lab for lab, _ in combo)
-            entry = self.table.get(key)
-            if not entry:
-                continue
-            coeff = field.one
-            for _, c in combo:
-                coeff = field.mul(coeff, c)
-            if coeff == 0:
-                continue
-            for lab, c in entry.items():
-                v = field.add(out.get(lab, field.zero), field.mul(coeff, c))
-                if v == 0:
-                    out.pop(lab, None)
-                else:
-                    out[lab] = v
-        return out
-
-    def value_at_object(self, x) -> dict:
-        if self.arity != 0:
-            raise HochschildError("not an arity-0 cochain")
-        return dict(self.table.get(x, {}))
-
 
 # ---------------------------------------------------------------------------
 # the differential
 
 
 def hochschild_differential(phi: HochschildCochain) -> HochschildCochain:
-    """Arity-(n+1) component of the commutator with the structure maps.
+    """Arity-(n+1) component of the commutator with m_2.
 
-    Signs follow the same (-1)^(r+st) and Koszul conventions as the relation
-    checker, the cochain slot counting as an operator of parity n + d; the
-    overall sign is chosen so that degree-0 associative inputs reproduce the
-    classical alternating formula.  The module-side products go through the
-    square-zero extension at the shift n - 2 used by deformations.
+    The terms are the insertions of m_2 into the cochain (inner parity 0)
+    and of the cochain into the m_2 of the square-zero extension at the
+    shift n - 2 used by deformations (inner parity n + d), with the
+    (-1)^(r+st) and Koszul signs of the relation checker.  The overall sign
+    is chosen so that degree-0 associative inputs reproduce the classical
+    alternating formula.  An arity-0 cochain has no inputs: it enters the
+    insertions under the key (), and only the composable products of the
+    extension place its value at the right object.
     """
     base = phi.base
-    module = phi.module
     field = base.field
     n = phi.arity
-    d = phi.internal_degree
-    ext = square_zero_extension(base, module, n - 2)
-    phi_parity = (n + d) % 2
-
-    table: dict = {}
-    for labels in base.composable_tuples(n + 1):
-        if any(base.is_unit(lab) for lab in labels):
-            continue
-        degs = [base.deg(lab) for lab in labels]
-        total: dict = {}
-
-        def acc(vec, exp):
-            sgn = field.one if exp % 2 == 0 else field.neg(field.one)
-            for lab, c in vec.items():
-                v = field.add(total.get(lab, field.zero), field.mul(sgn, c))
-                if v == 0:
-                    total.pop(lab, None)
-                else:
-                    total[lab] = v
-
-        if n >= 1:
-            # inner m_2 window, outer cochain: r + 2 + t = n + 2, outer arity n
-            for r in range(n):
-                t = n - 1 - r
-                inner = base.apply_labels(2, labels[r:r + 2])
-                if not inner:
-                    continue
-                exp = r + 2 * t + 2 * sum(degs[:r])
-                args = (
-                    [{lab: field.one} for lab in labels[:r]]
-                    + [inner]
-                    + [{lab: field.one} for lab in labels[r + 2:]]
-                )
-                acc(phi.apply(args), exp)
-            # inner cochain (window size n), outer m_2 of the extension
-            # (r, t) = (0, 1)
-            win = phi.apply([{lab: field.one} for lab in labels[:n]])
-            if win:
-                term = ext.apply(2, [win, {labels[n]: field.one}])
-                acc(term, 0 + n * 1)
-            # (r, t) = (1, 0)
-            win = phi.apply([{lab: field.one} for lab in labels[1:]])
-            if win:
-                term = ext.apply(2, [{labels[0]: field.one}, win])
-                acc(term, 1 + phi_parity * degs[0])
-        else:
-            # arity-0 cochain inserted into m_2 at either slot
-            lab = labels[0]
-            left = phi.value_at_object(base.tgt(lab))
-            if left:
-                acc(ext.apply(2, [left, {lab: field.one}]), 0)
-            right = phi.value_at_object(base.src(lab))
-            if right:
-                acc(ext.apply(2, [{lab: field.one}, right]), 1 + phi_parity * degs[0])
-
-        if total:
-            # overall sign: minus the raw commutator defect
-            table[labels] = {lab: field.neg(c) for lab, c in total.items()}
-
+    ext = square_zero_extension(base, phi.module, n - 2)
+    phi_table = phi.table if n else {(): {lab: c for vec in phi.table.values() for lab, c in vec.items()}}
+    ext_m2 = {key: vec for key, vec in ext.mult.get(2, {}).items() if ext.composable(key)}
+    total: dict = {}
+    for outer, inner, parity in ((phi_table, base.mult.get(2, {}), 0),
+                                 (ext_m2, phi_table, (n + phi.internal_degree) % 2)):
+        for labels, r, s, coeff, out in insertions(outer, inner):
+            if not base.composable(labels) or any(base.is_unit(lab) for lab in labels):
+                continue
+            exp = r + s * (n + 1 - r - s) + parity * sum(base.deg(lab) for lab in labels[:r])
+            field.add_scaled(total.setdefault(labels, {}), out,
+                             field.neg(coeff) if exp % 2 else coeff)
+    # overall sign: minus the raw commutator defect
+    table = {labels: {lab: field.neg(c) for lab, c in vec.items()} for labels, vec in total.items()}
     return HochschildCochain(
-        base, module, n + 1, table, internal_degree=d, enforce_normalized=False
+        base, phi.module, n + 1, table, internal_degree=phi.internal_degree,
+        enforce_normalized=False,
     )
 
 
@@ -379,38 +311,17 @@ def deform_by_cocycle(c: AInfCategory, m: Bimodule, eta: HochschildCochain) -> A
         )
     if not eta.normalized:
         raise HochschildError("deformation requires a normalized cochain")
+    return _deform(c, m, eta)
+
+
+def _deform(c: AInfCategory, m: Bimodule, eta: HochschildCochain) -> AInfCategory:
+    """The square-zero extension at shift eta.arity - 2 with eta added to
+    m_n, without the gates of :func:`deform_by_cocycle`."""
     ext = square_zero_extension(c, m, eta.arity - 2)
     mult = {p: {key: dict(vec) for key, vec in table.items()} for p, table in ext.mult.items()}
     tbl = mult.setdefault(eta.arity, {})
     for key, vec in eta.table.items():
-        entry = tbl.setdefault(key, {})
-        for lab, co in vec.items():
-            v = c.field.add(entry.get(lab, c.field.zero), co)
-            if v == 0:
-                entry.pop(lab, None)
-            else:
-                entry[lab] = v
-        if not entry:
-            del tbl[key]
-    if not tbl:
-        del mult[eta.arity]
-    return AInfCategory(ext.field, ext.objects, ext.hom, dict(ext.units), mult)
-
-
-def deform_unchecked(c: AInfCategory, m: Bimodule, eta: HochschildCochain) -> AInfCategory:
-    """Deformation wiring without the normalization gate (for exhibiting how
-    non-normalized cochains break strict unitality)."""
-    ext = square_zero_extension(c, m, eta.arity - 2)
-    mult = {p: {key: dict(vec) for key, vec in table.items()} for p, table in ext.mult.items()}
-    tbl = mult.setdefault(eta.arity, {})
-    for key, vec in eta.table.items():
-        entry = tbl.setdefault(key, {})
-        for lab, co in vec.items():
-            v = c.field.add(entry.get(lab, c.field.zero), co)
-            if v == 0:
-                entry.pop(lab, None)
-            else:
-                entry[lab] = v
+        c.field.add_scaled(tbl.setdefault(key, {}), vec)
     return AInfCategory(ext.field, ext.objects, ext.hom, dict(ext.units), mult)
 
 
@@ -446,114 +357,42 @@ def _bar_exp(degs) -> int:
 
 
 def _verify_functor(src: AInfCategory, tgt: AInfCategory, phi: HochschildCochain, q: int) -> bool:
-    """Check the suspended functor equations for F = (id, ..., phi at q)."""
+    """Check the suspended functor equations for F = id + phi (phi at arity q).
+
+    The defect D = (m_src - m_tgt) + phi o m_src - m_tgt o phi must vanish
+    on every composable tuple.  Signs are the bar convention: ``_bar_exp``
+    of each operation's inputs, the Koszul term sum(|a_u| - 1) for sliding
+    an inner operation past a prefix, and a phi block of degree
+    sum|a| + d - (q - 1) (for q = 1, F_1 keeps its input's degree).  Terms
+    with two phi blocks vanish: the target is a square-zero extension and
+    its tables hold at most one module label per key.  An arity-0 phi
+    gives F no component, so for q = 0 only m_src = m_tgt is checked.
+    """
     field = src.field
-    module = phi.module
+    shift = phi.internal_degree - (q - 1) if q > 1 else 0
+    phi_table = phi.table if q else {}
+    defect: dict = {}
 
-    def f_apply(k, labels, degs):
-        """Suspended component applied to suspended basis inputs; returns a
-        sparse element together with its uniform degree, or None."""
-        out: dict = {}
-        if k == 1:
-            lab = labels[0]
-            out[lab] = field.one
-            if q == 1:
-                for ml, c in phi.table.get((lab,), {}).items():
-                    out[ml] = field.add(out.get(ml, field.zero), c)
-            return out, degs[0]
-        if k != q or q == 1:
-            return None
-        if any(lab not in src._info or lab not in phi.base._info for lab in labels):
-            return None
-        val = phi.table.get(tuple(labels))
-        if not val:
-            return None
-        sgn = _bar_exp(degs)
-        # the ambient extension places M at shift q - 1 (= eta.arity - 2)
-        out_deg = sum(degs) + phi.internal_degree - (q - 1)
-        vec = dict(val) if sgn == 0 else {l: field.neg(cc) for l, cc in val.items()}
-        return vec, out_deg
+    def add(labels, vec, coeff, exp):
+        if src.composable(labels):
+            field.add_scaled(defect.setdefault(labels, {}), vec,
+                             field.neg(coeff) if exp % 2 else coeff)
 
-    bound = max(src.arity_bound, tgt.arity_bound) + q - 1
-    for nn in range(1, bound + 1):
-        for labels in src.composable_tuples(nn):
-            degs = [src.deg(l) for l in labels]
-            lhs: dict = {}
-            rhs: dict = {}
+    def degs(labels):
+        return [src.deg(lab) for lab in labels]
 
-            def add(side, vec, exp):
-                sgn = field.one if exp % 2 == 0 else field.neg(field.one)
-                for lab, cc in vec.items():
-                    v = field.add(side.get(lab, field.zero), field.mul(sgn, cc))
-                    if v == 0:
-                        side.pop(lab, None)
-                    else:
-                        side[lab] = v
-
-            # LHS: F-hat after one insertion of a source operation
-            for r in range(nn):
-                for s in range(1, nn - r + 1):
-                    t = nn - r - s
-                    k = r + 1 + t
-                    inner = src.apply_labels(s, tuple(labels[r:r + s]))
-                    if not inner:
-                        continue
-                    inner_deg = sum(degs[r:r + s]) + 2 - s
-                    bconv = _bar_exp(degs[r:r + s])
-                    koszul = sum(dd - 1 for dd in degs[:r])
-                    # expand F-hat_k on (prefix, inner, suffix) multilinearly
-                    for ml, mc in inner.items():
-                        new_labels = labels[:r] + (ml,) + labels[r + s:]
-                        new_degs = degs[:r] + [inner_deg] + degs[r + s:]
-                        res = f_apply(k, new_labels, new_degs)
-                        if res is None:
-                            continue
-                        vec, _ = res
-                        scaled = {l: field.mul(mc, cc) for l, cc in vec.items()}
-                        add(lhs, scaled, bconv + koszul)
-
-            # RHS: a target operation applied to F-hat blocks
-            for qq in range(1, nn + 1):
-                for sizes in _compositions(nn, qq, {1, q} if q > 1 else {1}):
-                    pos = 0
-                    blocks = []
-                    ok = True
-                    for sz in sizes:
-                        blk_labels = labels[pos:pos + sz]
-                        blk_degs = degs[pos:pos + sz]
-                        res = f_apply(sz, list(blk_labels), blk_degs)
-                        if res is None:
-                            ok = False
-                            break
-                        blocks.append(res)
-                        pos += sz
-                    if not ok:
-                        continue
-                    for combo in itertools.product(*[list(v.items()) for v, _ in blocks]):
-                        coeff = field.one
-                        for _, cc in combo:
-                            coeff = field.mul(coeff, cc)
-                        key = tuple(lab for lab, _ in combo)
-                        entry = tgt.mult.get(qq, {}).get(key)
-                        if not entry:
-                            continue
-                        block_degs = [dd for _, dd in blocks]
-                        bconv = _bar_exp(block_degs)
-                        scaled = {l: field.mul(coeff, cc) for l, cc in entry.items()}
-                        add(rhs, scaled, bconv)
-
-            if lhs != rhs:
-                return False
-    return True
-
-
-def _compositions(total, parts, allowed):
-    """All ordered tuples of ``parts`` sizes from ``allowed`` summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in allowed:
-        if first <= total - (parts - 1) * min(allowed):
-            for rest in _compositions(total - first, parts - 1, allowed):
-                yield (first,) + rest
+    src_table = {key: vec for t in src.mult.values() for key, vec in t.items()}
+    tgt_table = {key: vec for t in tgt.mult.values() for key, vec in t.items()}
+    for table, exp in ((src_table, 0), (tgt_table, 1)):
+        for labels, vec in table.items():
+            add(labels, vec, field.one, exp + _bar_exp(degs(labels)))
+    for labels, r, s, coeff, out in insertions(phi_table, src_table):
+        d = degs(labels)
+        key_degs = d[:r] + [sum(d[r:r + s]) + 2 - s] + d[r + s:]
+        add(labels, out, coeff,
+            _bar_exp(d[r:r + s]) + sum(x - 1 for x in d[:r]) + _bar_exp(key_degs))
+    for labels, r, s, coeff, out in insertions(tgt_table, phi_table):
+        d = degs(labels)
+        block_degs = d[:r] + [sum(d[r:r + s]) + shift] + d[r + s:]
+        add(labels, out, coeff, 1 + _bar_exp(d[r:r + s]) + _bar_exp(block_degs))
+    return not any(defect.values())

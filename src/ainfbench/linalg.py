@@ -42,23 +42,12 @@ def vec_is_zero(v) -> bool:
     return all(a == 0 for a in v)
 
 
-def vec_add(field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
 def vec_sub(field, u, v):
     return tuple(field.sub(a, b) for a, b in zip(u, v))
 
 
 def vec_scale(field, c, v):
     return tuple(field.mul(c, a) for a in v)
-
-
-def mat_apply(field, m, v):
-    return tuple(
-        sum((field.mul(row[j], v[j]) for j in range(len(v)) if v[j] != 0), field.zero)
-        for row in m
-    )
 
 
 def mat_mul(field, a, b):

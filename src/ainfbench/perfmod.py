@@ -77,14 +77,7 @@ def _chain_apply(cat: AInfCategory, items) -> dict:
             exp += lam[j] * running
         for u in range(1, p):
             exp += (p - u) * (degs[u - 1] - 1)
-        if exp % 2:
-            coeff = field.neg(coeff)
-        for lab, c in entry.items():
-            v = field.add(out.get(lab, field.zero), field.mul(coeff, c))
-            if v == 0:
-                out.pop(lab, None)
-            else:
-                out[lab] = v
+        field.add_scaled(out, entry, field.neg(coeff) if exp % 2 else coeff)
     return out
 
 
@@ -168,13 +161,7 @@ def maurer_cartan_defect(x: TwistedComplex) -> dict:
         for t in range(s):
             total: dict = {}
             for path in x._delta_paths(s, t):
-                term = _chain_apply(x.cat, path)
-                for lab, c in term.items():
-                    v = x.cat.field.add(total.get(lab, x.cat.field.zero), c)
-                    if v == 0:
-                        total.pop(lab, None)
-                    else:
-                        total[lab] = v
+                x.cat.field.add_scaled(total, _chain_apply(x.cat, path))
             if total:
                 bad[(t, s)] = total
     return bad
@@ -237,13 +224,7 @@ class ModuleMorphismElement:
         field = self.source.cat.field
         comps = {k: dict(e) for k, e in self.comps.items()}
         for k, e in other.comps.items():
-            tgt = comps.setdefault(k, {})
-            for lab, c in e.items():
-                v = field.add(tgt.get(lab, field.zero), c)
-                if v == 0:
-                    tgt.pop(lab, None)
-                else:
-                    tgt[lab] = v
+            field.add_scaled(comps.setdefault(k, {}), e)
         return ModuleMorphismElement(self.source, self.target, self.degree, comps)
 
 
@@ -268,13 +249,7 @@ def mu1(f: ModuleMorphismElement) -> ModuleMorphismElement:
                         term = _chain_apply(cat, pre + [f_item] + post)
                         if not term:
                             continue
-                        slot = out.setdefault((t_out, s_out), {})
-                        for lab, c in term.items():
-                            v = field.add(slot.get(lab, field.zero), c)
-                            if v == 0:
-                                slot.pop(lab, None)
-                            else:
-                                slot[lab] = v
+                        field.add_scaled(out.setdefault((t_out, s_out), {}), term)
     out = {k: e for k, e in out.items() if e}
     return ModuleMorphismElement(x, y, f.degree + 1, out)
 
@@ -311,13 +286,7 @@ def mu2(f: ModuleMorphismElement, g: ModuleMorphismElement) -> ModuleMorphismEle
                                 )
                                 if not term:
                                     continue
-                                slot = out.setdefault((t_out, s_out), {})
-                                for lab, c in term.items():
-                                    v = field.add(slot.get(lab, field.zero), c)
-                                    if v == 0:
-                                        slot.pop(lab, None)
-                                    else:
-                                        slot[lab] = v
+                                field.add_scaled(out.setdefault((t_out, s_out), {}), term)
     if (g.degree + 1) % 2:
         out = {k: {l: field.neg(c) for l, c in e.items()} for k, e in out.items()}
     out = {k: e for k, e in out.items() if e}
@@ -763,20 +732,12 @@ class SodReport:
         }
 
 
-def _hom_cell(task):
-    kind, i, j, x, y = task
-    return kind, i, j, hom_complex(x, y).cohomology_dims()
-
-
-def sod_report(aus: AuslanderCategory, jobs: int = 1) -> SodReport:
+def sod_report(aus: AuslanderCategory) -> SodReport:
     """Build all P_i, psi_i, S_i and verify the semiorthogonality pattern:
 
     (a) H Hom(P_j, S_i) vanishes for j > i and matches H^*(R/F^1) for j = i;
     (b) H End(S_i) is a copy of H^*(R/F^1) (see :func:`end_comparison`);
     (c) H Hom(S_j, S_i) vanishes for j > i.
-
-    With ``jobs > 1`` the two orthogonality tables are computed by worker
-    processes, one (i, j) cell per task; assembly is deterministic.
     """
     n = aus.n
     gamma = aus.gamma
@@ -793,23 +754,8 @@ def sod_report(aus: AuslanderCategory, jobs: int = 1) -> SodReport:
             ss.append(cone(zero_morphism(empty_complex(gamma), ps[i])))
 
     failures = []
-    ps_table = [[None] * n for _ in range(n)]
-    ss_table = [[None] * n for _ in range(n)]
-    tasks = []
-    for i in range(n):
-        for j in range(n):
-            tasks.append(("ps", i, j, ps[j], ss[i]))
-            tasks.append(("ss", i, j, ss[j], ss[i]))
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_hom_cell, tasks))
-    else:
-        results = [_hom_cell(t) for t in tasks]
-    for kind, i, j, dims in results:
-        (ps_table if kind == "ps" else ss_table)[i][j] = dims
-
+    ps_table = [[hom_complex(ps[j], ss[i]).cohomology_dims() for j in range(n)] for i in range(n)]
+    ss_table = [[hom_complex(ss[j], ss[i]).cohomology_dims() for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if j > i:

@@ -115,17 +115,21 @@ class ExactField:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         if self.characteristic == 0:
-            return 1 / a
+            return 1 / Fraction(a)
         return pow(a, self.characteristic - 2, self.characteristic)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def is_one(self, a) -> bool:
-        return a == self.one
+    def add_scaled(self, acc: dict, vec: dict, coeff=None) -> None:
+        """acc += coeff * vec (acc += vec without a coeff) on sparse vectors,
+        dicts label -> scalar, dropping every coordinate that becomes zero."""
+        for lab, c in vec.items():
+            v = self.add(acc.get(lab, 0), c if coeff is None else self.mul(coeff, c))
+            if v == 0:
+                acc.pop(lab, None)
+            else:
+                acc[lab] = v
 
     # -- identity -------------------------------------------------------
 

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own evaluation helpers: elements are
 plain coefficient dicts and the relation sum below is written directly from
 its definition, so that agreement with the package is a genuine two-route
-check rather than a tautology.
+check rather than a tautology.  Scalars go through the category's field
+only, so the oracles are exact over F_p as well as over the rationals.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 def naive_mult(cat, p, arg_dicts):
     """Multilinear extension of the arity-p table, written naively."""
+    field = cat.field
     out = {}
     if p not in cat.mult:
         return out
@@ -20,13 +22,13 @@ def naive_mult(cat, p, arg_dicts):
             entry = cat.mult[p].get(tuple(prefix))
             if entry:
                 for lab, c in entry.items():
-                    out[lab] = out.get(lab, cat.field.zero) + coeff * c
+                    out[lab] = field.add(out.get(lab, field.zero), field.mul(coeff, c))
             return
         head, tail = rest[0], rest[1:]
         for lab, c in head.items():
-            rec(prefix + [lab], coeff * c, tail)
+            rec(prefix + [lab], field.mul(coeff, c), tail)
 
-    rec([], cat.field.one, list(arg_dicts))
+    rec([], field.one, list(arg_dicts))
     return {l: c for l, c in out.items() if c != 0}
 
 
@@ -36,24 +38,25 @@ def naive_stasheff_sum(cat, labels):
     The Koszul sign for sliding m_s (degree 2 - s) past the first r inputs is
     (-1)^((2-s) * (|a_1|+...+|a_r|)).
     """
+    field = cat.field
     n = len(labels)
     total = {}
     for r in range(n):
         for s in range(1, n - r + 1):
             t = n - r - s
-            inner = naive_mult(cat, s, [{lab: cat.field.one} for lab in labels[r:r + s]])
+            inner = naive_mult(cat, s, [{lab: field.one} for lab in labels[r:r + s]])
             if not inner:
                 continue
             koszul = (2 - s) * sum(cat.deg(l) for l in labels[:r])
-            sign = (-1) ** ((r + s * t + koszul) % 2)
+            negate = (r + s * t + koszul) % 2
             args = (
-                [{lab: cat.field.one} for lab in labels[:r]]
+                [{lab: field.one} for lab in labels[:r]]
                 + [inner]
-                + [{lab: cat.field.one} for lab in labels[r + s:]]
+                + [{lab: field.one} for lab in labels[r + s:]]
             )
             term = naive_mult(cat, r + 1 + t, args)
             for lab, c in term.items():
-                total[lab] = total.get(lab, cat.field.zero) + sign * c
+                total[lab] = field.add(total.get(lab, field.zero), field.neg(c) if negate else c)
     return {l: c for l, c in total.items() if c != 0}
 
 

@@ -1,8 +1,11 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from ainfbench import (
+    GF,
     GradedSpace,
     QQ,
     algebra,
@@ -12,18 +15,19 @@ from ainfbench import (
     opposite,
     validate_structure,
 )
-from ainfbench.ainf import stasheff_defect
+from ainfbench.hochschild import HochschildCochain, deform_by_cocycle, diagonal_bimodule, is_cocycle
 
 from .corpus import (
     ASSOCIATIVE_CORPUS,
     dual_numbers,
     nonassociative_example,
     path_algebra_a3,
+    random_associative_algebra,
     toy_algebra,
     unital_m2,
     upper_triangular_2,
 )
-from .oracles import naive_stasheff_holds, naive_stasheff_sum
+from .oracles import naive_stasheff_holds
 
 F = Fraction
 
@@ -81,12 +85,71 @@ def test_stasheff_toy_all_arities():
     assert report.check("stasheff_n5") is not None
 
 
+def _wrong_hom_category():
+    """f: a -> b, but m_2(e_a, e_a) = e_a + f has f in the wrong hom-space."""
+    hom = {
+        ("a", "a"): GradedSpace(("ea",), (0,)),
+        ("b", "b"): GradedSpace(("eb",), (0,)),
+        ("a", "b"): GradedSpace(("f",), (0,)),
+    }
+    m2 = {
+        ("ea", "ea"): {"ea": F(1), "f": F(1)},
+        ("eb", "eb"): {"eb": F(1)},
+        ("f", "ea"): {"f": F(1)},
+        ("eb", "f"): {"f": F(1)},
+    }
+    return category(QQ, ("a", "b"), hom, {"a": "ea", "b": "eb"}, {2: m2})
+
+
+def _non_cocycle_deformations(count):
+    """Deformations of small random algebras by arity-2 non-cocycles."""
+    rng = random.Random(707)
+    found = []
+    while len(found) < count:
+        c = random_associative_algebra(rng)
+        if c.total_dim() > 3:
+            continue
+        m = diagonal_bimodule(c)
+        labels = [l for l in c.all_labels() if not c.is_unit(l)]
+        table = {}
+        for key in itertools.product(labels, repeat=2):
+            out = {f"M.{l}": F(v) for l in c.all_labels() if (v := rng.randint(-1, 1))}
+            if out and rng.random() < 0.5:
+                table[key] = out
+        eta = HochschildCochain(c, m, 2, table)
+        if not is_cocycle(eta):
+            found.append(deform_by_cocycle(c, m, eta))
+    return found
+
+
+def _graded_deformation():
+    """The toy algebra (t in degree -1) deformed by the non-cocycle
+    phi(e) = M.1, so that the Koszul sign of an m_1 insertion matters."""
+    c = toy_algebra()
+    m = diagonal_bimodule(c)
+    return deform_by_cocycle(c, m, HochschildCochain(c, m, 1, {("e",): {"M.1": F(1)}}))
+
+
 def test_stasheff_toy_matches_naive_oracle():
-    toy = toy_algebra()
-    for n in range(1, 6):
-        for labels in toy.composable_tuples(n):
-            assert stasheff_defect(toy, labels) == naive_stasheff_sum(toy, labels)
-    assert naive_stasheff_holds(toy, 5) == []
+    cases = [
+        (toy_algebra(), 5, False),
+        (toy_algebra(GF(3)), 5, False),
+        (nonassociative_example(), 3, True),
+        (_wrong_hom_category(), 3, True),
+        (_graded_deformation(), 3, True),
+    ] + [(cat, 3, True) for cat in _non_cocycle_deformations(4)]
+    for cat, n_max, fails in cases:
+        witnesses = {
+            (w["arity"], tuple(w["tuple"])): w["defect"]
+            for check in check_stasheff(cat, n_max=n_max).checks
+            for w in check.witnesses
+        }
+        expected = {
+            (n, labels): {lab: cat.field.unparse(v) for lab, v in defect.items()}
+            for n, labels, defect in naive_stasheff_holds(cat, n_max)
+        }
+        assert witnesses == expected
+        assert bool(witnesses) == fails
 
 
 def test_stasheff_nonassociative_witness():
@@ -100,13 +163,6 @@ def test_stasheff_nonassociative_witness():
     # oracle agrees on the witness
     failures = naive_stasheff_holds(bad, 3)
     assert any(labels == ("x", "x", "x") for _, labels, _ in failures)
-
-
-def test_stasheff_parallel_matches_serial():
-    toy = toy_algebra()
-    serial = check_stasheff(toy, n_max=4)
-    parallel = check_stasheff(toy, n_max=4, jobs=2)
-    assert serial.to_json() == parallel.to_json()
 
 
 def test_opposite_commutative_algebra_fixed():

@@ -116,9 +116,10 @@ def test_cli_sod_toy(capsys):
     assert "timings" in data
 
 
-def test_cli_sod_jobs_deterministic(capsys):
-    code1, out1, _ = run(capsys, "sod", TOY, "--jobs", "1")
-    code2, out2, _ = run(capsys, "sod", TOY, "--jobs", "2")
+@pytest.mark.parametrize("command", ["stasheff", "sod"])
+def test_cli_sod_jobs_deterministic(capsys, command):
+    code1, out1, _ = run(capsys, command, TOY, "--jobs", "1")
+    code2, out2, _ = run(capsys, command, TOY, "--jobs", "2")
     assert code1 == code2 == 0
     d1, d2 = json.loads(out1), json.loads(out2)
     d1.pop("timings"), d2.pop("timings")

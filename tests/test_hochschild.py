@@ -7,10 +7,11 @@ from ainfbench import check_stasheff, validate_structure
 from ainfbench.hochschild import (
     HochschildCochain,
     HochschildError,
+    _deform,
+    _verify_functor,
     bimodule_direct_sum,
     coboundary_trivialization,
     deform_by_cocycle,
-    deform_unchecked,
     diagonal_bimodule,
     hochschild_differential,
     is_cocycle,
@@ -115,6 +116,20 @@ def test_differential_arity1_frozen():
     assert d.table == {("e", "e"): {"M.e": F(2)}}
 
 
+def test_differential_graded_toy_frozen():
+    # phi(e) = M.1 on the toy algebra, where t has degree -1: the entry at
+    # (t, e) carries the Koszul sign of the cochain passing t
+    c = toy_algebra()
+    m = diagonal_bimodule(c)
+    phi = HochschildCochain(c, m, 1, {("e",): {"M.1": F(1)}})
+    d = hochschild_differential(phi)
+    assert d.table == {
+        ("e", "e"): {"M.e": F(2)},
+        ("e", "t"): {"M.t": F(1)},
+        ("t", "e"): {"M.t": F(1)},
+    }
+
+
 def test_eta_epsilon_squared_is_cocycle():
     # the hand evaluation: (d eta)(e,e,e) = e eta(e,e) - eta(e^2,e)
     # + eta(e,e^2) - eta(e,e) e = M.e - 0 + 0 - M.e = 0
@@ -183,7 +198,7 @@ def test_non_normalized_cochain_rejected_then_breaks():
     raw = HochschildCochain(
         c, m, 2, {("1", "e"): {"M.1": F(1)}}, enforce_normalized=False
     )
-    broken = deform_unchecked(c, m, raw)
+    broken = _deform(c, m, raw)
     ok = validate_structure(broken).passed and check_stasheff(broken).passed
     assert not ok
 
@@ -261,3 +276,33 @@ def test_coboundaries_deform_trivially():
         assert coboundary_trivialization(c, m, phi)
         done += 1
     assert done >= 10
+
+
+@pytest.mark.parametrize(
+    "make,q,table",
+    [
+        (dual_numbers, 1, {("e",): {"M.1": F(1)}}),
+        (upper_triangular_2, 2, {("a", "x"): {"M.x": F(1)}}),
+    ],
+    ids=["q1", "q2"],
+)
+def test_functor_check_rejects_wrong_multiple(make, q, table):
+    # the deformation by d(phi) is killed by id + (-1)^(q+1) phi and by
+    # no other multiple of phi, since d(phi) != 0
+    c = make()
+    m = diagonal_bimodule(c)
+    eta = hochschild_differential(HochschildCochain(c, m, q, table))
+    assert not eta.is_zero()
+    deformed = deform_by_cocycle(c, m, HochschildCochain(c, m, eta.arity, eta.table, internal_degree=0))
+    plain = square_zero_extension(c, m, q - 1)
+
+    def functor(k):
+        scaled = {key: {lab: k * v for lab, v in vec.items()} for key, vec in table.items()}
+        return _verify_functor(deformed, plain, HochschildCochain(c, m, q, scaled), q)
+
+    sign = (-1) ** (q + 1)
+    assert coboundary_trivialization(c, m, HochschildCochain(c, m, q, table))
+    assert functor(sign)
+    assert not functor(-sign)
+    assert not functor(2)
+    assert not functor(0)

@@ -26,6 +26,13 @@ def test_echelon_basis_forced_reduction():
     assert s.rows == ((F(1), F(0), F(0)), (F(0), F(1), F(0)))
 
 
+def test_echelon_basis_integer_input_stays_exact():
+    # the pivot inverse of an int must be a Fraction, never a float
+    rows = echelon_basis([(3, 1)], QQ).rows
+    assert rows == ((F(1), F(1, 3)),)
+    assert all(isinstance(a, Fraction) for row in rows for a in row)
+
+
 def test_echelon_basis_empty_span():
     amb = GradedSpace(("a", "b"), (0, 0))
     s = Subspace(amb, QQ, ())
