@@ -103,6 +103,23 @@ def build_auslander(r: AInfCategory, filt: Filtration, verify: bool = True) -> A
                         f"hom({j},{i}) dimension {quotients[(j, i)].dim} != {want}"
                     )
 
+    # Intern the representatives: the same vectors recur across the n^2
+    # quotients, so each becomes a sparse element once, each product of
+    # representatives is evaluated once (keyed by the tuple of interned ids)
+    # and projected once per output quotient.
+    index = {lab: k for k, lab in enumerate(space.labels)}
+    interned: dict = {}
+    elements = []
+    rep_ids = {}
+    for pr, q in quotients.items():
+        for rep in q.reps:
+            if rep not in interned:
+                interned[rep] = len(elements)
+                elements.append(r.coords_to_element(rep, obj, obj))
+        rep_ids[pr] = [interned[rep] for rep in q.reps]
+    products: dict = {}  # ids -> sparse ambient coords {index: scalar}
+    entries: dict = {}  # (output pair, ids) -> Gamma output vector
+
     mult: dict = {}
     for p in sorted(r.mult):
         table = {}
@@ -113,24 +130,23 @@ def build_auslander(r: AInfCategory, filt: Filtration, verify: bool = True) -> A
             if verify and not index_inequality_denominators(chain, n):
                 raise AuslanderError(f"denominator inequality fails for {chain}")
             pairs = [(chain[u + 1], chain[u]) for u in range(p)]
-            out_q = quotients[(chain[p], chain[0])]
-            out_labels = labels_by_pair[(chain[p], chain[0])]
-            for combo in itertools.product(*[range(quotients[pr].dim) for pr in pairs]):
-                args = []
-                for (pr, k) in zip(pairs, combo):
-                    rep = quotients[pr].reps[k]
-                    args.append(r.coords_to_element(rep, obj, obj))
-                out = r.apply(p, args)
-                if not out:
-                    continue
-                vec = r.element_to_coords(out, obj, obj)
-                coords = out_q.project_strict(vec)
-                entry = {out_labels[k]: c for k, c in enumerate(coords) if c != 0}
+            out_pair = (chain[p], chain[0])
+            out_q = quotients[out_pair]
+            out_labels = labels_by_pair[out_pair]
+            for combo in itertools.product(*[zip(rep_ids[pr], labels_by_pair[pr]) for pr in pairs]):
+                ids = tuple(t for t, _ in combo)
+                entry = entries.get((out_pair, ids))
+                if entry is None:
+                    prod = products.get(ids)
+                    if prod is None:
+                        out = r.apply(p, [elements[t] for t in ids])
+                        prod = products[ids] = {index[lab]: c for lab, c in out.items()}
+                    coords = out_q.project_strict(prod) if prod else ()
+                    entry = entries[(out_pair, ids)] = {
+                        out_labels[k]: c for k, c in enumerate(coords) if c != 0
+                    }
                 if entry:
-                    key = tuple(
-                        labels_by_pair[pr][k] for pr, k in zip(pairs, combo)
-                    )
-                    table[key] = entry
+                    table[tuple(lab for _, lab in combo)] = entry
         if table:
             mult[p] = table
 

@@ -14,8 +14,11 @@ Subcommands:
 Every command prints a report (JSON unless asked otherwise) and exits with
 0 when all mathematical checks pass, 1 when a check fails (the report carries
 the witnesses), and 2 on usage or parse errors.  Reports are deterministic up
-to the timing fields: witness lists are sorted.  ``--jobs N`` is accepted for
-compatibility and has no effect.
+to the timing fields (``timings``: ``total_s``, and ``build_s`` for the
+quotient category build): witness lists are sorted.  ``sod`` and the
+``filtration`` commands certify nothing for an input algebra that fails its
+structure or relation checks.  ``--jobs N`` is accepted for compatibility
+and has no effect.
 """
 
 from __future__ import annotations
@@ -55,9 +58,35 @@ EXIT_USAGE = 2
 JOBS_HELP = "accepted for compatibility; has no effect (every command runs serially)"
 
 
+def _elapsed(started: float) -> float:
+    return round(time.perf_counter() - started, 6)
+
+
 def _emit(report: dict, started: float) -> None:
-    report["timings"] = {"total_s": round(time.perf_counter() - started, 6)}
+    """Print the report; ``timings`` gets ``total_s`` before any stage times."""
+    stages = report.pop("timings", {})
+    report["timings"] = {"total_s": _elapsed(started), **stages}
     print(json.dumps(report, indent=2))
+
+
+def _input_valid(command: str, spec, started: float) -> bool:
+    """Structure and relation checks on the input algebra; on failure emit a
+    FAIL report carrying their witnesses.  No certificate is given for an
+    input that is not a valid A-infinity algebra."""
+    structure = validate_structure(spec.category)
+    relations = check_stasheff(spec.category)
+    if structure.passed and relations.passed:
+        return True
+    _emit(
+        {
+            "command": command,
+            "verdict": "FAIL",
+            "structure": structure.to_json(),
+            "relations": relations.to_json(),
+        },
+        started,
+    )
+    return False
 
 
 def _write_out(path: str, text: str) -> None:
@@ -115,6 +144,8 @@ def _need_filtration(spec):
 def cmd_filtration_check(args) -> int:
     started = time.perf_counter()
     spec = _load(args.file)
+    if not _input_valid("filtration check", spec, started):
+        return EXIT_FAIL
     filt = _need_filtration(spec)
     report = check_filtration(spec.category, filt)
     _emit(
@@ -132,6 +163,8 @@ def cmd_filtration_check(args) -> int:
 def cmd_filtration_degree(args) -> int:
     started = time.perf_counter()
     spec = _load(args.file)
+    if not _input_valid("filtration degree", spec, started):
+        return EXIT_FAIL
     filt = degree_filtration(spec.category)
     report = check_filtration(spec.category, filt)
     _write_out(
@@ -154,6 +187,8 @@ def cmd_filtration_degree(args) -> int:
 def cmd_filtration_appendix(args) -> int:
     started = time.perf_counter()
     spec = _load(args.file)
+    if not _input_valid("filtration appendix", spec, started):
+        return EXIT_FAIL
     kappa = args.kappa if args.kappa is not None else spec.kappa
     if kappa is None:
         raise SpecError("appendix construction needs --kappa or a kappa field")
@@ -195,7 +230,9 @@ def cmd_gamma_build(args) -> int:
             started,
         )
         return EXIT_FAIL
+    build_started = time.perf_counter()
     aus = build_auslander(spec.category, filt)
+    build_s = _elapsed(build_started)
     relations = check_stasheff(aus.gamma)
     structure = validate_structure(aus.gamma)
     lifts_ok = verify_lift_independence(aus, trials=args.lift_trials)
@@ -212,6 +249,7 @@ def cmd_gamma_build(args) -> int:
             "output": args.output,
             "structure": structure.to_json(),
             "relations": relations.to_json(),
+            "timings": {"build_s": build_s},
         },
         started,
     )
@@ -222,6 +260,8 @@ def cmd_sod(args) -> int:
     started = time.perf_counter()
     spec = _load(args.file)
     filt = _need_filtration(spec)
+    if not _input_valid("sod", spec, started):
+        return EXIT_FAIL
     filt_report = check_filtration(spec.category, filt)
     if not filt_report.passed:
         _emit(
@@ -229,10 +269,13 @@ def cmd_sod(args) -> int:
             started,
         )
         return EXIT_FAIL
+    build_started = time.perf_counter()
     aus = build_auslander(spec.category, filt)
+    build_s = _elapsed(build_started)
     rep = sod_report(aus)
     data = rep.to_json()
     data["command"] = "sod"
+    data["timings"] = {"build_s": build_s}
     if args.format == "text":
         print(f"semiorthogonality report: {data['verdict']} (n = {rep.n})")
         print(f"H(R/F^1) dims: {data['rbar_cohomology_dims']}")
@@ -246,6 +289,7 @@ def cmd_sod(args) -> int:
         show("H Hom(S_j, S_i) total dims (rows i, cols j):", data["hom_S_S_dims"])
         if rep.failures:
             print(f"failures: {json.dumps(rep.failures)}")
+        print(f"timings: build_s {build_s}, total_s {_elapsed(started)}")
     else:
         _emit(data, started)
     return EXIT_PASS if rep.passed else EXIT_FAIL

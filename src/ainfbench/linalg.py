@@ -9,6 +9,16 @@ representative: two subspaces are equal iff their echelon rows are equal.
 A subspace of a graded ambient space spanned by homogeneous vectors stays
 homogeneous under row reduction (basis vectors of distinct degrees have
 disjoint support), so graded subspaces need no extra block bookkeeping.
+
+Quotient projection is a cached sparse linear map.  The first time a
+:class:`QuotientPresentation` meets ambient basis index b, it eliminates e_b
+densely once and keeps two sparse columns: the quotient coordinates of e_b
+and its residue ``den.reduce(e_b - lift(project(e_b)))``.  ``project(v)`` is
+then sum_b v_b * column_b over the nonzero v_b, and ``project_strict`` also
+sums the residue columns and rejects ``v`` when that sum is nonzero.
+Elimination, lift and reduction are linear and the arithmetic is exact, so
+this gives the same coordinates and the same strictness verdict as
+eliminating ``v`` itself, at a cost proportional to the support of ``v``.
 """
 
 from __future__ import annotations
@@ -357,11 +367,20 @@ class QuotientPresentation:
 
         # representative degrees (quotients of graded subspaces stay graded)
         self.degrees = tuple(self.ambient.degree_of_vector(r) for r in self.reps)
+        self._columns = {}  # ambient index b -> sparse (coords, residue) of e_b
 
-    def project(self, v):
-        """Quotient coordinates of an ambient vector (class of its numerator part)."""
+    def _column(self, b):
+        """Quotient coordinates of the basis vector e_b and its residue
+        den.reduce(e_b - lift(project(e_b))), both as sparse dicts index ->
+        scalar; eliminated densely the first time, then cached."""
+        col = self._columns.get(b)
+        if col is not None:
+            return col
+        if not 0 <= b < self.ambient.dim:
+            raise LinAlgError(f"basis index {b} outside ambient dimension {self.ambient.dim}")
         field = self.field
-        v = list(reduce_vector(field, v, self._den_rows, self._den_pivots))
+        e = tuple(field.one if j == b else field.zero for j in range(self.ambient.dim))
+        v = list(reduce_vector(field, e, self._den_rows, self._den_pivots))
         coords = [field.zero] * self.dim
         for piv, row, crow in zip(self._rep_pivots, self._rep_echelon, self._track):
             c = v[piv]
@@ -372,16 +391,35 @@ class QuotientPresentation:
                 for j in range(self.dim):
                     if crow[j] != 0:
                         coords[j] = field.add(coords[j], field.mul(c, crow[j]))
-        return tuple(coords)
+        residue = self.denominator.reduce(vec_sub(field, e, self.lift(coords)))
+        col = self._columns[b] = (
+            {k: a for k, a in enumerate(coords) if a != 0},
+            {k: a for k, a in enumerate(residue) if a != 0},
+        )
+        return col
+
+    def _combine(self, v, part):
+        """sum_b v_b * column_b for ``part`` 0 (coords) or 1 (residue), as a
+        dict index -> nonzero scalar; ``v`` is dense or a dict index -> scalar."""
+        acc: dict = {}
+        for b, c in v.items() if isinstance(v, dict) else enumerate(v):
+            if c != 0:
+                self.field.add_scaled(acc, self._column(b)[part], c)
+        return acc
+
+    def project(self, v):
+        """Quotient coordinates of an ambient vector (class of its numerator part).
+
+        ``v`` is a coordinate tuple or a sparse dict index -> scalar."""
+        acc = self._combine(v, 0)
+        zero = self.field.zero
+        return tuple(acc.get(k, zero) for k in range(self.dim))
 
     def project_strict(self, v):
         """Like project, but errors if ``v`` is not in the numerator mod denominator."""
-        field = self.field
-        coords = self.project(v)
-        residue = vec_sub(field, v, self.lift(coords))
-        if not self.denominator.contains(residue):
+        if self._combine(v, 1):
             raise LinAlgError("vector lies outside the numerator; projection undefined")
-        return coords
+        return self.project(v)
 
     def lift(self, coords):
         field = self.field

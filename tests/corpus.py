@@ -154,6 +154,48 @@ def truncated_polynomial(m, field=QQ):
     return algebra(field, [(l, 0) for l in labels], "1", {2: unital_m2(labels, "1", prods, field)})
 
 
+def trivial_extension(a, kappa, field=QQ):
+    """k[x]/(x^a) ⋉ (k[x]/(x^a))[kappa]: x_i in degree 0 and y_i = x_i eps in
+    degree -kappa, with y0 = eps and eps^2 = 0."""
+    xs = ["1"] + [f"x{i}" for i in range(1, a)]
+    ys = [f"y{i}" for i in range(a)]
+    prods = {}
+    for i in range(1, a):
+        for j in range(a - i):
+            if j:
+                prods[(xs[i], xs[j])] = {xs[i + j]: 1}
+            prods[(xs[i], ys[j])] = {ys[i + j]: 1}
+            prods[(ys[j], xs[i])] = {ys[i + j]: 1}
+    basis = [(l, 0) for l in xs] + [(l, -kappa) for l in ys]
+    return algebra(field, basis, "1", {2: unital_m2(xs + ys, "1", prods, field)})
+
+
+def rescaled(alg, rng: random.Random):
+    """The same algebra in the basis s_l * l for random nonzero s_l (s = 1 on
+    the unit): each structure constant becomes c * prod(s_inputs) / s_output."""
+    field = alg.field
+    obj = alg.objects[0]
+    unit = alg.units[obj]
+    scale = {}
+    for lab in alg.hom[(obj, obj)].labels:
+        s = field.zero
+        while s == 0:
+            s = field.of_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        scale[lab] = field.one if lab == unit else s
+    mult = {}
+    for p, table in alg.mult.items():
+        mult[p] = {}
+        for key, vec in table.items():
+            coeff = field.one
+            for lab in key:
+                coeff = field.mul(coeff, scale[lab])
+            mult[p][key] = {
+                lab: field.mul(field.mul(coeff, c), field.inv(scale[lab])) for lab, c in vec.items()
+            }
+    space = alg.hom[(obj, obj)]
+    return algebra(field, list(zip(space.labels, space.degrees)), unit, mult, obj)
+
+
 ASSOCIATIVE_CORPUS = [
     ("k", base_field_algebra),
     ("k_x_k", k_times_k),

@@ -5,9 +5,15 @@ plain coefficient dicts and the relation sum below is written directly from
 its definition, so that agreement with the package is a genuine two-route
 check rather than a tautology.  Scalars go through the category's field
 only, so the oracles are exact over F_p as well as over the rationals.
+Quotient coordinates come from one direct linear solve (``solve_linear``),
+not from the presentation's cached elimination.
 """
 
 from __future__ import annotations
+
+import itertools
+
+from ainfbench.linalg import solve_linear
 
 
 def naive_mult(cat, p, arg_dicts):
@@ -82,3 +88,47 @@ def naive_stasheff_holds(cat, n_max):
             if defect:
                 failures.append((n, labels, defect))
     return failures
+
+
+def naive_quotient_coords(q, v):
+    """Quotient coordinates of ``v`` by solving v = sum_i d_i D_i + sum_k c_k r_k
+    over the denominator rows D_i and the representatives r_k at once; these
+    columns are a basis of the numerator, so the solution is unique.  None
+    when ``v`` lies outside the numerator."""
+    cols = list(q.denominator.rows) + list(q.reps)
+    m = tuple(tuple(col[i] for col in cols) for i in range(len(v)))
+    x = solve_linear(q.field, m, tuple(v))
+    return None if x is None else tuple(x[len(q.denominator.rows):])
+
+
+def naive_gamma_table(aus):
+    """Gamma's product tables from the definition: for every chain of objects
+    and every tuple of representatives, multiply with :func:`naive_mult` and
+    take quotient coordinates with :func:`naive_quotient_coords`."""
+    r = aus.base
+    field = r.field
+    obj = r.objects[0]
+    labels = r.hom[(obj, obj)].labels
+    names = {pr: aus.gamma.hom[pr].labels for pr in aus.quotients}
+    mult = {}
+    for p in sorted(r.mult):
+        table = {}
+        for chain in itertools.product(range(aus.n), repeat=p + 1):
+            pairs = [(chain[u + 1], chain[u]) for u in range(p)]
+            out_pair = (chain[p], chain[0])
+            for combo in itertools.product(*[range(aus.quotients[pr].dim) for pr in pairs]):
+                args = [
+                    {labels[i]: c for i, c in enumerate(aus.quotients[pr].reps[k]) if c != 0}
+                    for pr, k in zip(pairs, combo)
+                ]
+                out = naive_mult(r, p, args)
+                vec = tuple(out.get(lab, field.zero) for lab in labels)
+                coords = naive_quotient_coords(aus.quotients[out_pair], vec)
+                if coords is None:
+                    raise AssertionError(f"product on {chain} leaves the numerator")
+                entry = {names[out_pair][k]: c for k, c in enumerate(coords) if c != 0}
+                if entry:
+                    table[tuple(names[pr][k] for pr, k in zip(pairs, combo))] = entry
+        if table:
+            mult[p] = table
+    return mult

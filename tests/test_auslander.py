@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ainfbench import check_stasheff, full_subcategory, validate_structure
+from ainfbench import GF, QQ, check_stasheff, full_subcategory, validate_structure
 from ainfbench.auslander import (
     build_auslander,
     check_index_inequalities_exhaustive,
@@ -20,7 +20,15 @@ from ainfbench.filtration import (
     zero_subspace,
 )
 
-from .corpus import dual_numbers, random_filtered_algebra, toy_algebra
+from .corpus import (
+    dual_numbers,
+    random_filtered_algebra,
+    rescaled,
+    toy_algebra,
+    trivial_extension,
+    truncated_polynomial,
+)
+from .oracles import naive_gamma_table
 
 F = Fraction
 
@@ -139,3 +147,25 @@ def test_random_filtered_gammas_pass():
         assert check_stasheff(aus.gamma).passed
         assert verify_lift_independence(aus, trials=20, rng=rng)
         embed_generator(aus)
+
+
+def _oracle_cases():
+    toy = toy_algebra()
+    x6 = rescaled(truncated_polynomial(6), random.Random(6))
+    triv = trivial_extension(3, 1)
+    yield pytest.param(toy, appendix_filtration(toy, kappa=1)[0], id="toy-appendix")
+    yield pytest.param(toy, degree_filtration(toy), id="toy-degree")
+    yield pytest.param(x6, appendix_filtration(x6, kappa=1)[0], id="x6-radical")
+    yield pytest.param(triv, appendix_filtration(triv, kappa=1)[0], id="trivext-3-1")
+    for field in (QQ, GF(3)):
+        rng = random.Random(f"gamma-oracle:{field.characteristic}")
+        for k in range(3):
+            yield pytest.param(*random_filtered_algebra(rng, field),
+                               id=f"random-{field.characteristic}-{k}")
+
+
+@pytest.mark.parametrize("alg, filt", list(_oracle_cases()))
+def test_gamma_matches_naive_table(alg, filt):
+    aus = build_auslander(alg, filt)
+    assert aus.gamma.mult  # not vacuous
+    assert aus.gamma.mult == naive_gamma_table(aus)

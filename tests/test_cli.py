@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ainfbench.cli import main
+from ainfbench.filtration import degree_filtration
 from ainfbench.specfile import (
     SpecError,
     category_to_dict,
@@ -279,3 +280,51 @@ def test_cli_usage_error_exit2(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_cli_invalid_input_gets_no_certificate(tmp_path, capsys):
+    # toy plus m_2(e, t) = t breaks the n = 3 relation; validate rejects it,
+    # and no command may certify a filtration or a decomposition built on it
+    data = json.loads(Path(TOY).read_text())
+    data["mult"].append({"arity": 2, "inputs": ["e", "t"], "output": {"t": "1"}})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(capsys, "validate", str(bad))[0] == 1
+
+    deg = tmp_path / "deg.json"
+    for argv in (
+        ("filtration", "check", str(bad)),
+        ("filtration", "degree", str(bad), "-o", str(deg)),
+        ("filtration", "appendix", str(bad), "--kappa", "1", "-o", str(deg)),
+        ("sod", str(bad)),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1, argv
+        report = json.loads(out)
+        assert report["verdict"] == "FAIL"
+        assert report["structure"]["passed"] is True
+        n3 = next(c for c in report["relations"]["checks"] if c["name"] == "stasheff_n3")
+        assert not n3["passed"] and n3["witnesses"]
+    assert not deg.exists()
+
+    # the reproducer: its degree filtration, as `filtration degree` used to
+    # write it, passes the filtration check, and `sod` used to certify it
+    cat = parse_spec(str(bad)).category
+    filtered = tmp_path / "filtered.json"
+    filtered.write_text(serialize(category_to_dict(cat, filtration=degree_filtration(cat))))
+    code, out, _ = run(capsys, "sod", str(filtered), "--format", "text")
+    assert code == 1
+    assert json.loads(out)["verdict"] == "FAIL"
+
+
+def test_cli_stage_timings(tmp_path, capsys):
+    code, out, _ = run(capsys, "sod", TOY)
+    assert code == 0
+    assert set(json.loads(out)["timings"]) == {"total_s", "build_s"}
+    code, out, _ = run(capsys, "gamma", "build", TOY, "-o", str(tmp_path / "g.json"))
+    assert code == 0
+    assert set(json.loads(out)["timings"]) == {"total_s", "build_s"}
+    code, out, _ = run(capsys, "sod", TOY, "--format", "text")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("timings: build_s ")
+    assert "total_s" in out.splitlines()[-1]

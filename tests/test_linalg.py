@@ -15,7 +15,9 @@ from ainfbench import (
     membership,
     quotient_space,
 )
-from ainfbench.linalg import ComplexError, nullspace
+from ainfbench.linalg import ComplexError, LinAlgError, nullspace
+
+from .oracles import naive_quotient_coords
 
 F = Fraction
 
@@ -113,6 +115,80 @@ def test_quotient_projection_lift_invariants_random():
         q = quotient_space(num, den)
         assert q.dim == num.dim - den.dim
         assert q.verify()
+
+
+@pytest.mark.parametrize(
+    "field, outside",
+    [
+        # (vector outside the numerator, its non-strict projection)
+        (QQ, [((1, 0, 0, 0), (F(-3), F(0))), ((2, 1, -1, 0), (F(-5), F(-4, 3)))]),
+        (GF(3), [((1, 0, 0, 0), (2, 0)), ((2, 1, 2, 0), (1, 1))]),
+    ],
+    ids=["Q", "GF3"],
+)
+def test_project_strict_rejects_vectors_outside_numerator(field, outside):
+    o = field.of_int
+    amb = GradedSpace(("a", "b", "c", "d"), (0, 0, 0, 0))
+    vecs = [(1, 2, 0, 1), (0, 1, 1, 0), (1, 0, 1, 2)]
+    num = Subspace(amb, field, [tuple(map(o, v)) for v in vecs])
+    den = Subspace(amb, field, [tuple(map(o, (1, 3, 1, 1)))])
+    q = quotient_space(num, den)
+    for _ in range(2):  # the second round reads the cached columns
+        for v, projected in outside:
+            v = tuple(map(o, v))
+            assert not num.contains(v)
+            with pytest.raises(LinAlgError):
+                q.project_strict(v)
+            with pytest.raises(LinAlgError):
+                q.project_strict({k: c for k, c in enumerate(v) if c != 0})
+            # non-strict projection keeps its value off the numerator
+            assert q.project(v) == projected
+        inside = tuple(map(o, (2, 3, 2, 3)))  # sum of the spanning vectors
+        assert q.project_strict(inside) == q.project(inside)
+    with pytest.raises(LinAlgError):
+        q.project({4: o(1)})  # no basis index 4 in a 4-dimensional ambient
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_projection_matches_oracle_random(field):
+    rng = random.Random(f"projection:{field.characteristic}")
+
+    def rand_vec(n):
+        return tuple(field.of_int(rng.randint(-3, 3)) for _ in range(n))
+
+    outside = 0
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        amb = GradedSpace(tuple(f"b{i}" for i in range(n)), (0,) * n)
+        den_vecs = [rand_vec(n) for _ in range(rng.randint(0, n))]
+        extra = [rand_vec(n) for _ in range(rng.randint(0, n))]
+        num = Subspace(amb, field, den_vecs + extra)
+        den = Subspace(amb, field, den_vecs)
+        preferred = extra[:1] if extra and rng.random() < 0.5 else []
+        q = quotient_space(num, den, preferred=preferred)
+        probes = [rand_vec(n) for _ in range(4)]
+        for _ in range(3):  # random members of the numerator
+            v = [field.zero] * n
+            for row in num.rows:
+                a = field.of_int(rng.randint(-2, 2))
+                v = [field.add(x, field.mul(a, y)) for x, y in zip(v, row)]
+            probes.append(tuple(v))
+        for _ in range(2):  # the second round reads the cached columns
+            for v in probes:
+                want = naive_quotient_coords(q, v)
+                sparse = {k: a for k, a in enumerate(v) if a != 0}
+                if want is None:
+                    outside += 1
+                    with pytest.raises(LinAlgError):
+                        q.project_strict(v)
+                    with pytest.raises(LinAlgError):
+                        q.project_strict(sparse)
+                else:
+                    assert q.project_strict(v) == want
+                    assert q.project_strict(sparse) == want
+                    assert q.project(v) == want
+                assert q.project(sparse) == q.project(v)
+    assert outside > 0
 
 
 def test_span_random_two_sided_membership():
