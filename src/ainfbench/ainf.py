@@ -160,6 +160,7 @@ class AInfCategory:
                         raise CategoryError(
                             f"unknown basis label {lab!r} in output of entry {key}"
                         )
+                    c = field.coerce(c)
                     if c != 0:
                         out[lab] = c
                 if out:

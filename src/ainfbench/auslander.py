@@ -64,6 +64,7 @@ def build_auslander(r: AInfCategory, filt: Filtration, verify: bool = True) -> A
     unit_vec = r.element_to_coords(r.unit_vector(obj), obj, obj)
 
     quotients = {}
+    shared = {}  # (numerator, denominator, unit preferred) -> presentation
     hom = {}
     labels_by_pair = {}
     unit_labels = {}
@@ -71,10 +72,12 @@ def build_auslander(r: AInfCategory, filt: Filtration, verify: bool = True) -> A
         for j in range(n):
             num = filt.level(max(j - i, 0))
             den = filt.level(n - i)
-            preferred = []
-            if i == j and den.dim > 0:
-                preferred = [unit_vec]
-            q = quotient_space(num, den, preferred=preferred)
+            prefer_unit = i == j and den.dim > 0
+            q = shared.get((num, den, prefer_unit))
+            if q is None:
+                q = shared[(num, den, prefer_unit)] = quotient_space(
+                    num, den, preferred=[unit_vec] if prefer_unit else []
+                )
             quotients[(j, i)] = q
             labels = []
             for rep in q.reps:

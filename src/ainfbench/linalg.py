@@ -2,27 +2,37 @@
 
 Everything here is coordinate-based over an :class:`~ainfbench.scalars.ExactField`.
 Vectors are tuples of scalars; matrices are tuples of row tuples, acting on
-column vectors (``out[i] = sum_j M[i][j] * v[j]``).
+column vectors (``out[i] = sum_j M[i][j] * v[j]``).  Coordinates entering an
+elimination pass ``ExactField.coerce``, which rejects floats and bools.
 
-Subspaces are stored in reduced row echelon form, which is the canonical
-representative: two subspaces are equal iff their echelon rows are equal.
-A subspace of a graded ambient space spanned by homogeneous vectors stays
-homogeneous under row reduction (basis vectors of distinct degrees have
-disjoint support), so graded subspaces need no extra block bookkeeping.
+All elimination is one private sparse semi-echelon form, ``_Echelon``: rows
+``{col: scalar}`` keyed by pivot, each 1 at its pivot and 0 before it and at
+every earlier pivot.  ``rref`` inserts every row, then re-inserts the rows in
+descending pivot order, which gives the reduced row echelon form: the
+canonical representative, so two subspaces are equal iff their rows are.
+Homogeneous vectors stay homogeneous under row reduction (basis vectors of
+distinct degrees have disjoint support), so graded subspaces need no extra
+block bookkeeping.
 
-Quotient projection is a cached sparse linear map.  The first time a
-:class:`QuotientPresentation` meets ambient basis index b, it eliminates e_b
-densely once and keeps two sparse columns: the quotient coordinates of e_b
-and its residue ``den.reduce(e_b - lift(project(e_b)))``.  ``project(v)`` is
-then sum_b v_b * column_b over the nonzero v_b, and ``project_strict`` also
-sums the residue columns and rejects ``v`` when that sum is nonzero.
-Elimination, lift and reduction are linear and the arithmetic is exact, so
-this gives the same coordinates and the same strictness verdict as
-eliminating ``v`` itself, at a cost proportional to the support of ``v``.
+A :class:`QuotientPresentation` seeds one echelon with the denominator rows
+and inserts the preferred vectors, then the numerator rows; each that adds a
+pivot is a coset representative.  None of it depends on the elimination
+order.  The pivots of a span W are the leading columns of its vectors, so the
+remainder of v modulo W is the unique v - w (w in W) that is 0 at every pivot
+of W; a representative is the scaled remainder of its vector modulo what was
+inserted before it.  Since the denominator rows and the representatives are a
+basis of the numerator, reducing e_b splits it uniquely as
+e_b = d + sum_k c_k rep_k + r with d in the denominator: c is the quotient
+coordinate vector of e_b, and the remainder r its residue, zero iff e_b lies
+in the numerator.  Both are
+kept as sparse columns once index b is met, so ``project(v)`` = sum_b v_b *
+column_b costs the support of ``v``; ``project_strict`` also sums the residue
+columns and rejects ``v`` when that sum is nonzero.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .scalars import ExactField
@@ -44,10 +54,6 @@ class ContainmentError(LinAlgError):
 # vectors and matrices
 
 
-def vec_zero(field: ExactField, n: int):
-    return (field.zero,) * n
-
-
 def vec_is_zero(v) -> bool:
     return all(a == 0 for a in v)
 
@@ -56,17 +62,12 @@ def vec_sub(field, u, v):
     return tuple(field.sub(a, b) for a, b in zip(u, v))
 
 
-def vec_scale(field, c, v):
-    return tuple(field.mul(c, a) for a in v)
-
-
 def mat_mul(field, a, b):
     if not a or not b:
         return tuple(() for _ in a)
-    n = len(b[0])
-    bt = tuple(tuple(row[j] for row in b) for j in range(n))
+    bt = tuple(zip(*b))
     return tuple(
-        tuple(sum((field.mul(ra[k], col[k]) for k in range(len(col)) if ra[k] != 0), field.zero) for col in bt)
+        tuple(functools.reduce(field.add, (field.mul(x, y) for x, y in zip(ra, col) if x != 0), field.zero) for col in bt)
         for ra in a
     )
 
@@ -75,57 +76,82 @@ def mat_is_zero(m) -> bool:
     return all(vec_is_zero(row) for row in m)
 
 
-def identity_matrix(field, n):
-    return tuple(
-        tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
-    )
+def _sparse(field, v) -> dict:
+    """Dense coordinates as a dict index -> nonzero scalar, through ``field.coerce``."""
+    out = {}
+    for j, a in enumerate(v):
+        a = field.coerce(a)
+        if a != 0:
+            out[j] = a
+    return out
+
+
+def _dense(field, v: dict, n: int) -> tuple:
+    zero = field.zero
+    return tuple(v.get(j, zero) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
 # echelon machinery
 
 
+class _Echelon:
+    """Sparse semi-echelon form: rows ``{col: scalar}`` keyed by pivot.
+
+    Each row is 1 at its pivot and 0 before it and at every pivot inserted
+    before it, so one pass over the rows in insertion order reduces a vector
+    to zero at every pivot.
+    """
+
+    def __init__(self, field: ExactField, dense_rows=()):
+        self.field = field
+        self.rows: dict = {}  # pivot -> row, in insertion order
+        for r in dense_rows:
+            self.insert(_sparse(field, r))
+
+    def reduce(self, v: dict, multipliers: dict | None = None) -> dict:
+        """Remainder of the sparse vector ``v`` (no zero entries); when given,
+        ``multipliers[pivot]`` receives the multiple of each row subtracted,
+        so that v = remainder + sum multipliers[p] * rows[p]."""
+        field = self.field
+        v = dict(v)
+        for piv, row in self.rows.items():
+            c = v.get(piv)
+            if c is not None:
+                field.add_scaled(v, row, field.neg(c))
+                if multipliers is not None:
+                    multipliers[piv] = c
+        return v
+
+    def insert(self, v: dict):
+        """Add ``v`` if it is independent of the rows: returns (pivot, row),
+        the row being v's remainder scaled to 1 at its first column; None when
+        ``v`` lies in the span."""
+        r = self.reduce(v)
+        if not r:
+            return None
+        piv = min(r)
+        if r[piv] != 1:
+            inv = self.field.inv(r[piv])
+            r = {j: self.field.mul(inv, a) for j, a in r.items()}
+        self.rows[piv] = r
+        return piv, r
+
+
 def rref(field: ExactField, rows):
     """Reduced row echelon form; returns (rows, pivot columns), zero rows dropped."""
-    work = [list(r) for r in rows if not vec_is_zero(r)]
-    if not work:
+    rows = list(rows)
+    if not rows:
         return (), ()
-    ncols = len(work[0])
-    out = []  # list of (pivot, row-list), kept sorted by pivot
-    for row in work:
-        for piv, prow in out:
-            c = row[piv]
-            if c != 0:
-                for j in range(ncols):
-                    if prow[j] != 0:
-                        row[j] = field.sub(row[j], field.mul(c, prow[j]))
-        lead = next((j for j, a in enumerate(row) if a != 0), None)
-        if lead is None:
-            continue
-        inv = field.inv(row[lead])
-        row = [field.mul(inv, a) for a in row]
-        for piv, prow in out:
-            c = prow[lead]
-            if c != 0:
-                for j in range(ncols):
-                    if row[j] != 0:
-                        prow[j] = field.sub(prow[j], field.mul(c, row[j]))
-        out.append((lead, row))
-        out.sort(key=lambda t: t[0])
-    pivots = tuple(p for p, _ in out)
-    return tuple(tuple(r) for _, r in out), pivots
-
-
-def reduce_vector(field, v, rows, pivots):
-    """Normal form of ``v`` modulo the echelon rows."""
-    v = list(v)
-    for piv, row in zip(pivots, rows):
-        c = v[piv]
-        if c != 0:
-            for j in range(len(v)):
-                if row[j] != 0:
-                    v[j] = field.sub(v[j], field.mul(c, row[j]))
-    return tuple(v)
+    ncols = len(rows[0])
+    semi = _Echelon(field, rows)
+    # Inserted in descending pivot order, each row meets only finished rows
+    # with larger pivots, which are 0 before their pivot: the result is reduced.
+    reduced = _Echelon(field)
+    for piv in sorted(semi.rows, reverse=True):
+        reduced.insert(semi.rows[piv])
+    pivots = tuple(sorted(reduced.rows))
+    return tuple(_dense(field, reduced.rows[p], ncols) for p in pivots), pivots
 
 
 def solve_linear(field: ExactField, m, b):
@@ -135,16 +161,13 @@ def solve_linear(field: ExactField, m, b):
     ncols = len(m[0])
     augmented = [tuple(row) + (bi,) for row, bi in zip(m, b)]
     rows, pivots = rref(field, augmented)
+    if pivots and pivots[-1] == ncols:
+        return None
+    # reduced rows vanish at the other pivots, so each pivot variable is
+    # read off its row once the free variables are 0
     x = [field.zero] * ncols
     for piv, row in zip(pivots, rows):
-        if piv == ncols:
-            return None
-    for piv, row in zip(reversed(pivots), reversed(rows)):
-        acc = row[ncols]
-        for j in range(piv + 1, ncols):
-            if row[j] != 0:
-                acc = field.sub(acc, field.mul(row[j], x[j]))
-        x[piv] = acc
+        x[piv] = row[ncols]
     return tuple(x)
 
 
@@ -220,6 +243,7 @@ class Subspace:
             if len(degs) > 1:
                 self.graded = False
                 break
+        self._echelon = None  # sparse copy of the rows, made by the first reduce
 
     @property
     def dim(self) -> int:
@@ -228,7 +252,9 @@ class Subspace:
     def reduce(self, v):
         if len(v) != self.ambient.dim:
             raise LinAlgError("dimension mismatch")
-        return reduce_vector(self.field, v, self.rows, self.pivots)
+        if self._echelon is None:
+            self._echelon = _Echelon(self.field, self.rows)
+        return _dense(self.field, self._echelon.reduce(_sparse(self.field, v)), self.ambient.dim)
 
     def contains(self, v) -> bool:
         return vec_is_zero(self.reduce(v))
@@ -301,101 +327,41 @@ class QuotientPresentation:
         self.numerator = numerator
         self.denominator = denominator
 
-        # Accumulate echelon rows starting from the denominator; numerator rows
-        # (preceded by any preferred vectors) that add new pivots become the
-        # coset representatives.
-        work_rows = list(denominator.rows)
-        work_pivots = list(denominator.pivots)
+        # One echelon seeded with the denominator rows; the preferred vectors,
+        # then the numerator rows, that add a pivot become the coset
+        # representatives.
+        self._echelon = _Echelon(field, denominator.rows)
+        self._rep_of = {}  # pivot of a representative's row -> its index
         reps = []
-        rep_coords = []  # row i of the tracking matrix: coefficients on reps
-
-        def _absorb(v, track: bool):
-            r = reduce_vector(field, v, tuple(work_rows), tuple(work_pivots))
-            if vec_is_zero(r):
-                return
-            lead = next(j for j, a in enumerate(r) if a != 0)
-            r = vec_scale(field, field.inv(r[lead]), r)
-            if track:
-                reps.append(r)
-            # keep working echelon sorted by pivot
-            pos = 0
-            while pos < len(work_pivots) and work_pivots[pos] < lead:
-                pos += 1
-            work_rows.insert(pos, r)
-            work_pivots.insert(pos, lead)
-
+        preferred = tuple(preferred)
         for v in preferred:
             if not numerator.contains(v):
                 raise LinAlgError("preferred representative lies outside the numerator")
-            _absorb(tuple(v), track=True)
-        for v in numerator.rows:
-            _absorb(v, track=True)
-
+        for v in (*preferred, *numerator.rows):
+            new = self._echelon.insert(_sparse(field, v))
+            if new is not None:
+                self._rep_of[new[0]] = len(reps)
+                reps.append(_dense(field, new[1], self.ambient.dim))
         self.reps = tuple(reps)
         self.dim = len(reps)
-
-        # Tracked elimination data for projection: reduce against denominator
-        # rows first, then against the reps (recording coefficients).
-        self._den_rows = denominator.rows
-        self._den_pivots = denominator.pivots
-        rep_pivots = []
-        rep_echelon = []
-        track = []
-        for i, r in enumerate(self.reps):
-            v = list(reduce_vector(field, r, self._den_rows, self._den_pivots))
-            coeff = [field.zero] * self.dim
-            coeff[i] = field.one
-            for piv, row, crow in zip(rep_pivots, rep_echelon, track):
-                c = v[piv]
-                if c != 0:
-                    for j in range(len(v)):
-                        if row[j] != 0:
-                            v[j] = field.sub(v[j], field.mul(c, row[j]))
-                    for j in range(self.dim):
-                        if crow[j] != 0:
-                            coeff[j] = field.sub(coeff[j], field.mul(c, crow[j]))
-            lead = next(j for j, a in enumerate(v) if a != 0)
-            inv = field.inv(v[lead])
-            v = [field.mul(inv, a) for a in v]
-            coeff = [field.mul(inv, a) for a in coeff]
-            rep_pivots.append(lead)
-            rep_echelon.append(v)
-            track.append(coeff)
-        self._rep_pivots = rep_pivots
-        self._rep_echelon = rep_echelon
-        self._track = track
 
         # representative degrees (quotients of graded subspaces stay graded)
         self.degrees = tuple(self.ambient.degree_of_vector(r) for r in self.reps)
         self._columns = {}  # ambient index b -> sparse (coords, residue) of e_b
 
     def _column(self, b):
-        """Quotient coordinates of the basis vector e_b and its residue
-        den.reduce(e_b - lift(project(e_b))), both as sparse dicts index ->
-        scalar; eliminated densely the first time, then cached."""
+        """Quotient coordinates of the basis vector e_b (the multipliers of the
+        representatives' rows) and its residue (the remainder), both as
+        sparse dicts index -> scalar; reduced the first time, then cached."""
         col = self._columns.get(b)
         if col is not None:
             return col
         if not 0 <= b < self.ambient.dim:
             raise LinAlgError(f"basis index {b} outside ambient dimension {self.ambient.dim}")
-        field = self.field
-        e = tuple(field.one if j == b else field.zero for j in range(self.ambient.dim))
-        v = list(reduce_vector(field, e, self._den_rows, self._den_pivots))
-        coords = [field.zero] * self.dim
-        for piv, row, crow in zip(self._rep_pivots, self._rep_echelon, self._track):
-            c = v[piv]
-            if c != 0:
-                for j in range(len(v)):
-                    if row[j] != 0:
-                        v[j] = field.sub(v[j], field.mul(c, row[j]))
-                for j in range(self.dim):
-                    if crow[j] != 0:
-                        coords[j] = field.add(coords[j], field.mul(c, crow[j]))
-        residue = self.denominator.reduce(vec_sub(field, e, self.lift(coords)))
-        col = self._columns[b] = (
-            {k: a for k, a in enumerate(coords) if a != 0},
-            {k: a for k, a in enumerate(residue) if a != 0},
-        )
+        multipliers = {}
+        residue = self._echelon.reduce({b: self.field.one}, multipliers)
+        coords = {self._rep_of[p]: c for p, c in multipliers.items() if p in self._rep_of}
+        col = self._columns[b] = (coords, residue)
         return col
 
     def _combine(self, v, part):
@@ -411,9 +377,7 @@ class QuotientPresentation:
         """Quotient coordinates of an ambient vector (class of its numerator part).
 
         ``v`` is a coordinate tuple or a sparse dict index -> scalar."""
-        acc = self._combine(v, 0)
-        zero = self.field.zero
-        return tuple(acc.get(k, zero) for k in range(self.dim))
+        return _dense(self.field, self._combine(v, 0), self.dim)
 
     def project_strict(self, v):
         """Like project, but errors if ``v`` is not in the numerator mod denominator."""
@@ -422,30 +386,21 @@ class QuotientPresentation:
         return self.project(v)
 
     def lift(self, coords):
-        field = self.field
         if len(coords) != self.dim:
             raise LinAlgError("quotient coordinate length mismatch")
-        out = [field.zero] * self.ambient.dim
-        for c, r in zip(coords, self.reps):
+        acc: dict = {}
+        for c, piv in zip(coords, self._rep_of):
             if c != 0:
-                for j, a in enumerate(r):
-                    if a != 0:
-                        out[j] = field.add(out[j], field.mul(c, a))
-        return tuple(out)
-
-    def projection_matrix(self):
-        n = self.ambient.dim
-        cols = [self.project(tuple(self.field.one if i == j else self.field.zero for i in range(n))) for j in range(n)]
-        return tuple(tuple(cols[j][i] for j in range(n)) for i in range(self.dim))
-
-    def lift_matrix(self):
-        return tuple(tuple(r[j] for r in self.reps) for j in range(self.ambient.dim))
+                self.field.add_scaled(acc, self._echelon.rows[piv], c)
+        return _dense(self.field, acc, self.ambient.dim)
 
     def verify(self) -> bool:
+        """Self-check: project(lift(c)) = c, tested on the unit vectors c, and
+        lift(project(r)) - r lies in the denominator for every numerator row."""
         field = self.field
-        pl = mat_mul(field, self.projection_matrix(), self.lift_matrix())
-        if pl != identity_matrix(field, self.dim):
-            return False
+        for k, rep in enumerate(self.reps):
+            if self.project(rep) != tuple(field.one if j == k else field.zero for j in range(self.dim)):
+                return False
         for r in self.numerator.rows:
             residue = vec_sub(field, self.lift(self.project(r)), r)
             if not self.denominator.contains(residue):
@@ -523,22 +478,15 @@ class CohomologyData:
         self.complex = complex_
         field = complex_.field
         self.groups = {}
-        degrees = set(complex_.components)
-        for q in sorted(degrees):
+        for q in sorted(complex_.components):
             dim_q = len(complex_.components[q])
             kernel = nullspace(field, complex_.differential(q), dim_q)
             ambient = GradedSpace(
                 tuple(complex_.components[q]), (q,) * dim_q
             )
             ker_sub = Subspace(ambient, field, kernel)
-            prev = complex_.differential(q - 1)
-            image_vectors = []
-            if complex_.components.get(q - 1):
-                n_prev = len(complex_.components[q - 1])
-                for j in range(n_prev):
-                    col = tuple(prev[i][j] for i in range(dim_q))
-                    image_vectors.append(col)
-            im_sub = Subspace(ambient, field, image_vectors)
+            # the image of d_{q-1} is spanned by the columns of its matrix
+            im_sub = Subspace(ambient, field, tuple(zip(*complex_.differential(q - 1))))
             self.groups[q] = quotient_space(ker_sub, im_sub)
 
     def dims(self) -> dict:

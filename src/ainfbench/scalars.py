@@ -58,6 +58,15 @@ class ExactField:
             return Fraction(n)
         return n % self.characteristic
 
+    def coerce(self, a):
+        """``a`` as a scalar of this field: ints become Fractions over Q and are
+        reduced mod p over F_p; floats, bools and anything else are rejected."""
+        if isinstance(a, int) and not isinstance(a, bool):
+            return self.of_int(a)
+        if isinstance(a, Fraction) and self.characteristic == 0:
+            return a
+        raise FieldError(f"not an exact scalar of {self!r}: {a!r}")
+
     def parse(self, text):
         """Parse a scalar from its file representation.
 

@@ -5,15 +5,50 @@ plain coefficient dicts and the relation sum below is written directly from
 its definition, so that agreement with the package is a genuine two-route
 check rather than a tautology.  Scalars go through the category's field
 only, so the oracles are exact over F_p as well as over the rationals.
-Quotient coordinates come from one direct linear solve (``solve_linear``),
-not from the presentation's cached elimination.
+Linear algebra is the textbook dense Gauss-Jordan elimination below, column
+by column with row swaps, sharing no code with ``ainfbench.linalg``;
+quotient coordinates come from one direct linear solve with it, not from the
+presentation's cached elimination.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from ainfbench.linalg import solve_linear
+
+def naive_rref(field, rows, ncols):
+    """Reduced row echelon form of a dense matrix: (nonzero rows, pivots)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        pick = next((i for i in range(top, len(m)) if m[i][col] != 0), None)
+        if pick is None:
+            continue
+        m[top], m[pick] = m[pick], m[top]
+        inv = field.inv(m[top][col])
+        m[top] = [field.mul(inv, a) for a in m[top]]
+        for i in range(len(m)):
+            c = m[i][col]
+            if i != top and c != 0:
+                m[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(m[i], m[top])]
+        pivots.append(col)
+    return [tuple(r) for r in m[:len(pivots)]], pivots
+
+
+def naive_rank(field, rows, ncols):
+    return len(naive_rref(field, rows, ncols)[1])
+
+
+def naive_solve(field, m, b, ncols):
+    """The solution of M x = b with every free variable 0, or None."""
+    rows, pivots = naive_rref(field, [tuple(r) + (bi,) for r, bi in zip(m, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [field.zero] * ncols
+    for piv, row in zip(pivots, rows):
+        x[piv] = row[ncols]
+    return tuple(x)
 
 
 def naive_mult(cat, p, arg_dicts):
@@ -97,7 +132,7 @@ def naive_quotient_coords(q, v):
     when ``v`` lies outside the numerator."""
     cols = list(q.denominator.rows) + list(q.reps)
     m = tuple(tuple(col[i] for col in cols) for i in range(len(v)))
-    x = solve_linear(q.field, m, tuple(v))
+    x = naive_solve(q.field, m, tuple(v), len(cols))
     return None if x is None else tuple(x[len(q.denominator.rows):])
 
 

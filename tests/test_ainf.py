@@ -16,6 +16,7 @@ from ainfbench import (
     validate_structure,
 )
 from ainfbench.hochschild import HochschildCochain, deform_by_cocycle, diagonal_bimodule, is_cocycle
+from ainfbench.scalars import FieldError
 
 from .corpus import (
     ASSOCIATIVE_CORPUS,
@@ -68,6 +69,22 @@ def test_degree_violation_detected():
     )
     report = validate_structure(bad)
     assert not report.check("degrees").passed
+
+
+def test_structure_constants_must_be_exact():
+    def x_squared(field, c):
+        m2 = {("1", "1"): {"1": 1}, ("1", "x"): {"x": 1}, ("x", "1"): {"x": 1}, ("x", "x"): {"x": c}}
+        return algebra(field, [("1", 0), ("x", 0)], "1", {2: m2})
+
+    # a float constant used to pass validate_structure and check_stasheff
+    with pytest.raises(FieldError):
+        x_squared(QQ, 0.5)
+    with pytest.raises(FieldError):
+        x_squared(QQ, True)
+    exact = x_squared(QQ, 2).mult[2]
+    assert all(isinstance(c, Fraction) for vec in exact.values() for c in vec.values())
+    assert ("x", "x") not in x_squared(GF(3), 3).mult[2]  # 3 is zero in F_3
+    assert x_squared(GF(3), 5).mult[2][("x", "x")] == {"x": 2}
 
 
 @pytest.mark.parametrize("name,make", ASSOCIATIVE_CORPUS)

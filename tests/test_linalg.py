@@ -15,9 +15,10 @@ from ainfbench import (
     membership,
     quotient_space,
 )
-from ainfbench.linalg import ComplexError, LinAlgError, nullspace
+from ainfbench.linalg import ComplexError, LinAlgError, nullspace, rref, solve_linear
+from ainfbench.scalars import FieldError
 
-from .oracles import naive_quotient_coords
+from .oracles import naive_quotient_coords, naive_rank, naive_rref, naive_solve
 
 F = Fraction
 
@@ -33,6 +34,22 @@ def test_echelon_basis_integer_input_stays_exact():
     rows = echelon_basis([(3, 1)], QQ).rows
     assert rows == ((F(1), F(1, 3)),)
     assert all(isinstance(a, Fraction) for row in rows for a in row)
+
+
+def test_echelon_basis_rejects_inexact_scalars():
+    # echelon_basis([(0.5, 1)], QQ).rows used to be ((1.0, Fraction(2, 1)),)
+    with pytest.raises(FieldError):
+        echelon_basis([(0.5, 1)], QQ)
+    with pytest.raises(FieldError):
+        echelon_basis([(True, 1)], QQ)
+
+
+def test_prime_field_input_is_reduced():
+    # (3, 0) is the zero vector of F_3^2; contains used to compare 3 with 0
+    amb = GradedSpace(("a", "b"), (0, 0))
+    assert Subspace(amb, GF(3), []).contains((3, 0))
+    assert not Subspace(amb, GF(3), []).contains((4, 0))
+    assert Subspace(amb, GF(3), [(4, 5)]).rows == ((1, 2),)
 
 
 def test_echelon_basis_empty_span():
@@ -191,6 +208,49 @@ def test_projection_matches_oracle_random(field):
     assert outside > 0
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_elimination_matches_dense_oracle(field):
+    rng = random.Random(f"elimination:{field.characteristic}")
+
+    def rand_vec(n, density):
+        return tuple(field.of_int(rng.randint(-3, 3)) if rng.random() < density else field.zero
+                     for _ in range(n))
+
+    def dot(u, v):
+        acc = field.zero
+        for a, b in zip(u, v):
+            acc = field.add(acc, field.mul(a, b))
+        return acc
+
+    shapes = [(1, 1), (1, 5), (5, 1), (2, 7), (7, 2), (4, 4), (6, 3), (3, 6), (8, 8)]
+    inconsistent = 0
+    for trial in range(60):
+        nrows, ncols = shapes[trial % len(shapes)]
+        m = [rand_vec(ncols, rng.choice((0.3, 0.7, 1.0))) for _ in range(nrows)]
+        if nrows > 1 and trial % 3 == 0:
+            m[-1] = m[0]  # a repeated row
+        if trial % 4 == 1:
+            m[rng.randrange(nrows)] = (field.zero,) * ncols  # a zero row
+        m = tuple(m)
+        want_rows, want_pivots = naive_rref(field, m, ncols)
+        rows, pivots = rref(field, m)
+        assert rows == tuple(want_rows) and pivots == tuple(want_pivots)
+
+        kernel = nullspace(field, m, ncols)
+        assert len(kernel) == ncols - len(pivots)
+        assert naive_rank(field, kernel, ncols) == len(kernel)
+        for v in kernel:
+            assert all(dot(row, v) == 0 for row in m)
+
+        x = rand_vec(ncols, 0.5)
+        for b in (rand_vec(nrows, 1.0), tuple(dot(row, x) for row in m)):  # the second is consistent
+            sol = solve_linear(field, m, b)
+            assert sol == naive_solve(field, m, b, ncols)
+            assert sol is None or tuple(dot(row, sol) for row in m) == b
+            inconsistent += sol is None
+    assert inconsistent > 0
+
+
 def test_span_random_two_sided_membership():
     rng = random.Random(11)
     for _ in range(25):
@@ -246,19 +306,20 @@ def test_complex_dd_violation_reported():
     assert "entry (0,0)" in str(err.value)
 
 
-def test_euler_characteristic_random_complexes():
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_euler_characteristic_random_complexes(field):
     rng = random.Random(3)
     for _ in range(20):
         n0, n1, n2 = (rng.randint(0, 4) for _ in range(3))
-        d0 = tuple(tuple(F(rng.randint(-2, 2)) for _ in range(n0)) for _ in range(n1))
+        d0 = tuple(tuple(field.of_int(rng.randint(-2, 2)) for _ in range(n0)) for _ in range(n1))
         # rows of d1 must annihilate the columns of d0
-        left_null = nullspace(QQ, tuple(zip(*d0)) if n1 and n0 else (), n1)
+        left_null = nullspace(field, tuple(zip(*d0)) if n1 and n0 else (), n1)
         d1_rows = []
         for _ in range(n2):
-            row = [F(0)] * n1
+            row = [field.zero] * n1
             for v in left_null:
-                coeff = F(rng.randint(-2, 2))
-                row = [a + coeff * b for a, b in zip(row, v)]
+                coeff = field.of_int(rng.randint(-2, 2))
+                row = [field.add(a, field.mul(coeff, b)) for a, b in zip(row, v)]
             d1_rows.append(tuple(row))
         comps = {}
         if n0:
@@ -272,8 +333,12 @@ def test_euler_characteristic_random_complexes():
             diffs[0] = d0
         if n1 and n2:
             diffs[1] = tuple(d1_rows)
-        c = FiniteComplex(QQ, comps, diffs)
+        c = FiniteComplex(field, comps, diffs)
         h = complex_cohomology(c)
         chi_spaces = sum((-1) ** q * len(ls) for q, ls in c.components.items())
         chi_h = sum((-1) ** q * d for q, d in h.dims().items())
         assert chi_spaces == chi_h
+        # dim H^q = dim C^q - rank d_q - rank d_{q-1}, ranks from the dense oracle
+        ranks = {q: naive_rank(field, m, len(c.components[q])) for q, m in c.diff.items()}
+        for q, labels in c.components.items():
+            assert h.dims().get(q, 0) == len(labels) - ranks.get(q, 0) - ranks.get(q - 1, 0)
