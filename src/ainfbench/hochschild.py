@@ -199,7 +199,7 @@ class HochschildCochain:
         clean = {}
         seen_internal = set()
         for key, vec in table.items():
-            out = {lab: c for lab, c in vec.items() if c != 0}
+            out = {lab: c for lab, c in zip(vec, map(base.field.coerce, vec.values())) if c != 0}
             if not out:
                 continue
             if arity == 0:

@@ -14,25 +14,31 @@ Homogeneous vectors stay homogeneous under row reduction (basis vectors of
 distinct degrees have disjoint support), so graded subspaces need no extra
 block bookkeeping.
 
-A :class:`QuotientPresentation` seeds one echelon with the denominator rows
-and inserts the preferred vectors, then the numerator rows; each that adds a
-pivot is a coset representative.  None of it depends on the elimination
-order.  The pivots of a span W are the leading columns of its vectors, so the
-remainder of v modulo W is the unique v - w (w in W) that is 0 at every pivot
-of W; a representative is the scaled remainder of its vector modulo what was
-inserted before it.  Since the denominator rows and the representatives are a
-basis of the numerator, reducing e_b splits it uniquely as
+A :class:`QuotientPresentation` seeds one echelon with spanning vectors of
+the denominator and inserts candidate vectors (for ``quotient_space``, the
+preferred vectors, then the numerator rows); each that adds a pivot is a coset
+representative.  None of it depends on the elimination order.  The pivots of a
+span W are the leading columns of its vectors, so the remainder of v modulo W
+is the unique v - w (w in W) that is 0 at every pivot of W; a representative
+is the scaled remainder of its vector modulo what was inserted before it.  As
+the echelon's rows span the numerator, reducing e_b splits it uniquely as
 e_b = d + sum_k c_k rep_k + r with d in the denominator: c is the quotient
 coordinate vector of e_b, and the remainder r its residue, zero iff e_b lies
-in the numerator.  Both are
-kept as sparse columns once index b is met, so ``project(v)`` = sum_b v_b *
-column_b costs the support of ``v``; ``project_strict`` also sums the residue
-columns and rejects ``v`` when that sum is nonzero.
+in the numerator.  Both are kept as sparse columns once index b is met, so
+``project(v)`` = sum_b v_b * column_b costs the support of ``v``;
+``project_strict`` also sums the residue columns and rejects ``v`` when that
+sum is nonzero.  ``quotient_space`` checks containment by one count: the
+echelon spans D + P + N (denominator, preferred vectors, numerator), which
+contains N, so D and P lie in N iff it has dim N rows; only a failed count
+looks for the first denominator row outside N, the witness.
+
+A cohomology group H^q is presented the same way: the columns of d_{q-1} seed
+the echelon and the ``nullspace`` basis of d_q is the candidates.  No
+containment test is needed, as ``FiniteComplex`` has checked d o d = 0.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .scalars import ExactField
@@ -60,20 +66,6 @@ def vec_is_zero(v) -> bool:
 
 def vec_sub(field, u, v):
     return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-
-def mat_mul(field, a, b):
-    if not a or not b:
-        return tuple(() for _ in a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(functools.reduce(field.add, (field.mul(x, y) for x, y in zip(ra, col) if x != 0), field.zero) for col in bt)
-        for ra in a
-    )
-
-
-def mat_is_zero(m) -> bool:
-    return all(vec_is_zero(row) for row in m)
 
 
 def _sparse(field, v) -> dict:
@@ -313,31 +305,19 @@ class QuotientPresentation:
     ``project`` maps ambient coordinates to quotient coordinates and ``lift``
     maps quotient coordinates back, with project(lift(c)) = c exactly and
     lift(project(v)) - v in the denominator for every v in the numerator.
+
+    The numerator is taken to be the span of ``denominator_rows`` and
+    ``candidates``; :func:`quotient_space` checks that it is the one it was given.
     """
 
-    def __init__(self, numerator: Subspace, denominator: Subspace, preferred=()):
-        if numerator.ambient != denominator.ambient:
-            raise LinAlgError("numerator and denominator have different ambients")
-        field = numerator.field
-        for r in denominator.rows:
-            if not numerator.contains(r):
-                raise ContainmentError(r)
-        self.ambient = numerator.ambient
+    def __init__(self, ambient: GradedSpace, field: ExactField, denominator_rows, candidates):
+        self.ambient = ambient
         self.field = field
-        self.numerator = numerator
-        self.denominator = denominator
-
-        # One echelon seeded with the denominator rows; the preferred vectors,
-        # then the numerator rows, that add a pivot become the coset
-        # representatives.
-        self._echelon = _Echelon(field, denominator.rows)
+        self.numerator = self.denominator = None  # the Subspaces, set by quotient_space
+        self._echelon = _Echelon(field, denominator_rows)
         self._rep_of = {}  # pivot of a representative's row -> its index
         reps = []
-        preferred = tuple(preferred)
-        for v in preferred:
-            if not numerator.contains(v):
-                raise LinAlgError("preferred representative lies outside the numerator")
-        for v in (*preferred, *numerator.rows):
+        for v in candidates:
             new = self._echelon.insert(_sparse(field, v))
             if new is not None:
                 self._rep_of[new[0]] = len(reps)
@@ -409,7 +389,22 @@ class QuotientPresentation:
 
 
 def quotient_space(numerator: Subspace, denominator: Subspace, preferred=()) -> QuotientPresentation:
-    return QuotientPresentation(numerator, denominator, preferred)
+    """numerator / denominator, representatives taken from ``preferred`` first."""
+    ambient = numerator.ambient
+    if ambient != denominator.ambient:
+        raise LinAlgError("numerator and denominator have different ambients")
+    preferred = tuple(preferred)
+    if any(len(v) != ambient.dim for v in preferred):
+        raise LinAlgError("dimension mismatch")
+    q = QuotientPresentation(ambient, numerator.field, denominator.rows, (*preferred, *numerator.rows))
+    # D + P + N is N iff D and P lie in N; only a failed count seeks the witness
+    if denominator.dim + q.dim != numerator.dim:
+        for r in denominator.rows:
+            if not numerator.contains(r):
+                raise ContainmentError(r)
+        raise LinAlgError("preferred representative lies outside the numerator")
+    q.numerator, q.denominator = numerator, denominator
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -424,37 +419,42 @@ class FiniteComplex:
     """Finite complex of based vector spaces with a degree +1 differential.
 
     ``components[q]`` is the ordered basis (labels) in complex degree q and
-    ``diff[q]`` the matrix of d: C^q -> C^{q+1}.  d o d = 0 is checked on
-    construction and violations report the failing matrix entry.
+    ``diff[q]`` the matrix of d: C^q -> C^{q+1}, its entries through
+    ``field.coerce``.  d o d = 0 is checked on construction and violations
+    report the failing matrix entry, the first in row-major order.
     """
 
     def __init__(self, field: ExactField, components: dict, diff: dict):
         self.field = field
         self.components = {q: tuple(labels) for q, labels in components.items() if labels}
         self.diff = {}
+        columns = {}  # q -> {j: nonzero column j of d_q as {i: scalar}}
         for q, m in diff.items():
-            m = tuple(tuple(row) for row in m)
-            if not m or mat_is_zero(m):
+            m = tuple(tuple(field.coerce(a) for a in row) for row in m)
+            cols = {}
+            for i, row in enumerate(m):
+                for j, a in enumerate(row):
+                    if a != 0:
+                        cols.setdefault(j, {})[i] = a
+            if not cols:
                 continue
             src = len(self.components.get(q, ()))
             tgt = len(self.components.get(q + 1, ()))
             if len(m) != tgt or any(len(row) != src for row in m):
                 raise ComplexError(f"differential at degree {q} has wrong shape")
             self.diff[q] = m
-        self._check_dd()
-
-    def _check_dd(self):
-        for q, m in self.diff.items():
-            nxt = self.diff.get(q + 1)
-            if nxt is None:
-                continue
-            prod = mat_mul(self.field, nxt, m)
-            for i, row in enumerate(prod):
-                for j, a in enumerate(row):
-                    if a != 0:
-                        raise ComplexError(
-                            f"d o d != 0: entry ({i},{j}) from degree {q} equals {a}"
-                        )
+            columns[q] = cols
+        for q, cols in columns.items():
+            nxt = columns.get(q + 1, {})
+            bad = []
+            for j, col in cols.items():
+                out: dict = {}
+                for k in col.keys() & nxt.keys():
+                    field.add_scaled(out, nxt[k], col[k])
+                bad += [(i, j, a) for i, a in out.items()]
+            if bad:
+                i, j, a = min(bad)
+                raise ComplexError(f"d o d != 0: entry ({i},{j}) from degree {q} equals {a}")
 
     def dims(self) -> dict:
         return {q: len(ls) for q, ls in self.components.items()}
@@ -479,15 +479,12 @@ class CohomologyData:
         field = complex_.field
         self.groups = {}
         for q in sorted(complex_.components):
-            dim_q = len(complex_.components[q])
-            kernel = nullspace(field, complex_.differential(q), dim_q)
-            ambient = GradedSpace(
-                tuple(complex_.components[q]), (q,) * dim_q
-            )
-            ker_sub = Subspace(ambient, field, kernel)
+            labels = complex_.components[q]
+            ambient = GradedSpace(labels, (q,) * len(labels))
             # the image of d_{q-1} is spanned by the columns of its matrix
-            im_sub = Subspace(ambient, field, tuple(zip(*complex_.differential(q - 1))))
-            self.groups[q] = quotient_space(ker_sub, im_sub)
+            image = tuple(zip(*complex_.differential(q - 1)))
+            kernel = nullspace(field, complex_.differential(q), len(labels))
+            self.groups[q] = QuotientPresentation(ambient, field, image, kernel)
 
     def dims(self) -> dict:
         return {q: g.dim for q, g in self.groups.items() if g.dim > 0}

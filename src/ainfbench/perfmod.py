@@ -97,7 +97,7 @@ class TwistedComplex:
         self.conn = {}
         conn = conn or {}
         for (t, s), elem in conn.items():
-            elem = {lab: c for lab, c in elem.items() if c != 0}
+            elem = {lab: c for lab, c in zip(elem, map(cat.field.coerce, elem.values())) if c != 0}
             if not elem:
                 continue
             if not (0 <= t < s < len(self.entries)):

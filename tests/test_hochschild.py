@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ainfbench import check_stasheff, validate_structure
+from ainfbench import GF, QQ, check_stasheff, validate_structure
 from ainfbench.hochschild import (
     HochschildCochain,
     HochschildError,
@@ -18,6 +19,8 @@ from ainfbench.hochschild import (
     square_zero_extension,
     zero_bimodule,
 )
+from ainfbench.scalars import FieldError
+from ainfbench.specfile import parse_spec
 
 from .corpus import (
     dual_numbers,
@@ -93,6 +96,20 @@ def test_cochain_rejects_units():
         HochschildCochain(c, m, 2, {("1", "e"): {"M.e": F(1)}})
 
 
+def test_cochain_values_are_exact():
+    toy = parse_spec(Path(__file__).parent.parent / "fixtures" / "toy.json").category
+    m = diagonal_bimodule(toy)
+    # the float used to stay in the table
+    with pytest.raises(FieldError):
+        HochschildCochain(toy, m, 1, {("e",): {"M.e": 0.5}})
+    with pytest.raises(FieldError):
+        HochschildCochain(toy, m, 1, {("e",): {"M.e": True}})
+    # ints are reduced mod p, and a value that becomes zero is dropped
+    c = dual_numbers(GF(3))
+    phi = HochschildCochain(c, diagonal_bimodule(c), 1, {("e",): {"M.e": 4, "M.1": 3}})
+    assert phi.table == {("e",): {"M.e": 1}}
+
+
 def test_differential_arity0_commutator():
     # d(phi)(a) = a phi - phi a; on the upper triangular algebra with
     # phi = M.a this is a*a - a*a = 0 at a, but nonzero against x
@@ -139,10 +156,11 @@ def test_eta_epsilon_squared_is_cocycle():
     assert is_cocycle(eta)
 
 
-def test_dd_zero_random_cochains():
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_dd_zero_random_cochains(field):
     rng = random.Random(8)
     for _ in range(12):
-        c = random_associative_algebra(rng)
+        c = random_associative_algebra(rng, field)
         m = diagonal_bimodule(c)
         obj = c.objects[0]
         labels = [l for l in c.all_labels() if not c.is_unit(l)]
@@ -157,7 +175,7 @@ def test_dd_zero_random_cochains():
             for lab in labels:
                 v = rng.randint(-1, 1)
                 if v:
-                    out[f"M.{lab}"] = F(v)
+                    out[f"M.{lab}"] = field.of_int(v)
             if out and rng.random() < 0.5:
                 table[key] = out
         try:
@@ -203,12 +221,13 @@ def test_non_normalized_cochain_rejected_then_breaks():
     assert not ok
 
 
-def test_deform_iff_cocycle_randomized():
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_deform_iff_cocycle_randomized(field):
     rng = random.Random(13)
     tried = 0
     cocycles = 0
     for _ in range(60):
-        c = random_associative_algebra(rng)
+        c = random_associative_algebra(rng, field)
         m = diagonal_bimodule(c)
         labels = [l for l in c.all_labels() if not c.is_unit(l)]
         if not labels:
@@ -222,7 +241,7 @@ def test_deform_iff_cocycle_randomized():
             for lab in labels + [c.units[c.objects[0]]]:
                 v = rng.randint(-1, 1)
                 if v:
-                    out[f"M.{lab}"] = F(v)
+                    out[f"M.{lab}"] = field.of_int(v)
             if out and rng.random() < 0.4:
                 table[key] = out
         try:

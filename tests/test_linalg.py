@@ -116,6 +116,22 @@ def test_quotient_containment_violation_witness():
     with pytest.raises(ContainmentError) as err:
         quotient_space(num, den)
     assert err.value.witness == (F(0), F(1))
+    # the first denominator row lies in the numerator, the second does not
+    amb3 = GradedSpace(("a", "b", "c"), (0, 0, 0))
+    num = Subspace(amb3, QQ, [(1, 0, 0), (0, 1, 0)])
+    den = Subspace(amb3, QQ, [(1, 0, 0), (0, 0, 1)])
+    with pytest.raises(ContainmentError) as err:
+        quotient_space(num, den)
+    assert err.value.witness == (F(0), F(0), F(1))
+
+
+def test_quotient_preferred_outside_numerator():
+    amb = GradedSpace(("a", "b"), (0, 0))
+    num = Subspace(amb, QQ, [(1, 0)])
+    den = Subspace(amb, QQ, [])
+    with pytest.raises(LinAlgError, match="preferred") as err:
+        quotient_space(num, den, preferred=[(0, 1)])
+    assert not isinstance(err.value, ContainmentError)
 
 
 def test_quotient_projection_lift_invariants_random():
@@ -304,11 +320,41 @@ def test_complex_dd_violation_reported():
     with pytest.raises(ComplexError) as err:
         FiniteComplex(QQ, {0: ("a",), 1: ("b",), 2: ("c",)}, {0: m, 1: m})
     assert "entry (0,0)" in str(err.value)
+    # d o d = ((0, 2), (5, 0)): the first nonzero entry in row-major order is (0,1)
+    comps = {0: ("a0", "a1"), 1: ("b0", "b1"), 2: ("c0", "c1")}
+    with pytest.raises(ComplexError) as err:
+        FiniteComplex(QQ, comps, {0: ((1, 0), (0, 1)), 1: ((0, 2), (5, 0))})
+    assert "entry (0,1) from degree 0 equals 2" in str(err.value)
+
+
+def test_complex_entries_are_exact():
+    # the float used to be accepted and only failed inside complex_cohomology
+    with pytest.raises(FieldError):
+        FiniteComplex(QQ, {0: ("a",), 1: ("b",)}, {0: ((0.5,),)})
+    with pytest.raises(FieldError):
+        FiniteComplex(QQ, {0: ("a",), 1: ("b",)}, {0: ((True,),)})
+    # over F_3 the entry 3 is zero; .diff used to hold the unreduced ((3,),)
+    gf3 = GF(3)
+    c = FiniteComplex(gf3, {0: ("a",), 1: ("b",)}, {0: ((3,),)})
+    assert c.diff == {}
+    assert complex_cohomology(c).dims() == {0: 1, 1: 1}
+    assert FiniteComplex(gf3, {0: ("a",), 1: ("b",)}, {0: ((4,),)}).diff == {0: ((1,),)}
+
+
+def _apply(field, m, v):
+    out = []
+    for row in m:
+        acc = field.zero
+        for a, b in zip(row, v):
+            acc = field.add(acc, field.mul(a, b))
+        out.append(acc)
+    return tuple(out)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
 def test_euler_characteristic_random_complexes(field):
     rng = random.Random(3)
+    wrng = random.Random(4)  # its own draws, so that the complexes stay the same
     for _ in range(20):
         n0, n1, n2 = (rng.randint(0, 4) for _ in range(3))
         d0 = tuple(tuple(field.of_int(rng.randint(-2, 2)) for _ in range(n0)) for _ in range(n1))
@@ -342,3 +388,19 @@ def test_euler_characteristic_random_complexes(field):
         ranks = {q: naive_rank(field, m, len(c.components[q])) for q, m in c.diff.items()}
         for q, labels in c.components.items():
             assert h.dims().get(q, 0) == len(labels) - ranks.get(q, 0) - ranks.get(q - 1, 0)
+        # class coordinates: reps are the unit vectors, coboundaries do not
+        # move a class, and a vector that is no cocycle has none
+        for q, labels in c.components.items():
+            reps = h.representatives(q)
+            prev = c.differential(q - 1)
+            for k, rep in enumerate(reps):
+                unit = tuple(field.one if j == k else field.zero for j in range(len(reps)))
+                assert h.class_coords(q, rep) == unit
+                w = [field.of_int(wrng.randint(-2, 2)) for _ in c.components.get(q - 1, ())]
+                moved = tuple(field.add(a, b) for a, b in zip(rep, _apply(field, prev, w)))
+                assert h.class_coords(q, moved) == unit
+            for j in range(len(labels)):
+                v = tuple(field.one if i == j else field.zero for i in range(len(labels)))
+                if any(a != 0 for a in _apply(field, c.differential(q), v)):
+                    with pytest.raises(LinAlgError):
+                        h.class_coords(q, v)

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ainfbench import QQ
+from ainfbench.scalars import FieldError
+from ainfbench.specfile import parse_spec
 from ainfbench.auslander import build_auslander
 from ainfbench.filtration import (
     Filtration,
@@ -16,6 +19,7 @@ from ainfbench.filtration import (
 from ainfbench.linalg import complex_cohomology
 from ainfbench.perfmod import (
     ModuleError,
+    TwistedComplex,
     cone,
     empty_complex,
     evaluate_at,
@@ -34,6 +38,7 @@ from ainfbench.perfmod import (
 from .corpus import dual_numbers, random_filtered_algebra, toy_algebra
 
 F = Fraction
+TOY = Path(__file__).parent.parent / "fixtures" / "toy.json"
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +84,18 @@ def test_shifted_representable(toy_aus):
     c = evaluate_at(p0, 0)
     # hom(0 -> 0) has dims {0: 2, -1: 1}; the shift moves them down by one
     assert c.dims() == {-1: 2, -2: 1}
+
+
+def test_twisted_complex_connection_is_exact():
+    toy = parse_spec(TOY).category
+    entries = [("*", 0), ("*", 1)]
+    # the float used to stay in conn
+    with pytest.raises(FieldError):
+        TwistedComplex(toy, entries, {(0, 1): {"e": 0.5}})
+    with pytest.raises(FieldError):
+        TwistedComplex(toy, entries, {(0, 1): {"e": True}})
+    conn = TwistedComplex(toy, entries, {(0, 1): {"e": 2, "1": 0}}).conn
+    assert conn == {(0, 1): {"e": F(2)}} and isinstance(conn[(0, 1)]["e"], Fraction)
 
 
 # ---------------------------------------------------------------------------
