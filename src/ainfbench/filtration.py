@@ -92,6 +92,11 @@ def check_filtration(r: AInfCategory, filt: Filtration) -> ValidationReport:
     Index tuples with sum above n are implied by monotonicity (every factor
     may be raised until the sum hits n, where the target is 0), so the sweep
     runs over tuples with i_1 + ... + i_p <= n only.
+
+    The same spanning vectors recur across levels, so they are interned: each
+    product of interned vectors is evaluated once, keyed by their ids, and
+    tested once per target level.  Every failing (indices, vectors) pair
+    still gets its own witness.
     """
     report = ValidationReport()
     obj, space = _one_object(r)
@@ -121,21 +126,35 @@ def check_filtration(r: AInfCategory, filt: Filtration) -> ValidationReport:
     ]
     report.add("graded", not not_graded, witnesses=not_graded)
 
+    interned: dict = {}  # level row -> id
+    elements = []  # id -> the row as a sparse element
+    level_ids = []
+    for lv in filt.levels:
+        for row in lv.rows:
+            if row not in interned:
+                interned[row] = len(elements)
+                elements.append(r.coords_to_element(row, obj, obj))
+        level_ids.append([interned[row] for row in lv.rows])
+    products: dict = {}  # ids -> m_p of their elements
+    contained: dict = {}  # (target level, ids) -> whether the product lies in it
+
     bad_compat = []
     for p in sorted(r.mult):
         for indices in itertools.product(range(n), repeat=p):
             total = sum(indices)
             if total > n:
                 continue
-            target = filt.level(total)
-            spans = [filt.levels[i].rows for i in indices]
-            for combo in itertools.product(*spans):
-                args = [r.coords_to_element(v, obj, obj) for v in combo]
-                out = r.apply(p, args)
+            for ids in itertools.product(*[level_ids[i] for i in indices]):
+                out = products.get(ids)
+                if out is None:
+                    out = products[ids] = r.apply(p, [elements[k] for k in ids])
                 if not out:
                     continue
-                vec = r.element_to_coords(out, obj, obj)
-                if not target.contains(vec):
+                ok = contained.get((total, ids))
+                if ok is None:
+                    vec = r.element_to_coords(out, obj, obj)
+                    ok = contained[(total, ids)] = filt.level(total).contains(vec)
+                if not ok:
                     bad_compat.append(
                         {
                             "arity": p,

@@ -2,8 +2,11 @@
 
 Everything here is coordinate-based over an :class:`~ainfbench.scalars.ExactField`.
 Vectors are tuples of scalars; matrices are tuples of row tuples, acting on
-column vectors (``out[i] = sum_j M[i][j] * v[j]``).  Coordinates entering an
-elimination pass ``ExactField.coerce``, which rejects floats and bools.
+column vectors (``out[i] = sum_j M[i][j] * v[j]``).  Internally vectors are
+sparse dicts index -> nonzero scalar, and a :class:`FiniteComplex` also takes
+its differentials as sparse columns ``{j: {i: scalar}}``.  Coordinates
+entering an elimination pass ``ExactField.coerce``, which rejects floats and
+bools.
 
 All elimination is one private sparse semi-echelon form, ``_Echelon``: rows
 ``{col: scalar}`` keyed by pivot, each 1 at its pivot and 0 before it and at
@@ -32,9 +35,11 @@ echelon spans D + P + N (denominator, preferred vectors, numerator), which
 contains N, so D and P lie in N iff it has dim N rows; only a failed count
 looks for the first denominator row outside N, the witness.
 
-A cohomology group H^q is presented the same way: the columns of d_{q-1} seed
-the echelon and the ``nullspace`` basis of d_q is the candidates.  No
-containment test is needed, as ``FiniteComplex`` has checked d o d = 0.
+A cohomology group H^q is presented the same way, on sparse vectors only: the
+sparse columns of d_{q-1} seed the echelon and the candidates are the kernel
+basis of d_q that ``nullspace`` returns, computed from the rows transposed
+from its columns.  No containment test is needed, as ``FiniteComplex`` has
+checked d o d = 0.
 """
 
 from __future__ import annotations
@@ -69,9 +74,10 @@ def vec_sub(field, u, v):
 
 
 def _sparse(field, v) -> dict:
-    """Dense coordinates as a dict index -> nonzero scalar, through ``field.coerce``."""
+    """Coordinates as a dict index -> nonzero scalar, through ``field.coerce``;
+    ``v`` is a dense sequence or a dict index -> scalar."""
     out = {}
-    for j, a in enumerate(v):
+    for j, a in v.items() if isinstance(v, dict) else enumerate(v):
         a = field.coerce(a)
         if a != 0:
             out[j] = a
@@ -95,10 +101,10 @@ class _Echelon:
     to zero at every pivot.
     """
 
-    def __init__(self, field: ExactField, dense_rows=()):
+    def __init__(self, field: ExactField, rows=()):
         self.field = field
         self.rows: dict = {}  # pivot -> row, in insertion order
-        for r in dense_rows:
+        for r in rows:
             self.insert(_sparse(field, r))
 
     def reduce(self, v: dict, multipliers: dict | None = None) -> dict:
@@ -130,20 +136,26 @@ class _Echelon:
         return piv, r
 
 
-def rref(field: ExactField, rows):
-    """Reduced row echelon form; returns (rows, pivot columns), zero rows dropped."""
-    rows = list(rows)
-    if not rows:
-        return (), ()
-    ncols = len(rows[0])
+def _reduced(field: ExactField, rows) -> dict:
+    """Reduced row echelon form of dense or sparse rows: sparse rows keyed by
+    pivot, in ascending pivot order."""
     semi = _Echelon(field, rows)
     # Inserted in descending pivot order, each row meets only finished rows
     # with larger pivots, which are 0 before their pivot: the result is reduced.
     reduced = _Echelon(field)
     for piv in sorted(semi.rows, reverse=True):
         reduced.insert(semi.rows[piv])
-    pivots = tuple(sorted(reduced.rows))
-    return tuple(_dense(field, reduced.rows[p], ncols) for p in pivots), pivots
+    return {p: reduced.rows[p] for p in sorted(reduced.rows)}
+
+
+def rref(field: ExactField, rows):
+    """Reduced row echelon form; returns (rows, pivot columns), zero rows dropped."""
+    rows = list(rows)
+    if not rows:
+        return (), ()
+    ncols = len(rows[0])
+    reduced = _reduced(field, rows)
+    return tuple(_dense(field, r, ncols) for r in reduced.values()), tuple(reduced)
 
 
 def solve_linear(field: ExactField, m, b):
@@ -163,20 +175,23 @@ def solve_linear(field: ExactField, m, b):
     return tuple(x)
 
 
+def _kernel(field: ExactField, rows, ncols: int) -> list:
+    """Kernel basis of the matrix with these dense or sparse rows, as sparse
+    vectors: one per free column j, 1 at j and -row[j] at the pivot of each
+    reduced row (reduced rows vanish at every other pivot, so each entry off
+    a row's pivot is at a free column)."""
+    reduced = _reduced(field, rows)
+    basis = {j: {j: field.one} for j in range(ncols) if j not in reduced}
+    for piv, row in reduced.items():
+        for j, a in row.items():
+            if j != piv:
+                basis[j][piv] = field.neg(a)
+    return list(basis.values())
+
+
 def nullspace(field: ExactField, m, ncols: int):
     """Basis of the kernel of the matrix ``m`` (rows act on length-``ncols`` vectors)."""
-    rows, pivots = rref(field, m)
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        v = [field.zero] * ncols
-        v[j] = field.one
-        for piv, row in zip(pivots, rows):
-            v[piv] = field.neg(row[j])
-        basis.append(tuple(v))
-    return tuple(basis)
+    return tuple(_dense(field, v, ncols) for v in _kernel(field, m, ncols))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +326,8 @@ class QuotientPresentation:
     """
 
     def __init__(self, ambient: GradedSpace, field: ExactField, denominator_rows, candidates):
+        """``denominator_rows`` and ``candidates`` are coordinate tuples or
+        sparse dicts index -> scalar."""
         self.ambient = ambient
         self.field = field
         self.numerator = self.denominator = None  # the Subspaces, set by quotient_space
@@ -419,33 +436,44 @@ class FiniteComplex:
     """Finite complex of based vector spaces with a degree +1 differential.
 
     ``components[q]`` is the ordered basis (labels) in complex degree q and
-    ``diff[q]`` the matrix of d: C^q -> C^{q+1}, its entries through
-    ``field.coerce``.  d o d = 0 is checked on construction and violations
-    report the failing matrix entry, the first in row-major order.
+    ``diff[q]`` the map d: C^q -> C^{q+1}, given either as a dense matrix (a
+    sequence of rows) or as sparse columns ``{j: {i: scalar}}``.  Either way
+    its entries pass ``field.coerce`` and only the nonzero ones are kept, as
+    the sparse columns ``columns[q]``; ``diff`` and ``differential(q)`` build
+    dense matrices from them on demand.  d o d = 0 is checked on construction
+    and violations report the failing matrix entry, the first in row-major
+    order.
     """
 
     def __init__(self, field: ExactField, components: dict, diff: dict):
         self.field = field
         self.components = {q: tuple(labels) for q, labels in components.items() if labels}
-        self.diff = {}
-        columns = {}  # q -> {j: nonzero column j of d_q as {i: scalar}}
+        self.columns = {}  # q -> {j: nonzero column j of d_q as {i: scalar}}
         for q, m in diff.items():
-            m = tuple(tuple(field.coerce(a) for a in row) for row in m)
+            sparse = isinstance(m, dict)
+            if sparse:
+                entries = ((i, j, a) for j, col in m.items() for i, a in col.items())
+            else:
+                entries = ((i, j, a) for i, row in enumerate(m) for j, a in enumerate(row))
             cols = {}
-            for i, row in enumerate(m):
-                for j, a in enumerate(row):
-                    if a != 0:
-                        cols.setdefault(j, {})[i] = a
+            for i, j, a in entries:
+                a = field.coerce(a)
+                if a != 0:
+                    cols.setdefault(j, {})[i] = a
             if not cols:
                 continue
             src = len(self.components.get(q, ()))
             tgt = len(self.components.get(q + 1, ()))
-            if len(m) != tgt or any(len(row) != src for row in m):
+            if sparse:
+                bad = any(not 0 <= j < src or not all(0 <= i < tgt for i in col)
+                          for j, col in cols.items())
+            else:
+                bad = len(m) != tgt or any(len(row) != src for row in m)
+            if bad:
                 raise ComplexError(f"differential at degree {q} has wrong shape")
-            self.diff[q] = m
-            columns[q] = cols
-        for q, cols in columns.items():
-            nxt = columns.get(q + 1, {})
+            self.columns[q] = cols
+        for q, cols in self.columns.items():
+            nxt = self.columns.get(q + 1, {})
             bad = []
             for j, col in cols.items():
                 out: dict = {}
@@ -462,13 +490,19 @@ class FiniteComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** (q % 2) * len(ls) for q, ls in self.components.items())
 
+    @property
+    def diff(self) -> dict:
+        """The nonzero differentials as dense matrices, keyed by degree."""
+        return {q: self.differential(q) for q in self.columns}
+
     def differential(self, q):
-        src = len(self.components.get(q, ()))
-        tgt = len(self.components.get(q + 1, ()))
-        m = self.diff.get(q)
-        if m is not None:
-            return m
-        return tuple((self.field.zero,) * src for _ in range(tgt))
+        """The matrix of d_q as a tuple of row tuples (all zero outside ``diff``)."""
+        rows = [[self.field.zero] * len(self.components.get(q, ()))
+                for _ in self.components.get(q + 1, ())]
+        for j, col in self.columns.get(q, {}).items():
+            for i, a in col.items():
+                rows[i][j] = a
+        return tuple(map(tuple, rows))
 
 
 class CohomologyData:
@@ -481,9 +515,13 @@ class CohomologyData:
         for q in sorted(complex_.components):
             labels = complex_.components[q]
             ambient = GradedSpace(labels, (q,) * len(labels))
-            # the image of d_{q-1} is spanned by the columns of its matrix
-            image = tuple(zip(*complex_.differential(q - 1)))
-            kernel = nullspace(field, complex_.differential(q), len(labels))
+            rows: dict = {}  # the rows of d_q, transposed from its columns
+            for j, col in complex_.columns.get(q, {}).items():
+                for i, a in col.items():
+                    rows.setdefault(i, {})[j] = a
+            kernel = _kernel(field, rows.values(), len(labels))
+            # the image of d_{q-1} is spanned by its columns
+            image = complex_.columns.get(q - 1, {}).values()
             self.groups[q] = QuotientPresentation(ambient, field, image, kernel)
 
     def dims(self) -> dict:

@@ -28,10 +28,9 @@ are the correctness certificates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .ainf import AInfCategory
+from .ainf import AInfCategory, _product_terms
 from .auslander import AuslanderCategory
 from .filtration import filtration_quotient_algebra
 from .linalg import FiniteComplex, complex_cohomology, rref, solve_linear
@@ -59,16 +58,7 @@ def _chain_apply(cat: AInfCategory, items) -> dict:
     field = cat.field
     lam = [(ks - kt) % 2 for ks, kt, _ in items]
     out: dict = {}
-    for combo in itertools.product(*[list(e.items()) for _, _, e in items]):
-        labels = tuple(lab for lab, _ in combo)
-        entry = table.get(labels)
-        if not entry:
-            continue
-        coeff = field.one
-        for _, c in combo:
-            coeff = field.mul(coeff, c)
-        if coeff == 0:
-            continue
+    for labels, coeff, entry in _product_terms(field, table, [e for _, _, e in items]):
         degs = [cat.deg(lab) for lab in labels]
         exp = sum(lam)
         running = 0
@@ -150,6 +140,15 @@ class TwistedComplex:
         rec(start, [])
         return out
 
+    def _all_paths(self) -> dict:
+        """Connection paths keyed by (start, end), start >= end: [[]] (the
+        empty path) when start = end, else ``_delta_paths(start, end)``."""
+        return {
+            (a, b): [[]] if a == b else self._delta_paths(a, b)
+            for a in range(self.size)
+            for b in range(a + 1)
+        }
+
     def __repr__(self):
         return f"TwistedComplex(entries={self.entries}, conn={sorted(self.conn)})"
 
@@ -185,24 +184,14 @@ class ModuleMorphismElement:
     comps: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        cat = self.source.cat
+        coerce = self.source.cat.field.coerce
         clean = {}
         for (t, s), elem in self.comps.items():
-            elem = {lab: c for lab, c in elem.items() if c != 0}
+            elem = {lab: c for lab, c in zip(elem, map(coerce, elem.values())) if c != 0}
             if not elem:
                 continue
-            ot, kt = self.target.entries[t]
-            os_, ks = self.source.entries[s]
             for lab in elem:
-                if (cat.src(lab), cat.tgt(lab)) != (ot, os_):
-                    raise ModuleError(
-                        f"component ({t},{s}) must lie in hom({ot!r},{os_!r})"
-                    )
-                if cat.deg(lab) + ks - kt != self.degree:
-                    raise ModuleError(
-                        f"component ({t},{s}) entry {lab} has total degree "
-                        f"{cat.deg(lab) + ks - kt}, declared {self.degree}"
-                    )
+                _check_entry(self.source, self.target, self.degree, t, s, lab)
             clean[(t, s)] = elem
         self.comps = clean
 
@@ -228,28 +217,47 @@ class ModuleMorphismElement:
         return ModuleMorphismElement(self.source, self.target, self.degree, comps)
 
 
+def _check_entry(source: TwistedComplex, target: TwistedComplex, degree: int, t, s, lab):
+    """Raise ModuleError unless the label ``lab`` can sit in component (t, s)
+    of a degree-``degree`` morphism from ``source`` to ``target``."""
+    cat = source.cat
+    ot, kt = target.entries[t]
+    os_, ks = source.entries[s]
+    if (cat.src(lab), cat.tgt(lab)) != (ot, os_):
+        raise ModuleError(f"component ({t},{s}) must lie in hom({ot!r},{os_!r})")
+    if cat.deg(lab) + ks - kt != degree:
+        raise ModuleError(
+            f"component ({t},{s}) entry {lab} has total degree "
+            f"{cat.deg(lab) + ks - kt}, declared {degree}"
+        )
+
+
 def zero_morphism(source: TwistedComplex, target: TwistedComplex, degree: int = 0):
     return ModuleMorphismElement(source, target, degree, {})
+
+
+def _mu1_terms(x: TwistedComplex, y: TwistedComplex, x_paths, y_paths, t0, sm, elem):
+    """The nonzero terms m(delta_x^j, f, delta_y^k) of mu1 on the component
+    (t0, sm) = ``elem`` of a morphism f: X -> Y, as (t_out, s_out, sparse
+    element); ``x_paths`` and ``y_paths`` are the ``_all_paths`` of X and Y."""
+    f_item = (x.entries[sm][1], y.entries[t0][1], elem)
+    for s_out in range(sm, x.size):
+        for pre in x_paths[(s_out, sm)]:
+            for t_out in range(t0 + 1):
+                for post in y_paths[(t0, t_out)]:
+                    term = _chain_apply(x.cat, pre + [f_item] + post)
+                    if term:
+                        yield t_out, s_out, term
 
 
 def mu1(f: ModuleMorphismElement) -> ModuleMorphismElement:
     """Differential: sum of m(delta_src^j, f, delta_tgt^k) over all chains."""
     x, y = f.source, f.target
-    cat = x.cat
-    field = cat.field
+    x_paths, y_paths = x._all_paths(), y._all_paths()
     out: dict = {}
     for (t0, sm), elem in f.comps.items():
-        f_item = (x.entries[sm][1], y.entries[t0][1], elem)
-        for s_out in range(sm, x.size):
-            pre_paths = [[]] if s_out == sm else x._delta_paths(s_out, sm)
-            for pre in pre_paths:
-                for t_out in range(t0 + 1):
-                    post_paths = [[]] if t_out == t0 else y._delta_paths(t0, t_out)
-                    for post in post_paths:
-                        term = _chain_apply(cat, pre + [f_item] + post)
-                        if not term:
-                            continue
-                        field.add_scaled(out.setdefault((t_out, s_out), {}), term)
+        for t_out, s_out, term in _mu1_terms(x, y, x_paths, y_paths, t0, sm, elem):
+            x.cat.field.add_scaled(out.setdefault((t_out, s_out), {}), term)
     out = {k: e for k, e in out.items() if e}
     return ModuleMorphismElement(x, y, f.degree + 1, out)
 
@@ -266,6 +274,7 @@ def mu2(f: ModuleMorphismElement, g: ModuleMorphismElement) -> ModuleMorphismEle
     x, y, z = g.source, g.target, f.target
     cat = x.cat
     field = cat.field
+    x_paths, y_paths, z_paths = x._all_paths(), y._all_paths(), z._all_paths()
     out: dict = {}
     for (ty, sx), g_elem in g.comps.items():
         g_item = (x.entries[sx][1], y.entries[ty][1], g_elem)
@@ -273,14 +282,11 @@ def mu2(f: ModuleMorphismElement, g: ModuleMorphismElement) -> ModuleMorphismEle
             if sy > ty:
                 continue
             f_item = (y.entries[sy][1], z.entries[tz][1], f_elem)
-            mid_paths = [[]] if sy == ty else y._delta_paths(ty, sy)
             for s_out in range(sx, x.size):
-                pre_paths = [[]] if s_out == sx else x._delta_paths(s_out, sx)
                 for t_out in range(tz + 1):
-                    post_paths = [[]] if t_out == tz else z._delta_paths(tz, t_out)
-                    for pre in pre_paths:
-                        for mid in mid_paths:
-                            for post in post_paths:
+                    for pre in x_paths[(s_out, sx)]:
+                        for mid in y_paths[(ty, sy)]:
+                            for post in z_paths[(tz, t_out)]:
                                 term = _chain_apply(
                                     cat, pre + [g_item] + mid + [f_item] + post
                                 )
@@ -387,26 +393,18 @@ def evaluate_at(x: TwistedComplex, j) -> FiniteComplex:
     }
     pos = {d: {key: i for i, key in enumerate(keys)} for d, keys in components.items()}
 
-    diff: dict = {}
-    for (a, lab), _ in degree_of.items():
-        d = degree_of[(a, lab)]
+    paths = x._all_paths()
+    diff: dict = {}  # degree -> sparse columns {j: {i: scalar}}
+    for (a, lab), d in degree_of.items():
         x_item = (0, x.entries[a][1], {lab: field.one})
+        col: dict = {}
         for t_out in range(a):
-            for path in x._delta_paths(a, t_out):
-                term = _chain_apply(cat, [x_item] + path)
-                for out_lab, c in term.items():
-                    key_out = (t_out, out_lab)
-                    m = diff.setdefault(
-                        d,
-                        [
-                            [field.zero] * len(components[d])
-                            for _ in range(len(components.get(d + 1, ())))
-                        ],
-                    )
-                    row = pos[d + 1][key_out]
-                    col = pos[d][(a, lab)]
-                    m[row][col] = field.add(m[row][col], c)
-    diff = {d: tuple(tuple(row) for row in m) for d, m in diff.items()}
+            for path in paths[(a, t_out)]:
+                for out_lab, c in _chain_apply(cat, [x_item] + path).items():
+                    i = pos[d + 1][(t_out, out_lab)]
+                    col[i] = field.add(col.get(i, field.zero), c)
+        if col:
+            diff.setdefault(d, {})[pos[d][(a, lab)]] = col
     return FiniteComplex(field, comp_labels, diff)
 
 
@@ -415,6 +413,9 @@ class HomComplexResult:
 
     The underlying graded space collects hom(o_t^target -> o_s^source) over
     all component slots, graded by total degree; the differential is mu1.
+    Its column at a basis slot (t, s, lab) is the sum of the mu1 terms of
+    that one label, keyed by their positions in the next degree, handed to
+    :class:`FiniteComplex` as sparse columns.
     """
 
     def __init__(self, source: TwistedComplex, target: TwistedComplex):
@@ -442,21 +443,21 @@ class HomComplexResult:
             d: tuple(f"{t}|{s}|{lab}" for t, s, lab in keys)
             for d, keys in self.basis_by_degree.items()
         }
-        diff: dict = {}
+        x_paths, y_paths = source._all_paths(), target._all_paths()
+        diff: dict = {}  # degree -> sparse columns {j: {i: scalar}}
         for d, keys in self.basis_by_degree.items():
-            n_src = len(keys)
-            n_tgt = len(self.basis_by_degree.get(d + 1, ()))
-            if n_tgt == 0:
+            pos = self._pos.get(d + 1)
+            if pos is None:
                 continue
-            m = [[field.zero] * n_src for _ in range(n_tgt)]
-            for col, (t, s, lab) in enumerate(keys):
-                f = ModuleMorphismElement(source, target, d, {(t, s): {lab: field.one}})
-                df = mu1(f)
-                for (t2, s2), elem in df.comps.items():
-                    for lab2, c in elem.items():
-                        row = self._pos[d + 1][(t2, s2, lab2)]
-                        m[row][col] = field.add(m[row][col], c)
-            diff[d] = tuple(tuple(row) for row in m)
+            cols = diff[d] = {}
+            for j, (t, s, lab) in enumerate(keys):
+                col = cols[j] = {}
+                for t2, s2, term in _mu1_terms(source, target, x_paths, y_paths, t, s, {lab: field.one}):
+                    for lab2, c in term.items():
+                        i = pos.get((t2, s2, lab2))
+                        if i is None:  # only a malformed table gets here; this raises
+                            _check_entry(source, target, d + 1, t2, s2, lab2)
+                        col[i] = field.add(col.get(i, field.zero), c)
         self.complex = FiniteComplex(field, comp_labels, diff)
         self.cohomology = complex_cohomology(self.complex)
 
@@ -522,11 +523,10 @@ class AlgebraCohomology:
                 if any(alg.apply_labels(1, (lab,)) for lab in ls):
                     raise ModuleError("m_1 output escapes the graded components")
                 continue
-            m = [[field.zero] * len(ls) for _ in components[d + 1]]
-            for col, lab in enumerate(ls):
-                for out_lab, c in alg.apply_labels(1, (lab,)).items():
-                    m[pos[d + 1][out_lab]][col] = c
-            diff[d] = tuple(tuple(row) for row in m)
+            diff[d] = {
+                j: {pos[d + 1][out_lab]: c for out_lab, c in alg.apply_labels(1, (lab,)).items()}
+                for j, lab in enumerate(ls)
+            }
         self.complex = FiniteComplex(field, comp_labels, diff)
         self.cohomology = complex_cohomology(self.complex)
         self._components = comp_labels

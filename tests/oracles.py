@@ -8,7 +8,10 @@ only, so the oracles are exact over F_p as well as over the rationals.
 Linear algebra is the textbook dense Gauss-Jordan elimination below, column
 by column with row swaps, sharing no code with ``ainfbench.linalg``;
 quotient coordinates come from one direct linear solve with it, not from the
-presentation's cached elimination.
+presentation's cached elimination.  The filtration report is rebuilt from its
+definition with those two, with no memo.  The Hom-complex differential is
+built one basis vector at a time through ``perfmod.mu1`` into a dense
+matrix, so it checks how the library assembles its sparse columns.
 """
 
 from __future__ import annotations
@@ -167,3 +170,75 @@ def naive_gamma_table(aus):
         if table:
             mult[p] = table
     return mult
+
+
+def naive_filtration_report(r, filt):
+    """``check_filtration(r, filt).to_json()`` from the definitions: each
+    product of spanning vectors by :func:`naive_mult`, each containment by
+    :func:`naive_rank`, every product evaluated and tested where it occurs."""
+    field = r.field
+    obj = r.objects[0]
+    space = r.hom[(obj, obj)]
+    labels, dim = space.labels, space.dim
+    levels = [lv.rows for lv in filt.levels]
+    n = len(levels) - 1
+
+    def inside(rows, vecs):
+        return naive_rank(field, list(rows) + list(vecs), dim) == naive_rank(field, rows, dim)
+
+    checks = []
+
+    def add(name, witnesses, detail=""):
+        witnesses = sorted(witnesses, key=lambda w: (w["arity"], tuple(w["tuple"])))
+        checks.append({"name": name, "passed": not witnesses, "detail": detail, "witnesses": witnesses})
+
+    full = naive_rank(field, levels[0], dim) == dim
+    add("f0_full", [] if full else [{"arity": 0, "tuple": [0], "reason": "F^0 != R"}],
+        f"dim F^0 = {len(levels[0])}, dim R = {dim}")
+    add("fn_zero", [] if not levels[n] else [{"arity": 0, "tuple": [n], "reason": f"F^{n} != 0"}],
+        f"dim F^{n} = {len(levels[n])}")
+    add("decreasing", [{"arity": 0, "tuple": [p], "reason": f"F^{p+1} not inside F^{p}"}
+                       for p in range(n) if not inside(levels[p], levels[p + 1])])
+    add("graded", [{"arity": 0, "tuple": [p], "reason": "level not spanned by homogeneous vectors"}
+                   for p in range(n + 1)
+                   if any(len({space.degrees[i] for i, a in enumerate(row) if a != 0}) > 1
+                          for row in levels[p])])
+    bad = []
+    for p in sorted(r.mult):
+        for indices in itertools.product(range(n), repeat=p):
+            total = sum(indices)
+            if total > n:
+                continue
+            for combo in itertools.product(*[levels[i] for i in indices]):
+                args = [{labels[k]: c for k, c in enumerate(v) if c != 0} for v in combo]
+                out = naive_mult(r, p, args)
+                if out and not inside(levels[total], [tuple(out.get(lab, field.zero) for lab in labels)]):
+                    bad.append({
+                        "arity": p,
+                        "tuple": list(indices),
+                        "reason": f"m_{p}(F^{list(indices)}) escapes F^{total}",
+                        "vector": {lab: field.unparse(c) for lab, c in sorted(out.items())},
+                    })
+    add("compatibility", bad)
+    return {"passed": all(c["passed"] for c in checks), "checks": checks}
+
+
+def naive_hom_differential(h, d):
+    """The matrix of d: Hom^d -> Hom^{d+1} of the Hom-complex ``h``, one
+    column per basis vector: ``mu1`` of the morphism with that single
+    component, read off densely in the basis of degree d + 1."""
+    from ainfbench.perfmod import ModuleMorphismElement, mu1
+
+    field = h.source.cat.field
+    src = h.basis_by_degree.get(d, ())
+    row_of = {key: i for i, key in enumerate(h.basis_by_degree.get(d + 1, ()))}
+    if not row_of:
+        return ()
+    m = [[field.zero] * len(src) for _ in row_of]
+    for j, (t, s, lab) in enumerate(src):
+        df = mu1(ModuleMorphismElement(h.source, h.target, d, {(t, s): {lab: field.one}}))
+        for (t2, s2), elem in df.comps.items():
+            for lab2, c in elem.items():
+                i = row_of[(t2, s2, lab2)]
+                m[i][j] = field.add(m[i][j], c)
+    return tuple(map(tuple, m))

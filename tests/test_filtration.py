@@ -27,9 +27,11 @@ from .corpus import (
     random_filtered_algebra,
     random_nilpotent_algebra,
     toy_algebra,
+    truncated_polynomial,
     unital_m2,
     upper_triangular_2,
 )
+from .oracles import naive_filtration_report
 
 F = Fraction
 
@@ -84,6 +86,30 @@ def test_bad_filtration_witness():
     compat = report.check("compatibility")
     assert not compat.passed
     assert any(w["tuple"] == [1, 1] for w in compat.witnesses)
+
+
+X6 = ["1", "x1", "x2", "x3", "x4", "x5"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+@pytest.mark.parametrize(
+    "make, levels",
+    [
+        # F^1 shrunk to span(e): m_3(e, e, e) = t escapes it at indices (0, 0, 1),
+        # after the same product passed at (0, 0, 0) into F^0
+        (toy_algebra, [["1", "e", "t"], ["e"], ["t"], ["t"], []]),
+        # F^2 shrunk to F^3: x1 * x1 = x2 escapes it, after passing into F^0 and F^1
+        (lambda field: truncated_polynomial(6, field),
+         [X6, X6[1:], X6[3:], X6[3:], X6[4:], X6[5:], []]),
+    ],
+    ids=["toy", "x6"],
+)
+def test_check_filtration_matches_naive_sweep(field, make, levels):
+    alg = make(field)
+    filt = Filtration(alg, [span_of(alg, labels) for labels in levels])
+    report = check_filtration(alg, filt).to_json()
+    assert not report["passed"] and report["checks"][-1]["witnesses"]
+    assert report == naive_filtration_report(alg, filt)
 
 
 def test_degree_filtration_degree_zero_algebra():

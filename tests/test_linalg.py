@@ -315,30 +315,55 @@ def test_complex_cone_of_inclusion():
     assert len(reps) == 1 and reps[0][0] != 0
 
 
+def _columns(m):
+    """The sparse columns {j: {i: entry}} of a dense matrix, zeros left out."""
+    cols = {}
+    for i, row in enumerate(m):
+        for j, a in enumerate(row):
+            if a != 0:
+                cols.setdefault(j, {})[i] = a
+    return cols
+
+
 def test_complex_dd_violation_reported():
-    m = ((F(1),),)
-    with pytest.raises(ComplexError) as err:
-        FiniteComplex(QQ, {0: ("a",), 1: ("b",), 2: ("c",)}, {0: m, 1: m})
-    assert "entry (0,0)" in str(err.value)
-    # d o d = ((0, 2), (5, 0)): the first nonzero entry in row-major order is (0,1)
-    comps = {0: ("a0", "a1"), 1: ("b0", "b1"), 2: ("c0", "c1")}
-    with pytest.raises(ComplexError) as err:
-        FiniteComplex(QQ, comps, {0: ((1, 0), (0, 1)), 1: ((0, 2), (5, 0))})
-    assert "entry (0,1) from degree 0 equals 2" in str(err.value)
+    for form in (tuple, _columns):  # dense and sparse input
+        m = ((F(1),),)
+        with pytest.raises(ComplexError) as err:
+            FiniteComplex(QQ, {0: ("a",), 1: ("b",), 2: ("c",)}, {0: form(m), 1: form(m)})
+        assert "entry (0,0)" in str(err.value)
+        # d o d = ((0, 2), (5, 0)): the first nonzero entry in row-major order is (0,1)
+        comps = {0: ("a0", "a1"), 1: ("b0", "b1"), 2: ("c0", "c1")}
+        with pytest.raises(ComplexError) as err:
+            FiniteComplex(QQ, comps, {0: form(((1, 0), (0, 1))), 1: form(((0, 2), (5, 0)))})
+        assert "entry (0,1) from degree 0 equals 2" in str(err.value)
 
 
 def test_complex_entries_are_exact():
     # the float used to be accepted and only failed inside complex_cohomology
-    with pytest.raises(FieldError):
-        FiniteComplex(QQ, {0: ("a",), 1: ("b",)}, {0: ((0.5,),)})
-    with pytest.raises(FieldError):
-        FiniteComplex(QQ, {0: ("a",), 1: ("b",)}, {0: ((True,),)})
+    comps = {0: ("a",), 1: ("b",)}
+    for bad in (0.5, True):
+        with pytest.raises(FieldError):
+            FiniteComplex(QQ, comps, {0: ((bad,),)})
+        with pytest.raises(FieldError):
+            FiniteComplex(QQ, comps, {0: {0: {0: bad}}})
     # over F_3 the entry 3 is zero; .diff used to hold the unreduced ((3,),)
     gf3 = GF(3)
-    c = FiniteComplex(gf3, {0: ("a",), 1: ("b",)}, {0: ((3,),)})
+    c = FiniteComplex(gf3, comps, {0: ((3,),)})
     assert c.diff == {}
     assert complex_cohomology(c).dims() == {0: 1, 1: 1}
-    assert FiniteComplex(gf3, {0: ("a",), 1: ("b",)}, {0: ((4,),)}).diff == {0: ((1,),)}
+    assert FiniteComplex(gf3, comps, {0: ((4,),)}).diff == {0: ((1,),)}
+    assert FiniteComplex(gf3, comps, {0: {0: {0: 3}}}).diff == {}
+    assert FiniteComplex(gf3, comps, {0: {0: {0: 4}}}).diff == {0: ((1,),)}
+
+
+def test_complex_shape_error():
+    comps = {0: ("a",), 1: ("b",)}
+    for diff in ({0: ((1, 0),)}, {0: ((1,), (0,))}, {0: {1: {0: 1}}}, {0: {0: {1: 1}}}, {0: {0: {-1: 1}}}):
+        with pytest.raises(ComplexError, match="wrong shape"):
+            FiniteComplex(QQ, comps, diff)
+    # a zero map is dropped before its shape is looked at, in either form
+    for diff in ({0: ((0, 0),)}, {0: {1: {0: 0}}}):
+        assert FiniteComplex(QQ, comps, diff).diff == {}
 
 
 def _apply(field, m, v):
@@ -351,10 +376,9 @@ def _apply(field, m, v):
     return tuple(out)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
-def test_euler_characteristic_random_complexes(field):
+def _random_complexes(field):
+    """20 random complexes C^0 -> C^1 -> C^2 as (components, dense differentials)."""
     rng = random.Random(3)
-    wrng = random.Random(4)  # its own draws, so that the complexes stay the same
     for _ in range(20):
         n0, n1, n2 = (rng.randint(0, 4) for _ in range(3))
         d0 = tuple(tuple(field.of_int(rng.randint(-2, 2)) for _ in range(n0)) for _ in range(n1))
@@ -379,6 +403,35 @@ def test_euler_characteristic_random_complexes(field):
             diffs[0] = d0
         if n1 and n2:
             diffs[1] = tuple(d1_rows)
+        yield comps, diffs
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_complex_sparse_columns_match_dense(field):
+    for comps, diffs in _random_complexes(field):
+        dense = FiniteComplex(field, comps, diffs)
+        sparse = FiniteComplex(field, comps, {q: _columns(m) for q, m in diffs.items()})
+        assert sparse.diff == dense.diff
+        hd, hs = complex_cohomology(dense), complex_cohomology(sparse)
+        for q in range(-1, 3):
+            assert sparse.differential(q) == dense.differential(q)
+            assert hs.representatives(q) == hd.representatives(q)
+            n = len(comps.get(q, ()))
+            units = [tuple(field.one if i == j else field.zero for i in range(n)) for j in range(n)]
+            for v in list(hd.representatives(q)) + units:
+                try:
+                    want = hd.class_coords(q, v)
+                except LinAlgError:
+                    with pytest.raises(LinAlgError):
+                        hs.class_coords(q, v)
+                else:
+                    assert hs.class_coords(q, v) == want
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_euler_characteristic_random_complexes(field):
+    wrng = random.Random(4)  # its own draws, so that the complexes stay the same
+    for comps, diffs in _random_complexes(field):
         c = FiniteComplex(field, comps, diffs)
         h = complex_cohomology(c)
         chi_spaces = sum((-1) ** q * len(ls) for q, ls in c.components.items())

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ainfbench import QQ
+from ainfbench import GF, QQ, algebra
 from ainfbench.scalars import FieldError
 from ainfbench.specfile import parse_spec
 from ainfbench.auslander import build_auslander
@@ -16,9 +17,10 @@ from ainfbench.filtration import (
     full_subspace,
     zero_subspace,
 )
-from ainfbench.linalg import complex_cohomology
+from ainfbench.linalg import Subspace, complex_cohomology
 from ainfbench.perfmod import (
     ModuleError,
+    ModuleMorphismElement,
     TwistedComplex,
     cone,
     empty_complex,
@@ -35,7 +37,15 @@ from ainfbench.perfmod import (
     zero_morphism,
 )
 
-from .corpus import dual_numbers, random_filtered_algebra, toy_algebra
+from .corpus import (
+    dual_numbers,
+    random_filtered_algebra,
+    toy_algebra,
+    trivial_extension,
+    truncated_polynomial,
+    unital_m2,
+)
+from .oracles import naive_hom_differential
 
 F = Fraction
 TOY = Path(__file__).parent.parent / "fixtures" / "toy.json"
@@ -96,6 +106,18 @@ def test_twisted_complex_connection_is_exact():
         TwistedComplex(toy, entries, {(0, 1): {"e": True}})
     conn = TwistedComplex(toy, entries, {(0, 1): {"e": 2, "1": 0}}).conn
     assert conn == {(0, 1): {"e": F(2)}} and isinstance(conn[(0, 1)]["e"], Fraction)
+
+
+def test_morphism_components_are_exact():
+    toy = parse_spec(TOY).category
+    x = TwistedComplex(toy, [("*", 0)])
+    # the float and the bool used to stay in comps
+    with pytest.raises(FieldError):
+        ModuleMorphismElement(x, x, 0, {(0, 0): {"e": 0.5}})
+    with pytest.raises(FieldError):
+        ModuleMorphismElement(x, x, 0, {(0, 0): {"e": True}})
+    comps = ModuleMorphismElement(x, x, 0, {(0, 0): {"e": 2, "1": 0}}).comps
+    assert comps == {(0, 0): {"e": F(2)}} and isinstance(comps[(0, 0)]["e"], Fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +267,7 @@ def random_twisted_complex(aus, rng, depth=2):
             continue
         f = rng.choice(closed)
         c = rng.randint(-2, 2)
-        x = cone(f.scaled(QQ.of_int(c)) if c else f)
+        x = cone(f.scaled(aus.gamma.field.of_int(c)) if c else f)
     return x
 
 
@@ -258,6 +280,53 @@ def test_iterated_cones_consistent(toy_aus):
             evaluate_at(x, j)  # validates d o d = 0
         y = random_twisted_complex(toy_aus, rng, depth=1)
         hom_complex(x, y)  # validates d o d = 0
+
+
+def coordinate_filtration(make, kappa, field):
+    """The algebra ``make(field)`` with the appendix filtration of
+    ``make(QQ)``, whose levels are spanned by basis vectors, rebuilt over
+    ``field`` (the appendix construction itself needs characteristic 0)."""
+    filt_q, _ = appendix_filtration(make(QQ), kappa)
+    alg = make(field)
+    space = alg.hom[(alg.objects[0],) * 2]
+    levels = []
+    for lv in filt_q.levels:
+        support = sorted({i for row in lv.rows for i, a in enumerate(row) if a != 0})
+        assert len(support) == lv.dim
+        unit_rows = [tuple(field.one if k == i else field.zero for k in range(space.dim)) for i in support]
+        levels.append(Subspace(space, field, unit_rows))
+    return alg, Filtration(alg, levels)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_hom_differential_matches_naive_oracle(field):
+    rng = random.Random(f"hom-differential:{field.characteristic}")
+    algebras = [toy_algebra, lambda f: truncated_polynomial(4, f), lambda f: trivial_extension(2, 1, f)]
+    checked = 0
+    for make in algebras:
+        aus = build_auslander(*coordinate_filtration(make, 1, field))
+        ps = [representable(aus, j) for j in range(aus.n)]
+        ss = [cone(psi(aus, i)) for i in range(aus.n - 1)]
+        ss.append(cone(zero_morphism(empty_complex(aus.gamma), ps[-1])))
+        drawn = [random_twisted_complex(aus, rng) for _ in range(3)]
+        for x, y in itertools.product(ps + ss + drawn, repeat=2):
+            h = hom_complex(x, y)
+            for d in h.basis_by_degree:
+                want = naive_hom_differential(h, d)
+                assert h.complex.differential(d) == want
+                checked += any(a != 0 for row in want for a in row)
+    assert checked > 0
+
+
+def test_hom_complex_output_off_basis_is_module_error():
+    # m_2(e, e) = t breaks the degree rule, so mu1 of the degree -1 slot
+    # (1, 0, e) has t at (0, 0), which is no basis vector of degree 0
+    bad = algebra(QQ, [("1", 0), ("e", 0), ("t", -1)], "1",
+                  {2: unital_m2(["1", "e", "t"], "1", {("e", "e"): {"t": 1}})})
+    p = TwistedComplex(bad, [("*", 0)])
+    x = TwistedComplex(bad, [("*", 0), ("*", 1)], {(0, 1): {"e": 1}})
+    with pytest.raises(ModuleError, match="total degree"):
+        hom_complex(p, x)
 
 
 # ---------------------------------------------------------------------------
