@@ -273,6 +273,43 @@ def _product_terms(field: ExactField, table: dict, args):
             yield labels, coeff, entry
 
 
+class _ProductTable:
+    """Products of coordinate vectors of one hom-space, each evaluated once.
+
+    The filtered-algebra sweeps multiply the same spanning vectors over and
+    over.  ``intern`` gives each dense coordinate row of ``space`` an id
+    (equal rows share one); ``product(ids)`` is m_p of those rows, p =
+    len(ids), as sparse coordinates ``{index: scalar}`` in ``space``.  It
+    calls :meth:`AInfCategory.apply` the first time and is cached after, so
+    the products must land in ``space`` too (true in a one-object algebra).
+    """
+
+    def __init__(self, cat: AInfCategory, space: GradedSpace):
+        self.cat = cat
+        self.labels = space.labels
+        self._index = {lab: k for k, lab in enumerate(space.labels)}
+        self._ids: dict = {}  # row -> id
+        self._elements: list = []  # id -> the row as a sparse element
+        self._products: dict = {}  # ids -> sparse coordinates
+
+    def intern(self, rows) -> list:
+        ids = []
+        for row in rows:
+            k = self._ids.get(row)
+            if k is None:
+                k = self._ids[row] = len(self._elements)
+                self._elements.append({self.labels[i]: c for i, c in enumerate(row) if c != 0})
+            ids.append(k)
+        return ids
+
+    def product(self, ids: tuple) -> dict:
+        out = self._products.get(ids)
+        if out is None:
+            elem = self.cat.apply(len(ids), [self._elements[k] for k in ids])
+            out = self._products[ids] = {self._index[lab]: c for lab, c in elem.items()}
+        return out
+
+
 # ---------------------------------------------------------------------------
 # constructors
 

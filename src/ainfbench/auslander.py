@@ -4,9 +4,11 @@ Given a filtered algebra (R, F) with F^n = 0, the category Gamma has objects
 the integers 0..n-1 and hom(j -> i) = F^{max(j-i,0)} / F^{n-i}, with all
 products induced on the quotients by m_p of R through chosen coset
 representatives.  Induced products are independent of the representatives
-because of the integer inequalities checked below; the construction verifies
-this empirically (strict projections plus randomized lift perturbations)
-rather than assuming it.
+because of the integer inequalities checked below; the construction checks
+them for every chain it builds and projects every product strictly, and
+randomized lift perturbations cross-check it empirically.  Each product of
+representatives is evaluated once, through the product table that the
+filtration sweeps share (representatives recur across the n^2 quotients).
 
 hom dims satisfy dim Gamma(j,i) = dim F^{max(j-i,0)} - dim F^{n-i}, and
 Gamma(0,0) is R itself on the nose: the generator embeds by a basis-level
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .ainf import AInfCategory
+from .ainf import AInfCategory, _ProductTable
 from .filtration import Filtration
 from .linalg import GradedSpace, quotient_space
 
@@ -51,9 +53,9 @@ def _gamma_label(j, i, lead):
     return f"g{j}>{i}:{lead}"
 
 
-def build_auslander(r: AInfCategory, filt: Filtration, verify: bool = True) -> AuslanderCategory:
-    """Construct Gamma; with ``verify`` the hom dimensions, index inequalities
-    for the occurring tuples, and strictness of every projection are checked."""
+def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
+    """Construct Gamma, checking the hom dimensions, the index inequalities
+    for every chain of objects, and strictness of every projection."""
     obj = r.objects[0]
     space = r.hom[(obj, obj)]
     field = r.field
@@ -97,30 +99,15 @@ def build_auslander(r: AInfCategory, filt: Filtration, verify: bool = True) -> A
                         raise AuslanderError("unit class is not a quotient basis vector")
                     unit_labels[i] = labels[idx[0]]
 
-    if verify:
-        for i in range(n):
-            for j in range(n):
-                want = filt.level(max(j - i, 0)).dim - filt.level(n - i).dim
-                if quotients[(j, i)].dim != want:
-                    raise AuslanderError(
-                        f"hom({j},{i}) dimension {quotients[(j, i)].dim} != {want}"
-                    )
+    for i in range(n):
+        for j in range(n):
+            want = filt.level(max(j - i, 0)).dim - filt.level(n - i).dim
+            if quotients[(j, i)].dim != want:
+                raise AuslanderError(f"hom({j},{i}) dimension {quotients[(j, i)].dim} != {want}")
 
-    # Intern the representatives: the same vectors recur across the n^2
-    # quotients, so each becomes a sparse element once, each product of
-    # representatives is evaluated once (keyed by the tuple of interned ids)
-    # and projected once per output quotient.
-    index = {lab: k for k, lab in enumerate(space.labels)}
-    interned: dict = {}
-    elements = []
-    rep_ids = {}
-    for pr, q in quotients.items():
-        for rep in q.reps:
-            if rep not in interned:
-                interned[rep] = len(elements)
-                elements.append(r.coords_to_element(rep, obj, obj))
-        rep_ids[pr] = [interned[rep] for rep in q.reps]
-    products: dict = {}  # ids -> sparse ambient coords {index: scalar}
+    # each product of representatives is projected once per output quotient
+    products = _ProductTable(r, space)
+    rep_ids = {pr: products.intern(q.reps) for pr, q in quotients.items()}
     entries: dict = {}  # (output pair, ids) -> Gamma output vector
 
     mult: dict = {}
@@ -128,9 +115,9 @@ def build_auslander(r: AInfCategory, filt: Filtration, verify: bool = True) -> A
         table = {}
         for chain in itertools.product(range(n), repeat=p + 1):
             # chain = (i_1, ..., i_{p+1}); argument u lives in hom(i_{u+1} -> i_u)
-            if verify and not index_inequality_telescoping(chain):
+            if not index_inequality_telescoping(chain):
                 raise AuslanderError(f"index inequality fails for {chain}")
-            if verify and not index_inequality_denominators(chain, n):
+            if not index_inequality_denominators(chain, n):
                 raise AuslanderError(f"denominator inequality fails for {chain}")
             pairs = [(chain[u + 1], chain[u]) for u in range(p)]
             out_pair = (chain[p], chain[0])
@@ -140,10 +127,7 @@ def build_auslander(r: AInfCategory, filt: Filtration, verify: bool = True) -> A
                 ids = tuple(t for t, _ in combo)
                 entry = entries.get((out_pair, ids))
                 if entry is None:
-                    prod = products.get(ids)
-                    if prod is None:
-                        out = r.apply(p, [elements[t] for t in ids])
-                        prod = products[ids] = {index[lab]: c for lab, c in out.items()}
+                    prod = products.product(ids)
                     coords = out_q.project_strict(prod) if prod else ()
                     entry = entries[(out_pair, ids)] = {
                         out_labels[k]: c for k, c in enumerate(coords) if c != 0

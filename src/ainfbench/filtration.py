@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .ainf import AInfCategory, ValidationReport
+from .ainf import AInfCategory, ValidationReport, _ProductTable
 from .linalg import GradedSpace, Subspace, quotient_space
 
 
@@ -33,12 +33,7 @@ def _one_object(r: AInfCategory):
 
 def full_subspace(r: AInfCategory) -> Subspace:
     _, space = _one_object(r)
-    f = r.field
-    rows = [
-        tuple(f.one if i == j else f.zero for i in range(space.dim))
-        for j in range(space.dim)
-    ]
-    return Subspace(space, f, rows)
+    return Subspace(space, r.field, [{i: r.field.one} for i in range(space.dim)])
 
 
 def zero_subspace(r: AInfCategory) -> Subspace:
@@ -48,16 +43,10 @@ def zero_subspace(r: AInfCategory) -> Subspace:
 
 def subspace_product(r: AInfCategory, s: Subspace, t: Subspace) -> Subspace:
     """Span of m_2(s, t) over spanning vectors."""
-    obj, space = _one_object(r)
-    vecs = []
-    for u in s.rows:
-        eu = r.coords_to_element(u, obj, obj)
-        for v in t.rows:
-            ev = r.coords_to_element(v, obj, obj)
-            out = r.apply(2, [eu, ev])
-            if out:
-                vecs.append(r.element_to_coords(out, obj, obj))
-    return Subspace(space, r.field, vecs)
+    _, space = _one_object(r)
+    table = _ProductTable(r, space)
+    s_ids, t_ids = table.intern(s.rows), table.intern(t.rows)
+    return Subspace(space, r.field, [table.product((u, v)) for u in s_ids for v in t_ids])
 
 
 class Filtration:
@@ -93,13 +82,14 @@ def check_filtration(r: AInfCategory, filt: Filtration) -> ValidationReport:
     may be raised until the sum hits n, where the target is 0), so the sweep
     runs over tuples with i_1 + ... + i_p <= n only.
 
-    The same spanning vectors recur across levels, so they are interned: each
-    product of interned vectors is evaluated once, keyed by their ids, and
-    tested once per target level.  Every failing (indices, vectors) pair
-    still gets its own witness.
+    The same spanning vectors recur across levels, so they are interned in
+    one product table: each product of spanning vectors is evaluated once, as
+    sparse coordinates, and reduced against the target level's echelon once
+    per target level.  Every failing (indices, vectors) pair still gets its
+    own witness.
     """
     report = ValidationReport()
-    obj, space = _one_object(r)
+    _, space = _one_object(r)
     n = filt.n
     field = r.field
 
@@ -126,16 +116,8 @@ def check_filtration(r: AInfCategory, filt: Filtration) -> ValidationReport:
     ]
     report.add("graded", not not_graded, witnesses=not_graded)
 
-    interned: dict = {}  # level row -> id
-    elements = []  # id -> the row as a sparse element
-    level_ids = []
-    for lv in filt.levels:
-        for row in lv.rows:
-            if row not in interned:
-                interned[row] = len(elements)
-                elements.append(r.coords_to_element(row, obj, obj))
-        level_ids.append([interned[row] for row in lv.rows])
-    products: dict = {}  # ids -> m_p of their elements
+    table = _ProductTable(r, space)
+    level_ids = [table.intern(lv.rows) for lv in filt.levels]
     contained: dict = {}  # (target level, ids) -> whether the product lies in it
 
     bad_compat = []
@@ -145,22 +127,20 @@ def check_filtration(r: AInfCategory, filt: Filtration) -> ValidationReport:
             if total > n:
                 continue
             for ids in itertools.product(*[level_ids[i] for i in indices]):
-                out = products.get(ids)
-                if out is None:
-                    out = products[ids] = r.apply(p, [elements[k] for k in ids])
+                out = table.product(ids)
                 if not out:
                     continue
                 ok = contained.get((total, ids))
                 if ok is None:
-                    vec = r.element_to_coords(out, obj, obj)
-                    ok = contained[(total, ids)] = filt.level(total).contains(vec)
+                    ok = contained[(total, ids)] = filt.level(total).contains(out)
                 if not ok:
+                    vector = sorted((space.labels[k], c) for k, c in out.items())
                     bad_compat.append(
                         {
                             "arity": p,
                             "tuple": list(indices),
                             "reason": f"m_{p}(F^{list(indices)}) escapes F^{total}",
-                            "vector": {lab: field.unparse(c) for lab, c in sorted(out.items())},
+                            "vector": {lab: field.unparse(c) for lab, c in vector},
                         }
                     )
     report.add("compatibility", not bad_compat, witnesses=bad_compat)
@@ -183,10 +163,7 @@ def degree_filtration(r: AInfCategory) -> Filtration:
     n = 1 + max((-d for d in space.degrees), default=0)
     levels = []
     for p in range(n + 1):
-        rows = []
-        for i, d in enumerate(space.degrees):
-            if d <= -p:
-                rows.append(tuple(field.one if j == i else field.zero for j in range(space.dim)))
+        rows = [{i: field.one} for i, d in enumerate(space.degrees) if d <= -p]
         levels.append(Subspace(space, field, rows))
     return Filtration(r, levels)
 
@@ -200,28 +177,31 @@ def quotient_by_ideal(r: AInfCategory, ideal: Subspace, prefix: str = "q"):
 
     Returns (quotient category, quotient presentation).  The class of the
     unit is seeded as the first basis vector of the quotient.
+
+    The ideal check (m_p with one argument a spanning vector of I and the
+    rest basis vectors, in every slot) and the induced tables (m_p on coset
+    representatives, projected) share one product table, so each product of
+    the same vectors is evaluated once.
     """
     obj, space = _one_object(r)
     field = r.field
-    full = full_subspace(r)
-    if not full.contains_subspace(ideal):
+    if ideal.ambient != space:
         raise FiltrationError("ideal is not a subspace of the algebra")
+    full = full_subspace(r)
+    table = _ProductTable(r, space)
+    full_ids, ideal_ids = table.intern(full.rows), table.intern(ideal.rows)
 
     for p in sorted(r.mult):
         for pos in range(p):
-            for iv in ideal.rows:
-                others = [full.rows for _ in range(p)]
-                for combo in itertools.product(*[
-                    [iv] if k == pos else full.rows for k in range(p)
-                ]):
-                    args = [r.coords_to_element(v, obj, obj) for v in combo]
-                    out = r.apply(p, args)
-                    if out and not ideal.contains(r.element_to_coords(out, obj, obj)):
+            for iv in ideal_ids:
+                for ids in itertools.product(*[[iv] if k == pos else full_ids for k in range(p)]):
+                    out = table.product(ids)
+                    if out and not ideal.contains(out):
                         raise FiltrationError(
                             f"subspace is not an ideal: m_{p} escapes it (slot {pos})"
                         )
 
-    unit_vec = r.element_to_coords(r.unit_vector(obj), obj, obj)
+    unit_vec = full.rows[space.index(r.units[obj])]
     q = quotient_space(full, ideal, preferred=[unit_vec] if not ideal.contains(unit_vec) else [])
     labels = []
     for rep in q.reps:
@@ -230,20 +210,20 @@ def quotient_by_ideal(r: AInfCategory, ideal: Subspace, prefix: str = "q"):
     degrees = tuple(q.degrees)
     qspace = GradedSpace(tuple(labels), degrees)
 
+    rep_ids = table.intern(q.reps)
     mult: dict = {}
     for p in sorted(r.mult):
-        table = {}
+        induced = {}
         for key in itertools.product(range(q.dim), repeat=p):
-            args = [r.coords_to_element(q.reps[i], obj, obj) for i in key]
-            out = r.apply(p, args)
+            out = table.product(tuple(rep_ids[i] for i in key))
             if not out:
                 continue
-            coords = q.project(r.element_to_coords(out, obj, obj))
+            coords = q.project(out)
             entry = {labels[i]: c for i, c in enumerate(coords) if c != 0}
             if entry:
-                table[tuple(labels[i] for i in key)] = entry
-        if table:
-            mult[p] = table
+                induced[tuple(labels[i] for i in key)] = entry
+        if induced:
+            mult[p] = induced
 
     unit_class = q.project(unit_vec)
     unit_idx = [i for i, c in enumerate(unit_class) if c != 0]
@@ -398,16 +378,7 @@ def appendix_filtration(r: AInfCategory, kappa: int):
     if bad:
         raise FiltrationError(f"grading must be concentrated in {{0, {-kappa}}}, found {bad}")
 
-    def graded_part(deg):
-        rows = [
-            tuple(field.one if j == i else field.zero for j in range(space.dim))
-            for i, d in enumerate(space.degrees)
-            if d == deg
-        ]
-        return Subspace(space, field, rows)
-
-    r0 = graded_part(0)
-    rk = graded_part(-kappa)
+    rk = Subspace(space, field, [{i: field.one} for i, d in enumerate(space.degrees) if d == -kappa])
 
     # the degree-zero part as a standalone associative algebra
     labels0 = tuple(l for l, d in zip(space.labels, space.degrees) if d == 0)
@@ -425,13 +396,8 @@ def appendix_filtration(r: AInfCategory, kappa: int):
     j0 = radical(a0)
 
     # embed the radical back into R's coordinates
-    j_rows = []
-    for row in j0.rows:
-        v = [field.zero] * space.dim
-        for i, c in enumerate(row):
-            v[space.index(labels0[i])] = c
-        j_rows.append(tuple(v))
-    j = Subspace(space, field, j_rows)
+    j = Subspace(space, field, [{space.index(labels0[i]): c for i, c in enumerate(row)}
+                                for row in j0.rows])
 
     a = nilpotency_index(r, j)
     big_n = (kappa + 2) * (a - 1)

@@ -13,6 +13,9 @@ All elimination is one private sparse semi-echelon form, ``_Echelon``: rows
 every earlier pivot.  ``rref`` inserts every row, then re-inserts the rows in
 descending pivot order, which gives the reduced row echelon form: the
 canonical representative, so two subspaces are equal iff their rows are.
+A :class:`Subspace` keeps those sparse reduced rows as its echelon (they
+vanish at every pivot but their own), takes dense or sparse vectors, and
+tests membership by one reduction of the sparse vector.
 Homogeneous vectors stay homogeneous under row reduction (basis vectors of
 distinct degrees have disjoint support), so graded subspaces need no extra
 block bookkeeping.
@@ -136,16 +139,17 @@ class _Echelon:
         return piv, r
 
 
-def _reduced(field: ExactField, rows) -> dict:
-    """Reduced row echelon form of dense or sparse rows: sparse rows keyed by
-    pivot, in ascending pivot order."""
+def _reduced(field: ExactField, rows) -> _Echelon:
+    """Reduced row echelon form of dense or sparse rows: an echelon with its
+    rows in ascending pivot order."""
     semi = _Echelon(field, rows)
     # Inserted in descending pivot order, each row meets only finished rows
     # with larger pivots, which are 0 before their pivot: the result is reduced.
     reduced = _Echelon(field)
     for piv in sorted(semi.rows, reverse=True):
         reduced.insert(semi.rows[piv])
-    return {p: reduced.rows[p] for p in sorted(reduced.rows)}
+    reduced.rows = {p: reduced.rows[p] for p in sorted(reduced.rows)}
+    return reduced
 
 
 def rref(field: ExactField, rows):
@@ -154,7 +158,7 @@ def rref(field: ExactField, rows):
     if not rows:
         return (), ()
     ncols = len(rows[0])
-    reduced = _reduced(field, rows)
+    reduced = _reduced(field, rows).rows
     return tuple(_dense(field, r, ncols) for r in reduced.values()), tuple(reduced)
 
 
@@ -180,7 +184,7 @@ def _kernel(field: ExactField, rows, ncols: int) -> list:
     vectors: one per free column j, 1 at j and -row[j] at the pivot of each
     reduced row (reduced rows vanish at every other pivot, so each entry off
     a row's pivot is at a free column)."""
-    reduced = _reduced(field, rows)
+    reduced = _reduced(field, rows).rows
     basis = {j: {j: field.one} for j in range(ncols) if j not in reduced}
     for piv, row in reduced.items():
         for j, a in row.items():
@@ -233,38 +237,35 @@ class GradedSpace:
 
 
 class Subspace:
-    """Span of vectors in a graded ambient space, held in reduced echelon form."""
+    """Span of vectors in a graded ambient space, held in reduced echelon form.
+
+    Vectors, here and in ``contains``, are coordinate tuples or sparse dicts
+    index -> scalar.  The sparse reduced rows are the span's ``_Echelon``;
+    ``rows`` (dense) and ``pivots`` are read off them."""
 
     def __init__(self, ambient: GradedSpace, field: ExactField, vectors=()):
-        for v in vectors:
-            if len(v) != ambient.dim:
-                raise LinAlgError(
-                    f"vector length {len(v)} does not match ambient dimension {ambient.dim}"
-                )
         self.ambient = ambient
         self.field = field
-        self.rows, self.pivots = rref(field, vectors)
-        self.graded = True
-        for r in self.rows:
-            degs = {ambient.degrees[i] for i, a in enumerate(r) if a != 0}
-            if len(degs) > 1:
-                self.graded = False
-                break
-        self._echelon = None  # sparse copy of the rows, made by the first reduce
+        self._echelon = _reduced(field, [self._coords(v) for v in vectors])
+        sparse_rows = self._echelon.rows.values()
+        self.rows = tuple(_dense(field, r, ambient.dim) for r in sparse_rows)
+        self.pivots = tuple(self._echelon.rows)
+        self.graded = all(len({ambient.degrees[i] for i in r}) == 1 for r in sparse_rows)
+
+    def _coords(self, v) -> dict:
+        """A dense or sparse vector as a sparse one, checked against the ambient."""
+        n = self.ambient.dim
+        outside = any(not 0 <= j < n for j in v) if isinstance(v, dict) else len(v) != n
+        if outside:
+            raise LinAlgError(f"vector does not fit the ambient dimension {n}")
+        return _sparse(self.field, v)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v):
-        if len(v) != self.ambient.dim:
-            raise LinAlgError("dimension mismatch")
-        if self._echelon is None:
-            self._echelon = _Echelon(self.field, self.rows)
-        return _dense(self.field, self._echelon.reduce(_sparse(self.field, v)), self.ambient.dim)
-
     def contains(self, v) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return not self._echelon.reduce(self._coords(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)

@@ -8,8 +8,9 @@ only, so the oracles are exact over F_p as well as over the rationals.
 Linear algebra is the textbook dense Gauss-Jordan elimination below, column
 by column with row swaps, sharing no code with ``ainfbench.linalg``;
 quotient coordinates come from one direct linear solve with it, not from the
-presentation's cached elimination.  The filtration report is rebuilt from its
-definition with those two, with no memo.  The Hom-complex differential is
+presentation's cached elimination.  The filtration report and the tables of
+a quotient algebra are rebuilt from their definitions with those two, with no
+memo.  The Hom-complex differential is
 built one basis vector at a time through ``perfmod.mu1`` into a dense
 matrix, so it checks how the library assembles its sparse columns.
 """
@@ -167,6 +168,29 @@ def naive_gamma_table(aus):
                 entry = {names[out_pair][k]: c for k, c in enumerate(coords) if c != 0}
                 if entry:
                     table[tuple(names[pr][k] for pr, k in zip(pairs, combo))] = entry
+        if table:
+            mult[p] = table
+    return mult
+
+
+def naive_quotient_table(r, quotient, q):
+    """The product tables of ``quotient`` = R/I, presented by ``q``, from the
+    definition: m_p on every tuple of representatives by :func:`naive_mult`,
+    quotient coordinates by :func:`naive_quotient_coords`."""
+    field = r.field
+    obj = r.objects[0]
+    labels = r.hom[(obj, obj)].labels
+    names = quotient.hom[(obj, obj)].labels
+    reps = [{labels[i]: c for i, c in enumerate(rep) if c != 0} for rep in q.reps]
+    mult = {}
+    for p in sorted(r.mult):
+        table = {}
+        for key in itertools.product(range(q.dim), repeat=p):
+            out = naive_mult(r, p, [reps[k] for k in key])
+            coords = naive_quotient_coords(q, tuple(out.get(lab, field.zero) for lab in labels))
+            entry = {names[k]: c for k, c in enumerate(coords) if c != 0}
+            if entry:
+                table[tuple(names[k] for k in key)] = entry
         if table:
             mult[p] = table
     return mult

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ainfbench import GF, QQ, check_stasheff, full_subcategory, validate_structure
+from ainfbench.ainf import AInfCategory
 from ainfbench.auslander import (
     build_auslander,
     check_index_inequalities_exhaustive,
@@ -15,8 +17,10 @@ from ainfbench.auslander import (
 from ainfbench.filtration import (
     Filtration,
     appendix_filtration,
+    check_filtration,
     degree_filtration,
     full_subspace,
+    quotient_by_ideal,
     zero_subspace,
 )
 
@@ -169,3 +173,24 @@ def test_gamma_matches_naive_table(alg, filt):
     aus = build_auslander(alg, filt)
     assert aus.gamma.mult  # not vacuous
     assert aus.gamma.mult == naive_gamma_table(aus)
+
+
+def test_sweeps_evaluate_each_product_once(monkeypatch):
+    # the filtration check, the ideal check with the induced tables, and the
+    # Gamma build each meet the same argument tuples many times over
+    alg = rescaled(truncated_polynomial(6), random.Random(8))
+    filt, _ = appendix_filtration(alg, kappa=1)
+    calls = Counter()
+    apply = AInfCategory.apply
+
+    def counting(self, p, args):
+        calls[(p, tuple(tuple(sorted(a.items())) for a in args))] += 1
+        return apply(self, p, args)
+
+    monkeypatch.setattr(AInfCategory, "apply", counting)
+    for sweep in (lambda: check_filtration(alg, filt),
+                  lambda: quotient_by_ideal(alg, filt.levels[1]),
+                  lambda: build_auslander(alg, filt)):
+        calls.clear()
+        sweep()
+        assert calls and max(calls.values()) == 1

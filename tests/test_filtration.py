@@ -19,19 +19,20 @@ from ainfbench.filtration import (
     subspace_product,
     zero_subspace,
 )
-from ainfbench.linalg import Subspace
+from ainfbench.linalg import GradedSpace, Subspace
 
 from .corpus import (
     dual_numbers,
     k_times_k,
     random_filtered_algebra,
     random_nilpotent_algebra,
+    rescaled,
     toy_algebra,
     truncated_polynomial,
     unital_m2,
     upper_triangular_2,
 )
-from .oracles import naive_filtration_report
+from .oracles import naive_filtration_report, naive_quotient_table
 
 F = Fraction
 
@@ -286,3 +287,41 @@ def test_random_filtered_algebras_pass():
         alg, filt = random_filtered_algebra(rng)
         assert check_filtration(alg, filt).passed
         assert 2 <= filt.n <= 5
+
+
+def test_quotient_by_ideal_rejects_foreign_ambient():
+    toy = toy_algebra()
+    other_dim = Subspace(GradedSpace(("a", "b"), (0, 0)), QQ, [(0, 1)])
+    other_labels = Subspace(GradedSpace(("a", "b", "c"), (0, 0, -1)), QQ, [(0, 0, 1)])
+    for ideal in (other_dim, other_labels):
+        with pytest.raises(FiltrationError, match="not a subspace of the algebra"):
+            quotient_by_ideal(toy, ideal)
+
+
+def test_quotient_by_ideal_rejects_non_ideal():
+    toy = toy_algebra()
+    with pytest.raises(FiltrationError) as err:
+        quotient_by_ideal(toy, span_of(toy, ["e"]))
+    assert str(err.value) == "subspace is not an ideal: m_3 escapes it (slot 0)"
+
+
+def _quotient_cases(field):
+    toy = toy_algebra(field)
+    yield toy, ["t"]
+    yield toy, ["e", "t"]  # F^1 of the appendix filtration
+    x6 = rescaled(truncated_polynomial(6, field), random.Random(f"quotient:{field.characteristic}"))
+    for k in range(1, 6):
+        yield x6, X6[k:]  # J^k
+    rng = random.Random(f"quotient-nilpotent:{field.characteristic}")
+    for _ in range(3):
+        alg, xs, ys = random_nilpotent_algebra(rng, field)
+        yield alg, xs + ys  # the radical
+        yield alg, ys
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_quotient_tables_match_naive_oracle(field):
+    for alg, labels in _quotient_cases(field):
+        quotient, q = quotient_by_ideal(alg, span_of(alg, labels))
+        assert quotient.mult == naive_quotient_table(alg, quotient, q)
+        assert quotient.total_dim() == alg.total_dim() - len(labels)

@@ -79,6 +79,47 @@ def test_membership_dimension_mismatch():
         s.contains((F(1),))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_subspace_sparse_input_matches_dense(field):
+    rng = random.Random(f"sparse:{field.characteristic}")
+
+    def draw(n, k):
+        return [tuple(field.of_int(rng.randint(-2, 2)) for _ in range(n)) for _ in range(k)]
+
+    def sparse(v):  # explicit zeros now and then
+        return {j: a for j, a in enumerate(v) if a != 0 or rng.random() < 0.3}
+
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        amb = GradedSpace(tuple(f"b{i}" for i in range(n)), (0,) * n)
+        vecs = draw(n, rng.randint(0, n))
+        dense = Subspace(amb, field, vecs)
+        sp = Subspace(amb, field, [sparse(v) for v in vecs])
+        assert (sp.rows, sp.pivots) == (dense.rows, dense.pivots)
+        for v in draw(n, 4) + vecs:
+            inside = naive_rank(field, vecs + [v], n) == naive_rank(field, vecs, n)
+            assert sp.contains(sparse(v)) == dense.contains(v) == inside
+        part = Subspace(amb, field, [sparse(v) for v in vecs[: rng.randint(0, len(vecs))]])
+        other = Subspace(amb, field, draw(n, rng.randint(0, n)))
+        assert sp.contains_subspace(part) and dense.contains_subspace(part)
+        assert sp.contains_subspace(other) == dense.contains_subspace(other)
+        assert other.contains_subspace(sp) == other.contains_subspace(dense)
+
+
+def test_subspace_rejects_vectors_outside_ambient():
+    amb = GradedSpace(("a", "b"), (0, 0))
+    s = Subspace(amb, QQ, [{0: 1}])
+    with pytest.raises(LinAlgError):
+        Subspace(amb, QQ, [{2: 1}])
+    for v in ({2: 1}, {-1: 1}, (1, 0, 0)):
+        with pytest.raises(LinAlgError):
+            s.contains(v)
+    bigger = Subspace(GradedSpace(("a", "b", "c"), (0, 0, 0)), QQ, [(1, 0, 0)])
+    for x, y in ((s, bigger), (bigger, s)):
+        with pytest.raises(LinAlgError):
+            x.contains_subspace(y)
+
+
 def test_echelon_over_prime_field():
     f5 = GF(5)
     s = echelon_basis([(2, 4), (1, 2)], f5)
