@@ -3,12 +3,17 @@
 Given a filtered algebra (R, F) with F^n = 0, the category Gamma has objects
 the integers 0..n-1 and hom(j -> i) = F^{max(j-i,0)} / F^{n-i}, with all
 products induced on the quotients by m_p of R through chosen coset
-representatives.  Induced products are independent of the representatives
-because of the integer inequalities checked below; the construction checks
-them for every chain it builds and projects every product strictly, and
-randomized lift perturbations cross-check it empirically.  Each product of
-representatives is evaluated once, through the product table that the
-filtration sweeps share (representatives recur across the n^2 quotients).
+representatives.  Induced products are independent of the representatives,
+and the proof has two halves.  Perturbing argument k of m_p by an element of
+its denominator F^{n-i_k} changes the product by an element of
+F^{(n-i_k) + sum_{u != k} max(i_{u+1}-i_u, 0)} when F is compatible with the
+products (``check_filtration``, which callers run before the build), and
+that level lies inside the output denominator F^{n-i_1} by the integer
+inequalities, which the build proves for its own n and arity by one dynamic
+program over chain positions (``_least_slack``).  Every product is also
+projected strictly.  Each product of representatives is evaluated once,
+through the product table that the filtration sweeps share (representatives
+recur across the n^2 quotients).
 
 hom dims satisfy dim Gamma(j,i) = dim F^{max(j-i,0)} - dim F^{n-i}, and
 Gamma(0,0) is R itself on the nose: the generator embeds by a basis-level
@@ -18,6 +23,7 @@ identification that intertwines every product table bit-exactly.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from .ainf import AInfCategory, _ProductTable
@@ -55,13 +61,20 @@ def _gamma_label(j, i, lead):
 
 def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
     """Construct Gamma, checking the hom dimensions, the index inequalities
-    for every chain of objects, and strictness of every projection."""
+    for every chain of objects (by ``_least_slack``), and strictness of
+    every projection."""
     obj = r.objects[0]
     space = r.hom[(obj, obj)]
     field = r.field
     n = filt.n
     if n < 1:
         raise AuslanderError("filtration must have n >= 1")
+
+    p_max = max(r.mult, default=0)
+    if p_max >= 1:
+        for name, slack in zip(("telescoping", "denominator"), _least_slack(n, p_max)):
+            if slack < 0:
+                raise AuslanderError(f"{name} inequality fails for n = {n}, p = {p_max}")
 
     unit_vec = r.element_to_coords(r.unit_vector(obj), obj, obj)
 
@@ -115,10 +128,6 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
         table = {}
         for chain in itertools.product(range(n), repeat=p + 1):
             # chain = (i_1, ..., i_{p+1}); argument u lives in hom(i_{u+1} -> i_u)
-            if not index_inequality_telescoping(chain):
-                raise AuslanderError(f"index inequality fails for {chain}")
-            if not index_inequality_denominators(chain, n):
-                raise AuslanderError(f"denominator inequality fails for {chain}")
             pairs = [(chain[u + 1], chain[u]) for u in range(p)]
             out_pair = (chain[p], chain[0])
             out_q = quotients[out_pair]
@@ -145,52 +154,47 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
 # integer inequalities
 
 
-def index_inequality_telescoping(chain) -> bool:
-    """max(i_{p+1} - i_1, 0) <= sum_u max(i_{u+1} - i_u, 0)."""
-    p = len(chain) - 1
-    rhs = sum(max(chain[u + 1] - chain[u], 0) for u in range(p))
-    return max(chain[p] - chain[0], 0) <= rhs
+def _least_slack(n: int, p: int) -> tuple:
+    """The exact least slack (rhs - lhs) of the (telescoping, denominator)
+    index inequalities over all chains (i_1, ..., i_{p+1}) in {0..n-1}^{p+1}.
 
+    With d_u = max(i_{u+1} - i_u, 0) and S = sum_u d_u, the telescoping
+    inequality max(i_{p+1} - i_1, 0) <= S has slack S - max(i_{p+1} - i_1, 0).
+    Argument k lives in hom(i_{k+1} -> i_k) with denominator F^{n-i_k}; the
+    denominator inequality (n - i_k) + S - d_k >= n - i_1 has slack
+    S - d_k - i_k + i_1, minimized over the slot k too.  For each i_1 the
+    positions are walked left to right keeping, per current index, the
+    least partial sum with no slot chosen yet and the least with slot k
+    already chosen (its d_k skipped, -i_k + i_1 added).
 
-def index_inequality_denominators(chain, n: int) -> bool:
-    """Replacing any one factor by its denominator lands in the output denominator."""
-    p = len(chain) - 1
-    terms = [max(chain[u + 1] - chain[u], 0) for u in range(p)]
-    total = sum(terms)
-    for k in range(p):
-        # argument k lives in hom(i_{k+2-1} -> i_k), denominator F^{n - i_k}
-        if total - terms[k] + (n - chain[k]) < n - chain[0]:
-            return False
-    return True
+    Repeating the last index of a chain adds a slot without changing the
+    other slacks, so the slacks at p bound those at every smaller arity.
+    """
+    idx = range(n)
+    telescoping = denominator = math.inf
+    for first in idx:
+        free = [0 if v == first else math.inf for v in idx]
+        chosen = [math.inf] * n
+        for _ in range(p):
+            choose = min(free[v] + first - v for v in idx)
+            free, chosen = (
+                [min(free[v] + max(w - v, 0) for v in idx) for w in idx],
+                [min(choose, min(chosen[v] + max(w - v, 0) for v in idx)) for w in idx],
+            )
+        telescoping = min(telescoping, min(free[w] - max(w - first, 0) for w in idx))
+        denominator = min(denominator, min(chosen))
+    return telescoping, denominator
 
 
 def check_index_inequalities_exhaustive(n_max: int = 8, p_max: int = 6) -> bool:
-    """Pure-integer exhaustive sweep of both inequalities (vectorized).
+    """Exhaustive proof of both inequalities for p <= p_max, n <= n_max.
 
     Subtracting n from both sides of the denominator inequality leaves
     sum_{u != k} max(i_{u+1} - i_u, 0) >= i_k - i_1, so neither inequality
     mentions n; tuples over {0..n-1} are a subset of those over {0..n_max-1},
     and one pass over the largest box is exhaustive for every n <= n_max.
     """
-    import numpy as np
-
-    n = n_max
-    base = np.arange(n, dtype=np.int8)
-    for p in range(1, p_max + 1):
-        count = n ** (p + 1)
-        cols = np.empty((p + 1, count), dtype=np.int8)
-        for k in range(p + 1):
-            cols[k] = np.tile(np.repeat(base, n ** (p - k)), n ** k)
-        diffs = np.maximum(cols[1:] - cols[:-1], 0).astype(np.int16)
-        rhs = diffs.sum(axis=0, dtype=np.int16)
-        lhs = np.maximum(cols[-1] - cols[0], 0).astype(np.int16)
-        if not (lhs <= rhs).all():
-            return False
-        drop = cols[0].astype(np.int16)
-        for k in range(p):
-            if not (rhs - diffs[k] >= cols[k].astype(np.int16) - drop).all():
-                return False
-    return True
+    return all(min(_least_slack(n_max, p)) >= 0 for p in range(1, p_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -283,36 +287,3 @@ def verify_lift_independence(a: AuslanderCategory, trials: int = 50, rng: random
         if out_q.project_strict(base_vec) != out_q.project_strict(pert_vec):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# flattening (export only)
-
-
-def flatten(a: AuslanderCategory) -> dict:
-    """The direct-sum algebra of all hom blocks, with the unit classes as
-    idempotents.  Export-only: its unit is the sum of the idempotents, which
-    is not a basis element, so this does not construct an AInfCategory."""
-    gamma = a.gamma
-    field = gamma.field
-    basis = []
-    for (j, i), space in sorted(gamma.hom.items()):
-        for lab, d in zip(space.labels, space.degrees):
-            basis.append({"name": lab, "row": i, "col": j, "degree": d})
-    mult = {}
-    for p, table in sorted(gamma.mult.items()):
-        entries = []
-        for key in sorted(table):
-            entries.append(
-                {
-                    "inputs": list(key),
-                    "output": {l: field.unparse(c) for l, c in sorted(table[key].items())},
-                }
-            )
-        mult[str(p)] = entries
-    return {
-        "objects": a.n,
-        "basis": basis,
-        "idempotents": [gamma.units[i] for i in range(a.n)],
-        "mult": mult,
-    }

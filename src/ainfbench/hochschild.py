@@ -122,26 +122,6 @@ def diagonal_bimodule(c: AInfCategory, prefix: str = "M") -> Bimodule:
     return Bimodule(c, spaces, action)
 
 
-def zero_bimodule(c: AInfCategory) -> Bimodule:
-    return Bimodule(c, {}, {})
-
-
-def bimodule_direct_sum(m1: Bimodule, m2: Bimodule) -> Bimodule:
-    if m1.base is not m2.base and not m1.base.tables_equal(m2.base):
-        raise HochschildError("bimodules over different bases")
-    spaces = {}
-    for key in m1.spaces:
-        a, b = m1.spaces[key], m2.spaces[key]
-        spaces[key] = GradedSpace(a.labels + b.labels, a.degrees + b.degrees)
-    action: dict = {}
-    for src in (m1, m2):
-        for p, table in src.action.items():
-            tbl = action.setdefault(p, {})
-            for key, vec in table.items():
-                tbl[key] = dict(vec)
-    return Bimodule(m1.base, spaces, action)
-
-
 # ---------------------------------------------------------------------------
 # square-zero extensions
 

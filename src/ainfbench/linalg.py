@@ -267,12 +267,16 @@ class Subspace:
     def contains(self, v) -> bool:
         return not self._echelon.reduce(self._coords(v))
 
+    def _same_ambient(self, other: "Subspace") -> None:
+        if other.ambient is not self.ambient and other.ambient != self.ambient:
+            raise LinAlgError("ambient spaces differ")
+
     def contains_subspace(self, other: "Subspace") -> bool:
+        self._same_ambient(other)
         return all(self.contains(r) for r in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        if other.ambient is not self.ambient and other.ambient != self.ambient:
-            raise LinAlgError("ambient spaces differ")
+        self._same_ambient(other)
         return Subspace(self.ambient, self.field, self.rows + other.rows)
 
     def degree_dims(self) -> dict:

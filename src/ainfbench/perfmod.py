@@ -398,7 +398,7 @@ def evaluate_at(x: TwistedComplex, j) -> FiniteComplex:
     for (a, lab), d in degree_of.items():
         x_item = (0, x.entries[a][1], {lab: field.one})
         col: dict = {}
-        for t_out in range(a):
+        for t_out in range(a + 1):
             for path in paths[(a, t_out)]:
                 for out_lab, c in _chain_apply(cat, [x_item] + path).items():
                     i = pos[d + 1][(t_out, out_lab)]

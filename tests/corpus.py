@@ -6,6 +6,7 @@ import random
 
 from ainfbench import QQ, GradedSpace, algebra, category
 from ainfbench.filtration import Filtration, check_filtration
+from ainfbench.hochschild import Bimodule, HochschildError
 from ainfbench.linalg import Subspace
 
 
@@ -339,3 +340,23 @@ def _close_to_ideal(alg, seed: Subspace) -> Subspace:
         if grown.dim == out.dim:
             return out
         out = grown
+
+
+def zero_bimodule(c):
+    return Bimodule(c, {}, {})
+
+
+def bimodule_direct_sum(m1, m2):
+    if m1.base is not m2.base and not m1.base.tables_equal(m2.base):
+        raise HochschildError("bimodules over different bases")
+    spaces = {}
+    for key in m1.spaces:
+        a, b = m1.spaces[key], m2.spaces[key]
+        spaces[key] = GradedSpace(a.labels + b.labels, a.degrees + b.degrees)
+    action: dict = {}
+    for src in (m1, m2):
+        for p, table in src.action.items():
+            tbl = action.setdefault(p, {})
+            for key, vec in table.items():
+                tbl[key] = dict(vec)
+    return Bimodule(m1.base, spaces, action)

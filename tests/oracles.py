@@ -12,7 +12,9 @@ presentation's cached elimination.  The filtration report and the tables of
 a quotient algebra are rebuilt from their definitions with those two, with no
 memo.  The Hom-complex differential is
 built one basis vector at a time through ``perfmod.mu1`` into a dense
-matrix, so it checks how the library assembles its sparse columns.
+matrix, so it checks how the library assembles its sparse columns.  The two
+index inequalities of the quotient category are checked one chain at a time,
+as stated.
 """
 
 from __future__ import annotations
@@ -266,3 +268,22 @@ def naive_hom_differential(h, d):
                 i = row_of[(t2, s2, lab2)]
                 m[i][j] = field.add(m[i][j], c)
     return tuple(map(tuple, m))
+
+
+def index_inequality_telescoping(chain) -> bool:
+    """max(i_{p+1} - i_1, 0) <= sum_u max(i_{u+1} - i_u, 0)."""
+    p = len(chain) - 1
+    rhs = sum(max(chain[u + 1] - chain[u], 0) for u in range(p))
+    return max(chain[p] - chain[0], 0) <= rhs
+
+
+def index_inequality_denominators(chain, n: int) -> bool:
+    """Replacing any one factor by its denominator lands in the output denominator."""
+    p = len(chain) - 1
+    terms = [max(chain[u + 1] - chain[u], 0) for u in range(p)]
+    total = sum(terms)
+    for k in range(p):
+        # argument k lives in hom(i_{k+2-1} -> i_k), denominator F^{n - i_k}
+        if total - terms[k] + (n - chain[k]) < n - chain[0]:
+            return False
+    return True

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,12 +7,13 @@ import pytest
 
 from ainfbench import GF, QQ, check_stasheff, full_subcategory, validate_structure
 from ainfbench.ainf import AInfCategory
+import ainfbench.auslander as auslander
 from ainfbench.auslander import (
+    AuslanderError,
+    _least_slack,
     build_auslander,
     check_index_inequalities_exhaustive,
     embed_generator,
-    flatten,
-    index_inequality_telescoping,
     verify_lift_independence,
 )
 from ainfbench.filtration import (
@@ -32,7 +34,11 @@ from .corpus import (
     trivial_extension,
     truncated_polynomial,
 )
-from .oracles import naive_gamma_table
+from .oracles import (
+    index_inequality_denominators,
+    index_inequality_telescoping,
+    naive_gamma_table,
+)
 
 F = Fraction
 
@@ -124,12 +130,33 @@ def test_index_inequalities_exhaustive_small():
     assert check_index_inequalities_exhaustive(n_max=5, p_max=4)
 
 
-def test_flatten_export(toy_gamma):
-    flat = flatten(toy_gamma)
-    assert flat["objects"] == 4
-    assert len(flat["basis"]) == 23
-    assert len(flat["idempotents"]) == 4
-    assert "2" in flat["mult"] and "3" in flat["mult"]
+def _chain_slacks(chain, n):
+    """rhs - lhs of the telescoping inequality, and of the denominator
+    inequality least over the slots k, for one chain."""
+    p = len(chain) - 1
+    terms = [max(chain[u + 1] - chain[u], 0) for u in range(p)]
+    total = sum(terms)
+    telescoping = total - max(chain[p] - chain[0], 0)
+    denominator = min(total - terms[k] + (n - chain[k]) - (n - chain[0]) for k in range(p))
+    return telescoping, denominator
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_least_slack_matches_brute_force(n):
+    for p in range(1, 5):
+        chains = list(itertools.product(range(n), repeat=p + 1))
+        slacks = [_chain_slacks(c, n) for c in chains]
+        for c, (tel, den) in zip(chains, slacks):
+            assert index_inequality_telescoping(c) == (tel >= 0)
+            assert index_inequality_denominators(c, n) == (den >= 0)
+        assert _least_slack(n, p) == tuple(min(col) for col in zip(*slacks))
+
+
+def test_build_refuses_failed_inequality(monkeypatch):
+    monkeypatch.setattr(auslander, "_least_slack", lambda n, p: (0, -1))
+    toy = toy_algebra()
+    with pytest.raises(AuslanderError, match=r"denominator inequality fails for n = 4, p = 3"):
+        build_auslander(toy, appendix_filtration(toy, kappa=1)[0])
 
 
 def test_degree_filtration_gamma_toy():

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ainfbench import cli
 from ainfbench.cli import main
 from ainfbench.filtration import degree_filtration
 from ainfbench.specfile import (
@@ -148,6 +149,31 @@ def test_cli_gamma_roundtrip(tmp_path, capsys):
     # serialization of the parsed file is byte-identical
     spec = parse_spec(str(out_file))
     assert serialize(category_to_dict(spec.category)) == out_file.read_text()
+
+
+def test_cli_gamma_lift_independence_needs_no_sampling(tmp_path, capsys, monkeypatch):
+    def sampled(aus, trials):
+        raise AssertionError("sampled lift perturbations ran")
+
+    monkeypatch.setattr(cli, "verify_lift_independence", sampled)
+    code, out, _ = run(capsys, "gamma", "build", TOY, "-o", str(tmp_path / "g.json"))
+    data = json.loads(out)
+    assert code == 0 and data["verdict"] == "PASS" and data["lift_independence"] is True
+
+
+def test_cli_gamma_lift_trials_cross_check(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def sampled(aus, trials):
+        calls.append(trials)
+        return False
+
+    monkeypatch.setattr(cli, "verify_lift_independence", sampled)
+    code, out, _ = run(capsys, "gamma", "build", TOY, "-o", str(tmp_path / "g.json"),
+                       "--lift-trials", "20")
+    data = json.loads(out)
+    assert calls == [20]
+    assert code == 1 and data["verdict"] == "FAIL" and data["lift_independence"] is False
 
 
 def test_cli_validate_toy(capsys):

@@ -10,23 +10,23 @@ from ainfbench.hochschild import (
     HochschildError,
     _deform,
     _verify_functor,
-    bimodule_direct_sum,
     coboundary_trivialization,
     deform_by_cocycle,
     diagonal_bimodule,
     hochschild_differential,
     is_cocycle,
     square_zero_extension,
-    zero_bimodule,
 )
 from ainfbench.scalars import FieldError
 from ainfbench.specfile import parse_spec
 
 from .corpus import (
+    bimodule_direct_sum,
     dual_numbers,
     random_associative_algebra,
     toy_algebra,
     upper_triangular_2,
+    zero_bimodule,
 )
 
 F = Fraction

@@ -114,10 +114,13 @@ def test_subspace_rejects_vectors_outside_ambient():
     for v in ({2: 1}, {-1: 1}, (1, 0, 0)):
         with pytest.raises(LinAlgError):
             s.contains(v)
-    bigger = Subspace(GradedSpace(("a", "b", "c"), (0, 0, 0)), QQ, [(1, 0, 0)])
-    for x, y in ((s, bigger), (bigger, s)):
-        with pytest.raises(LinAlgError):
+    big = GradedSpace(("a", "b", "c"), (0, 0, 0))
+    bigger, zero = Subspace(big, QQ, [(1, 0, 0)]), Subspace(big, QQ, ())
+    # a zero subspace of another ambient is refused like a nonzero one
+    for x, y in ((s, bigger), (bigger, s), (s, zero)):
+        with pytest.raises(LinAlgError, match="ambient spaces differ"):
             x.contains_subspace(y)
+    assert s.contains_subspace(Subspace(amb, QQ, ()))
 
 
 def test_echelon_over_prime_field():

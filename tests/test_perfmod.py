@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ainfbench import GF, QQ, algebra
+from ainfbench import GF, QQ, algebra, check_stasheff, validate_structure
 from ainfbench.scalars import FieldError
 from ainfbench.specfile import parse_spec
 from ainfbench.auslander import build_auslander
@@ -94,6 +94,19 @@ def test_shifted_representable(toy_aus):
     c = evaluate_at(p0, 0)
     # hom(0 -> 0) has dims {0: 2, -1: 1}; the shift moves them down by one
     assert c.dims() == {-1: 2, -2: 1}
+
+
+def test_evaluate_at_includes_m1():
+    # a non-minimal dg algebra: 1 and x in degree 0, e in degree -1,
+    # m_1(e) = x and unit products only; H(A) is k in degree 0
+    m2 = unital_m2(["1", "x", "e"], "1", {})
+    alg = algebra(QQ, [("1", 0), ("x", 0), ("e", -1)], "1", {1: {("e",): {"x": 1}}, 2: m2})
+    assert validate_structure(alg).passed and check_stasheff(alg).passed
+    p = TwistedComplex(alg, [("*", 0)])
+    # Yoneda: the value at * of X is Hom(P, X), with the m_1 terms on both sides
+    assert cohom_dims(evaluate_at(p, "*")) == hom_complex(p, p).cohomology_dims() == {0: 1}
+    cone_x = TwistedComplex(alg, [("*", 0), ("*", 1)], {(0, 1): {"x": 1}})
+    assert cohom_dims(evaluate_at(cone_x, "*")) == hom_complex(p, cone_x).cohomology_dims() == {-1: 1, 0: 1}
 
 
 def test_twisted_complex_connection_is_exact():
