@@ -31,7 +31,9 @@ pure, so categories can be shared freely.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .linalg import GradedSpace
 from .scalars import ExactField
@@ -395,57 +397,125 @@ def validate_structure(c: AInfCategory) -> ValidationReport:
 # the defining relations
 
 
-def insertions(outer: dict, inner: dict):
-    """The Gerstenhaber insertions of one sparse table into another.
+def _breaks(info: dict, key: tuple) -> list:
+    """Indices u of the adjacent pairs of ``key`` with src(key[u]) != tgt(key[u+1])."""
+    return [u for u in range(len(key) - 1) if info[key[u]][0] != info[key[u + 1]][1]]
 
-    Both tables map label tuples to sparse output vectors.  For every outer
-    key K, slot r and inner key J whose output has coefficient ``coeff`` at
-    the label K[r], yields ``(K[:r] + J + K[r+1:], r, len(J), coeff,
-    outer[K])``.  Callers attach their own signs and sum the terms of each
-    tuple; only pairs that meet at a label are ever visited.
+
+def _insertion_sums(cat: AInfCategory, pairs, singles=()) -> dict:
+    """Signed sums of Gerstenhaber insertions, tuple by tuple, exactly.
+
+    Tables map label tuples to sparse output vectors whose labels ``cat``
+    knows.  Each of ``pairs`` is ``(outer, inner, outer_sign, inner_sign)``:
+    for every outer key K, slot r and inner key J whose output has
+    coefficient x at the label K[r], the tuple K[:r] + J + K[r+1:] receives
+    ``(-1)^(a + c + b*s) * x * outer[K]``, where ``(a, b) = outer_sign(dK,
+    r)``, ``(c, s) = inner_sign(dJ)`` and dK, dJ are the degree tuples of K
+    and J.  Each of ``singles`` is ``(table, sign)``: the key K receives
+    ``(-1)^sign(dK) * table[K]``.  Only composable tuples receive terms.
+    Returns the nonzero sums as ``{tuple: {label: scalar}}``.
+
+    Every term is a product of at most two structure constants, so over Q
+    the sums run in ints scaled by D^2, D the lcm of all denominators (a
+    single term enters times D), and are divided once at the end; over F_p
+    the ints are reduced once at the end.  A joined tuple is composable iff
+    J is, every break of K (see :func:`_breaks`) touches slot r, and the
+    seams at both ends of J hold, so per term only the seams are tested.
+    The sums are kept per (tuple, label) in one flat dict: on valid input
+    almost every tuple cancels, and a dict per tuple would take about twice
+    the memory.
     """
-    by_output: dict = {}
-    for key, vec in inner.items():
-        for lab, coeff in vec.items():
-            by_output.setdefault(lab, []).append((key, coeff))
-    for key, out in outer.items():
-        for r, lab in enumerate(key):
-            for j, coeff in by_output.get(lab, ()):
-                yield key[:r] + j + key[r + 1:], r, len(j), coeff, out
+    info = cat._info
+    p = cat.field.characteristic
+    tables = [t for pair in pairs for t in pair[:2]] + [t for t, _ in singles]
+    scale = 1 if p else math.lcm(
+        *{v.denominator for t in tables for vec in t.values() for v in vec.values()})
+    sums: dict = {}
+    for outer, inner, outer_sign, inner_sign in pairs:
+        by_output: dict = {}
+        for key, vec in inner.items():
+            if _breaks(info, key):
+                continue
+            c, s = inner_sign(tuple(info[lab][2] for lab in key))
+            ends = (info[key[0]][1], info[key[-1]][0]) if key else None
+            for lab, v in vec.items():
+                v = v.numerator * (scale // v.denominator)
+                by_output.setdefault(lab, []).append((key, ends, -v if c % 2 else v, s % 2))
+        for key, vec in outer.items():
+            breaks = _breaks(info, key)
+            out = None
+            last = len(key) - 1
+            for r, lab in enumerate(key):
+                terms = by_output.get(lab)
+                if terms is None or (breaks and any(u != r and u != r - 1 for u in breaks)):
+                    continue
+                if out is None:
+                    out = [(l, v.numerator * (scale // v.denominator)) for l, v in vec.items()]
+                    degs = tuple(info[l][2] for l in key)
+                a, b = outer_sign(degs, r)
+                a, b = a % 2, b % 2
+                left = info[key[r - 1]][0] if r else None
+                right = info[key[r + 1]][1] if r < last else None
+                head, tail = key[:r], key[r + 1:]
+                for j, ends, v, s in terms:
+                    if ends is None:  # an empty J joins K[r-1] to K[r+1]
+                        if 0 < r < last and left != right:
+                            continue
+                    elif (r and ends[0] != left) or (r < last and ends[1] != right):
+                        continue
+                    if a ^ (b & s):
+                        v = -v
+                    t = head + j + tail
+                    for l, w in out:
+                        sums[t, l] = sums.get((t, l), 0) + v * w
+    for table, sign in singles:
+        for key, vec in table.items():
+            if _breaks(info, key):
+                continue
+            flip = sign(tuple(info[lab][2] for lab in key)) % 2
+            for l, v in vec.items():
+                v = v.numerator * (scale // v.denominator) * scale
+                sums[key, l] = sums.get((key, l), 0) + (-v if flip else v)
+    result: dict = {}
+    for (key, l), v in sums.items():
+        v = v % p if p else v
+        if v:
+            result.setdefault(key, {})[l] = v if p else Fraction(v, scale * scale)
+    return result
 
 
 def check_stasheff(c: AInfCategory, n_max: int | None = None) -> ValidationReport:
     """Evaluate the defining relations on every composable tuple up to n_max.
 
     The relation sum is the insertion of the structure maps into themselves,
-    so every nonzero term comes from :func:`insertions` of the tables into
-    the tables; a tuple no term reaches satisfies its relation trivially.
+    m_s into m_p for every p + s - 1 <= n_max, with the signs of the module
+    docstring; a tuple no term reaches satisfies its relation trivially.
     The default bound 2*arity_bound - 1 is sharp: above it every insertion
     term vanishes identically.
     """
     field = c.field
     if n_max is None:
         n_max = max(2 * c.arity_bound - 1, 1)
-    table = {key: vec for t in c.mult.values() for key, vec in t.items()}
-    defects: dict = {}
-    for labels, r, s, coeff, out in insertions(table, table):
-        n = len(labels)
-        if n > n_max or not c.composable(labels):
-            continue
-        exp = r + s * (n - r - s) + s * sum(c.deg(lab) for lab in labels[:r])
-        field.add_scaled(defects.setdefault(labels, {}), out,
-                         field.neg(coeff) if exp % 2 else coeff)
 
+    def outer_sign(degs, r):  # (-1)^(r + s*t + s*(|a_1| + ... + |a_r|))
+        return r, len(degs) - 1 - r + sum(degs[:r])
+
+    def inner_sign(degs):
+        return 0, len(degs)
+
+    defects = _insertion_sums(c, [
+        (c.mult[p], c.mult[s], outer_sign, inner_sign)
+        for p in c.mult for s in c.mult if p + s - 1 <= n_max
+    ])
     by_arity: dict = {n: [] for n in range(1, n_max + 1)}
     for labels, defect in defects.items():
-        if defect:
-            by_arity[len(labels)].append(
-                {
-                    "arity": len(labels),
-                    "tuple": list(labels),
-                    "defect": {lab: field.unparse(v) for lab, v in sorted(defect.items())},
-                }
-            )
+        by_arity[len(labels)].append(
+            {
+                "arity": len(labels),
+                "tuple": list(labels),
+                "defect": {lab: field.unparse(v) for lab, v in sorted(defect.items())},
+            }
+        )
     report = ValidationReport()
     for n in range(1, n_max + 1):
         report.add(f"stasheff_n{n}", not by_arity[n], witnesses=by_arity[n])

@@ -14,11 +14,12 @@ Subcommands:
 Every command prints a report (JSON unless asked otherwise) and exits with
 0 when all mathematical checks pass, 1 when a check fails (the report carries
 the witnesses), and 2 on usage or parse errors.  Reports are deterministic up
-to the timing fields (``timings``: ``total_s``, and ``build_s`` for the
-quotient category build): witness lists are sorted.  ``sod`` and the
-``filtration`` commands certify nothing for an input algebra that fails its
-structure or relation checks.  ``--jobs N`` is accepted for compatibility
-and has no effect.
+to the timing fields (``timings``: ``total_s``, ``build_s`` for the quotient
+category build, and ``relations_s`` for the relation sweep of ``validate``,
+``stasheff``, ``gamma build`` and ``deform``): witness lists are sorted.
+``sod`` and the ``filtration`` commands certify nothing for an input algebra
+that fails its structure or relation checks.  ``--jobs N`` is accepted for
+compatibility and has no effect.
 
 ``gamma build`` reports ``lift_independence`` from the build itself: it runs
 only on a filtration that passes its compatibility check, and the build
@@ -69,6 +70,12 @@ def _elapsed(started: float) -> float:
     return round(time.perf_counter() - started, 6)
 
 
+def _timed(fn, *args):
+    """``fn(*args)`` and its time in seconds."""
+    started = time.perf_counter()
+    return fn(*args), _elapsed(started)
+
+
 def _emit(report: dict, started: float) -> None:
     """Print the report; ``timings`` gets ``total_s`` before any stage times."""
     stages = report.pop("timings", {})
@@ -109,7 +116,7 @@ def cmd_validate(args) -> int:
     started = time.perf_counter()
     spec = _load(args.file)
     structure = validate_structure(spec.category)
-    relations = check_stasheff(spec.category)
+    relations, relations_s = _timed(check_stasheff, spec.category)
     ok = structure.passed and relations.passed
     _emit(
         {
@@ -117,6 +124,7 @@ def cmd_validate(args) -> int:
             "verdict": "PASS" if ok else "FAIL",
             "structure": structure.to_json(),
             "relations": relations.to_json(),
+            "timings": {"relations_s": relations_s},
         },
         started,
     )
@@ -128,7 +136,7 @@ def cmd_stasheff(args) -> int:
     spec = _load(args.file)
     structure = validate_structure(spec.category)
     pre_ok = structure.check("degrees").passed and structure.check("composability").passed
-    report = check_stasheff(spec.category, n_max=args.max_arity)
+    report, relations_s = _timed(check_stasheff, spec.category, args.max_arity)
     ok = pre_ok and report.passed
     _emit(
         {
@@ -136,6 +144,7 @@ def cmd_stasheff(args) -> int:
             "verdict": "PASS" if ok else "FAIL",
             "structure": structure.to_json(),
             "relations": report.to_json(),
+            "timings": {"relations_s": relations_s},
         },
         started,
     )
@@ -237,10 +246,8 @@ def cmd_gamma_build(args) -> int:
             started,
         )
         return EXIT_FAIL
-    build_started = time.perf_counter()
-    aus = build_auslander(spec.category, filt)
-    build_s = _elapsed(build_started)
-    relations = check_stasheff(aus.gamma)
+    aus, build_s = _timed(build_auslander, spec.category, filt)
+    relations, relations_s = _timed(check_stasheff, aus.gamma)
     structure = validate_structure(aus.gamma)
     # the filtration check above and the build's inequality proof are the
     # certificate; sampled perturbations only cross-check it
@@ -258,7 +265,7 @@ def cmd_gamma_build(args) -> int:
             "output": args.output,
             "structure": structure.to_json(),
             "relations": relations.to_json(),
-            "timings": {"build_s": build_s},
+            "timings": {"build_s": build_s, "relations_s": relations_s},
         },
         started,
     )
@@ -278,9 +285,7 @@ def cmd_sod(args) -> int:
             started,
         )
         return EXIT_FAIL
-    build_started = time.perf_counter()
-    aus = build_auslander(spec.category, filt)
-    build_s = _elapsed(build_started)
+    aus, build_s = _timed(build_auslander, spec.category, filt)
     rep = sod_report(aus)
     data = rep.to_json()
     data["command"] = "sod"
@@ -325,7 +330,7 @@ def cmd_deform(args) -> int:
     deformed = deform_by_cocycle(cat, module, eta)
     cocycle = hochschild_differential(eta).is_zero()
     structure = validate_structure(deformed)
-    relations = check_stasheff(deformed)
+    relations, relations_s = _timed(check_stasheff, deformed)
     ok = structure.passed and relations.passed
     _write_out(args.output, serialize(category_to_dict(deformed)))
     _emit(
@@ -336,6 +341,7 @@ def cmd_deform(args) -> int:
             "output": args.output,
             "structure": structure.to_json(),
             "relations": relations.to_json(),
+            "timings": {"relations_s": relations_s},
         },
         started,
     )

@@ -24,13 +24,13 @@ structure checker remains the judge of a deformation.
 
 The differential, the functor equations of :func:`coboundary_trivialization`
 and the relation check of :mod:`ainfbench.ainf` are all sums of Gerstenhaber
-insertions, and all three take their terms from the one sparse join
-:func:`ainfbench.ainf.insertions`.
+insertions, and all three are summed by the one sparse join
+:func:`ainfbench.ainf._insertion_sums`, each with its own signs.
 """
 
 from __future__ import annotations
 
-from .ainf import AInfCategory, insertions
+from .ainf import AInfCategory, _insertion_sums
 from .linalg import GradedSpace
 
 
@@ -243,22 +243,25 @@ def hochschild_differential(phi: HochschildCochain) -> HochschildCochain:
     extension place its value at the right object.
     """
     base = phi.base
-    field = base.field
     n = phi.arity
     ext = square_zero_extension(base, phi.module, n - 2)
     phi_table = phi.table if n else {(): {lab: c for vec in phi.table.values() for lab, c in vec.items()}}
     ext_m2 = {key: vec for key, vec in ext.mult.get(2, {}).items() if ext.composable(key)}
-    total: dict = {}
-    for outer, inner, parity in ((phi_table, base.mult.get(2, {}), 0),
-                                 (ext_m2, phi_table, (n + phi.internal_degree) % 2)):
-        for labels, r, s, coeff, out in insertions(outer, inner):
-            if not base.composable(labels) or any(base.is_unit(lab) for lab in labels):
-                continue
-            exp = r + s * (n + 1 - r - s) + parity * sum(base.deg(lab) for lab in labels[:r])
-            field.add_scaled(total.setdefault(labels, {}), out,
-                             field.neg(coeff) if exp % 2 else coeff)
-    # overall sign: minus the raw commutator defect
-    table = {labels: {lab: field.neg(c) for lab, c in vec.items()} for labels, vec in total.items()}
+
+    def outer_sign(parity):
+        # (-1)^(r + s*t + parity*(|a_1| + ... + |a_r|)), times the overall
+        # minus sign of the raw commutator defect
+        return lambda degs, r: (1 + r + parity * sum(degs[:r]), len(degs) - 1 - r)
+
+    def inner_sign(degs):
+        return 0, len(degs)
+
+    total = _insertion_sums(ext, [
+        (phi_table, base.mult.get(2, {}), outer_sign(0), inner_sign),
+        (ext_m2, phi_table, outer_sign(n + phi.internal_degree), inner_sign),
+    ])
+    units = set(base.units.values())
+    table = {labels: vec for labels, vec in total.items() if units.isdisjoint(labels)}
     return HochschildCochain(
         base, phi.module, n + 1, table, internal_degree=phi.internal_degree,
         enforce_normalized=False,
@@ -348,31 +351,30 @@ def _verify_functor(src: AInfCategory, tgt: AInfCategory, phi: HochschildCochain
     its tables hold at most one module label per key.  An arity-0 phi
     gives F no component, so for q = 0 only m_src = m_tgt is checked.
     """
-    field = src.field
     shift = phi.internal_degree - (q - 1) if q > 1 else 0
     phi_table = phi.table if q else {}
-    defect: dict = {}
-
-    def add(labels, vec, coeff, exp):
-        if src.composable(labels):
-            field.add_scaled(defect.setdefault(labels, {}), vec,
-                             field.neg(coeff) if exp % 2 else coeff)
-
-    def degs(labels):
-        return [src.deg(lab) for lab in labels]
-
     src_table = {key: vec for t in src.mult.values() for key, vec in t.items()}
     tgt_table = {key: vec for t in tgt.mult.values() for key, vec in t.items()}
-    for table, exp in ((src_table, 0), (tgt_table, 1)):
-        for labels, vec in table.items():
-            add(labels, vec, field.one, exp + _bar_exp(degs(labels)))
-    for labels, r, s, coeff, out in insertions(phi_table, src_table):
-        d = degs(labels)
-        key_degs = d[:r] + [sum(d[r:r + s]) + 2 - s] + d[r + s:]
-        add(labels, out, coeff,
-            _bar_exp(d[r:r + s]) + sum(x - 1 for x in d[:r]) + _bar_exp(key_degs))
-    for labels, r, s, coeff, out in insertions(tgt_table, phi_table):
-        d = degs(labels)
-        block_degs = d[:r] + [sum(d[r:r + s]) + shift] + d[r + s:]
-        add(labels, out, coeff, 1 + _bar_exp(d[r:r + s]) + _bar_exp(block_degs))
-    return not any(defect.values())
+
+    # _bar_exp of the outer key with the inner block in slot r: the slot
+    # counts 0 when it has degree 1, and (p - 1 - r) * (block degree - 1) on
+    # top, which is b * s with s the block degree minus 1
+    def phi_of_m(degs, r):
+        return (sum(x - 1 for x in degs[:r]) + _bar_exp(degs[:r] + (1,) + degs[r + 1:]),
+                len(degs) - 1 - r)
+
+    def m_of_phi(degs, r):
+        return 1 + _bar_exp(degs[:r] + (1,) + degs[r + 1:]), len(degs) - 1 - r
+
+    def m_block(degs):  # m_s of the inputs has degree sum|a| + 2 - s
+        return _bar_exp(degs), sum(degs) + 1 - len(degs)
+
+    def phi_block(degs):
+        return _bar_exp(degs), sum(degs) + shift - 1
+
+    defect = _insertion_sums(
+        src,
+        [(phi_table, src_table, phi_of_m, m_block), (tgt_table, phi_table, m_of_phi, phi_block)],
+        [(src_table, _bar_exp), (tgt_table, lambda degs: 1 + _bar_exp(degs))],
+    )
+    return not defect

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from ainfbench import QQ, GradedSpace, algebra, category
 from ainfbench.filtration import Filtration, check_filtration
-from ainfbench.hochschild import Bimodule, HochschildError
+from ainfbench.hochschild import Bimodule, HochschildCochain, HochschildError
 from ainfbench.linalg import Subspace
 
 
@@ -171,20 +172,28 @@ def trivial_extension(a, kappa, field=QQ):
     return algebra(field, basis, "1", {2: unital_m2(xs + ys, "1", prods, field)})
 
 
-def rescaled(alg, rng: random.Random):
-    """The same algebra in the basis s_l * l for random nonzero s_l (s = 1 on
-    the unit): each structure constant becomes c * prod(s_inputs) / s_output."""
-    field = alg.field
-    obj = alg.objects[0]
-    unit = alg.units[obj]
+# scale factors (numerator, denominator) for ``rescaled``
+SMALL_FACTORS = ((-3, 1), (-2, 1), (-1, 1), (1, 1), (2, 1), (3, 1))
+# denominators 7, 11 and 13, all invertible mod 3 and mod 5: products of
+# structure constants get large common denominators
+LARGE_DENOMINATORS = ((1, 7), (-2, 7), (3, 11), (-1, 11), (2, 13), (-4, 13))
+
+
+def rescaled(cat, rng: random.Random, factors=SMALL_FACTORS):
+    """The same category in the basis s_l * l for random nonzero s_l drawn
+    from ``factors`` (s = 1 on units): each structure constant becomes
+    c * prod(s_inputs) / s_output."""
+    field = cat.field
+    units = set(cat.units.values())
     scale = {}
-    for lab in alg.hom[(obj, obj)].labels:
+    for lab in cat.all_labels():
         s = field.zero
         while s == 0:
-            s = field.of_int(rng.choice([-3, -2, -1, 1, 2, 3]))
-        scale[lab] = field.one if lab == unit else s
+            num, den = rng.choice(factors)
+            s = field.mul(field.of_int(num), field.inv(field.of_int(den)))
+        scale[lab] = field.one if lab in units else s
     mult = {}
-    for p, table in alg.mult.items():
+    for p, table in cat.mult.items():
         mult[p] = {}
         for key, vec in table.items():
             coeff = field.one
@@ -193,8 +202,36 @@ def rescaled(alg, rng: random.Random):
             mult[p][key] = {
                 lab: field.mul(field.mul(coeff, c), field.inv(scale[lab])) for lab, c in vec.items()
             }
-    space = alg.hom[(obj, obj)]
-    return algebra(field, list(zip(space.labels, space.degrees)), unit, mult, obj)
+    return category(field, cat.objects, cat.hom, cat.units, mult)
+
+
+def random_cochain(rng: random.Random, cat, module, arity, values=((-1, 1), (1, 1))):
+    """A random normalized cochain of internal degree 0 with values in
+    ``module = diagonal_bimodule(cat)``: each composable tuple of non-unit
+    labels gets, with probability 0.4, an output in the matching hom-space
+    whose coordinates are 0 or drawn from ``values``, (numerator,
+    denominator) pairs.  None when the draw is zero or not of internal
+    degree 0."""
+    field = cat.field
+    labels = [l for l in cat.all_labels() if not cat.is_unit(l)]
+    table = {}
+    for key in itertools.product(labels, repeat=arity):
+        if not cat.composable(key):
+            continue
+        out = {}
+        for lab in cat.basis(cat.src(key[-1]), cat.tgt(key[0])):
+            if rng.random() < 0.5:
+                num, den = rng.choice(values)
+                out[f"M.{lab}"] = field.mul(field.of_int(num), field.inv(field.of_int(den)))
+        if out and rng.random() < 0.4:
+            table[key] = out
+    try:
+        eta = HochschildCochain(cat, module, arity, table)
+    except HochschildError:
+        return None
+    if eta.internal_degree != 0 or eta.is_zero():
+        return None
+    return eta
 
 
 ASSOCIATIVE_CORPUS = [

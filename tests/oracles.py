@@ -14,7 +14,8 @@ memo.  The Hom-complex differential is
 built one basis vector at a time through ``perfmod.mu1`` into a dense
 matrix, so it checks how the library assembles its sparse columns.  The two
 index inequalities of the quotient category are checked one chain at a time,
-as stated.
+as stated.  The Hochschild differential is the classical alternating sum,
+term by term.
 """
 
 from __future__ import annotations
@@ -59,14 +60,16 @@ def naive_solve(field, m, b, ncols):
 
 def naive_mult(cat, p, arg_dicts):
     """Multilinear extension of the arity-p table, written naively."""
-    field = cat.field
+    return naive_apply(cat.field, cat.mult.get(p, {}), arg_dicts)
+
+
+def naive_apply(field, table, arg_dicts):
+    """Multilinear extension of one sparse table, written naively."""
     out = {}
-    if p not in cat.mult:
-        return out
 
     def rec(prefix, coeff, rest):
         if not rest:
-            entry = cat.mult[p].get(tuple(prefix))
+            entry = table.get(tuple(prefix))
             if entry:
                 for lab, c in entry.items():
                     out[lab] = field.add(out.get(lab, field.zero), field.mul(coeff, c))
@@ -129,6 +132,47 @@ def naive_stasheff_holds(cat, n_max):
             if defect:
                 failures.append((n, labels, defect))
     return failures
+
+
+def naive_hochschild_differential(phi):
+    """The classical alternating sum
+
+        (d phi)(a_1, ..., a_{n+1}) = a_1 phi(a_2, ..., a_{n+1})
+            + sum_{i=1..n} (-1)^i phi(a_1, ..., a_i a_{i+1}, ..., a_{n+1})
+            + (-1)^(n+1) phi(a_1, ..., a_n) a_{n+1}
+
+    on every composable tuple of non-unit labels, as a table of the nonzero
+    values; the actions are the bimodule's arity-2 table, and an arity-0 phi
+    contributes its value at the object each action needs.  It is the
+    Hochschild differential only for associative bases in degree 0."""
+    base, n = phi.base, phi.arity
+    field = base.field
+    m2 = base.mult.get(2, {})
+    action = phi.module.action.get(2, {})
+    table = {}
+    for labels in naive_composable_tuples(base, n + 1):
+        if any(base.is_unit(lab) for lab in labels):
+            continue
+        args = [{lab: field.one} for lab in labels]
+        if n:
+            inner_first = naive_apply(field, phi.table, args[1:])
+            inner_last = naive_apply(field, phi.table, args[:-1])
+        else:
+            inner_first = phi.table.get(base.src(labels[0]), {})
+            inner_last = phi.table.get(base.tgt(labels[0]), {})
+        terms = [(0, naive_apply(field, action, [args[0], inner_first]))]
+        for i in range(n):
+            product = naive_apply(field, m2, args[i:i + 2])
+            terms.append((i + 1, naive_apply(field, phi.table, args[:i] + [product] + args[i + 2:])))
+        terms.append((n + 1, naive_apply(field, action, [inner_last, args[-1]])))
+        total = {}
+        for sign, vec in terms:
+            for lab, c in vec.items():
+                total[lab] = field.add(total.get(lab, field.zero), field.neg(c) if sign % 2 else c)
+        total = {lab: c for lab, c in total.items() if c != 0}
+        if total:
+            table[labels] = total
+    return table
 
 
 def naive_quotient_coords(q, v):

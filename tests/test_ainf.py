@@ -15,15 +15,21 @@ from ainfbench import (
     opposite,
     validate_structure,
 )
+from ainfbench.ainf import _insertion_sums
+from ainfbench.auslander import build_auslander
+from ainfbench.filtration import Filtration
 from ainfbench.hochschild import HochschildCochain, deform_by_cocycle, diagonal_bimodule, is_cocycle
 from ainfbench.scalars import FieldError
 
 from .corpus import (
     ASSOCIATIVE_CORPUS,
+    LARGE_DENOMINATORS,
+    _subspace_from_labels,
     dual_numbers,
     nonassociative_example,
     path_algebra_a3,
     random_associative_algebra,
+    rescaled,
     toy_algebra,
     unital_m2,
     upper_triangular_2,
@@ -118,19 +124,19 @@ def _wrong_hom_category():
     return category(QQ, ("a", "b"), hom, {"a": "ea", "b": "eb"}, {2: m2})
 
 
-def _non_cocycle_deformations(count):
+def _non_cocycle_deformations(count, field=QQ):
     """Deformations of small random algebras by arity-2 non-cocycles."""
     rng = random.Random(707)
     found = []
     while len(found) < count:
-        c = random_associative_algebra(rng)
+        c = random_associative_algebra(rng, field)
         if c.total_dim() > 3:
             continue
         m = diagonal_bimodule(c)
         labels = [l for l in c.all_labels() if not c.is_unit(l)]
         table = {}
         for key in itertools.product(labels, repeat=2):
-            out = {f"M.{l}": F(v) for l in c.all_labels() if (v := rng.randint(-1, 1))}
+            out = {f"M.{l}": field.of_int(v) for l in c.all_labels() if (v := rng.randint(-1, 1))}
             if out and rng.random() < 0.5:
                 table[key] = out
         eta = HochschildCochain(c, m, 2, table)
@@ -147,6 +153,21 @@ def _graded_deformation():
     return deform_by_cocycle(c, m, HochschildCochain(c, m, 1, {("e",): {"M.1": F(1)}}))
 
 
+def _stasheff_witnesses(cat, n_max):
+    return {
+        (w["arity"], tuple(w["tuple"])): w["defect"]
+        for check in check_stasheff(cat, n_max=n_max).checks
+        for w in check.witnesses
+    }
+
+
+def _oracle_witnesses(cat, n_max):
+    return {
+        (n, labels): {lab: cat.field.unparse(v) for lab, v in defect.items()}
+        for n, labels, defect in naive_stasheff_holds(cat, n_max)
+    }
+
+
 def test_stasheff_toy_matches_naive_oracle():
     cases = [
         (toy_algebra(), 5, False),
@@ -156,17 +177,86 @@ def test_stasheff_toy_matches_naive_oracle():
         (_graded_deformation(), 3, True),
     ] + [(cat, 3, True) for cat in _non_cocycle_deformations(4)]
     for cat, n_max, fails in cases:
-        witnesses = {
-            (w["arity"], tuple(w["tuple"])): w["defect"]
-            for check in check_stasheff(cat, n_max=n_max).checks
-            for w in check.witnesses
-        }
-        expected = {
-            (n, labels): {lab: cat.field.unparse(v) for lab, v in defect.items()}
-            for n, labels, defect in naive_stasheff_holds(cat, n_max)
-        }
-        assert witnesses == expected
+        witnesses = _stasheff_witnesses(cat, n_max)
+        assert witnesses == _oracle_witnesses(cat, n_max)
         assert bool(witnesses) == fails
+
+
+def _gamma_of_toy(field):
+    """The quotient category of the toy algebra for the filtration of
+    fixtures/toy.json, whose levels are spanned by basis vectors and so are
+    defined over every field."""
+    toy = toy_algebra(field)
+    spans = (["1", "e", "t"], ["e", "t"], ["t"], ["t"], [])
+    levels = [_subspace_from_labels(toy, labels) for labels in spans]
+    return build_auslander(toy, Filtration(toy, levels)).gamma
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_stasheff_witnesses_match_oracle_randomized(field):
+    # every input also in a random diagonal basis with denominators 7, 11
+    # and 13, so that the common denominator D and D^2 get large over Q
+    rng = random.Random(29)
+    cases = [(toy_algebra(field), 5), (_gamma_of_toy(field), 4), (nonassociative_example(field), 3)]
+    cases += [(random_associative_algebra(rng, field), 3) for _ in range(8)]
+    cases += [(cat, 3) for cat in _non_cocycle_deformations(4, field)]
+    failing = 0
+    for cat, n_max in cases:
+        for c in (cat, rescaled(cat, rng, LARGE_DENOMINATORS)):
+            witnesses = _stasheff_witnesses(c, n_max)
+            assert witnesses == _oracle_witnesses(c, n_max)
+            failing += bool(witnesses)
+    assert failing >= 10
+
+
+def _non_composable_key_category():
+    """f, g: a -> b with m_2(eb, eb) = eb + g, so g lands in a wrong
+    hom-space, and m_2(g, f) = 2f on a non-composable key; unital otherwise."""
+    hom = {
+        ("a", "a"): GradedSpace(("ea",), (0,)),
+        ("b", "b"): GradedSpace(("eb",), (0,)),
+        ("a", "b"): GradedSpace(("f", "g"), (0, 0)),
+    }
+    m2 = {
+        ("ea", "ea"): {"ea": F(1)},
+        ("eb", "eb"): {"eb": F(1), "g": F(1)},
+        ("f", "ea"): {"f": F(1)},
+        ("g", "ea"): {"g": F(1)},
+        ("eb", "f"): {"f": F(1)},
+        ("eb", "g"): {"g": F(1)},
+        ("g", "f"): {"f": F(2)},
+    }
+    return category(QQ, ("a", "b"), hom, {"a": "ea", "b": "eb"}, {2: m2})
+
+
+def test_stasheff_non_composable_key_stays_exact():
+    # the witness at (eb, eb, f) comes only from the non-composable key
+    # (g, f): dropping such keys before the sweep would lose it
+    c = _non_composable_key_category()
+    assert not validate_structure(c).check("composability").passed
+    witnesses = _stasheff_witnesses(c, 3)
+    assert witnesses == _oracle_witnesses(c, 3)
+    assert witnesses == {(3, ("eb", "eb", "eb")): {"g": "-1"}, (3, ("eb", "eb", "f")): {"f": "2"}}
+
+
+def test_insertion_sums_composable_tuples_only():
+    # p: x -> y, q: y -> x.  An empty inner key at slot 1 of (p, ex, q)
+    # joins p and q; at slot 1 of (p, ex, p) it would join p and p.  The
+    # break of (p, p, ex) at its first pair lies away from slot 2.
+    hom = {
+        ("x", "x"): GradedSpace(("ex",), (0,)),
+        ("y", "y"): GradedSpace(("ey",), (0,)),
+        ("x", "y"): GradedSpace(("p",), (0,)),
+        ("y", "x"): GradedSpace(("q",), (0,)),
+    }
+    c = category(QQ, ("x", "y"), hom, {"x": "ex", "y": "ey"}, {})
+    plus = lambda degs, r=None: (0, 0)
+    empty_inner = ({("p", "ex", "q"): {"p": F(1, 2)}, ("p", "ex", "p"): {"p": F(1)}},
+                   {(): {"ex": F(1, 3)}}, plus, plus)
+    far_break = ({("p", "p", "ex"): {"p": F(1)}}, {("ex", "ex"): {"ex": F(1)}}, plus, plus)
+    singles = [({("q", "p"): {"ey": F(3, 4)}, ("p", "p"): {"p": F(1)}}, lambda degs: 1)]
+    sums = _insertion_sums(c, [empty_inner, far_break], singles)
+    assert sums == {("p", "q"): {"p": F(1, 6)}, ("q", "p"): {"ey": F(-3, 4)}}
 
 
 def test_stasheff_nonassociative_witness():
