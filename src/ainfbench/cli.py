@@ -27,6 +27,13 @@ proves the index inequalities, which together make the induced products
 independent of the coset representatives.  ``--lift-trials N`` adds N
 seeded random lift perturbations as a sampled cross-check, ANDed into the
 verdict.
+
+``main`` builds the argument parser on its first call and reuses it for the
+life of the process.  Each subcommand names its handler, which is looked up
+in this module at call time, so a rebound ``cmd_*`` (a tracer's or a test's
+wrapper) takes effect even after the parser was built.  Reports and files
+are written by ``specfile``'s one JSON writer, byte for byte as
+``json.dumps(obj, indent=2)`` would write them.
 """
 
 from __future__ import annotations
@@ -54,8 +61,12 @@ from .hochschild import (
 from .perfmod import ModuleError, sod_report
 from .specfile import (
     SpecError,
+    _dumps,
+    _parse_cochain,
+    _read_json,
     category_to_dict,
     parse_spec,
+    parse_spec_dict,
     serialize,
 )
 
@@ -80,7 +91,7 @@ def _emit(report: dict, started: float) -> None:
     """Print the report; ``timings`` gets ``total_s`` before any stage times."""
     stages = report.pop("timings", {})
     report["timings"] = {"total_s": _elapsed(started), **stages}
-    print(json.dumps(report, indent=2))
+    print(_dumps(report))
 
 
 def _input_valid(command: str, spec, started: float) -> bool:
@@ -313,11 +324,7 @@ def cmd_deform(args) -> int:
     started = time.perf_counter()
     spec = _load(args.file)
     cat = spec.category
-    cospec = parse_spec(args.cochain) if _looks_like_spec(args.cochain) else None
-    if cospec is not None and cospec.cochain is not None:
-        raw = cospec.cochain
-    else:
-        raw = _load_bare_cochain(args.cochain, cat)
+    raw = _load_cochain(args.cochain, cat)
     module = diagonal_bimodule(cat)
     table = {
         key: {f"M.{lab}": c for lab, c in vec.items()}
@@ -348,25 +355,16 @@ def cmd_deform(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _looks_like_spec(path: str) -> bool:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return False
-    return isinstance(data, dict) and "field" in data
-
-
-def _load_bare_cochain(path: str, cat) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SpecError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    from .specfile import _parse_cochain
-
+def _load_cochain(path: str, cat) -> dict:
+    """The cochain in the file at ``path``, read once: the ``cochain`` section
+    of a spec file (an object with a ``field``), else a bare
+    ``{"arity", "table"}`` object over the labels of ``cat``."""
+    data = _read_json(path)
+    if isinstance(data, dict) and "field" in data:
+        cochain = parse_spec_dict(data).cochain
+        if cochain is None:
+            raise SpecError(f"{path}: spec file has no cochain section")
+        return cochain
     return _parse_cochain(data, cat)
 
 
@@ -381,32 +379,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="structure and relation checks")
     p.add_argument("file")
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func="cmd_validate")
 
     p = sub.add_parser("stasheff", help="evaluate the defining relations")
     p.add_argument("file")
     p.add_argument("--max-arity", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    p.set_defaults(func=cmd_stasheff)
+    p.set_defaults(func="cmd_stasheff")
 
     p = sub.add_parser("filtration", help="filtration tools")
     fsub = p.add_subparsers(dest="subcommand", required=True)
 
     q = fsub.add_parser("check", help="verify the filtration in the file")
     q.add_argument("file")
-    q.set_defaults(func=cmd_filtration_check)
+    q.set_defaults(func="cmd_filtration_check")
 
     q = fsub.add_parser("degree", help="filtration by cohomological degree")
     q.add_argument("file")
     q.add_argument("-o", "--output", required=True)
-    q.set_defaults(func=cmd_filtration_degree)
+    q.set_defaults(func="cmd_filtration_degree")
 
     q = fsub.add_parser("appendix", help="radical-power filtration for a "
                         "two-degree algebra")
     q.add_argument("file")
     q.add_argument("--kappa", type=int, default=None)
     q.add_argument("-o", "--output", required=True)
-    q.set_defaults(func=cmd_filtration_appendix)
+    q.set_defaults(func="cmd_filtration_appendix")
 
     p = sub.add_parser("gamma", help="quotient category tools")
     gsub = p.add_subparsers(dest="subcommand", required=True)
@@ -417,32 +415,37 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--lift-trials", type=int, default=0,
                    help="also cross-check lift independence on N seeded random "
                    "lift perturbations (default 0: the build's proof alone)")
-    q.set_defaults(func=cmd_gamma_build)
+    q.set_defaults(func="cmd_gamma_build")
 
     p = sub.add_parser("sod", help="semiorthogonality report")
     p.add_argument("file")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    p.set_defaults(func=cmd_sod)
+    p.set_defaults(func="cmd_sod")
 
     p = sub.add_parser("deform", help="deform by a Hochschild cochain "
                        "(diagonal bimodule)")
     p.add_argument("file")
     p.add_argument("--cochain", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_deform)
+    p.set_defaults(func="cmd_deform")
 
     return parser
 
 
+_PARSER = None  # built by the first call of main, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (SpecError, FiltrationError, HochschildError, ModuleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

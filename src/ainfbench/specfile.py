@@ -18,11 +18,14 @@ Scalars are decimal strings "a/b" (rationals) or integers mod p; no floats
 are accepted anywhere.  Omitted multiplication entries mean zero and tables
 never store zero vectors.  Unknown fields are rejected.  Serialization is
 canonical: serialize(parse(serialize(x))) is byte-identical to serialize(x).
+Spec files and the CLI's reports are written by one writer, byte for byte as
+``json.dumps(obj, indent=2)`` (plus a newline for files) would write them.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .ainf import AInfCategory, CategoryError
 from .filtration import Filtration, FiltrationError
@@ -238,17 +241,22 @@ def _parse_cochain(obj, category: AInfCategory) -> dict:
     return {"arity": n, "table": table}
 
 
-def parse_spec(path) -> WorkbenchSpec:
+def _read_json(path):
+    """The JSON value in the file at ``path``; SpecError if it cannot be read
+    or is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return parse_spec_dict(data)
+
+
+def parse_spec(path) -> WorkbenchSpec:
+    return parse_spec_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +328,90 @@ def category_to_dict(cat: AInfCategory, filtration: Filtration | None = None,
 
 
 def serialize(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    return _dumps(data) + "\n"
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+# Encoders of the scalar types, looked up by exact type; subclasses take the
+# isinstance path in _encode, as in json.
+_LEAVES = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    float: _float,
+}
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, int) and not isinstance(key, bool):
+        return _quote(int.__repr__(key))
+    raise TypeError(f"keys must be str or int, not {type(key).__name__}")
+
+
+def _encode(obj, newline: str, put) -> None:
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        put(leaf(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            put(sep + (_quote(key) if type(key) is str else _key(key)) + ": ")
+            leaf = _LEAVES.get(type(value))
+            if leaf is not None:
+                put(leaf(value))
+            else:
+                _encode(value, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            put(sep)
+            leaf = _LEAVES.get(type(value))
+            if leaf is not None:
+                put(leaf(value))
+            else:
+                _encode(value, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif isinstance(obj, str):
+        put(_quote(obj))
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, float):
+        put(_float(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, about twice as fast: with
+    ``indent`` the stdlib runs its pure-Python encoder.  Strings go through
+    the C ``encode_basestring_ascii``, numbers through ``int.__repr__`` and
+    ``float.__repr__``, and the pieces are joined once.  Dict keys must be
+    str or int; any other key, or a value json cannot encode, raises
+    TypeError."""
+    pieces: list = []
+    _encode(obj, "\n", pieces.append)
+    return "".join(pieces)
 
 
 def serialize_category(cat: AInfCategory, **sections) -> str:

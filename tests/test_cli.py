@@ -1,4 +1,6 @@
+import builtins
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -289,6 +291,46 @@ def test_cli_deform_noncocycle_exit1(tmp_path, capsys):
     assert data["cocycle"] is False and data["verdict"] == "FAIL"
 
 
+def test_cli_deform_reads_cochain_file_once(tmp_path, capsys, monkeypatch):
+    # a spec file's cochain section gives the same deformation as the bare
+    # cochain, from one read of the file
+    cochain = {"arity": 2, "table": [{"inputs": ["e", "e"], "output": {"e": "1"}}]}
+    bare = tmp_path / "eta.json"
+    bare.write_text(json.dumps(cochain))
+    spec = json.loads(Path(TOY).read_text())
+    spec["cochain"] = cochain
+    in_spec = tmp_path / "eta_spec.json"
+    in_spec.write_text(json.dumps(spec))
+    out_file = tmp_path / "deformed.json"
+
+    code, out, _ = run(capsys, "deform", TOY, "--cochain", str(bare), "-o", str(out_file))
+    assert code == 1
+    expected = (mask_timings(out), out_file.read_bytes())
+
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out, _ = run(capsys, "deform", TOY, "--cochain", str(in_spec), "-o", str(out_file))
+    monkeypatch.undo()
+    assert code == 1
+    assert opened.count(str(in_spec)) == 1
+    assert (mask_timings(out), out_file.read_bytes()) == expected
+
+
+def test_cli_deform_spec_without_cochain_exit2(tmp_path, capsys):
+    out_file = tmp_path / "deformed.json"
+    code, out, err = run(capsys, "deform", TOY, "--cochain", TOY, "-o", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {TOY}: spec file has no cochain section"
+    assert not out_file.exists()
+
+
 def test_cli_parse_error_exit2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -306,6 +348,57 @@ def test_cli_usage_error_exit2(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
     assert code == 2
+
+
+TIMING_VALUE = re.compile(r'("(?:total_s|build_s|relations_s)": |(?:build_s|total_s) )[0-9.e-]+')
+
+
+def mask_timings(text: str) -> str:
+    return TIMING_VALUE.sub(r"\1T", text)
+
+
+REUSE_SEQUENCE = (
+    ["frobnicate"],
+    ["--help"],
+    ["validate", TOY],
+    ["stasheff", "--max-arity", "3", TOY],
+    ["stasheff", TOY],
+    ["sod", TOY, "--format", "text"],
+    ["sod", TOY],
+)
+
+
+def test_cli_parser_built_once_and_reused(capsys, monkeypatch):
+    def outputs(fresh: bool) -> list:
+        got = []
+        for argv in REUSE_SEQUENCE:
+            if fresh:
+                monkeypatch.setattr(cli, "_PARSER", None)
+            code = main(list(argv))
+            out = capsys.readouterr()
+            got.append((code, mask_timings(out.out), out.err))
+        return got
+
+    fresh = outputs(fresh=True)
+    builds = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+    reused = outputs(fresh=False)
+    assert builds == [1]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0, 0, 0]
+    assert reused[0][2].startswith("usage: ainfbench") and reused[1][1].startswith("usage: ainfbench")
+    # neither --max-arity 3 nor --format text leaks into the next call
+    assert "stasheff_n3" in reused[3][1] and "stasheff_n4" not in reused[3][1]
+    assert "stasheff_n5" in reused[4][1]
+    assert reused[5][1].startswith("semiorthogonality report") and reused[6][1].startswith("{")
+
+    # a handler rebound after the parser was built is the one that runs
+    calls = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: calls.append(args.file) or 0)
+    assert main(["validate", TOY]) == 0
+    assert calls == [TOY] and builds == [1]
 
 
 def test_cli_invalid_input_gets_no_certificate(tmp_path, capsys):
