@@ -13,7 +13,10 @@ inequalities, which the build proves for its own n and arity by one dynamic
 program over chain positions (``_least_slack``).  Every product is also
 projected strictly.  Each product of representatives is evaluated once,
 through the product table that the filtration sweeps share (representatives
-recur across the n^2 quotients).
+recur across the n^2 quotients), and projected once per presentation: the
+levels are deduplicated once, by Subspace equality, so the pairs (j, i) with
+equal numerator and denominator levels share one presentation, and the
+projection memo is keyed by presentation, not by pair.
 
 hom dims satisfy dim Gamma(j,i) = dim F^{max(j-i,0)} - dim F^{n-i}, and
 Gamma(0,0) is R itself on the nose: the generator embeds by a basis-level
@@ -78,20 +81,24 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
 
     unit_vec = r.element_to_coords(r.unit_vector(obj), obj, obj)
 
+    # levels are deduplicated once, by Subspace equality: pair (j, i) is keyed
+    # by the first index of its numerator and denominator levels
+    levels = [filt.level(k) for k in range(n + 1)]
+    first = [levels.index(lv) for lv in levels]
     quotients = {}
-    shared = {}  # (numerator, denominator, unit preferred) -> presentation
+    shared = {}  # (numerator index, denominator index, unit preferred) -> presentation
     hom = {}
     labels_by_pair = {}
     unit_labels = {}
     for i in range(n):
         for j in range(n):
-            num = filt.level(max(j - i, 0))
-            den = filt.level(n - i)
-            prefer_unit = i == j and den.dim > 0
+            num = first[max(j - i, 0)]
+            den = first[n - i]
+            prefer_unit = i == j and levels[den].dim > 0
             q = shared.get((num, den, prefer_unit))
             if q is None:
                 q = shared[(num, den, prefer_unit)] = quotient_space(
-                    num, den, preferred=[unit_vec] if prefer_unit else []
+                    levels[num], levels[den], preferred=[unit_vec] if prefer_unit else []
                 )
             quotients[(j, i)] = q
             labels = []
@@ -103,7 +110,7 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
             labels_by_pair[(j, i)] = labels
             hom[(j, i)] = GradedSpace(tuple(labels), tuple(q.degrees))
             if i == j:
-                if den.dim > 0:
+                if prefer_unit:
                     unit_labels[i] = labels[0]
                 else:
                     cls = q.project(unit_vec)
@@ -118,11 +125,23 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
             if quotients[(j, i)].dim != want:
                 raise AuslanderError(f"hom({j},{i}) dimension {quotients[(j, i)].dim} != {want}")
 
-    # each product of representatives is projected once per output quotient
+    mult = _induced_tables(r, space, n, quotients, labels_by_pair)
+    gamma = AInfCategory(field, tuple(range(n)), hom, unit_labels, mult)
+    return AuslanderCategory(r, filt, gamma, quotients)
+
+
+def _induced_tables(r: AInfCategory, space, n: int, quotients: dict, labels_by_pair: dict) -> dict:
+    """The tables m_p of Gamma, induced by those of R through the coset
+    representatives.
+
+    Each product of representatives is projected once per presentation, and
+    the label dict of an (output pair, ids) is shared by its table keys.  The
+    memos die with this call, before Gamma is validated, where they would
+    only add to the peak memory."""
     products = _ProductTable(r, space)
     rep_ids = {pr: products.intern(q.reps) for pr, q in quotients.items()}
-    entries: dict = {}  # (output pair, ids) -> Gamma output vector
-
+    projected: dict = {}  # presentation -> {ids: quotient coordinates}
+    entries: dict = {}  # output pair -> {ids: Gamma output vector}
     mult: dict = {}
     for p in sorted(r.mult):
         table = {}
@@ -132,22 +151,24 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
             out_pair = (chain[p], chain[0])
             out_q = quotients[out_pair]
             out_labels = labels_by_pair[out_pair]
+            out_projected = projected.setdefault(out_q, {})
+            out_entries = entries.setdefault(out_pair, {})
             for combo in itertools.product(*[zip(rep_ids[pr], labels_by_pair[pr]) for pr in pairs]):
                 ids = tuple(t for t, _ in combo)
-                entry = entries.get((out_pair, ids))
+                entry = out_entries.get(ids)
                 if entry is None:
-                    prod = products.product(ids)
-                    coords = out_q.project_strict(prod) if prod else ()
-                    entry = entries[(out_pair, ids)] = {
+                    coords = out_projected.get(ids)
+                    if coords is None:
+                        prod = products.product(ids)
+                        coords = out_projected[ids] = out_q.project_strict(prod) if prod else ()
+                    entry = out_entries[ids] = {
                         out_labels[k]: c for k, c in enumerate(coords) if c != 0
                     }
                 if entry:
                     table[tuple(lab for _, lab in combo)] = entry
         if table:
             mult[p] = table
-
-    gamma = AInfCategory(field, tuple(range(n)), hom, unit_labels, mult)
-    return AuslanderCategory(r, filt, gamma, quotients)
+    return mult
 
 
 # ---------------------------------------------------------------------------

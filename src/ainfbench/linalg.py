@@ -38,11 +38,13 @@ echelon spans D + P + N (denominator, preferred vectors, numerator), which
 contains N, so D and P lie in N iff it has dim N rows; only a failed count
 looks for the first denominator row outside N, the witness.
 
-A cohomology group H^q is presented the same way, on sparse vectors only: the
-sparse columns of d_{q-1} seed the echelon and the candidates are the kernel
-basis of d_q that ``nullspace`` returns, computed from the rows transposed
-from its columns.  No containment test is needed, as ``FiniteComplex`` has
-checked d o d = 0.
+The dimension of a cohomology group H^q comes from the ranks of d_q and
+d_{q-1}, one echelon of sparse columns each.  Its classes are presented the
+same way as a quotient, on sparse vectors only, when first asked for: the
+echelon of d_{q-1}'s columns seeds the presentation and the candidates are
+the kernel basis of d_q that ``nullspace`` returns, computed from the rows
+transposed from its columns.  No containment test is needed, as
+``FiniteComplex`` has checked d o d = 0.
 """
 
 from __future__ import annotations
@@ -332,11 +334,15 @@ class QuotientPresentation:
 
     def __init__(self, ambient: GradedSpace, field: ExactField, denominator_rows, candidates):
         """``denominator_rows`` and ``candidates`` are coordinate tuples or
-        sparse dicts index -> scalar."""
+        sparse dicts index -> scalar; ``denominator_rows`` may also be an
+        ``_Echelon`` of them, which the presentation takes over."""
         self.ambient = ambient
         self.field = field
         self.numerator = self.denominator = None  # the Subspaces, set by quotient_space
-        self._echelon = _Echelon(field, denominator_rows)
+        if isinstance(denominator_rows, _Echelon):
+            self._echelon = denominator_rows
+        else:
+            self._echelon = _Echelon(field, denominator_rows)
         self._rep_of = {}  # pivot of a representative's row -> its index
         reps = []
         for v in candidates:
@@ -511,29 +517,55 @@ class FiniteComplex:
 
 
 class CohomologyData:
-    """Cohomology of a finite complex with explicit representative cocycles."""
+    """Cohomology of a finite complex with explicit representative cocycles.
+
+    Dimensions come from ranks: the constructor inserts the sparse columns of
+    each d_q into one echelon, and dim H^q = dim C^q - rank d_q - rank d_{q-1},
+    exact because ``FiniteComplex`` has checked d o d = 0.  Classes are
+    presented on first use of ``groups``, ``representatives`` or
+    ``class_coords``: H^q is a ``QuotientPresentation`` whose echelon is the
+    one of d_{q-1}'s columns, taken over, with the kernel basis of d_q as
+    candidates; each group's dim is checked against the one from ranks.
+    """
 
     def __init__(self, complex_: FiniteComplex):
         self.complex = complex_
         field = complex_.field
-        self.groups = {}
-        for q in sorted(complex_.components):
-            labels = complex_.components[q]
-            ambient = GradedSpace(labels, (q,) * len(labels))
-            rows: dict = {}  # the rows of d_q, transposed from its columns
-            for j, col in complex_.columns.get(q, {}).items():
-                for i, a in col.items():
-                    rows.setdefault(i, {})[j] = a
-            kernel = _kernel(field, rows.values(), len(labels))
-            # the image of d_{q-1} is spanned by its columns
-            image = complex_.columns.get(q - 1, {}).values()
-            self.groups[q] = QuotientPresentation(ambient, field, image, kernel)
+        # q -> echelon of the columns of d_q, which span its image in C^{q+1}
+        self._images = {q: _Echelon(field, cols.values()) for q, cols in complex_.columns.items()}
+        rank = {q: len(e.rows) for q, e in self._images.items()}
+        self._dims = {
+            q: len(labels) - rank.get(q, 0) - rank.get(q - 1, 0)
+            for q, labels in sorted(complex_.components.items())
+        }
+        self._groups = None
+
+    @property
+    def groups(self) -> dict:
+        """degree -> QuotientPresentation of H^q, built on first use."""
+        if self._groups is None:
+            field = self.complex.field
+            groups = {}
+            for q, want in self._dims.items():
+                labels = self.complex.components[q]
+                ambient = GradedSpace(labels, (q,) * len(labels))
+                rows: dict = {}  # the rows of d_q, transposed from its columns
+                for j, col in self.complex.columns.get(q, {}).items():
+                    for i, a in col.items():
+                        rows.setdefault(i, {})[j] = a
+                kernel = _kernel(field, rows.values(), len(labels))
+                image = self._images.pop(q - 1, None) or _Echelon(field)
+                g = groups[q] = QuotientPresentation(ambient, field, image, kernel)
+                if g.dim != want:
+                    raise LinAlgError(f"H^{q} presented with dim {g.dim}, ranks give {want}")
+            self._groups = groups
+        return self._groups
 
     def dims(self) -> dict:
-        return {q: g.dim for q, g in self.groups.items() if g.dim > 0}
+        return {q: d for q, d in self._dims.items() if d > 0}
 
     def total_dim(self) -> int:
-        return sum(g.dim for g in self.groups.values())
+        return sum(self._dims.values())
 
     def representatives(self, q):
         g = self.groups.get(q)

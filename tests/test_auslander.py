@@ -25,6 +25,7 @@ from ainfbench.filtration import (
     quotient_by_ideal,
     zero_subspace,
 )
+from ainfbench.linalg import QuotientPresentation
 
 from .corpus import (
     dual_numbers,
@@ -221,3 +222,32 @@ def test_sweeps_evaluate_each_product_once(monkeypatch):
         calls.clear()
         sweep()
         assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("alg", [rescaled(truncated_polynomial(6), random.Random(8)),
+                                 trivial_extension(3, 1)], ids=["x6", "trivext-3-1"])
+def test_build_projects_each_product_once_per_presentation(alg, monkeypatch):
+    # pairs (j, i) whose levels are equal share one presentation, and each
+    # product of representatives reaches it once, whichever pair asks
+    filt, _ = appendix_filtration(alg, kappa=1)
+    n = filt.n
+    last = []
+    projected = Counter()
+    product, project_strict = auslander._ProductTable.product, QuotientPresentation.project_strict
+
+    def recording(self, ids):
+        last[:] = [ids]
+        return product(self, ids)
+
+    def counting(self, v):
+        projected[(id(self), last[0])] += 1
+        return project_strict(self, v)
+
+    monkeypatch.setattr(auslander._ProductTable, "product", recording)
+    monkeypatch.setattr(QuotientPresentation, "project_strict", counting)
+    aus = build_auslander(alg, filt)
+    monkeypatch.undo()
+    assert projected and max(projected.values()) == 1
+    levels = {(filt.level(max(j - i, 0)), filt.level(n - i), i == j and filt.level(n - i).dim > 0)
+              for i in range(n) for j in range(n)}
+    assert len({id(q) for q in aus.quotients.values()}) == len(levels)

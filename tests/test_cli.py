@@ -350,7 +350,7 @@ def test_cli_usage_error_exit2(capsys):
     assert code == 2
 
 
-TIMING_VALUE = re.compile(r'("(?:total_s|build_s|relations_s)": |(?:build_s|total_s) )[0-9.e-]+')
+TIMING_VALUE = re.compile(r'("(?:total_s|build_s|cohomology_s|relations_s)": |(?:build_s|cohomology_s|total_s) )[0-9.e-]+')
 
 
 def mask_timings(text: str) -> str:
@@ -439,13 +439,14 @@ def test_cli_invalid_input_gets_no_certificate(tmp_path, capsys):
 def test_cli_stage_timings(tmp_path, capsys):
     code, out, _ = run(capsys, "sod", TOY)
     assert code == 0
-    assert set(json.loads(out)["timings"]) == {"total_s", "build_s"}
+    assert set(json.loads(out)["timings"]) == {"total_s", "build_s", "cohomology_s"}
     code, out, _ = run(capsys, "gamma", "build", TOY, "-o", str(tmp_path / "g.json"))
     assert code == 0
     assert set(json.loads(out)["timings"]) == {"total_s", "build_s", "relations_s"}
     code, out, _ = run(capsys, "sod", TOY, "--format", "text")
     assert code == 0
     assert out.splitlines()[-1].startswith("timings: build_s ")
+    assert ", cohomology_s " in out.splitlines()[-1]
     assert "total_s" in out.splitlines()[-1]
 
 

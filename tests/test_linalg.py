@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from ainfbench import (
     membership,
     quotient_space,
 )
-from ainfbench.linalg import ComplexError, LinAlgError, nullspace, rref, solve_linear
+import ainfbench.linalg as linalg
+from ainfbench.linalg import ComplexError, LinAlgError, QuotientPresentation, nullspace, rref, solve_linear
 from ainfbench.scalars import FieldError
 
 from .oracles import naive_quotient_coords, naive_rank, naive_rref, naive_solve
@@ -501,3 +503,57 @@ def test_euler_characteristic_random_complexes(field):
                 if any(a != 0 for a in _apply(field, c.differential(q), v)):
                     with pytest.raises(LinAlgError):
                         h.class_coords(q, v)
+
+
+def _presented_eagerly(c):
+    """H^q of ``c`` presented eagerly from its dense matrices: the image
+    columns of d_{q-1} as denominator, the kernel basis of d_q as candidates."""
+    groups = {}
+    for q, labels in sorted(c.components.items()):
+        image = [tuple(col) for col in zip(*c.differential(q - 1))]
+        kernel = nullspace(c.field, c.differential(q), len(labels))
+        groups[q] = QuotientPresentation(GradedSpace(labels, (q,) * len(labels)), c.field, image, kernel)
+    return groups
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_cohomology_dims_from_ranks_present_classes_on_demand(field, monkeypatch):
+    complexes = [FiniteComplex(field, comps, diffs) for comps, diffs in _random_complexes(field)]
+    cases = [(c, _presented_eagerly(c)) for c in complexes]
+    built = Counter()
+    kernel, init = linalg._kernel, QuotientPresentation.__init__
+    monkeypatch.setattr(linalg, "_kernel", lambda *a: built.update(["kernel"]) or kernel(*a))
+    monkeypatch.setattr(QuotientPresentation, "__init__",
+                        lambda self, *a: built.update(["presentation"]) or init(self, *a))
+    for c, eager in cases:
+        built.clear()
+        h = complex_cohomology(c)
+        ranks = {q: naive_rank(field, m, len(c.components[q])) for q, m in c.diff.items()}
+        want = {q: len(labels) - ranks.get(q, 0) - ranks.get(q - 1, 0)
+                for q, labels in sorted(c.components.items())}
+        assert h.dims() == {q: d for q, d in want.items() if d}
+        assert h.total_dim() == sum(want.values())
+        assert not built  # dimensions alone present nothing
+        for q, labels in c.components.items():
+            n = len(labels)
+            units = [tuple(field.one if i == j else field.zero for i in range(n)) for j in range(n)]
+            for v in list(eager[q].reps) + units:
+                try:
+                    expected = eager[q].project_strict(v)
+                except LinAlgError:
+                    with pytest.raises(LinAlgError):
+                        h.class_coords(q, v)
+                else:
+                    assert h.class_coords(q, v) == expected
+        assert built == Counter({"kernel": len(c.components), "presentation": len(c.components)})
+        assert {q: g.dim for q, g in h.groups.items() if g.dim} == h.dims()
+        assert {q: g.reps for q, g in h.groups.items()} == {q: g.reps for q, g in eager.items()}
+
+
+def test_cohomology_presentation_checked_against_ranks():
+    c = FiniteComplex(QQ, {0: ("a",), 1: ("b", "c")}, {0: ((F(1),), (F(0),))})
+    h = complex_cohomology(c)
+    assert h.dims() == {1: 1}
+    h._dims[1] = 2  # a rank that disagrees with the presentation
+    with pytest.raises(LinAlgError, match="ranks give 2"):
+        h.representatives(1)
