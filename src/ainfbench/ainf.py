@@ -34,6 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import GradedSpace
 from .scalars import ExactField
@@ -202,6 +203,14 @@ class AInfCategory:
 
     def unit_vector(self, x):
         return {self.units[x]: self.field.one}
+
+    @cached_property
+    def _mult_scale(self) -> int:
+        """The lcm of the denominators in ``mult`` (1 over F_p): every structure
+        constant times it is an int.  Computed on first use, once."""
+        if self.field.characteristic:
+            return 1
+        return math.lcm(*{v.denominator for t in self.mult.values() for vec in t.values() for v in vec.values()})
 
     # -- element arithmetic ----------------------------------------------
 

@@ -24,11 +24,23 @@ category operations, where the only signs are Koszul signs:
 These three exponents are the whole sign convention; d o d = 0 on every
 Hom-complex, Maurer-Cartan for every cone, and the Yoneda comparisons below
 are the correctness certificates.
+
+Hom-complex differentials (``mu1``, :class:`HomComplexResult`) use one kernel,
+``_Mu1``.  Each complex expands its connection paths once into label chains
+(labels, shift parities, degrees, coefficient), so a basis column costs one
+table lookup per (pre chain, post chain).  Terms are summed as ints scaled by
+D, the lcm of the table denominators (cached on the category) times the
+chains' denominators: one division (over Q) or reduction (over F_p) per
+nonzero entry.  ``mu2``, ``evaluate_at`` and Maurer-Cartan use ``_chain_apply``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from functools import cached_property
 
 from .ainf import AInfCategory, _product_terms
 from .auslander import AuslanderCategory
@@ -44,6 +56,19 @@ class ModuleError(ValueError):
 # chain evaluation with twisted-complex signs
 
 
+def _odd(lam, dm1) -> bool:
+    """Whether a chain's sign is -1: the three exponents of the module
+    docstring, from the shift parities ``lam`` and the degrees minus one
+    ``dm1`` of its arguments, in application order."""
+    p = len(lam)
+    exp = sum(lam)
+    running = 0
+    for j in range(1, p):
+        running += dm1[j - 1]
+        exp += lam[j] * running + (p - j) * dm1[j - 1]
+    return exp % 2 == 1
+
+
 def _chain_apply(cat: AInfCategory, items) -> dict:
     """Apply m_p to a chain of decorated sparse elements, with all signs.
 
@@ -51,23 +76,15 @@ def _chain_apply(cat: AInfCategory, items) -> dict:
     order of application as module maps, which is also the argument order of
     m_p on the underlying elements.
     """
-    p = len(items)
-    table = cat.mult.get(p)
+    table = cat.mult.get(len(items))
     if table is None:
         return {}
     field = cat.field
     lam = [(ks - kt) % 2 for ks, kt, _ in items]
     out: dict = {}
     for labels, coeff, entry in _product_terms(field, table, [e for _, _, e in items]):
-        degs = [cat.deg(lab) for lab in labels]
-        exp = sum(lam)
-        running = 0
-        for j in range(1, p):
-            running += degs[j - 1] - 1
-            exp += lam[j] * running
-        for u in range(1, p):
-            exp += (p - u) * (degs[u - 1] - 1)
-        field.add_scaled(out, entry, field.neg(coeff) if exp % 2 else coeff)
+        odd = _odd(lam, [cat.deg(lab) - 1 for lab in labels])
+        field.add_scaled(out, entry, field.neg(coeff) if odd else coeff)
     return out
 
 
@@ -122,32 +139,37 @@ class TwistedComplex:
             check_mc=False,
         )
 
-    def _delta_paths(self, start, end):
-        """All connection paths start > ... > end (length >= 1), as item lists."""
-        ks_start = self.entries[start][1]
-        out = []
+    @cached_property
+    def _paths(self) -> dict:
+        """Connection paths keyed by (start, end), start >= end, as lists of
+        (k_src, k_tgt, element) in order of application; [[]] (the empty
+        path) when start = end."""
+        paths: dict = {}
+        for a in range(self.size):
+            for b in range(a + 1):
+                paths[(a, b)] = [[]] if a == b else [
+                    [(self.entries[s][1], self.entries[t][1], elem)] + rest
+                    for (t, s), elem in self.conn.items() if s == a and t >= b
+                    for rest in paths[(t, b)]]
+        return paths
 
-        def rec(cur, items):
-            for (t, s), elem in self.conn.items():
-                if s != cur:
-                    continue
-                step = (self.entries[s][1], self.entries[t][1], elem)
-                if t == end:
-                    out.append(items + [step])
-                elif t > end:
-                    rec(t, items + [step])
-
-        rec(start, [])
-        return out
-
-    def _all_paths(self) -> dict:
-        """Connection paths keyed by (start, end), start >= end: [[]] (the
-        empty path) when start = end, else ``_delta_paths(start, end)``."""
-        return {
-            (a, b): [[]] if a == b else self._delta_paths(a, b)
-            for a in range(self.size)
-            for b in range(a + 1)
-        }
+    @cached_property
+    def _label_chains(self):
+        """``_paths`` expanded into label chains (labels, shift parities,
+        degrees minus one, coefficient times D), D the lcm of the coefficients'
+        denominators (1 over F_p): (chains by (start, end), D), built once."""
+        deg = self.cat.deg
+        raw = {}
+        for key, paths in self._paths.items():
+            chains = raw[key] = []
+            for path in paths:
+                lam = tuple((ks - kt) % 2 for ks, kt, _ in path)
+                for combo in itertools.product(*[e.items() for _, _, e in path]):
+                    labels = tuple(lab for lab, _ in combo)
+                    chains.append((labels, lam, tuple(deg(l) - 1 for l in labels), math.prod(c for _, c in combo)))
+        den = math.lcm(*{ch[3].denominator for chains in raw.values() for ch in chains})
+        return {key: [(*ch[:3], ch[3].numerator * (den // ch[3].denominator)) for ch in chains]
+                for key, chains in raw.items()}, den
 
     def __repr__(self):
         return f"TwistedComplex(entries={self.entries}, conn={sorted(self.conn)})"
@@ -159,7 +181,7 @@ def maurer_cartan_defect(x: TwistedComplex) -> dict:
     for s in range(x.size):
         for t in range(s):
             total: dict = {}
-            for path in x._delta_paths(s, t):
+            for path in x._paths[(s, t)]:
                 x.cat.field.add_scaled(total, _chain_apply(x.cat, path))
             if total:
                 bad[(t, s)] = total
@@ -236,30 +258,60 @@ def zero_morphism(source: TwistedComplex, target: TwistedComplex, degree: int = 
     return ModuleMorphismElement(source, target, degree, {})
 
 
-def _mu1_terms(x: TwistedComplex, y: TwistedComplex, x_paths, y_paths, t0, sm, elem):
-    """The nonzero terms m(delta_x^j, f, delta_y^k) of mu1 on the component
-    (t0, sm) = ``elem`` of a morphism f: X -> Y, as (t_out, s_out, sparse
-    element); ``x_paths`` and ``y_paths`` are the ``_all_paths`` of X and Y."""
-    f_item = (x.entries[sm][1], y.entries[t0][1], elem)
-    for s_out in range(sm, x.size):
-        for pre in x_paths[(s_out, sm)]:
-            for t_out in range(t0 + 1):
-                for post in y_paths[(t0, t_out)]:
-                    term = _chain_apply(x.cat, pre + [f_item] + post)
-                    if term:
-                        yield t_out, s_out, term
+def _check_same_category(*complexes):
+    """ModuleError unless all live over one category, or equal field and tables."""
+    cat = complexes[0].cat
+    if any(x.cat is not cat and (x.cat.field != cat.field or not cat.tables_equal(x.cat)) for x in complexes):
+        raise ModuleError("twisted complexes live over different categories")
+
+
+class _Mu1:
+    """mu1 on the Hom-complex from ``x`` to ``y``, one basis vector at a time."""
+
+    def __init__(self, x: TwistedComplex, y: TwistedComplex):
+        _check_same_category(x, y)
+        self.x, self.y, self.cat = x, y, x.cat
+        (self.x_chains, dx), (self.y_chains, dy) = x._label_chains, y._label_chains
+        self.tables = [x.cat.mult.get(p, {}) for p in range(x.size + y.size)]
+        self.scale = x.cat._mult_scale * dx * dy
+
+    def column(self, t, s, lab) -> dict:
+        """mu1 of the morphism with the single component ``lab`` at slot (t, s):
+        the nonzero sums of its terms m(delta_x^j, f, delta_y^k), keyed by
+        (t_out, s_out, out_lab)."""
+        x, y, cat, tables, unit = self.x, self.y, self.cat, self.tables, self.cat._mult_scale
+        f_lam, f_dm1 = ((x.entries[s][1] - y.entries[t][1]) % 2,), (cat.deg(lab) - 1,)
+        sums: dict = {}
+        for s_out in range(s, x.size):
+            for pre, pre_lam, pre_dm1, pre_c in self.x_chains[(s_out, s)]:
+                pre, lam, dm1 = pre + (lab,), pre_lam + f_lam, pre_dm1 + f_dm1
+                for t_out in range(t + 1):
+                    for post, post_lam, post_dm1, post_c in self.y_chains[(t, t_out)]:
+                        labels = pre + post
+                        entry = tables[len(labels)].get(labels)
+                        if not entry:
+                            continue
+                        c = -pre_c * post_c if _odd(lam + post_lam, dm1 + post_dm1) else pre_c * post_c
+                        for out_lab, v in entry.items():
+                            key = (t_out, s_out, out_lab)
+                            sums[key] = sums.get(key, 0) + c * v.numerator * (unit // v.denominator)
+        p = cat.field.characteristic
+        if p:
+            return {key: v % p for key, v in sums.items() if v % p}
+        return {key: Fraction(v, self.scale) for key, v in sums.items() if v}
 
 
 def mu1(f: ModuleMorphismElement) -> ModuleMorphismElement:
     """Differential: sum of m(delta_src^j, f, delta_tgt^k) over all chains."""
-    x, y = f.source, f.target
-    x_paths, y_paths = x._all_paths(), y._all_paths()
-    out: dict = {}
-    for (t0, sm), elem in f.comps.items():
-        for t_out, s_out, term in _mu1_terms(x, y, x_paths, y_paths, t0, sm, elem):
-            x.cat.field.add_scaled(out.setdefault((t_out, s_out), {}), term)
-    out = {k: e for k, e in out.items() if e}
-    return ModuleMorphismElement(x, y, f.degree + 1, out)
+    kernel = _Mu1(f.source, f.target)
+    field = f.source.cat.field
+    out: dict = {}  # zeros and empty components are dropped by the constructor
+    for (t, s), elem in f.comps.items():
+        for lab, c in elem.items():
+            for (t2, s2, lab2), v in kernel.column(t, s, lab).items():
+                e = out.setdefault((t2, s2), {})
+                e[lab2] = field.add(e.get(lab2, field.zero), field.mul(c, v))
+    return ModuleMorphismElement(f.source, f.target, f.degree + 1, out)
 
 
 def mu2(f: ModuleMorphismElement, g: ModuleMorphismElement) -> ModuleMorphismElement:
@@ -272,9 +324,10 @@ def mu2(f: ModuleMorphismElement, g: ModuleMorphismElement) -> ModuleMorphismEle
     if g.target is not f.source and g.target.entries != f.source.entries:
         raise ModuleError("morphisms are not composable")
     x, y, z = g.source, g.target, f.target
+    _check_same_category(x, y, f.source, z)
     cat = x.cat
     field = cat.field
-    x_paths, y_paths, z_paths = x._all_paths(), y._all_paths(), z._all_paths()
+    x_paths, y_paths, z_paths = x._paths, y._paths, z._paths
     out: dict = {}
     for (ty, sx), g_elem in g.comps.items():
         g_item = (x.entries[sx][1], y.entries[ty][1], g_elem)
@@ -380,7 +433,6 @@ def evaluate_at(x: TwistedComplex, j) -> FiniteComplex:
     for a, (o, k) in enumerate(x.entries):
         for lab in cat.basis(o, j):
             basis.append((a, lab))
-    index = {key: i for i, key in enumerate(basis)}
     degree_of = {}
     for a, lab in basis:
         degree_of[(a, lab)] = cat.deg(lab) - x.entries[a][1]
@@ -393,7 +445,7 @@ def evaluate_at(x: TwistedComplex, j) -> FiniteComplex:
     }
     pos = {d: {key: i for i, key in enumerate(keys)} for d, keys in components.items()}
 
-    paths = x._all_paths()
+    paths = x._paths
     diff: dict = {}  # degree -> sparse columns {j: {i: scalar}}
     for (a, lab), d in degree_of.items():
         x_item = (0, x.entries[a][1], {lab: field.one})
@@ -413,26 +465,22 @@ class HomComplexResult:
 
     The underlying graded space collects hom(o_t^target -> o_s^source) over
     all component slots, graded by total degree; the differential is mu1.
-    Its column at a basis slot (t, s, lab) is the sum of the mu1 terms of
-    that one label, keyed by their positions in the next degree, handed to
-    :class:`FiniteComplex` as sparse columns.
+    Its column at a basis slot (t, s, lab) is ``_Mu1.column`` of that one
+    label (see the module docstring), keyed by positions in the next degree
+    and handed to :class:`FiniteComplex` as sparse columns.  Both complexes
+    must live over one category (ModuleError otherwise).
     """
 
     def __init__(self, source: TwistedComplex, target: TwistedComplex):
+        kernel = _Mu1(source, target)
         cat = source.cat
-        if cat is not target.cat and cat.objects != target.cat.objects:
-            raise ModuleError("twisted complexes live over different categories")
-        field = cat.field
         self.source = source
         self.target = target
-        basis = []
+        self.basis_by_degree: dict = {}
         for t, (ot, kt) in enumerate(target.entries):
             for s, (os_, ks) in enumerate(source.entries):
                 for lab in cat.basis(ot, os_):
-                    basis.append((t, s, lab, cat.deg(lab) + ks - kt))
-        self.basis_by_degree: dict = {}
-        for t, s, lab, d in basis:
-            self.basis_by_degree.setdefault(d, []).append((t, s, lab))
+                    self.basis_by_degree.setdefault(cat.deg(lab) + ks - kt, []).append((t, s, lab))
         for d in self.basis_by_degree:
             self.basis_by_degree[d].sort(key=lambda w: (w[0], w[1], str(w[2])))
         self._pos = {
@@ -443,7 +491,6 @@ class HomComplexResult:
             d: tuple(f"{t}|{s}|{lab}" for t, s, lab in keys)
             for d, keys in self.basis_by_degree.items()
         }
-        x_paths, y_paths = source._all_paths(), target._all_paths()
         diff: dict = {}  # degree -> sparse columns {j: {i: scalar}}
         for d, keys in self.basis_by_degree.items():
             pos = self._pos.get(d + 1)
@@ -452,13 +499,12 @@ class HomComplexResult:
             cols = diff[d] = {}
             for j, (t, s, lab) in enumerate(keys):
                 col = cols[j] = {}
-                for t2, s2, term in _mu1_terms(source, target, x_paths, y_paths, t, s, {lab: field.one}):
-                    for lab2, c in term.items():
-                        i = pos.get((t2, s2, lab2))
-                        if i is None:  # only a malformed table gets here; this raises
-                            _check_entry(source, target, d + 1, t2, s2, lab2)
-                        col[i] = field.add(col.get(i, field.zero), c)
-        self.complex = FiniteComplex(field, comp_labels, diff)
+                for (t2, s2, lab2), c in kernel.column(t, s, lab).items():
+                    i = pos.get((t2, s2, lab2))
+                    if i is None:  # only a malformed table gets here; this raises
+                        _check_entry(source, target, d + 1, t2, s2, lab2)
+                    col[i] = c
+        self.complex = FiniteComplex(cat.field, comp_labels, diff)
         self.cohomology = complex_cohomology(self.complex)
 
     def dims(self) -> dict:
@@ -466,9 +512,6 @@ class HomComplexResult:
 
     def cohomology_dims(self) -> dict:
         return self.cohomology.dims()
-
-    def total_cohomology_dim(self) -> int:
-        return self.cohomology.total_dim()
 
     def morphism_from_coords(self, d: int, coords) -> ModuleMorphismElement:
         comps: dict = {}
@@ -565,8 +608,11 @@ class AlgebraCohomology:
 # the canonical right-action comparison for End(S_i)
 
 
-def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, rbar_h: AlgebraCohomology, rbar_pres) -> dict:
+def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, end: HomComplexResult,
+                   rbar_h: AlgebraCohomology, rbar_pres) -> dict:
     """Verify H^*(End(S_i)) is a copy of H^*(R/F^1) via the right action.
+
+    ``end`` is ``hom_complex(s_i, s_i)``, built once by :func:`sod_report`.
 
     For each class rbar with representative r, the candidate endomorphism is
     the diagonal matrix of the classes of r (one slot per entry of S_i),
@@ -581,9 +627,9 @@ def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, rbar_h: AlgebraC
     algebra, hence an isomorphism outright whenever R/F^1 is commutative or
     has an anti-automorphism.
     """
-    cat = s_i.cat
-    field = cat.field
-    end = hom_complex(s_i, s_i)
+    if end.source is not s_i or end.target is not s_i:
+        raise ModuleError("end must be the Hom-complex End(S_i)")
+    field = s_i.cat.field
     out = {"dims_match": end.cohomology_dims() == rbar_h.dims(), "failures": []}
     if not out["dims_match"]:
         out["failures"].append(
@@ -595,11 +641,7 @@ def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, rbar_h: AlgebraC
         return out
 
     def diagonal_candidate(elem, degree):
-        comps = {}
-        for a, (o, _) in enumerate(s_i.entries):
-            lifted = _lift_rbar_class(aus, rbar_h, rbar_pres, elem, o)
-            if lifted:
-                comps[(a, a)] = lifted
+        comps = {(a, a): _lift_rbar_class(aus, rbar_h, rbar_pres, elem, o) for a, (o, _) in enumerate(s_i.entries)}
         return ModuleMorphismElement(s_i, s_i, degree, comps)
 
     reps = {}
@@ -666,11 +708,7 @@ def _lift_rbar_class(aus: AuslanderCategory, rbar_h: AlgebraCohomology, rbar_pre
     ambient = rbar_pres.lift(tuple(coords))
     q = aus.quotients[(gamma_obj, gamma_obj)]
     cls = q.project_strict(ambient)
-    return {
-        lab: c
-        for lab, c in zip(cat.hom[(gamma_obj, gamma_obj)].labels, cls)
-        if c != 0
-    }
+    return cat.coords_to_element(cls, gamma_obj, gamma_obj)
 
 
 def _combine(reps, rbar_h, degree, coords, end):
@@ -755,7 +793,15 @@ def sod_report(aus: AuslanderCategory) -> SodReport:
 
     failures = []
     ps_table = [[hom_complex(ps[j], ss[i]).cohomology_dims() for j in range(n)] for i in range(n)]
-    ss_table = [[hom_complex(ss[j], ss[i]).cohomology_dims() for j in range(n)] for i in range(n)]
+    ss_table = [[] for _ in range(n)]
+    end_results = []
+    for i in range(n):
+        for j in range(n):
+            h = hom_complex(ss[j], ss[i])
+            ss_table[i].append(h.cohomology_dims())
+            if j == i:  # End(S_i), compared while it is the one alive
+                res = end_comparison(aus, ss[i], h, rbar_h, pres)
+                end_results.append({"i": i, "ok": res["ok"], "failures": res["failures"]})
     for i in range(n):
         for j in range(n):
             if j > i:
@@ -770,12 +816,8 @@ def sod_report(aus: AuslanderCategory) -> SodReport:
                                  "dims": {str(d): v for d, v in ps_table[i][j].items()},
                                  "expected": {str(d): v for d, v in rbar_dims.items()}})
 
-    end_results = []
-    for i in range(n):
-        res = end_comparison(aus, ss[i], rbar_h, pres)
-        end_results.append({"i": i, "ok": res["ok"], "failures": res["failures"]})
-        if not res["ok"]:
-            failures.append({"check": "end_algebra", "i": i, "detail": res["failures"]})
+    failures += [{"check": "end_algebra", "i": r["i"], "detail": r["failures"]}
+                 for r in end_results if not r["ok"]]
 
     witnesses = [{"object": n - 1, "statement": "S_{n-1} = P_{n-1} (cone on the zero map)"}]
     for i in range(n - 2, -1, -1):

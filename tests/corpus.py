@@ -172,6 +172,39 @@ def trivial_extension(a, kappa, field=QQ):
     return algebra(field, basis, "1", {2: unital_m2(xs + ys, "1", prods, field)})
 
 
+def beilinson_algebra(d, field=QQ):
+    """The Beilinson algebra of P^d in one-object form, from its closed form.
+
+    It is the endomorphism algebra of O + O(1) + ... + O(d): objects 0..d,
+    Hom(i, j) for i <= j spanned by the monomials of degree j - i in
+    x_0..x_d, and composition multiplies monomials.  The basis is the unit
+    1 = e_0 + ... + e_d, the idempotents e_1..e_d (the degree-0 monomials)
+    and the monomials of positive degree, labelled m<i><j>_<exponents>; all
+    in degree 0.  m_2(a, b) is a o b: nonzero only when b ends where a
+    starts.
+    """
+    mono = {}  # label -> (i, j, exponents)
+    for i in range(d + 1):
+        for j in range(i + 1, d + 1):
+            for exps in itertools.product(range(j - i + 1), repeat=d + 1):
+                if sum(exps) == j - i:
+                    mono[f"m{i}{j}_{''.join(map(str, exps))}"] = (i, j, exps)
+    idem = {k: f"e{k}" for k in range(1, d + 1)}
+    labels = ["1"] + list(idem.values()) + list(mono)
+    prods = {(e, e): {e: 1} for e in idem.values()}
+    for lab, (i, j, exps) in mono.items():
+        if j in idem:
+            prods[(idem[j], lab)] = {lab: 1}
+        if i in idem:
+            prods[(lab, idem[i])] = {lab: 1}
+    by_key = {v: lab for lab, v in mono.items()}
+    for a, (j, k, ea) in mono.items():
+        for b, (i, j2, eb) in mono.items():
+            if j2 == j:
+                prods[(a, b)] = {by_key[(i, k, tuple(x + y for x, y in zip(ea, eb)))]: 1}
+    return algebra(field, [(l, 0) for l in labels], "1", {2: unital_m2(labels, "1", prods, field)})
+
+
 # scale factors (numerator, denominator) for ``rescaled``
 SMALL_FACTORS = ((-3, 1), (-2, 1), (-1, 1), (1, 1), (2, 1), (3, 1))
 # denominators 7, 11 and 13, all invertible mod 3 and mod 5: products of

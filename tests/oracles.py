@@ -11,8 +11,10 @@ quotient coordinates come from one direct linear solve with it, not from the
 presentation's cached elimination.  The filtration report and the tables of
 a quotient algebra are rebuilt from their definitions with those two, with no
 memo.  The Hom-complex differential is
-built one basis vector at a time through ``perfmod.mu1`` into a dense
-matrix, so it checks how the library assembles its sparse columns.  The two
+built one basis vector at a time from the definition of mu1: every pair of
+connection paths, every choice of labels, :func:`naive_apply` on each label
+tuple and the three sign exponents of ``perfmod``'s module docstring, summed
+into a dense matrix, with no ``perfmod`` evaluation helper.  The two
 index inequalities of the quotient category are checked one chain at a time,
 as stated.  The Hochschild differential is the classical alternating sum,
 term by term.
@@ -293,24 +295,70 @@ def naive_filtration_report(r, filt):
     return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def naive_hom_differential(h, d):
-    """The matrix of d: Hom^d -> Hom^{d+1} of the Hom-complex ``h``, one
-    column per basis vector: ``mu1`` of the morphism with that single
-    component, read off densely in the basis of degree d + 1."""
-    from ainfbench.perfmod import ModuleMorphismElement, mu1
+def naive_connection_paths(x, start, end):
+    """Every chain start = v_0 > v_1 > ... > v_k = end of connection
+    components of the twisted complex ``x`` (component (t, s) maps summand s
+    to summand t), as lists of (k_src, k_tgt, element) in the order they
+    apply; [[]], the empty chain, when start = end."""
+    if start == end:
+        return [[]]
+    out = []
+    for (t, s), elem in x.conn.items():
+        if s == start and t >= end:
+            step = (x.entries[s][1], x.entries[t][1], elem)
+            out += [[step] + rest for rest in naive_connection_paths(x, t, end)]
+    return out
 
-    field = h.source.cat.field
+
+def naive_signed_product(cat, items):
+    """m_p on a chain of (k_src, k_tgt, element), one label tuple at a time:
+    :func:`naive_apply` on the single labels, times (-1)^e with e the sum of
+    the three exponents of the twisted-complex sign convention,
+
+        sum_{u<p} (p-u) (deg_u - 1)                       (suspension of m_p)
+        + sum_i (k_src_i - k_tgt_i)                       (the shift lines)
+        + sum_{j>=2} (k_src_j - k_tgt_j) sum_{i<j} (deg_i - 1)   (shuffle),
+
+    with indices from 1 in the order of ``items``."""
+    field = cat.field
+    p = len(items)
+    table = cat.mult.get(p, {})
+    shifts = [ks - kt for ks, kt, _ in items]
+    total = {}
+    for combo in itertools.product(*[list(e.items()) for _, _, e in items]):
+        degs = [cat.deg(lab) for lab, _ in combo]
+        e = sum((p - u) * (degs[u - 1] - 1) for u in range(1, p))
+        e += sum(shifts)
+        e += sum(shifts[j - 1] * sum(degs[i - 1] - 1 for i in range(1, j)) for j in range(2, p + 1))
+        for lab, c in naive_apply(field, table, [{lab: c} for lab, c in combo]).items():
+            total[lab] = field.add(total.get(lab, field.zero), field.neg(c) if e % 2 else c)
+    return total
+
+
+def naive_hom_differential(h, d):
+    """The matrix of d: Hom^d -> Hom^{d+1} of the Hom-complex ``h`` from X
+    to Y, densely in the bases ``h.basis_by_degree``.  The column of the basis
+    morphism f with one label at slot (t, s) is mu1 f = sum of
+    m(delta_X^a, f, delta_Y^b) over every connection path of X from some
+    s_out down to s and of Y from t down to some t_out, by
+    :func:`naive_signed_product`; the term lands at slot (t_out, s_out)."""
+    x, y = h.source, h.target
+    cat = x.cat
+    field = cat.field
     src = h.basis_by_degree.get(d, ())
     row_of = {key: i for i, key in enumerate(h.basis_by_degree.get(d + 1, ()))}
     if not row_of:
         return ()
     m = [[field.zero] * len(src) for _ in row_of]
     for j, (t, s, lab) in enumerate(src):
-        df = mu1(ModuleMorphismElement(h.source, h.target, d, {(t, s): {lab: field.one}}))
-        for (t2, s2), elem in df.comps.items():
-            for lab2, c in elem.items():
-                i = row_of[(t2, s2, lab2)]
-                m[i][j] = field.add(m[i][j], c)
+        f = (x.entries[s][1], y.entries[t][1], {lab: field.one})
+        for s_out in range(s, x.size):
+            for pre in naive_connection_paths(x, s_out, s):
+                for t_out in range(t + 1):
+                    for post in naive_connection_paths(y, t, t_out):
+                        for lab2, c in naive_signed_product(cat, pre + [f] + post).items():
+                            i = row_of[(t_out, s_out, lab2)]
+                            m[i][j] = field.add(m[i][j], c)
     return tuple(map(tuple, m))
 
 

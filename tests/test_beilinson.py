@@ -1,0 +1,76 @@
+"""The Beilinson algebra of P^2 in one-object form, against answers known
+from its geometry rather than from this package (Beilinson 1978, "Coherent
+sheaves on P^n and problems of linear algebra")."""
+
+from math import comb
+
+import pytest
+
+from ainfbench import QQ, check_stasheff, validate_structure
+from ainfbench.auslander import build_auslander
+from ainfbench.filtration import appendix_filtration
+from ainfbench.perfmod import sod_report
+
+from .corpus import beilinson_algebra
+
+D = 2
+
+
+@pytest.fixture(scope="module")
+def p2():
+    alg = beilinson_algebra(D)
+    filt, _ = appendix_filtration(alg, 1)
+    return alg, filt, build_auslander(alg, filt)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hom_dims_are_monomial_counts(d):
+    # Hom(i, j) = degree-(j - i) monomials in d + 1 variables: C(d + j - i, d)
+    alg = beilinson_algebra(d, QQ)
+    counts = {}
+    for lab in alg.basis("*", "*"):
+        if lab.startswith("m"):
+            pair = (int(lab[1]), int(lab[2]))
+            counts[pair] = counts.get(pair, 0) + 1
+    assert counts == {(i, j): comb(d + j - i, d) for i in range(d + 1) for j in range(i + 1, d + 1)}
+    assert alg.total_dim() == sum(comb(d + k, d) * (d + 1 - k) for k in range(d + 1))
+
+
+def test_p2_is_associative(p2):
+    alg, _, _ = p2
+    assert validate_structure(alg).passed
+    assert check_stasheff(alg).passed
+
+
+def test_p2_radical_levels(p2):
+    # F^p = J^p, spanned by the monomials of degree >= p:
+    # dim J^p = sum_{k >= p} (d + 1 - k) C(d + k, d)
+    _, filt, _ = p2
+    want = [sum((D + 1 - k) * comb(D + k, D) for k in range(p, D + 1)) for p in range(D + 2)]
+    assert want == [15, 12, 6, 0]
+    assert [lv.dim for lv in filt.levels] == want
+
+
+def test_p2_gamma_hom_dims(p2):
+    # dim Γ(j, i) = dim F^max(j-i,0) - dim F^(n-i)
+    _, filt, aus = p2
+    levels = [lv.dim for lv in filt.levels]
+    n = len(levels) - 1
+    assert aus.hom_dims() == tuple(
+        tuple(levels[max(j - i, 0)] - levels[n - i] for j in range(n)) for i in range(n)
+    )
+
+
+def test_p2_semiorthogonal(p2):
+    # R/F^1 = R/J = k^3, one copy of k per idempotent, all in degree 0; the
+    # Hom-complexes vanish above the diagonal and are H(R/F^1) on it
+    _, _, aus = p2
+    rep = sod_report(aus)
+    assert rep.passed, rep.to_json()["failures"]
+    assert rep.rbar_dims == {0: D + 1}
+    for i in range(aus.n):
+        for j in range(aus.n):
+            if j > i:
+                assert rep.ps_table[i][j] == {} and rep.ss_table[i][j] == {}, (i, j)
+        assert rep.ps_table[i][i] == rep.ss_table[i][i] == {0: D + 1}
+    assert all(r["ok"] for r in rep.end_results)

@@ -1,11 +1,12 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ainfbench import GF, QQ, algebra, check_stasheff, validate_structure
+from ainfbench import GF, QQ, AInfCategory, algebra, check_stasheff, validate_structure
 from ainfbench.scalars import FieldError
 from ainfbench.specfile import parse_spec
 from ainfbench.auslander import build_auslander
@@ -19,6 +20,7 @@ from ainfbench.filtration import (
 )
 from ainfbench.linalg import Subspace, complex_cohomology
 from ainfbench.perfmod import (
+    HomComplexResult,
     ModuleError,
     ModuleMorphismElement,
     TwistedComplex,
@@ -38,8 +40,11 @@ from ainfbench.perfmod import (
 )
 
 from .corpus import (
+    LARGE_DENOMINATORS,
+    beilinson_algebra,
     dual_numbers,
     random_filtered_algebra,
+    rescaled,
     toy_algebra,
     trivial_extension,
     truncated_polynomial,
@@ -49,6 +54,7 @@ from .oracles import naive_hom_differential
 
 F = Fraction
 TOY = Path(__file__).parent.parent / "fixtures" / "toy.json"
+SOD_GOLDEN = Path(__file__).parent / "sod_golden.json"
 
 
 @pytest.fixture(scope="module")
@@ -311,10 +317,25 @@ def coordinate_filtration(make, kappa, field):
     return alg, Filtration(alg, levels)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def _dot(field, row, v):
+    total = field.zero
+    for a, b in zip(row, v):
+        total = field.add(total, field.mul(a, b))
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
 def test_hom_differential_matches_naive_oracle(field):
     rng = random.Random(f"hom-differential:{field.characteristic}")
-    algebras = [toy_algebra, lambda f: truncated_polynomial(4, f), lambda f: trivial_extension(2, 1, f)]
+    algebras = [
+        toy_algebra,
+        lambda f: truncated_polynomial(4, f),
+        lambda f: trivial_extension(2, 1, f),
+        # structure constants with denominators 7, 11 and 13, and an m_3: the
+        # kernel's integer scaling and its one division per entry
+        lambda f: rescaled(toy_algebra(f), random.Random(7), LARGE_DENOMINATORS),
+        lambda f: beilinson_algebra(2, f),
+    ]
     checked = 0
     for make in algebras:
         aus = build_auslander(*coordinate_filtration(make, 1, field))
@@ -322,13 +343,49 @@ def test_hom_differential_matches_naive_oracle(field):
         ss = [cone(psi(aus, i)) for i in range(aus.n - 1)]
         ss.append(cone(zero_morphism(empty_complex(aus.gamma), ps[-1])))
         drawn = [random_twisted_complex(aus, rng) for _ in range(3)]
+        # a connection coefficient 2/7: the chains' own denominators
+        drawn.append(cone(psi(aus, 0).scaled(field.mul(field.of_int(2), field.inv(field.of_int(7))))))
         for x, y in itertools.product(ps + ss + drawn, repeat=2):
             h = hom_complex(x, y)
-            for d in h.basis_by_degree:
+            for d, keys in h.basis_by_degree.items():
                 want = naive_hom_differential(h, d)
                 assert h.complex.differential(d) == want
                 checked += any(a != 0 for row in want for a in row)
+                # mu1 of a random multi-label morphism: the same combination of columns
+                v = tuple(field.mul(field.of_int(rng.randint(-3, 3)), field.inv(field.of_int(rng.choice((1, 7, 13)))))
+                          for _ in keys)
+                df = mu1(h.morphism_from_coords(d, v))
+                if want:
+                    assert h.coords_from_morphism(df) == tuple(_dot(field, row, v) for row in want)
+                else:
+                    assert df.is_zero()
     assert checked > 0
+
+
+def test_complexes_over_different_categories_are_rejected():
+    # G2 keeps only the unit products of Γ, over the same objects and homs;
+    # Hom(P_1 over G2, S_0 over Γ) used to be computed with G2's tables
+    # alone and gave {-1: 2, 0: 2}
+    r = truncated_polynomial(4)
+    aus = build_auslander(r, appendix_filtration(r, 1)[0])
+    g = aus.gamma
+    units_only = {k: v for k, v in g.mult[2].items() if any(g.is_unit(lab) for lab in k)}
+    g2 = AInfCategory(g.field, g.objects, g.hom, g.units, {2: units_only})
+    s0 = cone(psi(aus, 0))
+    with pytest.raises(ModuleError, match="different categories"):
+        hom_complex(TwistedComplex(g2, [(1, 0)]), s0)
+    with pytest.raises(ModuleError, match="different categories"):
+        hom_complex(s0, TwistedComplex(g2, [(1, 0)]))
+    p0 = TwistedComplex(g2, [(0, 0)])
+    with pytest.raises(ModuleError, match="different categories"):
+        mu2(identity_morphism(p0), psi(aus, 0))
+    with pytest.raises(ModuleError, match="different categories"):
+        mu1(ModuleMorphismElement(p0, representable(aus, 0), 0, {(0, 0): {g.units[0]: 1}}))
+    # the same tables in another object are one category
+    copy = AInfCategory(g.field, g.objects, g.hom, g.units, g.mult)
+    assert hom_complex(TwistedComplex(copy, [(1, 0)]), s0).cohomology_dims() == {}
+    assert hom_complex(representable(aus, 1), s0).cohomology_dims() == {}
+    assert mu2(identity_morphism(TwistedComplex(copy, [(0, 0)])), psi(aus, 0)).comps == psi(aus, 0).comps
 
 
 def test_hom_complex_output_off_basis_is_module_error():
@@ -421,6 +478,36 @@ def test_sod_report_random_filtered():
         alg, filt = random_filtered_algebra(rng)
         rep = sod_report(build_auslander(alg, filt))
         assert rep.passed, rep.to_json()["failures"]
+
+
+SOD_CASES = {
+    "toy-k1": (toy_algebra, 1),
+    "x6": (lambda f: truncated_polynomial(6, f), 1),
+    "trivext-2-1": (lambda f: trivial_extension(2, 1, f), 1),
+}
+
+
+@pytest.mark.parametrize("case", [f"{name}/{field}" for name in SOD_CASES for field in ("Q", "GF3")])
+def test_sod_report_matches_golden(case, monkeypatch):
+    """``sod_report(aus).to_json()``, key order included, equals the report
+    recorded in ``sod_golden.json`` by the sod of the commit before the
+    integer Hom-differential kernel: the appendix filtration over Q, and its
+    coordinate copy over GF(3).  sod builds each of its 2n^2 Hom-complexes
+    once (End(S_i) is the S/S table's diagonal)."""
+    name, field = case.split("/")
+    make, kappa = SOD_CASES[name]
+    if field == "Q":
+        alg = make(QQ)
+        aus = build_auslander(alg, appendix_filtration(alg, kappa)[0])
+    else:
+        aus = build_auslander(*coordinate_filtration(make, kappa, GF(3)))
+    built = []
+    init = HomComplexResult.__init__
+    monkeypatch.setattr(HomComplexResult, "__init__", lambda self, x, y: built.append((x, y)) or init(self, x, y))
+    report = sod_report(aus).to_json()
+    golden = json.loads(SOD_GOLDEN.read_text(encoding="utf-8"))[case]
+    assert json.dumps(report, indent=2) == json.dumps(golden, indent=2)
+    assert len(built) == 2 * aus.n ** 2
 
 
 def test_sod_generation_witnesses(toy_aus):
