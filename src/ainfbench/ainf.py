@@ -226,9 +226,17 @@ class AInfCategory:
         table = self.mult.get(p)
         if table is None:
             return {}
+        field = self.field
         out: dict = {}
-        for _, coeff, entry in _product_terms(self.field, table, args):
-            self.field.add_scaled(out, entry, coeff)
+        for combo in itertools.product(*[a.items() for a in args]):
+            entry = table.get(tuple(lab for lab, _ in combo))
+            if not entry:
+                continue
+            coeff = field.one
+            for _, c in combo:
+                coeff = field.mul(coeff, c)
+            if coeff != 0:
+                field.add_scaled(out, entry, coeff)
         return out
 
     def element_to_coords(self, elem: dict, x, y):
@@ -262,26 +270,6 @@ class AInfCategory:
             and self.units == other.units
             and self.mult == other.mult
         )
-
-
-def _product_terms(field: ExactField, table: dict, args):
-    """The terms of a multilinear product on sparse elements.
-
-    Yields ``(labels, coeff, entry)`` for every tuple of labels, one from each
-    element of ``args``, that ``table`` maps to a nonzero ``entry`` and whose
-    coefficients multiply to a nonzero ``coeff``.  Callers attach their own
-    signs and sum ``coeff * entry``.
-    """
-    for combo in itertools.product(*[a.items() for a in args]):
-        labels = tuple(lab for lab, _ in combo)
-        entry = table.get(labels)
-        if not entry:
-            continue
-        coeff = field.one
-        for _, c in combo:
-            coeff = field.mul(coeff, c)
-        if coeff != 0:
-            yield labels, coeff, entry
 
 
 class _ProductTable:

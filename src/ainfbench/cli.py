@@ -121,13 +121,9 @@ def _write_out(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load(path: str):
-    return parse_spec(path)
-
-
 def cmd_validate(args) -> int:
     started = time.perf_counter()
-    spec = _load(args.file)
+    spec = parse_spec(args.file)
     structure = validate_structure(spec.category)
     relations, relations_s = _timed(check_stasheff, spec.category)
     ok = structure.passed and relations.passed
@@ -146,7 +142,7 @@ def cmd_validate(args) -> int:
 
 def cmd_stasheff(args) -> int:
     started = time.perf_counter()
-    spec = _load(args.file)
+    spec = parse_spec(args.file)
     structure = validate_structure(spec.category)
     pre_ok = structure.check("degrees").passed and structure.check("composability").passed
     report, relations_s = _timed(check_stasheff, spec.category, args.max_arity)
@@ -172,7 +168,7 @@ def _need_filtration(spec):
 
 def cmd_filtration_check(args) -> int:
     started = time.perf_counter()
-    spec = _load(args.file)
+    spec = parse_spec(args.file)
     if not _input_valid("filtration check", spec, started):
         return EXIT_FAIL
     filt = _need_filtration(spec)
@@ -191,7 +187,7 @@ def cmd_filtration_check(args) -> int:
 
 def cmd_filtration_degree(args) -> int:
     started = time.perf_counter()
-    spec = _load(args.file)
+    spec = parse_spec(args.file)
     if not _input_valid("filtration degree", spec, started):
         return EXIT_FAIL
     filt = degree_filtration(spec.category)
@@ -215,7 +211,7 @@ def cmd_filtration_degree(args) -> int:
 
 def cmd_filtration_appendix(args) -> int:
     started = time.perf_counter()
-    spec = _load(args.file)
+    spec = parse_spec(args.file)
     if not _input_valid("filtration appendix", spec, started):
         return EXIT_FAIL
     kappa = args.kappa if args.kappa is not None else spec.kappa
@@ -246,7 +242,7 @@ def cmd_filtration_appendix(args) -> int:
 
 def cmd_gamma_build(args) -> int:
     started = time.perf_counter()
-    spec = _load(args.file)
+    spec = parse_spec(args.file)
     filt = _need_filtration(spec)
     filt_report = check_filtration(spec.category, filt)
     if not filt_report.passed:
@@ -287,7 +283,7 @@ def cmd_gamma_build(args) -> int:
 
 def cmd_sod(args) -> int:
     started = time.perf_counter()
-    spec = _load(args.file)
+    spec = parse_spec(args.file)
     filt = _need_filtration(spec)
     if not _input_valid("sod", spec, started):
         return EXIT_FAIL
@@ -324,7 +320,7 @@ def cmd_sod(args) -> int:
 
 def cmd_deform(args) -> int:
     started = time.perf_counter()
-    spec = _load(args.file)
+    spec = parse_spec(args.file)
     cat = spec.category
     raw = _load_cochain(args.cochain, cat)
     module = diagonal_bimodule(cat)

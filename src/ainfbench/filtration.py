@@ -288,15 +288,7 @@ def radical(a: AInfCategory) -> Subspace:
         current, lifts = quotient_by_ideal(a, base, prefix="rq")
 
     j = Subspace(space, field, j_rows)
-    power = j
-    nil = j.dim == 0
-    for _ in range(space.dim + 1):
-        if power.dim == 0:
-            nil = True
-            break
-        power = subspace_product(a, power, j)
-    if not nil and power.dim != 0:
-        raise FiltrationError("trace kernel failed to be nilpotent (invalid input algebra)")
+    _powers(a, j)  # FiltrationError unless nilpotent
     return j
 
 
@@ -330,18 +322,20 @@ def _trace_kernel(a: AInfCategory):
     return list(nullspace(field, tuple(rows), d))
 
 
+def _powers(r: AInfCategory, j: Subspace) -> list:
+    """[R, J, J^2, ..., J^a = 0], a the least with J^a = 0 (a = 1 when J = 0);
+    FiltrationError once J^(dim R + 1) != 0."""
+    powers = [full_subspace(r), j]
+    while powers[-1].dim > 0:
+        if len(powers) > j.ambient.dim + 1:
+            raise FiltrationError("subspace is not nilpotent")
+        powers.append(subspace_product(r, powers[-1], j))
+    return powers
+
+
 def nilpotency_index(r: AInfCategory, j: Subspace) -> int:
     """Least a with J^a = 0 (a = 1 when J = 0)."""
-    if j.dim == 0:
-        return 1
-    power = j
-    a = 1
-    while power.dim > 0:
-        power = subspace_product(r, power, j)
-        a += 1
-        if a > j.ambient.dim + 1:
-            raise FiltrationError("subspace is not nilpotent")
-    return a
+    return len(_powers(r, j)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +393,11 @@ def appendix_filtration(r: AInfCategory, kappa: int):
     j = Subspace(space, field, [{space.index(labels0[i]): c for i, c in enumerate(row)}
                                 for row in j0.rows])
 
-    a = nilpotency_index(r, j)
+    j_powers = _powers(r, j)
+    a = len(j_powers) - 1
     big_n = (kappa + 2) * (a - 1)
     if a == 1 and rk.dim > 0 and big_n < 1:
         big_n = 1
-
-    j_powers = [full_subspace(r), j]
-    while j_powers[-1].dim > 0:
-        j_powers.append(subspace_product(r, j_powers[-1], j))
 
     def j_power(u):
         return j_powers[min(u, len(j_powers) - 1)]

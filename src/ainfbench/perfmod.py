@@ -25,24 +25,27 @@ These three exponents are the whole sign convention; d o d = 0 on every
 Hom-complex, Maurer-Cartan for every cone, and the Yoneda comparisons below
 are the correctness certificates.
 
-Hom-complex differentials (``mu1``, :class:`HomComplexResult`) use one kernel,
-``_Mu1``.  Each complex expands its connection paths once into label chains
-(labels, shift parities, degrees, coefficient), so a basis column costs one
-table lookup per (pre chain, post chain).  Terms are summed as ints scaled by
-D, the lcm of the table denominators (cached on the category) times the
+Every m_p evaluation here (``mu1``, :class:`HomComplexResult`, ``mu2``,
+``evaluate_at``, Maurer-Cartan) goes through one kernel, ``_chain_sums``.
+Each complex expands its connection paths once into label chains (labels,
+shift parities, degrees minus one, coefficient), and so does each morphism
+for its components; a term is three lists of chains (pre, mid, post), and
+each concatenation costs one table lookup.  Terms are summed as ints scaled
+by D, the lcm of the table denominators (cached on the category) times the
 chains' denominators: one division (over Q) or reduction (over F_p) per
-nonzero entry.  ``mu2``, ``evaluate_at`` and Maurer-Cartan use ``_chain_apply``.
+nonzero entry.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 
-from .ainf import AInfCategory, _product_terms
+from .ainf import AInfCategory
 from .auslander import AuslanderCategory
 from .filtration import filtration_quotient_algebra
 from .linalg import FiniteComplex, complex_cohomology, rref, solve_linear
@@ -69,23 +72,62 @@ def _odd(lam, dm1) -> bool:
     return exp % 2 == 1
 
 
-def _chain_apply(cat: AInfCategory, items) -> dict:
-    """Apply m_p to a chain of decorated sparse elements, with all signs.
+def _slot_chain(x: TwistedComplex, y: TwistedComplex, t, s, lab, c):
+    """The one-label chain of ``c * lab`` at slot (t, s) of Hom(x, y), that
+    is, mapping summand s of ``x`` to summand t of ``y``."""
+    return (lab,), ((x.entries[s][1] - y.entries[t][1]) % 2,), (x.cat.deg(lab) - 1,), c
 
-    ``items`` is a list of (k_src, k_tgt, sparse element); list order is the
-    order of application as module maps, which is also the argument order of
-    m_p on the underlying elements.
+
+def _integral(groups) -> int:
+    """D, the lcm of the coefficient denominators in ``groups`` (lists of
+    chains; 1 over F_p), after scaling every coefficient to an int times D,
+    in place."""
+    den = math.lcm(*{ch[3].denominator for cs in groups for ch in cs})
+    for cs in groups:
+        cs[:] = [(*ch[:3], ch[3].numerator * (den // ch[3].denominator)) for ch in cs]
+    return den
+
+
+def _join(a, b):
+    """Chain ``a`` followed by chain ``b``."""
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] * b[3]
+
+
+_EMPTY = [((), (), (), 1)]  # the empty chain, coefficient 1
+
+
+def _chain_sums(cat: AInfCategory, terms, den: int) -> dict:
+    """The kernel: signed m_p summed over concatenated label chains.
+
+    Each term (key, pre, mid, post) holds three lists of chains (labels,
+    shift parities, degrees minus one, int coefficient over ``den``); every
+    concatenation pre + mid + post that m_p maps to a nonzero entry adds it,
+    times the product of the coefficients and the sign of :func:`_odd`, at
+    ``key``.  Returns the nonzero sums {(key, label): scalar}: ints over
+    ``den`` times ``cat._mult_scale``, divided (Q) or reduced (F_p) once.
     """
-    table = cat.mult.get(len(items))
-    if table is None:
-        return {}
-    field = cat.field
-    lam = [(ks - kt) % 2 for ks, kt, _ in items]
-    out: dict = {}
-    for labels, coeff, entry in _product_terms(field, table, [e for _, _, e in items]):
-        odd = _odd(lam, [cat.deg(lab) - 1 for lab in labels])
-        field.add_scaled(out, entry, field.neg(coeff) if odd else coeff)
-    return out
+    tables, unit = defaultdict(dict, cat.mult), cat._mult_scale
+    sums: dict = {}
+    for key, pre, mid, post in terms:
+        for pre_labels, pre_lam, pre_dm1, pre_c in pre:
+            for mid_labels, mid_lam, mid_dm1, mid_c in mid:
+                head, head_c = pre_labels + mid_labels, pre_c * mid_c
+                for post_labels, post_lam, post_dm1, post_c in post:
+                    labels = head + post_labels
+                    entry = tables[len(labels)].get(labels)
+                    if not entry:
+                        continue
+                    c = head_c * post_c
+                    if _odd(pre_lam + mid_lam + post_lam, pre_dm1 + mid_dm1 + post_dm1):
+                        c = -c
+                    for out_lab, v in entry.items():
+                        k = (key, out_lab)
+                        sums[k] = sums.get(k, 0) + c * v.numerator * (unit // v.denominator)
+    p = cat.field.characteristic
+    if p:
+        return {k: v % p for k, v in sums.items() if v % p}
+    scale = unit * den
+    return {k: Fraction(v, scale) for k, v in sums.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -140,36 +182,19 @@ class TwistedComplex:
         )
 
     @cached_property
-    def _paths(self) -> dict:
-        """Connection paths keyed by (start, end), start >= end, as lists of
-        (k_src, k_tgt, element) in order of application; [[]] (the empty
-        path) when start = end."""
-        paths: dict = {}
-        for a in range(self.size):
-            for b in range(a + 1):
-                paths[(a, b)] = [[]] if a == b else [
-                    [(self.entries[s][1], self.entries[t][1], elem)] + rest
-                    for (t, s), elem in self.conn.items() if s == a and t >= b
-                    for rest in paths[(t, b)]]
-        return paths
-
-    @cached_property
     def _label_chains(self):
-        """``_paths`` expanded into label chains (labels, shift parities,
-        degrees minus one, coefficient times D), D the lcm of the coefficients'
-        denominators (1 over F_p): (chains by (start, end), D), built once."""
-        deg = self.cat.deg
-        raw = {}
-        for key, paths in self._paths.items():
-            chains = raw[key] = []
-            for path in paths:
-                lam = tuple((ks - kt) % 2 for ks, kt, _ in path)
-                for combo in itertools.product(*[e.items() for _, _, e in path]):
-                    labels = tuple(lab for lab, _ in combo)
-                    chains.append((labels, lam, tuple(deg(l) - 1 for l in labels), math.prod(c for _, c in combo)))
-        den = math.lcm(*{ch[3].denominator for chains in raw.values() for ch in chains})
-        return {key: [(*ch[:3], ch[3].numerator * (den // ch[3].denominator)) for ch in chains]
-                for key, chains in raw.items()}, den
+        """Connection paths from summand a down to summand b <= a, at
+        ``chains[a][b]``, as label chains in order of application: one per
+        choice of a label in each component along the path, with the product
+        of their coefficients; the empty chain when a = b.  (chains, D) with
+        the coefficients ints over D (:func:`_integral`), built once."""
+        chains: list = []
+        for a in range(self.size):
+            chains.append([[((), (), (), 1)] if a == b else [
+                _join(_slot_chain(self, self, t, s, lab, c), rest)
+                for (t, s), elem in self.conn.items() if s == a and t >= b
+                for lab, c in elem.items() for rest in chains[t][b]] for b in range(a + 1)])
+        return chains, _integral([cs for row in chains for cs in row])
 
     def __repr__(self):
         return f"TwistedComplex(entries={self.entries}, conn={sorted(self.conn)})"
@@ -177,14 +202,11 @@ class TwistedComplex:
 
 def maurer_cartan_defect(x: TwistedComplex) -> dict:
     """Nonzero components of sum_p m_p(delta, ..., delta), keyed by (t, s)."""
-    bad = {}
-    for s in range(x.size):
-        for t in range(s):
-            total: dict = {}
-            for path in x._paths[(s, t)]:
-                x.cat.field.add_scaled(total, _chain_apply(x.cat, path))
-            if total:
-                bad[(t, s)] = total
+    chains, den = x._label_chains
+    terms = (((t, s), chains[s][t], _EMPTY, _EMPTY) for s in range(x.size) for t in range(s))
+    bad: dict = {}
+    for ((t, s), lab), v in _chain_sums(x.cat, terms, den).items():
+        bad.setdefault((t, s), {})[lab] = v
     return bad
 
 
@@ -265,52 +287,33 @@ def _check_same_category(*complexes):
         raise ModuleError("twisted complexes live over different categories")
 
 
-class _Mu1:
-    """mu1 on the Hom-complex from ``x`` to ``y``, one basis vector at a time."""
+def _morphism_chains(f: ModuleMorphismElement):
+    """The components of ``f`` as one-label chains by slot (t, s), with
+    coefficients ints over D (:func:`_integral`): (chains, D)."""
+    chains = {(t, s): [_slot_chain(f.source, f.target, t, s, lab, c) for lab, c in elem.items()]
+              for (t, s), elem in f.comps.items()}
+    return chains, _integral(chains.values())
 
-    def __init__(self, x: TwistedComplex, y: TwistedComplex):
-        _check_same_category(x, y)
-        self.x, self.y, self.cat = x, y, x.cat
-        (self.x_chains, dx), (self.y_chains, dy) = x._label_chains, y._label_chains
-        self.tables = [x.cat.mult.get(p, {}) for p in range(x.size + y.size)]
-        self.scale = x.cat._mult_scale * dx * dy
 
-    def column(self, t, s, lab) -> dict:
-        """mu1 of the morphism with the single component ``lab`` at slot (t, s):
-        the nonzero sums of its terms m(delta_x^j, f, delta_y^k), keyed by
-        (t_out, s_out, out_lab)."""
-        x, y, cat, tables, unit = self.x, self.y, self.cat, self.tables, self.cat._mult_scale
-        f_lam, f_dm1 = ((x.entries[s][1] - y.entries[t][1]) % 2,), (cat.deg(lab) - 1,)
-        sums: dict = {}
-        for s_out in range(s, x.size):
-            for pre, pre_lam, pre_dm1, pre_c in self.x_chains[(s_out, s)]:
-                pre, lam, dm1 = pre + (lab,), pre_lam + f_lam, pre_dm1 + f_dm1
-                for t_out in range(t + 1):
-                    for post, post_lam, post_dm1, post_c in self.y_chains[(t, t_out)]:
-                        labels = pre + post
-                        entry = tables[len(labels)].get(labels)
-                        if not entry:
-                            continue
-                        c = -pre_c * post_c if _odd(lam + post_lam, dm1 + post_dm1) else pre_c * post_c
-                        for out_lab, v in entry.items():
-                            key = (t_out, s_out, out_lab)
-                            sums[key] = sums.get(key, 0) + c * v.numerator * (unit // v.denominator)
-        p = cat.field.characteristic
-        if p:
-            return {key: v % p for key, v in sums.items() if v % p}
-        return {key: Fraction(v, self.scale) for key, v in sums.items() if v}
+def _mu1_sums(x: TwistedComplex, y: TwistedComplex, slots, den: int) -> dict:
+    """mu1 on Hom(x, y) by :func:`_chain_sums`.  ``slots`` are (key, t, s,
+    chains), the chains (ints over ``den``) of a morphism's component at
+    (t, s); its terms m(delta_x^a, f, delta_y^b) land at ((key, t_out,
+    s_out), label)."""
+    (xc, dx), (yc, dy) = x._label_chains, y._label_chains
+    terms = (((key, t_out, s_out), xc[s_out][s], mid, post)
+             for key, t, s, mid in slots for s_out in range(s, x.size) for t_out, post in enumerate(yc[t]))
+    return _chain_sums(x.cat, terms, den * dx * dy)
 
 
 def mu1(f: ModuleMorphismElement) -> ModuleMorphismElement:
     """Differential: sum of m(delta_src^j, f, delta_tgt^k) over all chains."""
-    kernel = _Mu1(f.source, f.target)
-    field = f.source.cat.field
-    out: dict = {}  # zeros and empty components are dropped by the constructor
-    for (t, s), elem in f.comps.items():
-        for lab, c in elem.items():
-            for (t2, s2, lab2), v in kernel.column(t, s, lab).items():
-                e = out.setdefault((t2, s2), {})
-                e[lab2] = field.add(e.get(lab2, field.zero), field.mul(c, v))
+    _check_same_category(f.source, f.target)
+    chains, den = _morphism_chains(f)
+    slots = ((0, t, s, mid) for (t, s), mid in chains.items())
+    out: dict = {}
+    for ((_, t, s), lab), v in _mu1_sums(f.source, f.target, slots, den).items():
+        out.setdefault((t, s), {})[lab] = v
     return ModuleMorphismElement(f.source, f.target, f.degree + 1, out)
 
 
@@ -325,30 +328,20 @@ def mu2(f: ModuleMorphismElement, g: ModuleMorphismElement) -> ModuleMorphismEle
         raise ModuleError("morphisms are not composable")
     x, y, z = g.source, g.target, f.target
     _check_same_category(x, y, f.source, z)
-    cat = x.cat
-    field = cat.field
-    x_paths, y_paths, z_paths = x._paths, y._paths, z._paths
-    out: dict = {}
-    for (ty, sx), g_elem in g.comps.items():
-        g_item = (x.entries[sx][1], y.entries[ty][1], g_elem)
-        for (tz, sy), f_elem in f.comps.items():
+    (xc, dx), (yc, dy), (zc, dz) = x._label_chains, y._label_chains, z._label_chains
+    (gc, dg), (fc, df) = _morphism_chains(g), _morphism_chains(f)
+    terms = []
+    for (ty, sx), g_chains in gc.items():
+        for (tz, sy), f_chains in fc.items():
             if sy > ty:
                 continue
-            f_item = (y.entries[sy][1], z.entries[tz][1], f_elem)
-            for s_out in range(sx, x.size):
-                for t_out in range(tz + 1):
-                    for pre in x_paths[(s_out, sx)]:
-                        for mid in y_paths[(ty, sy)]:
-                            for post in z_paths[(tz, t_out)]:
-                                term = _chain_apply(
-                                    cat, pre + [g_item] + mid + [f_item] + post
-                                )
-                                if not term:
-                                    continue
-                                field.add_scaled(out.setdefault((t_out, s_out), {}), term)
-    if (g.degree + 1) % 2:
-        out = {k: {l: field.neg(c) for l, c in e.items()} for k, e in out.items()}
-    out = {k: e for k, e in out.items() if e}
+            mid = [_join(_join(u, w), v) for u, w, v in itertools.product(g_chains, yc[ty][sy], f_chains)]
+            terms += [((t_out, s_out), xc[s_out][sx], mid, post)
+                      for s_out in range(sx, x.size) for t_out, post in enumerate(zc[tz])]
+    field = x.cat.field
+    out: dict = {}
+    for ((t, s), lab), v in _chain_sums(x.cat, terms, dx * dg * dy * df * dz).items():
+        out.setdefault((t, s), {})[lab] = field.neg(v) if (g.degree + 1) % 2 else v
     return ModuleMorphismElement(x, z, f.degree + g.degree, out)
 
 
@@ -424,18 +417,12 @@ def cone(f: ModuleMorphismElement) -> TwistedComplex:
 
 def evaluate_at(x: TwistedComplex, j) -> FiniteComplex:
     """Value of the module at object j: sum_a hom(o_a -> j) shifted by k_a,
-    with the differential induced by the connection."""
+    with the differential induced by the connection: mu1 on Hom(P_j, x), P_j
+    the one-entry complex [(j, 0)], in its own basis (a, label)."""
     cat = x.cat
-    field = cat.field
-    if j not in cat.objects:
-        raise ModuleError(f"unknown object {j!r}")
-    basis = []  # (summand a, label)
-    for a, (o, k) in enumerate(x.entries):
-        for lab in cat.basis(o, j):
-            basis.append((a, lab))
-    degree_of = {}
-    for a, lab in basis:
-        degree_of[(a, lab)] = cat.deg(lab) - x.entries[a][1]
+    point = TwistedComplex(cat, [(j, 0)])  # ModuleError for an unknown object
+    basis = [(a, lab) for a, (o, _) in enumerate(x.entries) for lab in cat.basis(o, j)]
+    degree_of = {(a, lab): cat.deg(lab) - x.entries[a][1] for a, lab in basis}
 
     components: dict = {}
     for key in basis:
@@ -445,19 +432,12 @@ def evaluate_at(x: TwistedComplex, j) -> FiniteComplex:
     }
     pos = {d: {key: i for i, key in enumerate(keys)} for d, keys in components.items()}
 
-    paths = x._paths
+    slots = (((a, lab), a, 0, [_slot_chain(point, x, a, 0, lab, 1)]) for a, lab in basis)
     diff: dict = {}  # degree -> sparse columns {j: {i: scalar}}
-    for (a, lab), d in degree_of.items():
-        x_item = (0, x.entries[a][1], {lab: field.one})
-        col: dict = {}
-        for t_out in range(a + 1):
-            for path in paths[(a, t_out)]:
-                for out_lab, c in _chain_apply(cat, [x_item] + path).items():
-                    i = pos[d + 1][(t_out, out_lab)]
-                    col[i] = field.add(col.get(i, field.zero), c)
-        if col:
-            diff.setdefault(d, {})[pos[d][(a, lab)]] = col
-    return FiniteComplex(field, comp_labels, diff)
+    for ((key, t_out, _), out_lab), c in _mu1_sums(point, x, slots, 1).items():
+        d = degree_of[key]
+        diff.setdefault(d, {}).setdefault(pos[d][key], {})[pos[d + 1][(t_out, out_lab)]] = c
+    return FiniteComplex(cat.field, comp_labels, diff)
 
 
 class HomComplexResult:
@@ -465,14 +445,15 @@ class HomComplexResult:
 
     The underlying graded space collects hom(o_t^target -> o_s^source) over
     all component slots, graded by total degree; the differential is mu1.
-    Its column at a basis slot (t, s, lab) is ``_Mu1.column`` of that one
-    label (see the module docstring), keyed by positions in the next degree
-    and handed to :class:`FiniteComplex` as sparse columns.  Both complexes
-    must live over one category (ModuleError otherwise).
+    Each degree's columns come from one kernel call (see the module
+    docstring) with a one-label chain per basis slot (t, s, lab), keyed by
+    positions in the next degree and handed to :class:`FiniteComplex` as
+    sparse columns.  Both complexes must live over one category (ModuleError
+    otherwise).
     """
 
     def __init__(self, source: TwistedComplex, target: TwistedComplex):
-        kernel = _Mu1(source, target)
+        _check_same_category(source, target)
         cat = source.cat
         self.source = source
         self.target = target
@@ -497,13 +478,12 @@ class HomComplexResult:
             if pos is None:
                 continue
             cols = diff[d] = {}
-            for j, (t, s, lab) in enumerate(keys):
-                col = cols[j] = {}
-                for (t2, s2, lab2), c in kernel.column(t, s, lab).items():
-                    i = pos.get((t2, s2, lab2))
-                    if i is None:  # only a malformed table gets here; this raises
-                        _check_entry(source, target, d + 1, t2, s2, lab2)
-                    col[i] = c
+            slots = ((j, t, s, [_slot_chain(source, target, t, s, lab, 1)]) for j, (t, s, lab) in enumerate(keys))
+            for ((j, t2, s2), lab2), c in _mu1_sums(source, target, slots, 1).items():
+                i = pos.get((t2, s2, lab2))
+                if i is None:  # only a malformed table gets here; this raises
+                    _check_entry(source, target, d + 1, t2, s2, lab2)
+                cols.setdefault(j, {})[i] = c
         self.complex = FiniteComplex(cat.field, comp_labels, diff)
         self.cohomology = complex_cohomology(self.complex)
 

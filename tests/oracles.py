@@ -14,7 +14,9 @@ memo.  The Hom-complex differential is
 built one basis vector at a time from the definition of mu1: every pair of
 connection paths, every choice of labels, :func:`naive_apply` on each label
 tuple and the three sign exponents of ``perfmod``'s module docstring, summed
-into a dense matrix, with no ``perfmod`` evaluation helper.  The two
+into a dense matrix, with no ``perfmod`` evaluation helper; the composition
+mu2, the Maurer-Cartan defect and the differential of an evaluation are
+summed the same way over their own paths.  The two
 index inequalities of the quotient category are checked one chain at a time,
 as stated.  The Hochschild differential is the classical alternating sum,
 term by term.
@@ -360,6 +362,82 @@ def naive_hom_differential(h, d):
                             i = row_of[(t_out, s_out, lab2)]
                             m[i][j] = field.add(m[i][j], c)
     return tuple(map(tuple, m))
+
+
+def _accumulate(field, acc, vec, negate=False):
+    for lab, c in vec.items():
+        acc[lab] = field.add(acc.get(lab, field.zero), field.neg(c) if negate else c)
+
+
+def _nonzero(comps):
+    comps = {key: {lab: c for lab, c in e.items() if c != 0} for key, e in comps.items()}
+    return {key: e for key, e in comps.items() if e}
+
+
+def naive_mu2(f, g):
+    """The components of mu2(f, g), g: X -> Y applied first and f: Y -> Z,
+    by slot (t, s) with zeros dropped: for each component of g at (t_y, s_x)
+    and of f at (t_z, s_y), every connection path of X from some s_out down
+    to s_x, of Y from t_y down to s_y and of Z from t_z down to some t_out,
+    :func:`naive_signed_product` of pre + g + mid + f + post at (t_out,
+    s_out), all times (-1)^(deg g + 1)."""
+    x, y, z = g.source, g.target, f.target
+    cat = x.cat
+    out = {}
+    for (ty, sx), g_elem in g.comps.items():
+        g_item = (x.entries[sx][1], y.entries[ty][1], g_elem)
+        for (tz, sy), f_elem in f.comps.items():
+            f_item = (y.entries[sy][1], z.entries[tz][1], f_elem)
+            for s_out in range(sx, x.size):
+                for t_out in range(tz + 1):
+                    for pre in naive_connection_paths(x, s_out, sx):
+                        for mid in naive_connection_paths(y, ty, sy):
+                            for post in naive_connection_paths(z, tz, t_out):
+                                term = naive_signed_product(cat, pre + [g_item] + mid + [f_item] + post)
+                                _accumulate(cat.field, out.setdefault((t_out, s_out), {}), term,
+                                            negate=g.degree % 2 == 0)
+    return _nonzero(out)
+
+
+def naive_maurer_cartan(x):
+    """The nonzero components of sum_p m_p(delta, ..., delta) of the twisted
+    complex ``x``, by (t, s): :func:`naive_signed_product` summed over every
+    connection path from s down to t < s."""
+    out = {}
+    for s in range(x.size):
+        for t in range(s):
+            for path in naive_connection_paths(x, s, t):
+                _accumulate(x.cat.field, out.setdefault((t, s), {}), naive_signed_product(x.cat, path))
+    return _nonzero(out)
+
+
+def naive_evaluation(x, j):
+    """The value of ``x`` at object j: (labels, matrices), both keyed by
+    degree.  The basis is every (summand a, label of hom(o_a -> j)) in
+    summand order, in degree deg(label) - k_a, labelled "a|label"; the
+    column of (a, label) sums :func:`naive_signed_product` of the label
+    (shift 0 to k_a) followed by every connection path from a down to some
+    t, landing at (t, output label)."""
+    cat = x.cat
+    field = cat.field
+    by_degree = {}
+    for a, (o, k) in enumerate(x.entries):
+        for lab in cat.basis(o, j):
+            by_degree.setdefault(cat.deg(lab) - k, []).append((a, lab))
+    matrices = {}
+    for d, keys in by_degree.items():
+        row_of = {key: i for i, key in enumerate(by_degree.get(d + 1, ()))}
+        m = [[field.zero] * len(keys) for _ in row_of]
+        for col, (a, lab) in enumerate(keys):
+            item = (0, x.entries[a][1], {lab: field.one})
+            for t in range(a + 1):
+                for path in naive_connection_paths(x, a, t):
+                    for out_lab, c in naive_signed_product(cat, [item] + path).items():
+                        i = row_of[(t, out_lab)]
+                        m[i][col] = field.add(m[i][col], c)
+        matrices[d] = tuple(map(tuple, m))
+    labels = {d: tuple(f"{a}|{lab}" for a, lab in keys) for d, keys in by_degree.items()}
+    return labels, matrices
 
 
 def index_inequality_telescoping(chain) -> bool:

@@ -190,6 +190,29 @@ def test_radical_invariants_random():
         assert radical(quotient).dim == 0
 
 
+def test_appendix_builds_each_radical_power_once(monkeypatch):
+    # k[x]/x^6: a = 6 and no degree -kappa part, so the levels are the powers
+    # J^p themselves; radical() checks nilpotency on its own degree-0 copy
+    import ainfbench.filtration as filtration
+
+    r = truncated_polynomial(6)
+    calls = []
+    product = filtration.subspace_product
+    monkeypatch.setattr(filtration, "subspace_product", lambda alg, s, t: calls.append(alg) or product(alg, s, t))
+    filt, params = appendix_filtration(r, 1)
+    assert params.nil_index == 6 and filt.dims() == (6, 5, 4, 3, 2, 1, 0)
+    assert sum(alg is r for alg in calls) == 5
+    assert len(calls) == 10
+    assert nilpotency_index(r, params.radical) == 6
+
+
+def test_nilpotency_index_refuses_non_nilpotent():
+    alg = dual_numbers()
+    assert nilpotency_index(alg, zero_subspace(alg)) == 1
+    with pytest.raises(FiltrationError, match="not nilpotent"):
+        nilpotency_index(alg, full_subspace(alg))
+
+
 def ideal_power_dim(alg, j, k):
     from .corpus import ideal_power
 

@@ -50,7 +50,7 @@ from .corpus import (
     truncated_polynomial,
     unital_m2,
 )
-from .oracles import naive_hom_differential
+from .oracles import naive_evaluation, naive_hom_differential, naive_maurer_cartan, naive_mu2
 
 F = Fraction
 TOY = Path(__file__).parent.parent / "fixtures" / "toy.json"
@@ -336,7 +336,15 @@ def test_hom_differential_matches_naive_oracle(field):
         lambda f: rescaled(toy_algebra(f), random.Random(7), LARGE_DENOMINATORS),
         lambda f: beilinson_algebra(2, f),
     ]
-    checked = 0
+
+    def random_scalar():
+        return field.mul(field.of_int(rng.randint(-3, 3)), field.inv(field.of_int(rng.choice((1, 7, 13)))))
+
+    def random_morphism(h, d):
+        v = tuple(random_scalar() for _ in h.basis_by_degree[d])
+        return v, h.morphism_from_coords(d, v)
+
+    checked = composed = broken_seen = 0
     for make in algebras:
         aus = build_auslander(*coordinate_filtration(make, 1, field))
         ps = [representable(aus, j) for j in range(aus.n)]
@@ -345,21 +353,54 @@ def test_hom_differential_matches_naive_oracle(field):
         drawn = [random_twisted_complex(aus, rng) for _ in range(3)]
         # a connection coefficient 2/7: the chains' own denominators
         drawn.append(cone(psi(aus, 0).scaled(field.mul(field.of_int(2), field.inv(field.of_int(7))))))
-        for x, y in itertools.product(ps + ss + drawn, repeat=2):
-            h = hom_complex(x, y)
+        complexes = ps + ss + drawn
+        homs = {}
+        for (a, x), (b, y) in itertools.product(enumerate(complexes), repeat=2):
+            h = homs[(a, b)] = hom_complex(x, y)
             for d, keys in h.basis_by_degree.items():
                 want = naive_hom_differential(h, d)
                 assert h.complex.differential(d) == want
                 checked += any(a != 0 for row in want for a in row)
                 # mu1 of a random multi-label morphism: the same combination of columns
-                v = tuple(field.mul(field.of_int(rng.randint(-3, 3)), field.inv(field.of_int(rng.choice((1, 7, 13)))))
-                          for _ in keys)
-                df = mu1(h.morphism_from_coords(d, v))
+                v, f = random_morphism(h, d)
+                df = mu1(f)
                 if want:
                     assert h.coords_from_morphism(df) == tuple(_dot(field, row, v) for row in want)
                 else:
                     assert df.is_zero()
-    assert checked > 0
+        # mu2 of random multi-label morphisms g: X -> Y and f: Y -> Z
+        for (a, b), h_g in homs.items():
+            h_f = homs[(b, rng.randrange(len(complexes)))]
+            if not h_g.basis_by_degree or not h_f.basis_by_degree:
+                continue
+            _, g = random_morphism(h_g, rng.choice(sorted(h_g.basis_by_degree)))
+            _, f = random_morphism(h_f, rng.choice(sorted(h_f.basis_by_degree)))
+            want = naive_mu2(f, g)
+            assert mu2(f, g).comps == want
+            composed += bool(want)
+        # Maurer-Cartan and evaluations on every complex
+        for x in complexes:
+            assert maurer_cartan_defect(x) == naive_maurer_cartan(x) == {}
+            for j in aus.gamma.objects:
+                labels, matrices = naive_evaluation(x, j)
+                e = evaluate_at(x, j)
+                assert e.components == labels
+                assert {d: e.differential(d) for d in labels} == matrices
+        # the defect of random connections, built without the check: shifts
+        # one step apart and mostly one object, so that paths of three
+        # degree-0 labels reach m_3
+        cat = aus.gamma
+        for _ in range(8):
+            o = rng.randrange(aus.n)
+            entries = [(rng.randrange(aus.n) if rng.random() < 0.3 else o, i) for i in range(4)]
+            conn = {(t, s): {lab: random_scalar() for lab in cat.basis(entries[t][0], entries[s][0])
+                             if cat.deg(lab) == 1 - entries[s][1] + entries[t][1]}
+                    for s in range(4) for t in range(s)}
+            broken = TwistedComplex(cat, entries, conn, check_mc=False)
+            want = naive_maurer_cartan(broken)
+            assert maurer_cartan_defect(broken) == want
+            broken_seen += bool(want)
+    assert checked > 0 and composed > 0 and broken_seen > 0
 
 
 def test_complexes_over_different_categories_are_rejected():
