@@ -10,13 +10,13 @@ F^{(n-i_k) + sum_{u != k} max(i_{u+1}-i_u, 0)} when F is compatible with the
 products (``check_filtration``, which callers run before the build), and
 that level lies inside the output denominator F^{n-i_1} by the integer
 inequalities, which the build proves for its own n and arity by one dynamic
-program over chain positions (``_least_slack``).  Every product is also
-projected strictly.  Each product of representatives is evaluated once,
-through the product table that the filtration sweeps share (representatives
-recur across the n^2 quotients), and projected once per presentation: the
+program over chain positions (``_least_slack``).  Each product of
+representatives is evaluated once, through the product table that the
+filtration sweeps share (representatives recur across the n^2 quotients),
+and projected once per presentation, by one sparse strict projection: the
 levels are deduplicated once, by Subspace equality, so the pairs (j, i) with
 equal numerator and denominator levels share one presentation, and the
-projection memo is keyed by presentation, not by pair.
+projection memo is keyed by (presentation, ids), not by pair.
 
 hom dims satisfy dim Gamma(j,i) = dim F^{max(j-i,0)} - dim F^{n-i}, and
 Gamma(0,0) is R itself on the nose: the generator embeds by a basis-level
@@ -101,6 +101,9 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
                     levels[num], levels[den], preferred=[unit_vec] if prefer_unit else []
                 )
             quotients[(j, i)] = q
+            want = filt.level(max(j - i, 0)).dim - filt.level(n - i).dim
+            if q.dim != want:
+                raise AuslanderError(f"hom({j},{i}) dimension {q.dim} != {want}")
             labels = []
             for rep in q.reps:
                 lead = next(k for k, a in enumerate(rep) if a != 0)
@@ -119,12 +122,6 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
                         raise AuslanderError("unit class is not a quotient basis vector")
                     unit_labels[i] = labels[idx[0]]
 
-    for i in range(n):
-        for j in range(n):
-            want = filt.level(max(j - i, 0)).dim - filt.level(n - i).dim
-            if quotients[(j, i)].dim != want:
-                raise AuslanderError(f"hom({j},{i}) dimension {quotients[(j, i)].dim} != {want}")
-
     mult = _induced_tables(r, space, n, quotients, labels_by_pair)
     gamma = AInfCategory(field, tuple(range(n)), hom, unit_labels, mult)
     return AuslanderCategory(r, filt, gamma, quotients)
@@ -134,10 +131,11 @@ def _induced_tables(r: AInfCategory, space, n: int, quotients: dict, labels_by_p
     """The tables m_p of Gamma, induced by those of R through the coset
     representatives.
 
-    Each product of representatives is projected once per presentation, and
-    the label dict of an (output pair, ids) is shared by its table keys.  The
-    memos die with this call, before Gamma is validated, where they would
-    only add to the peak memory."""
+    Two ``itertools.product`` over the ids and over the labels of a chain's
+    pairs run in lockstep; each product is projected once per (presentation,
+    ids) by ``project_strict_sparse``, and the label dict of an (output pair,
+    ids) is shared by its table keys.  The memos die with this call, before
+    Gamma is validated, where they would only add to the peak memory."""
     products = _ProductTable(r, space)
     rep_ids = {pr: products.intern(q.reps) for pr, q in quotients.items()}
     projected: dict = {}  # presentation -> {ids: quotient coordinates}
@@ -153,19 +151,17 @@ def _induced_tables(r: AInfCategory, space, n: int, quotients: dict, labels_by_p
             out_labels = labels_by_pair[out_pair]
             out_projected = projected.setdefault(out_q, {})
             out_entries = entries.setdefault(out_pair, {})
-            for combo in itertools.product(*[zip(rep_ids[pr], labels_by_pair[pr]) for pr in pairs]):
-                ids = tuple(t for t, _ in combo)
+            for ids, key in zip(itertools.product(*[rep_ids[pr] for pr in pairs]),
+                                itertools.product(*[labels_by_pair[pr] for pr in pairs])):
                 entry = out_entries.get(ids)
                 if entry is None:
                     coords = out_projected.get(ids)
                     if coords is None:
                         prod = products.product(ids)
-                        coords = out_projected[ids] = out_q.project_strict(prod) if prod else ()
-                    entry = out_entries[ids] = {
-                        out_labels[k]: c for k, c in enumerate(coords) if c != 0
-                    }
+                        coords = out_projected[ids] = out_q.project_strict_sparse(prod) if prod else {}
+                    entry = out_entries[ids] = {out_labels[k]: c for k, c in coords.items()}
                 if entry:
-                    table[tuple(lab for _, lab in combo)] = entry
+                    table[key] = entry
         if table:
             mult[p] = table
     return mult
@@ -275,7 +271,6 @@ def verify_lift_independence(a: AuslanderCategory, trials: int = 50, rng: random
     obj = r.objects[0]
     field = r.field
     n = a.n
-    gamma = a.gamma
 
     arities = sorted(r.mult)
     if not arities:
@@ -301,10 +296,8 @@ def verify_lift_independence(a: AuslanderCategory, trials: int = 50, rng: random
             base_args.append(r.coords_to_element(rep, obj, obj))
             pert_args.append(r.coords_to_element(pert, obj, obj))
         out_q = a.quotients[(chain[p], chain[0])]
-        base_out = r.apply(p, base_args)
-        pert_out = r.apply(p, pert_args)
-        base_vec = r.element_to_coords(base_out, obj, obj) if base_out else (field.zero,) * out_q.ambient.dim
-        pert_vec = r.element_to_coords(pert_out, obj, obj) if pert_out else (field.zero,) * out_q.ambient.dim
+        base_vec = r.element_to_coords(r.apply(p, base_args), obj, obj)
+        pert_vec = r.element_to_coords(r.apply(p, pert_args), obj, obj)
         if out_q.project_strict(base_vec) != out_q.project_strict(pert_vec):
             return False
     return True

@@ -20,23 +20,25 @@ Homogeneous vectors stay homogeneous under row reduction (basis vectors of
 distinct degrees have disjoint support), so graded subspaces need no extra
 block bookkeeping.
 
-A :class:`QuotientPresentation` seeds one echelon with spanning vectors of
-the denominator and inserts candidate vectors (for ``quotient_space``, the
-preferred vectors, then the numerator rows); each that adds a pivot is a coset
-representative.  None of it depends on the elimination order.  The pivots of a
-span W are the leading columns of its vectors, so the remainder of v modulo W
-is the unique v - w (w in W) that is 0 at every pivot of W; a representative
-is the scaled remainder of its vector modulo what was inserted before it.  As
-the echelon's rows span the numerator, reducing e_b splits it uniquely as
-e_b = d + sum_k c_k rep_k + r with d in the denominator: c is the quotient
-coordinate vector of e_b, and the remainder r its residue, zero iff e_b lies
-in the numerator.  Both are kept as sparse columns once index b is met, so
-``project(v)`` = sum_b v_b * column_b costs the support of ``v``;
-``project_strict`` also sums the residue columns and rejects ``v`` when that
-sum is nonzero.  ``quotient_space`` checks containment by one count: the
-echelon spans D + P + N (denominator, preferred vectors, numerator), which
-contains N, so D and P lie in N iff it has dim N rows; only a failed count
-looks for the first denominator row outside N, the witness.
+A :class:`QuotientPresentation` seeds one echelon with spanning vectors of the
+denominator and inserts candidate vectors; each that adds a pivot is a coset
+representative.  ``quotient_space`` seeds it with a copy of the denominator's
+sparse reduced rows, an echelon already, and inserts the preferred vectors,
+then the numerator's sparse reduced rows.  None of it depends on the
+elimination order.  The pivots of a span W are the leading columns of its
+vectors, so the remainder of v modulo W is the unique v - w (w in W) that is 0
+at every pivot of W; a representative is the scaled remainder of its vector
+modulo what was inserted before it.  As the echelon's rows span the numerator,
+reducing e_b splits it uniquely as e_b = d + sum_k c_k rep_k + r with d in the
+denominator: c is the quotient coordinate vector of e_b, and the remainder r
+its residue, zero iff e_b lies in the numerator.  Both are kept as sparse
+columns once index b is met, so ``project(v)`` = sum_b v_b * column_b costs
+the support of ``v``; ``project_strict_sparse`` also sums the residue columns
+and rejects ``v`` when that sum is nonzero, and ``project_strict`` is its
+dense view.  ``quotient_space`` checks containment by one count: the echelon
+spans D + P + N (denominator, preferred vectors, numerator), which contains N,
+so D and P lie in N iff it has dim N rows; only a failed count looks for the
+first denominator row outside N, the witness.
 
 The dimension of a cohomology group H^q comes from the ranks of d_q and
 d_{q-1}, one echelon of sparse columns each.  Its classes are presented the
@@ -109,8 +111,8 @@ class _Echelon:
     def __init__(self, field: ExactField, rows=()):
         self.field = field
         self.rows: dict = {}  # pivot -> row, in insertion order
-        for r in rows:
-            self.insert(_sparse(field, r))
+        for r in rows:  # sparse, through field.coerce, no zero entries
+            self.insert(r)
 
     def reduce(self, v: dict, multipliers: dict | None = None) -> dict:
         """Remainder of the sparse vector ``v`` (no zero entries); when given,
@@ -142,8 +144,8 @@ class _Echelon:
 
 
 def _reduced(field: ExactField, rows) -> _Echelon:
-    """Reduced row echelon form of dense or sparse rows: an echelon with its
-    rows in ascending pivot order."""
+    """Reduced row echelon form of sparse rows (as ``_Echelon`` takes them):
+    an echelon with its rows in ascending pivot order."""
     semi = _Echelon(field, rows)
     # Inserted in descending pivot order, each row meets only finished rows
     # with larger pivots, which are 0 before their pivot: the result is reduced.
@@ -160,7 +162,7 @@ def rref(field: ExactField, rows):
     if not rows:
         return (), ()
     ncols = len(rows[0])
-    reduced = _reduced(field, rows).rows
+    reduced = _reduced(field, [_sparse(field, r) for r in rows]).rows
     return tuple(_dense(field, r, ncols) for r in reduced.values()), tuple(reduced)
 
 
@@ -182,10 +184,10 @@ def solve_linear(field: ExactField, m, b):
 
 
 def _kernel(field: ExactField, rows, ncols: int) -> list:
-    """Kernel basis of the matrix with these dense or sparse rows, as sparse
-    vectors: one per free column j, 1 at j and -row[j] at the pivot of each
-    reduced row (reduced rows vanish at every other pivot, so each entry off
-    a row's pivot is at a free column)."""
+    """Kernel basis of the matrix with these sparse rows, as sparse vectors:
+    one per free column j, 1 at j and -row[j] at the pivot of each reduced
+    row (reduced rows vanish at every other pivot, so each entry off a row's
+    pivot is at a free column)."""
     reduced = _reduced(field, rows).rows
     basis = {j: {j: field.one} for j in range(ncols) if j not in reduced}
     for piv, row in reduced.items():
@@ -197,7 +199,7 @@ def _kernel(field: ExactField, rows, ncols: int) -> list:
 
 def nullspace(field: ExactField, m, ncols: int):
     """Basis of the kernel of the matrix ``m`` (rows act on length-``ncols`` vectors)."""
-    return tuple(_dense(field, v, ncols) for v in _kernel(field, m, ncols))
+    return tuple(_dense(field, v, ncols) for v in _kernel(field, [_sparse(field, r) for r in m], ncols))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +344,7 @@ class QuotientPresentation:
         if isinstance(denominator_rows, _Echelon):
             self._echelon = denominator_rows
         else:
-            self._echelon = _Echelon(field, denominator_rows)
+            self._echelon = _Echelon(field, [_sparse(field, r) for r in denominator_rows])
         self._rep_of = {}  # pivot of a representative's row -> its index
         reps = []
         for v in candidates:
@@ -387,11 +389,17 @@ class QuotientPresentation:
         ``v`` is a coordinate tuple or a sparse dict index -> scalar."""
         return _dense(self.field, self._combine(v, 0), self.dim)
 
-    def project_strict(self, v):
-        """Like project, but errors if ``v`` is not in the numerator mod denominator."""
+    def project_strict_sparse(self, v) -> dict:
+        """Quotient coordinates of ``v``, ascending dict index -> nonzero
+        scalar; errors if ``v`` is not in the numerator mod denominator."""
         if self._combine(v, 1):
             raise LinAlgError("vector lies outside the numerator; projection undefined")
-        return self.project(v)
+        coords = self._combine(v, 0)
+        return {k: coords[k] for k in sorted(coords)}
+
+    def project_strict(self, v):
+        """The dense view of ``project_strict_sparse``."""
+        return _dense(self.field, self.project_strict_sparse(v), self.dim)
 
     def lift(self, coords):
         if len(coords) != self.dim:
@@ -424,7 +432,9 @@ def quotient_space(numerator: Subspace, denominator: Subspace, preferred=()) -> 
     preferred = tuple(preferred)
     if any(len(v) != ambient.dim for v in preferred):
         raise LinAlgError("dimension mismatch")
-    q = QuotientPresentation(ambient, numerator.field, denominator.rows, (*preferred, *numerator.rows))
+    seed = _Echelon(numerator.field)  # reduced rows are an echelon already
+    seed.rows = {p: dict(r) for p, r in denominator._echelon.rows.items()}
+    q = QuotientPresentation(ambient, numerator.field, seed, (*preferred, *numerator._echelon.rows.values()))
     # D + P + N is N iff D and P lie in N; only a failed count seeks the witness
     if denominator.dim + q.dim != numerator.dim:
         for r in denominator.rows:

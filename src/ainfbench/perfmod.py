@@ -398,6 +398,11 @@ def cone(f: ModuleMorphismElement) -> TwistedComplex:
         raise ModuleError(f"cone requires a degree-0 morphism, got degree {f.degree}")
     if not is_closed(f):
         raise ModuleError("cone requires a closed morphism")
+    return _cone(f)
+
+
+def _cone(f: ModuleMorphismElement) -> TwistedComplex:
+    """The cone of ``f``, which the caller has checked closed of degree 0."""
     x, y = f.source, f.target
     off = y.size
     entries = list(y.entries) + [(o, k + 1) for o, k in x.entries]
@@ -767,7 +772,7 @@ def sod_report(aus: AuslanderCategory) -> SodReport:
     ss = []
     for i in range(n):
         if i < n - 1:
-            ss.append(cone(psi(aus, i)))
+            ss.append(_cone(psi(aus, i)))  # psi has checked that psi_i is closed
         else:
             ss.append(cone(zero_morphism(empty_complex(gamma), ps[i])))
 

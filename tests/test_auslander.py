@@ -1,7 +1,10 @@
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +29,11 @@ from ainfbench.filtration import (
     zero_subspace,
 )
 from ainfbench.linalg import QuotientPresentation
+from ainfbench.specfile import category_to_dict, serialize
 
 from .corpus import (
+    LARGE_DENOMINATORS,
+    beilinson_algebra,
     dual_numbers,
     random_filtered_algebra,
     rescaled,
@@ -42,6 +48,7 @@ from .oracles import (
 )
 
 F = Fraction
+GAMMA_GOLDEN = Path(__file__).parent / "gamma_golden.json"
 
 
 @pytest.fixture(scope="module")
@@ -184,23 +191,72 @@ def test_random_filtered_gammas_pass():
 def _oracle_cases():
     toy = toy_algebra()
     x6 = rescaled(truncated_polynomial(6), random.Random(6))
+    x6_large = rescaled(truncated_polynomial(6), random.Random(66), LARGE_DENOMINATORS)
     triv = trivial_extension(3, 1)
+    p2 = beilinson_algebra(2)
     yield pytest.param(toy, appendix_filtration(toy, kappa=1)[0], id="toy-appendix")
     yield pytest.param(toy, degree_filtration(toy), id="toy-degree")
     yield pytest.param(x6, appendix_filtration(x6, kappa=1)[0], id="x6-radical")
+    yield pytest.param(x6_large, appendix_filtration(x6_large, kappa=1)[0], id="x6-large-denominators")
     yield pytest.param(triv, appendix_filtration(triv, kappa=1)[0], id="trivext-3-1")
-    for field in (QQ, GF(3)):
+    yield pytest.param(p2, appendix_filtration(p2, kappa=1)[0], id="beilinson-2")
+    # appendix_filtration needs characteristic zero: prime fields draw theirs
+    for field, draws in ((QQ, 3), (GF(3), 3), (GF(5), 1)):
         rng = random.Random(f"gamma-oracle:{field.characteristic}")
-        for k in range(3):
+        for k in range(draws):
             yield pytest.param(*random_filtered_algebra(rng, field),
                                id=f"random-{field.characteristic}-{k}")
+
+
+def _ordered(table):
+    """A product table as nested lists: key order and entry order both count."""
+    return [(key, list(entry.items())) for key, entry in table.items()]
 
 
 @pytest.mark.parametrize("alg, filt", list(_oracle_cases()))
 def test_gamma_matches_naive_table(alg, filt):
     aus = build_auslander(alg, filt)
+    naive = naive_gamma_table(aus)
     assert aus.gamma.mult  # not vacuous
-    assert aus.gamma.mult == naive_gamma_table(aus)
+    assert aus.gamma.mult == naive
+    assert list(aus.gamma.mult) == list(naive)
+    for p in naive:  # dict == ignores order
+        assert _ordered(aus.gamma.mult[p]) == _ordered(naive[p])
+
+
+def _appendix_case(alg, kappa=1):
+    return alg, appendix_filtration(alg, kappa)[0]
+
+
+def _gf3_random(seed):
+    return random_filtered_algebra(random.Random(f"gamma-golden:{seed}"), GF(3))
+
+
+GAMMA_GOLDEN_CASES = {
+    "toy/Q": lambda: _appendix_case(toy_algebra()),
+    "x6-rescaled/Q": lambda: _appendix_case(rescaled(truncated_polynomial(6), random.Random(6))),
+    "trivext-3-1/Q": lambda: _appendix_case(trivial_extension(3, 1)),
+    "trivext-3-2/Q": lambda: _appendix_case(trivial_extension(3, 2), 2),
+    "beilinson-2/Q": lambda: _appendix_case(beilinson_algebra(2)),
+    "toy-degree/GF3": lambda: (toy_algebra(GF(3)), degree_filtration(toy_algebra(GF(3)))),
+    "random-1/GF3": lambda: _gf3_random(1),
+    "random-2/GF3": lambda: _gf3_random(2),
+}
+
+
+def gamma_digest(alg, filt) -> str:
+    """sha256 of Gamma as ``gamma build`` writes it."""
+    gamma = build_auslander(alg, filt).gamma
+    return hashlib.sha256(serialize(category_to_dict(gamma)).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(GAMMA_GOLDEN_CASES))
+def test_gamma_matches_golden_digest(case):
+    """Gamma, serialized byte for byte, equals the one recorded in
+    ``gamma_golden.json`` by the build before the lockstep product loop and
+    the sparse strict projection."""
+    golden = json.loads(GAMMA_GOLDEN.read_text(encoding="utf-8"))
+    assert gamma_digest(*GAMMA_GOLDEN_CASES[case]()) == golden[case]
 
 
 def test_sweeps_evaluate_each_product_once(monkeypatch):
@@ -233,7 +289,7 @@ def test_build_projects_each_product_once_per_presentation(alg, monkeypatch):
     n = filt.n
     last = []
     projected = Counter()
-    product, project_strict = auslander._ProductTable.product, QuotientPresentation.project_strict
+    product, project = auslander._ProductTable.product, QuotientPresentation.project_strict_sparse
 
     def recording(self, ids):
         last[:] = [ids]
@@ -241,10 +297,10 @@ def test_build_projects_each_product_once_per_presentation(alg, monkeypatch):
 
     def counting(self, v):
         projected[(id(self), last[0])] += 1
-        return project_strict(self, v)
+        return project(self, v)
 
     monkeypatch.setattr(auslander._ProductTable, "product", recording)
-    monkeypatch.setattr(QuotientPresentation, "project_strict", counting)
+    monkeypatch.setattr(QuotientPresentation, "project_strict_sparse", counting)
     aus = build_auslander(alg, filt)
     monkeypatch.undo()
     assert projected and max(projected.values()) == 1

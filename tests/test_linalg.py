@@ -271,6 +271,44 @@ def test_projection_matches_oracle_random(field):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_project_strict_is_dense_view_of_sparse_projection(field):
+    rng = random.Random(f"sparse-projection:{field.characteristic}")
+
+    def rand_vec(n):
+        return tuple(field.of_int(rng.randint(-3, 3)) for _ in range(n))
+
+    outside = 0
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        amb = GradedSpace(tuple(f"b{i}" for i in range(n)), (0,) * n)
+        den_vecs = [rand_vec(n) for _ in range(rng.randint(0, n))]
+        extra = [rand_vec(n) for _ in range(rng.randint(0, n))]
+        num = Subspace(amb, field, den_vecs + extra)
+        den = Subspace(amb, field, den_vecs)
+        preferred = extra[:1] if extra and rng.random() < 0.5 else []
+        q = quotient_space(num, den, preferred=preferred)
+        # seeded from the denominator's reduced rows: the representatives of
+        # the presentation that eliminates the dense rows again, and no row
+        # shared with the Subspace
+        again = QuotientPresentation(amb, field, den.rows, (*preferred, *num.rows))
+        assert q.reps == again.reps
+        assert not {id(r) for r in q._echelon.rows.values()} & {id(r) for r in den._echelon.rows.values()}
+        for v in [rand_vec(n) for _ in range(4)] + [tuple(q.lift(rand_vec(q.dim))) for _ in range(3)]:
+            if not num.contains(v):
+                outside += 1
+                with pytest.raises(LinAlgError):
+                    q.project_strict(v)
+                with pytest.raises(LinAlgError):
+                    q.project_strict_sparse(v)
+                continue
+            sparse = q.project_strict_sparse(v)
+            assert list(sparse) == sorted(sparse) and all(c != 0 for c in sparse.values())
+            assert q.project_strict(v) == tuple(sparse.get(k, field.zero) for k in range(q.dim))
+            assert q.project_strict(v) == q.project(v)
+    assert outside > 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
 def test_elimination_matches_dense_oracle(field):
     rng = random.Random(f"elimination:{field.characteristic}")
 
@@ -527,6 +565,7 @@ def test_cohomology_dims_from_ranks_present_classes_on_demand(field, monkeypatch
                         lambda self, *a: built.update(["presentation"]) or init(self, *a))
     for c, eager in cases:
         built.clear()
+        columns = {q: {j: dict(col) for j, col in cols.items()} for q, cols in c.columns.items()}
         h = complex_cohomology(c)
         ranks = {q: naive_rank(field, m, len(c.components[q])) for q, m in c.diff.items()}
         want = {q: len(labels) - ranks.get(q, 0) - ranks.get(q - 1, 0)
@@ -548,6 +587,7 @@ def test_cohomology_dims_from_ranks_present_classes_on_demand(field, monkeypatch
         assert built == Counter({"kernel": len(c.components), "presentation": len(c.components)})
         assert {q: g.dim for q, g in h.groups.items() if g.dim} == h.dims()
         assert {q: g.reps for q, g in h.groups.items()} == {q: g.reps for q, g in eager.items()}
+        assert c.columns == columns  # the echelons inserted copies of the columns
 
 
 def test_cohomology_presentation_checked_against_ranks():

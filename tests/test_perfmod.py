@@ -19,6 +19,7 @@ from ainfbench.filtration import (
     zero_subspace,
 )
 from ainfbench.linalg import Subspace, complex_cohomology
+import ainfbench.perfmod as perfmod
 from ainfbench.perfmod import (
     HomComplexResult,
     ModuleError,
@@ -511,6 +512,19 @@ def test_sod_report_noncommutative_quotient():
     rep = sod_report(build_auslander(alg, filt))
     assert rep.passed, rep.to_json()["failures"]
     assert rep.rbar_dims == {0: 3}
+
+
+def test_sod_report_evaluates_mu1_once_per_morphism(monkeypatch):
+    # psi checks that psi_i is closed; sod_report takes its cone without a
+    # second check, while cone still checks the morphisms it is given
+    alg = truncated_polynomial(10)
+    aus = build_auslander(alg, appendix_filtration(alg, 1)[0])
+    seen = []  # every argument stays alive, so no two share an id
+    call = perfmod.mu1
+    monkeypatch.setattr(perfmod, "mu1", lambda f: seen.append(f) or call(f))
+    assert sod_report(aus).passed
+    assert len(seen) >= aus.n - 1
+    assert len({id(f) for f in seen}) == len(seen)
 
 
 def test_sod_report_random_filtered():
