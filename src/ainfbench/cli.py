@@ -2,12 +2,12 @@
 
 Subcommands:
 
-    validate <file>                         structure + relation checks
+    validate <file> [--jobs N]              structure + relation checks
     stasheff <file> [--max-arity N] [--jobs N]
     filtration check <file>
     filtration degree <file> -o OUT
     filtration appendix <file> --kappa K -o OUT
-    gamma build <file> -o OUT [--lift-trials N]
+    gamma build <file> -o OUT [--lift-trials N] [--jobs N]
     sod <file> [--format json|text] [--jobs N]
     deform <file> --cochain <file> -o OUT
 
@@ -19,9 +19,9 @@ category build, ``cohomology_s`` for the Hom-complexes of ``sod``, their
 cohomology and the End comparison, and ``relations_s`` for the relation
 sweep of ``validate``, ``stasheff``, ``gamma build`` and ``deform``):
 witness lists are sorted.
-``sod`` and the ``filtration`` commands certify nothing for an input algebra
-that fails its structure or relation checks.  ``--jobs N`` is accepted for
-compatibility and has no effect.
+``sod``, ``gamma build``, ``deform`` and the ``filtration`` commands certify
+nothing, and write no file, for an input algebra that fails its structure or
+relation checks.  ``--jobs N`` is accepted for compatibility and has no effect.
 
 ``gamma build`` reports ``lift_independence`` from the build itself: it runs
 only on a filtration that passes its compatibility check, and the build
@@ -244,6 +244,8 @@ def cmd_gamma_build(args) -> int:
     started = time.perf_counter()
     spec = parse_spec(args.file)
     filt = _need_filtration(spec)
+    if not _input_valid("gamma build", spec, started):
+        return EXIT_FAIL
     filt_report = check_filtration(spec.category, filt)
     if not filt_report.passed:
         _emit(
@@ -321,6 +323,8 @@ def cmd_sod(args) -> int:
 def cmd_deform(args) -> int:
     started = time.perf_counter()
     spec = parse_spec(args.file)
+    if not _input_valid("deform", spec, started):
+        return EXIT_FAIL
     cat = spec.category
     raw = _load_cochain(args.cochain, cat)
     module = diagonal_bimodule(cat)
@@ -328,10 +332,7 @@ def cmd_deform(args) -> int:
         key: {f"M.{lab}": c for lab, c in vec.items()}
         for key, vec in raw["table"].items()
     }
-    try:
-        eta = HochschildCochain(cat, module, raw["arity"], table)
-    except HochschildError as exc:
-        raise SpecError(str(exc)) from None
+    eta = HochschildCochain(cat, module, raw["arity"], table)
     deformed = deform_by_cocycle(cat, module, eta)
     cocycle = hochschild_differential(eta).is_zero()
     structure = validate_structure(deformed)

@@ -25,7 +25,8 @@ structure checker remains the judge of a deformation.
 The differential, the functor equations of :func:`coboundary_trivialization`
 and the relation check of :mod:`ainfbench.ainf` are all sums of Gerstenhaber
 insertions, and all three are summed by the one sparse join
-:func:`ainfbench.ainf._insertion_sums`, each with its own signs.
+:func:`ainfbench.ainf._insertion_sums`, each with its own signs.  Cochains
+are validated where they enter; a deformation builds one square-zero extension.
 """
 
 from __future__ import annotations
@@ -127,9 +128,15 @@ def diagonal_bimodule(c: AInfCategory, prefix: str = "M") -> Bimodule:
 
 
 def square_zero_extension(c: AInfCategory, m: Bimodule, shift: int) -> AInfCategory:
-    """The category C + M[shift]: module labels lowered in degree by the
-    shift, action entries twisted by the Koszul sign of sliding the shift
-    line past the arguments, products of two module elements zero."""
+    """The category C + M[shift] of :func:`_extension_tables`."""
+    hom, mult = _extension_tables(c, m, shift)
+    return AInfCategory(c.field, c.objects, hom, c.units, mult)
+
+
+def _extension_tables(c: AInfCategory, m: Bimodule, shift: int) -> tuple[dict, dict]:
+    """The hom-spaces and products of C + M[shift]: module labels lowered in
+    degree by the shift, action entries twisted by the Koszul sign of sliding
+    the shift line past the arguments, products of two module elements zero."""
     if m.base is not c and not m.base.tables_equal(c):
         raise HochschildError("bimodule is not over the given category")
     field = c.field
@@ -140,9 +147,7 @@ def square_zero_extension(c: AInfCategory, m: Bimodule, shift: int) -> AInfCateg
             sp.labels + msp.labels,
             sp.degrees + tuple(d - shift for d in msp.degrees),
         )
-    mult: dict = {}
-    for p, table in c.mult.items():
-        mult[p] = {key: dict(vec) for key, vec in table.items()}
+    mult = {p: dict(table) for p, table in c.mult.items()}  # vectors are shared, never modified
     for p, table in m.action.items():
         tbl = mult.setdefault(p, {})
         for key, vec in table.items():
@@ -151,8 +156,8 @@ def square_zero_extension(c: AInfCategory, m: Bimodule, shift: int) -> AInfCateg
             exp = (shift * (p + prefix_deg)) % 2
             if exp:
                 vec = {lab: field.neg(co) for lab, co in vec.items()}
-            tbl[key] = dict(vec)
-    return AInfCategory(field, c.objects, hom, dict(c.units), mult)
+            tbl[key] = vec
+    return hom, mult
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +170,13 @@ class HochschildCochain:
     ``table`` maps composable tuples of base basis labels to sparse module
     vectors; for arity 0 it maps object labels to vectors in M(x, x).  The
     internal degree (output degree minus the sum of input degrees) must be
-    constant across the table.
+    constant across the table.  All of it is checked here, where tables enter.
     """
 
     def __init__(self, base: AInfCategory, module: Bimodule, arity: int,
-                 table: dict, internal_degree: int | None = None,
-                 enforce_normalized: bool = True):
+                 table: dict, internal_degree: int | None = None):
         if arity < 0:
             raise HochschildError("cochain arity must be >= 0")
-        self.base = base
-        self.module = module
-        self.arity = arity
         clean = {}
         seen_internal = set()
         for key, vec in table.items():
@@ -199,7 +200,7 @@ class HochschildCochain:
                     raise HochschildError(f"unknown base label {lab!r} in cochain")
             if not base.composable(key):
                 raise HochschildError(f"cochain key {key} is not composable")
-            if enforce_normalized and any(base.is_unit(lab) for lab in key):
+            if any(base.is_unit(lab) for lab in key):
                 raise HochschildError(f"cochain not normalized: unit argument in {key}")
             pair = (base.src(key[-1]), base.tgt(key[0]))
             in_deg = sum(base.deg(lab) for lab in key)
@@ -214,13 +215,16 @@ class HochschildCochain:
             internal_degree = seen_internal.pop() if seen_internal else 0
         elif seen_internal and seen_internal != {internal_degree}:
             raise HochschildError("declared internal degree does not match the table")
-        self.internal_degree = internal_degree
-        self.table = clean
-        self.normalized = all(
-            not any(base.is_unit(lab) for lab in key)
-            for key in clean
-            if arity > 0
-        )
+        self.base, self.module, self.arity = base, module, arity
+        self.table, self.internal_degree = clean, internal_degree
+
+    @classmethod
+    def _trusted(cls, base, module, arity: int, table: dict, internal_degree: int):
+        """The cochain of a table that is valid by construction, unchecked."""
+        phi = cls.__new__(cls)
+        phi.base, phi.module, phi.arity = base, module, arity
+        phi.table, phi.internal_degree = table, internal_degree
+        return phi
 
     def is_zero(self) -> bool:
         return not self.table
@@ -241,6 +245,9 @@ def hochschild_differential(phi: HochschildCochain) -> HochschildCochain:
     alternating formula.  An arity-0 cochain has no inputs: it enters the
     insertions under the key (), and only the composable products of the
     extension place its value at the right object.
+
+    The result is valid by construction (composable, in the right module
+    slots, of phi's internal degree, normalized by the unit filter): unchecked.
     """
     base = phi.base
     n = phi.arity
@@ -262,10 +269,7 @@ def hochschild_differential(phi: HochschildCochain) -> HochschildCochain:
     ])
     units = set(base.units.values())
     table = {labels: vec for labels, vec in total.items() if units.isdisjoint(labels)}
-    return HochschildCochain(
-        base, phi.module, n + 1, table, internal_degree=phi.internal_degree,
-        enforce_normalized=False,
-    )
+    return HochschildCochain._trusted(base, phi.module, n + 1, table, phi.internal_degree)
 
 
 def is_cocycle(phi: HochschildCochain) -> bool:
@@ -279,33 +283,28 @@ def is_cocycle(phi: HochschildCochain) -> bool:
 def deform_by_cocycle(c: AInfCategory, m: Bimodule, eta: HochschildCochain) -> AInfCategory:
     """The square-zero extension with m_n augmented by eta on pure-C inputs.
 
-    Requires eta normalized with internal degree 0, so the added component
-    has operator degree 2 - n at the shift n - 2.  The result satisfies the
-    defining relations iff eta is a Hochschild cocycle.
+    Requires eta of internal degree 0, so the added component has operator
+    degree 2 - n at the shift n - 2.  The result satisfies the defining
+    relations iff eta is a Hochschild cocycle.
     """
     if eta.base is not c and not eta.base.tables_equal(c):
         raise HochschildError("cochain is not over the given category")
     if eta.arity < 1:
         raise HochschildError("deformations need cochain arity >= 1")
     if eta.internal_degree != 0:
-        raise HochschildError(
-            f"cocycle internal degree {eta.internal_degree} does not match the "
-            f"shift {eta.arity - 2}"
-        )
-    if not eta.normalized:
-        raise HochschildError("deformation requires a normalized cochain")
-    return _deform(c, m, eta)
+        raise HochschildError(f"cocycle internal degree {eta.internal_degree} "
+                              f"does not match the shift {eta.arity - 2}")
+    return _deform(c, *_extension_tables(c, m, eta.arity - 2), eta)
 
 
-def _deform(c: AInfCategory, m: Bimodule, eta: HochschildCochain) -> AInfCategory:
-    """The square-zero extension at shift eta.arity - 2 with eta added to
-    m_n, without the gates of :func:`deform_by_cocycle`."""
-    ext = square_zero_extension(c, m, eta.arity - 2)
-    mult = {p: {key: dict(vec) for key, vec in table.items()} for p, table in ext.mult.items()}
-    tbl = mult.setdefault(eta.arity, {})
+def _deform(c: AInfCategory, hom: dict, mult: dict, eta: HochschildCochain) -> AInfCategory:
+    """The deformation's one category: the square-zero extension at shift
+    eta.arity - 2, given by its tables ``hom`` and ``mult`` (left unchanged),
+    with eta added to m_n, and none of the gates of :func:`deform_by_cocycle`."""
+    tbl = {key: dict(vec) for key, vec in mult.get(eta.arity, {}).items()}
     for key, vec in eta.table.items():
         c.field.add_scaled(tbl.setdefault(key, {}), vec)
-    return AInfCategory(ext.field, ext.objects, ext.hom, dict(ext.units), mult)
+    return AInfCategory(c.field, c.objects, hom, c.units, {**mult, eta.arity: tbl})
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +317,18 @@ def coboundary_trivialization(c: AInfCategory, m: Bimodule, phi: HochschildCocha
     first component is the identity and whose component at arity phi.arity
     is (-1)^(arity+1) * phi satisfies the functor equations bit-exactly.
     (For arity 1 the two components merge into the map 1 + phi.)
+
+    For even arity, id - phi is checked as id + phi from the plain to the
+    deformed extension, with the same defect up to sign: d(phi) and phi take
+    pure-C inputs to module outputs.  The deformation reuses ``plain``.
     """
     eta = hochschild_differential(phi)
-    deformed = deform_by_cocycle(c, m, HochschildCochain(
-        c, m, eta.arity, eta.table, internal_degree=0))
+    if eta.table and eta.internal_degree:
+        raise HochschildError(f"d(phi) has internal degree {eta.internal_degree}, not 0")
     plain = square_zero_extension(c, m, eta.arity - 2)
-    q = phi.arity
-    if q % 2 == 0:
-        field = c.field
-        phi = HochschildCochain(
-            c, m, q,
-            {k: {l: field.neg(v) for l, v in e.items()} for k, e in phi.table.items()},
-            internal_degree=phi.internal_degree,
-        )
-    return _verify_functor(deformed, plain, phi, q)
+    deformed = _deform(c, plain.hom, plain.mult, eta)
+    src, tgt = (deformed, plain) if phi.arity % 2 else (plain, deformed)
+    return _verify_functor(src, tgt, phi, phi.arity)
 
 
 def _bar_exp(degs) -> int:

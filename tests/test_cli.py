@@ -1,13 +1,20 @@
 import builtins
+import contextlib
+import functools
+import hashlib
+import io
 import json
+import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ainfbench import cli
+from ainfbench import GF, QQ, cli
 from ainfbench.cli import main
-from ainfbench.filtration import degree_filtration
+from ainfbench.filtration import check_filtration, degree_filtration
+from ainfbench.hochschild import diagonal_bimodule, hochschild_differential
 from ainfbench.specfile import (
     SpecError,
     category_to_dict,
@@ -15,6 +22,8 @@ from ainfbench.specfile import (
     parse_spec_dict,
     serialize,
 )
+
+from .corpus import LARGE_DENOMINATORS, dual_numbers, random_associative_algebra, random_cochain, rescaled
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TOY = str(FIXTURES / "toy.json")
@@ -322,6 +331,72 @@ def test_cli_deform_reads_cochain_file_once(tmp_path, capsys, monkeypatch):
     assert (mask_timings(out), out_file.read_bytes()) == expected
 
 
+DEFORM_GOLDEN = Path(__file__).parent / "deform_golden.json"
+
+
+@functools.cache
+def deform_golden_cases() -> dict:
+    """Case name -> spec dict with a ``cochain`` section, associative bases
+    only: the dual numbers with eta(e, e) = 1; criterion-7 draws (seed 707,
+    a random arity-2 or -3 cochain, every third a coboundary d(phi) of an
+    arity-1 or -2 phi), three over Q and three over GF(3); and one draw in a
+    basis rescaled with denominators 7, 11 and 13."""
+
+    def spec(cat, eta):
+        table = {key: {lab[2:]: v for lab, v in vec.items()} for key, vec in eta.table.items()}
+        return category_to_dict(cat, cochain={"arity": eta.arity, "table": table})
+
+    dual = dual_numbers()
+    eps = {"arity": 2, "table": {("e", "e"): {"1": Fraction(1)}}}
+    cases = {"dual-eps": category_to_dict(dual, cochain=eps)}
+    for name, field in (("Q", QQ), ("GF3", GF(3))):
+        rng = random.Random(707)
+        drawn = 0
+        while drawn < 3:
+            cat = random_associative_algebra(rng, field)
+            module = diagonal_bimodule(cat)
+            if drawn == 2:
+                phi = random_cochain(rng, cat, module, rng.choice([1, 2]))
+                eta = phi and hochschild_differential(phi)
+            else:
+                eta = random_cochain(rng, cat, module, rng.choice([2, 3]))
+            if eta and not eta.is_zero():
+                cases[f"{name}-{drawn}"] = spec(cat, eta)
+                drawn += 1
+    rng = random.Random(707)
+    eta = None
+    while eta is None:
+        cat = rescaled(random_associative_algebra(rng), rng, LARGE_DENOMINATORS)
+        eta = random_cochain(rng, cat, diagonal_bimodule(cat), 2, LARGE_DENOMINATORS)
+    cases["Q-large-denominators"] = spec(cat, eta)
+    return cases
+
+
+def deform_golden_entry(spec: dict) -> dict:
+    """``deform`` of ``spec`` by its own cochain section, run in the current
+    directory: the report without ``timings`` (key order kept) and the
+    sha256 of the written file."""
+    Path("case.json").write_text(serialize(spec), encoding="utf-8")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        main(["deform", "case.json", "--cochain", "case.json", "-o", "deformed.json"])
+    report = json.loads(printed.getvalue())
+    del report["timings"]
+    return {"report": report, "sha256": hashlib.sha256(Path("deformed.json").read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("case", ["dual-eps", "Q-0", "Q-1", "Q-2", "GF3-0", "GF3-1", "GF3-2", "Q-large-denominators"])
+def test_cli_deform_matches_golden(case, tmp_path, monkeypatch):
+    """The ``deform`` report and written file equal those recorded in
+    ``deform_golden.json`` by the commit before cochains were validated
+    only where they enter."""
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(DEFORM_GOLDEN.read_text(encoding="utf-8"))
+    assert set(golden) == set(deform_golden_cases())
+    got = deform_golden_entry(deform_golden_cases()[case])
+    assert json.dumps(got, indent=2) == json.dumps(golden[case], indent=2)
+
+
 def test_cli_deform_spec_without_cochain_exit2(tmp_path, capsys):
     out_file = tmp_path / "deformed.json"
     code, out, err = run(capsys, "deform", TOY, "--cochain", TOY, "-o", str(out_file))
@@ -434,6 +509,56 @@ def test_cli_invalid_input_gets_no_certificate(tmp_path, capsys):
     code, out, _ = run(capsys, "sod", str(filtered), "--format", "text")
     assert code == 1
     assert json.loads(out)["verdict"] == "FAIL"
+
+
+def _degree_breaking_spec(tmp_path) -> str:
+    """Toy's basis and unit products with m_2(e, e) = t, which breaks the
+    degree rule (|e| = 0, |t| = -1), and a filtration that passes its check."""
+    data = json.loads(Path(TOY).read_text())
+    data["mult"] = [row for row in data["mult"] if row["arity"] == 2]
+    data["mult"].append({"arity": 2, "inputs": ["e", "e"], "output": {"t": "1"}})
+    data["filtration"] = [[{"1": "1"}, {"e": "1"}, {"t": "1"}], [{"t": "1"}], []]
+    path = tmp_path / "bad_degrees.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _assert_degrees_fail(out: str) -> None:
+    report = json.loads(out)
+    assert report["verdict"] == "FAIL"
+    failed = [c for c in report["structure"]["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["degrees"]
+    assert {"arity": 2, "tuple": ["e", "e"]}.items() <= failed[0]["witnesses"][0].items()
+
+
+@pytest.mark.parametrize(
+    "inputs,output",
+    [(["e"], "e"), (["e", "e"], "e"), (["e", "t"], "t")],
+    ids=["eta_e", "eta_ee", "eta_et"],
+)
+def test_cli_deform_refuses_invalid_base(tmp_path, capsys, inputs, output):
+    # without the input gate the broken degree rule surfaces late: in the
+    # degree check of d(eta) for eta_e and eta_et (exit 2), and only in the
+    # written deformation's report for eta_ee (exit 1, with a file)
+    bad = _degree_breaking_spec(tmp_path)
+    cochain = tmp_path / "eta.json"
+    cochain.write_text(json.dumps({"arity": len(inputs), "table": [{"inputs": inputs, "output": {output: "1"}}]}))
+    out_file = tmp_path / "deformed.json"
+    code, out, err = run(capsys, "deform", bad, "--cochain", str(cochain), "-o", str(out_file))
+    assert (code, err) == (1, "")
+    _assert_degrees_fail(out)
+    assert not out_file.exists()
+
+
+def test_cli_gamma_build_refuses_invalid_base(tmp_path, capsys):
+    bad = _degree_breaking_spec(tmp_path)
+    spec = parse_spec(bad)
+    assert check_filtration(spec.category, spec.filtration).passed
+    out_file = tmp_path / "gamma.json"
+    code, out, _ = run(capsys, "gamma", "build", bad, "-o", str(out_file))
+    assert code == 1
+    _assert_degrees_fail(out)
+    assert not out_file.exists()
 
 
 def test_cli_stage_timings(tmp_path, capsys):

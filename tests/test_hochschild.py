@@ -1,14 +1,15 @@
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ainfbench import GF, QQ, check_stasheff, validate_structure
+from ainfbench import GF, QQ, AInfCategory, check_stasheff, validate_structure
+from ainfbench.cli import main
 from ainfbench.hochschild import (
     HochschildCochain,
     HochschildError,
-    _deform,
     _verify_functor,
     coboundary_trivialization,
     deform_by_cocycle,
@@ -242,10 +243,9 @@ def test_non_normalized_cochain_rejected_then_breaks():
     m = diagonal_bimodule(c)
     with pytest.raises(HochschildError):
         HochschildCochain(c, m, 2, {("1", "e"): {"M.1": F(1)}})
-    raw = HochschildCochain(
-        c, m, 2, {("1", "e"): {"M.1": F(1)}}, enforce_normalized=False
-    )
-    broken = _deform(c, m, raw)
+    # the same table, unchecked: deform_by_cocycle has no normalization gate
+    raw = HochschildCochain._trusted(c, m, 2, {("1", "e"): {"M.1": F(1)}}, 0)
+    broken = deform_by_cocycle(c, m, raw)
     ok = validate_structure(broken).passed and check_stasheff(broken).passed
     assert not ok
 
@@ -354,3 +354,43 @@ def test_functor_check_rejects_wrong_multiple(make, q, table):
     assert not functor(-sign)
     assert not functor(2)
     assert not functor(0)
+
+
+def _count_inits(monkeypatch, *classes) -> list:
+    """Record the class name of every ``__init__`` call of ``classes``."""
+    made = []
+    for cls in classes:
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            made.append(_name)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+def test_cochains_checked_where_they_enter_one_extension_per_deformation(tmp_path, capsys, monkeypatch):
+    """``deform`` makes three categories (the parsed base, the deformation
+    and the differential's extension) and checks its one cochain once;
+    ``coboundary_trivialization`` makes three (the differential's extension,
+    the plain extension and its deformation) and checks no cochain; the
+    differential checks none."""
+    cochain = tmp_path / "eta.json"
+    cochain.write_text(json.dumps({"arity": 2, "table": [{"inputs": ["e", "e"], "output": {"1": "1"}}]}))
+    made = _count_inits(monkeypatch, AInfCategory, HochschildCochain)
+    base = Path(__file__).resolve().parent.parent / "fixtures" / "dual.json"
+    assert main(["deform", str(base), "--cochain", str(cochain), "-o", str(tmp_path / "out.json")]) == 0
+    capsys.readouterr()
+    assert (made.count("AInfCategory"), made.count("HochschildCochain")) == (3, 1)
+
+    for make, q, table in [
+        (dual_numbers, 1, {("e",): {"M.1": F(1)}}),
+        (upper_triangular_2, 2, {("a", "x"): {"M.x": F(1)}}),
+    ]:
+        c = make()
+        m = diagonal_bimodule(c)
+        phi = HochschildCochain(c, m, q, table)
+        made.clear()
+        assert coboundary_trivialization(c, m, phi)
+        assert (made.count("AInfCategory"), made.count("HochschildCochain")) == (3, 0)
+        made.clear()
+        assert not hochschild_differential(phi).is_zero()
+        assert made.count("HochschildCochain") == 0
