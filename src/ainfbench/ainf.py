@@ -276,8 +276,9 @@ class _ProductTable:
     """Products of coordinate vectors of one hom-space, each evaluated once.
 
     The filtered-algebra sweeps multiply the same spanning vectors over and
-    over.  ``intern`` gives each dense coordinate row of ``space`` an id
-    (equal rows share one); ``product(ids)`` is m_p of those rows, p =
+    over.  ``intern`` gives each coordinate row of ``space``, dense or sparse
+    ``{index: scalar}`` without zeros, an id (equal rows of one form share
+    one); ``product(ids)`` is m_p of those rows, p =
     len(ids), as sparse coordinates ``{index: scalar}`` in ``space``.  It
     calls :meth:`AInfCategory.apply` the first time and is cached after, so
     the products must land in ``space`` too (true in a one-object algebra).
@@ -294,10 +295,12 @@ class _ProductTable:
     def intern(self, rows) -> list:
         ids = []
         for row in rows:
-            k = self._ids.get(row)
+            key = frozenset(row.items()) if isinstance(row, dict) else row
+            k = self._ids.get(key)
             if k is None:
-                k = self._ids[row] = len(self._elements)
-                self._elements.append({self.labels[i]: c for i, c in enumerate(row) if c != 0})
+                k = self._ids[key] = len(self._elements)
+                items = row.items() if isinstance(row, dict) else enumerate(row)
+                self._elements.append({self.labels[i]: c for i, c in items if c != 0})
             ids.append(k)
         return ids
 

@@ -6,8 +6,10 @@ F^{i_1 + ... + i_p} (indices above n read as n, where F^n = 0).
 
 Included here: the compatibility checker, the filtration by cohomological
 degree of a non-positively graded minimal algebra, Jacobson radicals of
-finite-dimensional associative algebras in characteristic zero via the trace
-pairing of left-multiplication operators, and the explicit filtration of an
+finite-dimensional associative algebras in characteristic zero as one kernel
+of the trace form (x, y) -> trace(L_{xy}) (Curtis and Reiner 1962), certified
+by checking that the kernel is an ideal, that the quotient by it has zero
+trace kernel and that it is nilpotent, and the explicit filtration of an
 algebra concentrated in degrees {0, -kappa} built from radical powers.
 """
 
@@ -45,7 +47,7 @@ def subspace_product(r: AInfCategory, s: Subspace, t: Subspace) -> Subspace:
     """Span of m_2(s, t) over spanning vectors."""
     _, space = _one_object(r)
     table = _ProductTable(r, space)
-    s_ids, t_ids = table.intern(s.rows), table.intern(t.rows)
+    s_ids, t_ids = table.intern(s.sparse_rows), table.intern(t.sparse_rows)
     return Subspace(space, r.field, [table.product((u, v)) for u in s_ids for v in t_ids])
 
 
@@ -249,13 +251,20 @@ def filtration_quotient_algebra(r: AInfCategory, filt: Filtration, prefix: str =
 
 
 def radical(a: AInfCategory) -> Subspace:
-    """Jacobson radical via the trace pairing of left multiplications.
+    """Jacobson radical of an associative algebra in degree 0, characteristic 0.
 
-    Kernel of (x, y) -> trace(L_{xy}), iterated to a fixed point (in
-    characteristic zero the first kernel already is the radical; the loop
-    verifies that).  The result is checked to be a nilpotent ideal.
+    By the trace-form criterion (Curtis and Reiner 1962) the radical is the
+    kernel J of (x, y) -> trace(L_{xy}), computed once and certified in three
+    straight-line steps: J is an ideal (checked by :func:`quotient_by_ideal`);
+    R/J has zero trace kernel, so R/J is semisimple and rad ⊆ J; and J is
+    nilpotent, so J ⊆ rad.
     """
-    obj, space = _one_object(a)
+    return _radical_powers(a)[1]
+
+
+def _radical_powers(a: AInfCategory) -> list:
+    """[A, J, J^2, ..., 0] for J = radical(a), certified as there."""
+    _, space = _one_object(a)
     field = a.field
     if field.characteristic != 0:
         raise FiltrationError("radical computation requires characteristic zero")
@@ -263,33 +272,11 @@ def radical(a: AInfCategory) -> Subspace:
         raise FiltrationError("radical requires an associative algebra with only m_2")
     if any(d != 0 for d in space.degrees):
         raise FiltrationError("radical requires the algebra concentrated in degree 0")
-
-    current = a
-    lifts = None  # chain of quotient presentations back to `a`
-    j_rows: list = []
-    while True:
-        kernel = _trace_kernel(current)
-        if not kernel:
-            break
-        # pull the kernel back through the quotients taken so far
-        vecs = kernel
-        if lifts is not None:
-            vecs = [lifts.lift(v) for v in vecs]
-        grew = False
-        amb = space
-        base = Subspace(amb, field, j_rows)
-        for v in vecs:
-            if not base.contains(v):
-                j_rows.append(v)
-                base = Subspace(amb, field, j_rows)
-                grew = True
-        if not grew:
-            break
-        current, lifts = quotient_by_ideal(a, base, prefix="rq")
-
-    j = Subspace(space, field, j_rows)
-    _powers(a, j)  # FiltrationError unless nilpotent
-    return j
+    j = Subspace(space, field, _trace_kernel(a))
+    quotient, _ = quotient_by_ideal(a, j, prefix="rq")
+    if _trace_kernel(quotient):
+        raise FiltrationError("the quotient by the trace kernel has a nonzero trace kernel")
+    return _powers(a, j)  # FiltrationError unless nilpotent
 
 
 def _trace_kernel(a: AInfCategory):
@@ -324,12 +311,17 @@ def _trace_kernel(a: AInfCategory):
 
 def _powers(r: AInfCategory, j: Subspace) -> list:
     """[R, J, J^2, ..., J^a = 0], a the least with J^a = 0 (a = 1 when J = 0);
-    FiltrationError once J^(dim R + 1) != 0."""
+    FiltrationError once J^(dim R + 1) != 0.  One product table serves the
+    chain, and each distinct product enters the next power's echelon once."""
+    table = _ProductTable(r, j.ambient)
+    j_ids = table.intern(j.sparse_rows)
     powers = [full_subspace(r), j]
     while powers[-1].dim > 0:
         if len(powers) > j.ambient.dim + 1:
             raise FiltrationError("subspace is not nilpotent")
-        powers.append(subspace_product(r, powers[-1], j))
+        ids = table.intern(powers[-1].sparse_rows)
+        distinct = {frozenset(p.items()): p for p in (table.product((u, v)) for u in ids for v in j_ids)}
+        powers.append(Subspace(j.ambient, r.field, distinct.values()))
     return powers
 
 
@@ -387,13 +379,12 @@ def appendix_filtration(r: AInfCategory, kappa: int):
     if unit not in labels0:
         raise FiltrationError("unit does not lie in degree 0")
     a0 = AInfCategory(field, (obj,), {(obj, obj): space0}, {obj: unit}, {2: m2_0})
-    j0 = radical(a0)
-
-    # embed the radical back into R's coordinates
-    j = Subspace(space, field, [{space.index(labels0[i]): c for i, c in enumerate(row)}
-                                for row in j0.rows])
-
-    j_powers = _powers(r, j)
+    # J's powers from radical's nilpotency check, moved into R's coordinates;
+    # a product of degree-0 vectors has degree 0, so J^p is the same in R
+    at = [space.index(lab) for lab in labels0]
+    moved = [[{at[i]: c for i, c in row.items()} for row in p.sparse_rows] for p in _radical_powers(a0)[1:]]
+    j_powers = [full_subspace(r)] + [Subspace(space, field, rows) for rows in moved]
+    j = j_powers[1]
     a = len(j_powers) - 1
     big_n = (kappa + 2) * (a - 1)
     if a == 1 and rk.dim > 0 and big_n < 1:

@@ -183,6 +183,9 @@ class HochschildCochain:
             out = {lab: c for lab, c in zip(vec, map(base.field.coerce, vec.values())) if c != 0}
             if not out:
                 continue
+            unknown = [lab for lab in out if lab not in module._info]
+            if unknown:
+                raise HochschildError(f"cochain output {unknown[0]!r} is not a module label")
             if arity == 0:
                 if key not in base.objects:
                     raise HochschildError(f"arity-0 cochain keyed by unknown object {key!r}")

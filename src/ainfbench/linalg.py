@@ -244,17 +244,18 @@ class Subspace:
     """Span of vectors in a graded ambient space, held in reduced echelon form.
 
     Vectors, here and in ``contains``, are coordinate tuples or sparse dicts
-    index -> scalar.  The sparse reduced rows are the span's ``_Echelon``;
-    ``rows`` (dense) and ``pivots`` are read off them."""
+    index -> scalar.  The sparse reduced rows (``sparse_rows``, not to be
+    mutated) are the span's ``_Echelon``; ``rows`` (dense) and ``pivots`` are
+    read off them."""
 
     def __init__(self, ambient: GradedSpace, field: ExactField, vectors=()):
         self.ambient = ambient
         self.field = field
         self._echelon = _reduced(field, [self._coords(v) for v in vectors])
-        sparse_rows = self._echelon.rows.values()
-        self.rows = tuple(_dense(field, r, ambient.dim) for r in sparse_rows)
+        self.sparse_rows = tuple(self._echelon.rows.values())
+        self.rows = tuple(_dense(field, r, ambient.dim) for r in self.sparse_rows)
         self.pivots = tuple(self._echelon.rows)
-        self.graded = all(len({ambient.degrees[i] for i in r}) == 1 for r in sparse_rows)
+        self.graded = all(len({ambient.degrees[i] for i in r}) == 1 for r in self.sparse_rows)
 
     def _coords(self, v) -> dict:
         """A dense or sparse vector as a sparse one, checked against the ambient."""

@@ -10,7 +10,8 @@ by column with row swaps, sharing no code with ``ainfbench.linalg``;
 quotient coordinates come from one direct linear solve with it, not from the
 presentation's cached elimination.  The filtration report and the tables of
 a quotient algebra are rebuilt from their definitions with those two, with no
-memo.  The Hom-complex differential is
+memo.  The radical is the old fixed-point loop over trace
+kernels of successive quotients.  The Hom-complex differential is
 built one basis vector at a time from the definition of mu1: every pair of
 connection paths, every choice of labels, :func:`naive_apply` on each label
 tuple and the three sign exponents of ``perfmod``'s module docstring, summed
@@ -188,6 +189,59 @@ def naive_quotient_coords(q, v):
     m = tuple(tuple(col[i] for col in cols) for i in range(len(v)))
     x = naive_solve(q.field, m, tuple(v), len(cols))
     return None if x is None else tuple(x[len(q.denominator.rows):])
+
+
+def naive_radical(a):
+    """The Jacobson radical by the fixed-point loop that ``radical`` ran before
+    it took one certified trace kernel: the trace kernel of each quotient,
+    pulled back and added until it stops growing, then checked nilpotent.
+    It shares the trace kernel, the quotient and the powers with the package;
+    the independent part is the loop, which never assumes the first kernel
+    is the radical."""
+    from ainfbench.filtration import (
+        FiltrationError,
+        _one_object,
+        _powers,
+        _trace_kernel,
+        quotient_by_ideal,
+    )
+    from ainfbench.linalg import Subspace
+
+    obj, space = _one_object(a)
+    field = a.field
+    if field.characteristic != 0:
+        raise FiltrationError("radical computation requires characteristic zero")
+    if any(p != 2 for p in a.mult):
+        raise FiltrationError("radical requires an associative algebra with only m_2")
+    if any(d != 0 for d in space.degrees):
+        raise FiltrationError("radical requires the algebra concentrated in degree 0")
+
+    current = a
+    lifts = None  # chain of quotient presentations back to `a`
+    j_rows: list = []
+    while True:
+        kernel = _trace_kernel(current)
+        if not kernel:
+            break
+        # pull the kernel back through the quotients taken so far
+        vecs = kernel
+        if lifts is not None:
+            vecs = [lifts.lift(v) for v in vecs]
+        grew = False
+        amb = space
+        base = Subspace(amb, field, j_rows)
+        for v in vecs:
+            if not base.contains(v):
+                j_rows.append(v)
+                base = Subspace(amb, field, j_rows)
+                grew = True
+        if not grew:
+            break
+        current, lifts = quotient_by_ideal(a, base, prefix="rq")
+
+    j = Subspace(space, field, j_rows)
+    _powers(a, j)  # FiltrationError unless nilpotent
+    return j
 
 
 def naive_gamma_table(aus):

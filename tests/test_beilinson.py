@@ -1,6 +1,7 @@
-"""The Beilinson algebra of P^2 in one-object form, against answers known
-from its geometry rather than from this package (Beilinson 1978, "Coherent
-sheaves on P^n and problems of linear algebra")."""
+"""The Beilinson algebras of P^2 (and, for its radical levels, P^3) in
+one-object form, against answers known from their geometry rather than from
+this package (Beilinson 1978, "Coherent sheaves on P^n and problems of linear
+algebra")."""
 
 from math import comb
 
@@ -42,13 +43,15 @@ def test_p2_is_associative(p2):
     assert check_stasheff(alg).passed
 
 
-def test_p2_radical_levels(p2):
+@pytest.mark.parametrize("d, closed_form", [(2, [15, 12, 6, 0]), (3, [56, 52, 40, 20, 0])], ids=["2", "3"])
+def test_radical_levels(d, closed_form):
     # F^p = J^p, spanned by the monomials of degree >= p:
     # dim J^p = sum_{k >= p} (d + 1 - k) C(d + k, d)
-    _, filt, _ = p2
-    want = [sum((D + 1 - k) * comb(D + k, D) for k in range(p, D + 1)) for p in range(D + 2)]
-    assert want == [15, 12, 6, 0]
+    filt, params = appendix_filtration(beilinson_algebra(d), 1)
+    want = [sum((d + 1 - k) * comb(d + k, d) for k in range(p, d + 1)) for p in range(d + 2)]
+    assert want == closed_form
     assert [lv.dim for lv in filt.levels] == want
+    assert params.radical == filt.levels[1] and params.nil_index == d + 1
 
 
 def test_p2_gamma_hom_dims(p2):

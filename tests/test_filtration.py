@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,21 +21,28 @@ from ainfbench.filtration import (
     zero_subspace,
 )
 from ainfbench.linalg import GradedSpace, Subspace
+from ainfbench.specfile import parse_spec
 
 from .corpus import (
+    beilinson_algebra,
     dual_numbers,
+    ideal_power,
     k_times_k,
+    random_associative_algebra,
     random_filtered_algebra,
     random_nilpotent_algebra,
     rescaled,
     toy_algebra,
+    trivial_extension,
     truncated_polynomial,
     unital_m2,
     upper_triangular_2,
+    upper_triangular_3,
 )
-from .oracles import naive_filtration_report, naive_quotient_table
+from .oracles import naive_filtration_report, naive_quotient_table, naive_radical
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def unit_vectors(alg, labels):
@@ -192,18 +200,99 @@ def test_radical_invariants_random():
 
 def test_appendix_builds_each_radical_power_once(monkeypatch):
     # k[x]/x^6: a = 6 and no degree -kappa part, so the levels are the powers
-    # J^p themselves; radical() checks nilpotency on its own degree-0 copy
+    # J^p themselves.  They are the powers of radical()'s nilpotency check on
+    # the degree-0 copy: one chain J^2, ..., J^6 through one product table,
+    # with no subspace_product call and no second chain on r
     import ainfbench.filtration as filtration
 
     r = truncated_polynomial(6)
-    calls = []
-    product = filtration.subspace_product
+    chains, calls = [], []
+    powers, product = filtration._powers, filtration.subspace_product
+    monkeypatch.setattr(filtration, "_powers", lambda alg, j: chains.append((alg, powers(alg, j))) or chains[-1][1])
     monkeypatch.setattr(filtration, "subspace_product", lambda alg, s, t: calls.append(alg) or product(alg, s, t))
     filt, params = appendix_filtration(r, 1)
     assert params.nil_index == 6 and filt.dims() == (6, 5, 4, 3, 2, 1, 0)
-    assert sum(alg is r for alg in calls) == 5
-    assert len(calls) == 10
+    assert len(chains) == 1 and chains[0][0] is not r
+    assert [p.dim for p in chains[0][1]] == [6, 5, 4, 3, 2, 1, 0]
+    assert calls == []
     assert nilpotency_index(r, params.radical) == 6
+
+
+def _degree_zero_part(alg):
+    obj = alg.objects[0]
+    space = alg.hom[(obj, obj)]
+    labels = [lab for lab, d in zip(space.labels, space.degrees) if d == 0]
+    m2 = {key: vec for key, vec in alg.mult[2].items() if all(lab in labels for lab in key)}
+    return algebra(alg.field, [(lab, 0) for lab in labels], alg.units[obj], {2: m2})
+
+
+def _radical_corpus():
+    cases = [(f"x{m}", lambda m=m: truncated_polynomial(m)) for m in range(2, 9)]
+    cases += [(f"trivex{a}", lambda a=a: trivial_extension(a, 0)) for a in (2, 3, 4)]
+    cases += [
+        ("toy0", lambda: _degree_zero_part(toy_algebra())),
+        ("ut2", upper_triangular_2),
+        ("ut3", upper_triangular_3),
+        ("kxk", k_times_k),
+    ]
+    rng = random.Random(31)
+    cases += [(f"random{i}", lambda alg=random_associative_algebra(rng): alg) for i in range(8)]
+    cases += [(f"beilinson{d}", lambda d=d: beilinson_algebra(d)) for d in (2, 3)]
+    return cases
+
+
+@pytest.mark.parametrize("make", [pytest.param(make, id=name) for name, make in _radical_corpus()])
+def test_radical_matches_fixed_point_oracle(make):
+    alg = make()
+    assert radical(alg) == naive_radical(alg)
+
+
+def test_radical_takes_one_quotient_and_two_trace_kernels(monkeypatch):
+    import ainfbench.filtration as filtration
+
+    calls = []
+    for name in ("quotient_by_ideal", "_trace_kernel"):
+        f = getattr(filtration, name)
+        monkeypatch.setattr(filtration, name, lambda *args, f=f, name=name, **kw: calls.append(name) or f(*args, **kw))
+    for alg in (truncated_polynomial(6), beilinson_algebra(2), upper_triangular_3()):
+        calls.clear()
+        assert radical(alg).dim > 0
+        assert sorted(calls) == ["_trace_kernel", "_trace_kernel", "quotient_by_ideal"]
+
+
+def test_radical_refuses_trace_kernel_with_non_semisimple_quotient():
+    # not associative: (a1 a1) a0 = 0 but a1 (a1 a0) = a0.  The trace kernel
+    # span(a0) is an ideal, but R/J is the dual numbers, with trace kernel
+    # span(a1): the fixed-point loop grows J by it, radical() refuses
+    labels = ["1", "a0", "a1"]
+    alg = algebra(QQ, [(lab, 0) for lab in labels], "1",
+                  {2: unital_m2(labels, "1", {("a1", "a0"): {"a0": -1}})})
+    assert naive_radical(alg) == span_of(alg, ["a0", "a1"])
+    with pytest.raises(FiltrationError, match="nonzero trace kernel"):
+        radical(alg)
+
+
+def test_radical_refuses_nonassociative_fixture():
+    # x*x = y and x*y = x: the trace kernel span(x, y) is an ideal with
+    # semisimple quotient k, but it is its own square, so not nilpotent
+    alg = parse_spec(FIXTURES / "nonassoc.json").category
+    with pytest.raises(FiltrationError, match="not nilpotent"):
+        radical(alg)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_power_chain_matches_iterated_products(field):
+    # the chain shares one product table and enters each distinct product
+    # once; products here are combinations of several y's, so products with
+    # one support need not be proportional
+    from ainfbench.filtration import _powers
+
+    rng = random.Random(f"powers:{field.characteristic}")
+    for _ in range(8):
+        alg, xs, ys = random_nilpotent_algebra(rng, field, max_x=3, max_y=3)
+        j = span_of(alg, xs + ys)
+        chain = _powers(alg, j)
+        assert chain[1:] == [ideal_power(alg, j, k) for k in range(1, len(chain))]
 
 
 def test_nilpotency_index_refuses_non_nilpotent():
@@ -214,8 +303,6 @@ def test_nilpotency_index_refuses_non_nilpotent():
 
 
 def ideal_power_dim(alg, j, k):
-    from .corpus import ideal_power
-
     return ideal_power(alg, j, k).dim
 
 

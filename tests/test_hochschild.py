@@ -101,6 +101,15 @@ def test_cochain_rejects_units():
         HochschildCochain(c, m, 2, {("1", "e"): {"M.e": F(1)}})
 
 
+def test_cochain_rejects_output_outside_the_module():
+    # "X" is no module label: refused as a HochschildError, not a KeyError
+    c = dual_numbers()
+    m = diagonal_bimodule(c)
+    for arity, key in ((1, ("e",)), (0, "*")):
+        with pytest.raises(HochschildError, match="'X' is not a module label"):
+            HochschildCochain(c, m, arity, {key: {"X": 1}})
+
+
 def test_cochain_values_are_exact():
     toy = parse_spec(Path(__file__).parent.parent / "fixtures" / "toy.json").category
     m = diagonal_bimodule(toy)
