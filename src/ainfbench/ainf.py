@@ -34,7 +34,6 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
 
 from .linalg import GradedSpace
 from .scalars import ExactField
@@ -171,6 +170,16 @@ class AInfCategory:
             if clean:
                 self.mult[p] = clean
 
+    @classmethod
+    def _trusted(cls, field: ExactField, objects, hom: dict, units: dict, mult: dict) -> "AInfCategory":
+        """The category of tables that are valid by construction (known
+        labels, field values, no zero entry, no empty table): objects,
+        labels and units are checked as by the constructor, and ``mult`` is
+        taken as it is, uncoerced and uncopied."""
+        cat = cls(field, objects, hom, units, {})
+        cat.mult = mult
+        return cat
+
     # -- basic accessors -------------------------------------------------
 
     def src(self, label):
@@ -203,14 +212,6 @@ class AInfCategory:
 
     def unit_vector(self, x):
         return {self.units[x]: self.field.one}
-
-    @cached_property
-    def _mult_scale(self) -> int:
-        """The lcm of the denominators in ``mult`` (1 over F_p): every structure
-        constant times it is an int.  Computed on first use, once."""
-        if self.field.characteristic:
-            return 1
-        return math.lcm(*{v.denominator for t in self.mult.values() for vec in t.values() for v in vec.values()})
 
     # -- element arithmetic ----------------------------------------------
 

@@ -10,13 +10,16 @@ F^{(n-i_k) + sum_{u != k} max(i_{u+1}-i_u, 0)} when F is compatible with the
 products (``check_filtration``, which callers run before the build), and
 that level lies inside the output denominator F^{n-i_1} by the integer
 inequalities, which the build proves for its own n and arity by one dynamic
-program over chain positions (``_least_slack``).  Each product of
-representatives is evaluated once, through the product table that the
-filtration sweeps share (representatives recur across the n^2 quotients),
-and projected once per presentation, by one sparse strict projection: the
-levels are deduplicated once, by Subspace equality, so the pairs (j, i) with
-equal numerator and denominator levels share one presentation, and the
-projection memo is keyed by (presentation, ids), not by pair.
+program over chain positions (``_least_slack``).
+
+The build makes every check eagerly (hom dims, label collisions, unit
+classes, the inequalities, and strictness: every product of representatives
+lies in its numerator) but evaluates Gamma's tables on demand (``_Induced``):
+``sod`` pays only for the entries its Hom-complexes read, while iteration,
+``len`` and ``==`` materialize a whole table, so ``gamma build``,
+``validate``, serialization and equality see every entry.  The levels are
+deduplicated once, by Subspace equality, so the pairs (j, i) with equal
+numerator and denominator levels share one presentation.
 
 hom dims satisfy dim Gamma(j,i) = dim F^{max(j-i,0)} - dim F^{n-i}, and
 Gamma(0,0) is R itself on the nose: the generator embeds by a basis-level
@@ -28,10 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import weakref
+from collections.abc import Mapping
 
 from .ainf import AInfCategory, _ProductTable
 from .filtration import Filtration
-from .linalg import GradedSpace, quotient_space
+from .linalg import GradedSpace, LinAlgError, _Echelon, quotient_space
 
 
 class AuslanderError(ValueError):
@@ -65,7 +70,7 @@ def _gamma_label(j, i, lead):
 def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
     """Construct Gamma, checking the hom dimensions, the index inequalities
     for every chain of objects (by ``_least_slack``), and strictness of
-    every projection."""
+    every product of representatives; its tables are evaluated on demand."""
     obj = r.objects[0]
     space = r.hom[(obj, obj)]
     field = r.field
@@ -104,10 +109,7 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
             want = filt.level(max(j - i, 0)).dim - filt.level(n - i).dim
             if q.dim != want:
                 raise AuslanderError(f"hom({j},{i}) dimension {q.dim} != {want}")
-            labels = []
-            for rep in q.reps:
-                lead = next(k for k, a in enumerate(rep) if a != 0)
-                labels.append(_gamma_label(j, i, space.labels[lead]))
+            labels = [_gamma_label(j, i, space.labels[min(rep)]) for rep in q.sparse_reps]
             if len(set(labels)) != len(labels):
                 raise AuslanderError("internal label collision in quotient basis")
             labels_by_pair[(j, i)] = labels
@@ -122,49 +124,209 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
                         raise AuslanderError("unit class is not a quotient basis vector")
                     unit_labels[i] = labels[idx[0]]
 
-    mult = _induced_tables(r, space, n, quotients, labels_by_pair)
-    gamma = AInfCategory(field, tuple(range(n)), hom, unit_labels, mult)
+    induced = _Induced(r, space, levels, quotients, labels_by_pair)
+    mult = {p: _Table(induced, p) for p in induced.arities}
+    gamma = AInfCategory._trusted(field, tuple(range(n)), hom, unit_labels, mult)
+    induced.gamma = weakref.ref(gamma)
     return AuslanderCategory(r, filt, gamma, quotients)
 
 
-def _induced_tables(r: AInfCategory, space, n: int, quotients: dict, labels_by_pair: dict) -> dict:
-    """The tables m_p of Gamma, induced by those of R through the coset
-    representatives.
+_ZERO: dict = {}  # the zero entry of the memos below, shared and never mutated
 
-    Two ``itertools.product`` over the ids and over the labels of a chain's
-    pairs run in lockstep; each product is projected once per (presentation,
-    ids) by ``project_strict_sparse``, and the label dict of an (output pair,
-    ids) is shared by its table keys.  The memos die with this call, before
-    Gamma is validated, where they would only add to the peak memory."""
-    products = _ProductTable(r, space)
-    rep_ids = {pr: products.intern(q.reps) for pr, q in quotients.items()}
-    projected: dict = {}  # presentation -> {ids: quotient coordinates}
-    entries: dict = {}  # output pair -> {ids: Gamma output vector}
-    mult: dict = {}
-    for p in sorted(r.mult):
-        table = {}
-        for chain in itertools.product(range(n), repeat=p + 1):
+
+class _Induced:
+    """The tables m_p of Gamma, induced by those of R through the coset
+    representatives, each a ``_Table`` evaluated on demand.
+
+    The representatives are interned once per presentation in the product
+    table that the filtration sweeps share, so each product is evaluated
+    once; it is projected once per (presentation, ids), to coordinates only,
+    as the constructor has proved it strict (:meth:`_nonzero_arities`).  The
+    label dict of an (output pair, ids) is shared by its table keys.  Gamma
+    is held by a weak reference, so that no reference cycle keeps it or the
+    memos alive until the cycle collector runs.
+    """
+
+    def __init__(self, r: AInfCategory, space, levels: list, quotients: dict, labels_by_pair: dict):
+        self.n = len(levels) - 1
+        self.quotients, self.labels_by_pair = quotients, labels_by_pair
+        self.products = _ProductTable(r, space)
+        ids = {q: self.products.intern(q.sparse_reps) for q in dict.fromkeys(quotients.values())}
+        self.rep_ids = {pr: ids[q] for pr, q in quotients.items()}
+        self.where = {lab: (pr, k) for pr, labels in labels_by_pair.items() for k, lab in enumerate(labels)}
+        self.projected: dict = {}  # presentation -> {ids: quotient coordinates}
+        self.entries: dict = {}  # output pair -> {ids: Gamma output vector}
+        self.arities = self._nonzero_arities(r, levels, ids)
+        self.gamma = None  # a weak reference to Gamma, set by the build
+
+    def _nonzero_arities(self, r: AInfCategory, levels: list, rep_ids: dict) -> list:
+        """Prove every product of representatives strict; return the arities
+        of R whose induced table has a nonzero entry.
+
+        One flag echelon takes the sparse rows of F^{n-1}, ..., F^0 in turn
+        and tags each new pivot with its level; after level k it must have
+        dim F^k rows, which proves F^{k+1} inside F^k, so the rows tagged k or
+        more are a basis of F^k.  The valuation of a product (the largest k
+        with the product in F^k: n for zero, -1 outside F^0) is then the
+        least tag of the rows its reduction uses, one reduction per distinct
+        product.  Chain (i_1, ..., i_{p+1}) lands in F^{max(i_{p+1} - i_1, 0)}
+        / F^{n - i_1}: each of its products must reach the numerator level,
+        and one that stays below the denominator level gives a nonzero entry.
+        The least valuation over a chain's products is taken once per tuple
+        of argument presentations, from the ids of their representatives
+        (``rep_ids``, by presentation)."""
+        n, products = self.n, self.products
+        flag, tags = _Echelon(r.field), {}
+        for k in range(n - 1, -1, -1):
+            for row in levels[k].sparse_rows:
+                new = flag.insert(row)
+                if new is not None:
+                    tags[new[0]] = k
+            if len(flag.rows) != levels[k].dim:
+                raise AuslanderError(f"F^{k + 1} is not inside F^{k}")
+
+        valuation, presentation = _Valuations(products, flag, tags, n), self.quotients.__getitem__
+        least, arities = {}, []  # argument presentations -> least valuation
+        for p in sorted(r.mult):
+            nonzero = False
+            for chain in itertools.product(range(n), repeat=p + 1):
+                # argument u lives in hom(i_{u+1} -> i_u)
+                args = tuple(map(presentation, zip(chain[1:], chain)))
+                low = least.get(args)
+                if low is None:
+                    low = least[args] = min(map(valuation.__getitem__, itertools.product(
+                        *map(rep_ids.__getitem__, args))), default=n)
+                if low < 0 or low < chain[p] - chain[0]:
+                    raise LinAlgError("vector lies outside the numerator; projection undefined")
+                nonzero = nonzero or low < n - chain[0]
+            if nonzero:
+                arities.append(p)
+        return arities
+
+    def _entry(self, out_pair, ids) -> dict:
+        """The Gamma output vector of the product of the representatives
+        ``ids`` in ``out_pair``, computed and memoized; most products vanish
+        (in R, or in the quotient), and every zero entry is one shared empty
+        dict."""
+        entry = _ZERO
+        prod = self.products.product(ids)
+        if prod:
+            q = self.quotients[out_pair]
+            projected = self.projected.setdefault(q, {})
+            coords = projected.get(ids)
+            if coords is None:
+                coords = projected[ids] = q.project_sparse(prod)
+            if coords:
+                labels = self.labels_by_pair[out_pair]
+                entry = {labels[k]: c for k, c in coords.items()}
+        self.entries.setdefault(out_pair, {})[ids] = entry
+        return entry
+
+    def entry(self, p: int, key):
+        """The entry of m_p at ``key``, or None when it has none: a zero
+        product, or a key that is not a composable p-tuple of Gamma labels."""
+        where = self.where
+        if len(key) != p or not all(lab in where for lab in key):
+            return None
+        located = [where[lab] for lab in key]
+        if any(a[0][0] != b[0][1] for a, b in zip(located, located[1:])):
+            return None
+        out_pair = (located[-1][0][0], located[0][0][1])
+        ids = tuple(self.rep_ids[pr][k] for pr, k in located)
+        entry = self.entries.get(out_pair, {}).get(ids)
+        if entry is None:
+            entry = self._entry(out_pair, ids)
+        return entry or None
+
+    def materialize(self, p: int) -> dict:
+        """Table p in full, by two ``itertools.product`` over the ids and over
+        the labels of a chain's pairs in lockstep."""
+        table, rep_ids, labels_by_pair = {}, self.rep_ids, self.labels_by_pair
+        for chain in itertools.product(range(self.n), repeat=p + 1):
             # chain = (i_1, ..., i_{p+1}); argument u lives in hom(i_{u+1} -> i_u)
             pairs = [(chain[u + 1], chain[u]) for u in range(p)]
             out_pair = (chain[p], chain[0])
-            out_q = quotients[out_pair]
-            out_labels = labels_by_pair[out_pair]
-            out_projected = projected.setdefault(out_q, {})
-            out_entries = entries.setdefault(out_pair, {})
+            out_entries = self.entries.setdefault(out_pair, {})
             for ids, key in zip(itertools.product(*[rep_ids[pr] for pr in pairs]),
                                 itertools.product(*[labels_by_pair[pr] for pr in pairs])):
                 entry = out_entries.get(ids)
                 if entry is None:
-                    coords = out_projected.get(ids)
-                    if coords is None:
-                        prod = products.product(ids)
-                        coords = out_projected[ids] = out_q.project_strict_sparse(prod) if prod else {}
-                    entry = out_entries[ids] = {out_labels[k]: c for k, c in coords.items()}
+                    entry = self._entry(out_pair, ids)
                 if entry:
                     table[key] = entry
-        if table:
-            mult[p] = table
-    return mult
+        return table
+
+    def release(self) -> None:
+        """Once every table of Gamma is materialized, put the plain dicts
+        into its ``mult`` and drop the memos."""
+        gamma = self.gamma()
+        if gamma is not None and all(t._table is not None for t in gamma.mult.values()):
+            for p, t in gamma.mult.items():
+                gamma.mult[p], t._induced, t._memo = t._table, None, None
+
+
+class _Valuations(dict):
+    """ids -> valuation of the product of those representatives, computed on
+    first lookup by reducing it against the flag echelon (see
+    :meth:`_Induced._nonzero_arities`)."""
+
+    def __init__(self, products: _ProductTable, flag: _Echelon, tags: dict, n: int):
+        super().__init__()
+        self.products, self.flag, self.tags, self.n = products, flag, tags, n
+
+    def __missing__(self, ids):
+        prod, used = self.products.product(ids), {}
+        val = self[ids] = (self.n if not prod else -1 if self.flag.reduce(prod, used)
+                           else min(map(self.tags.__getitem__, used)))
+        return val
+
+
+class _Table(Mapping):
+    """One table m_p of Gamma: ``get`` evaluates the entry at one key,
+    memoized per key, hits and misses alike; iteration, ``len`` and ``==``
+    materialize the whole table, in the key order of the eager loop."""
+
+    def __init__(self, induced: _Induced, p: int):
+        self._induced, self._p = induced, p
+        self._table = None  # the whole table, once materialized
+        self._memo: dict = {}  # key -> entry, None for no entry
+
+    def get(self, key, default=None):
+        if self._table is not None:
+            return self._table.get(key, default)
+        try:
+            entry = self._memo[key]
+        except KeyError:
+            entry = self._memo[key] = self._induced.entry(self._p, key)
+        return default if entry is None else entry
+
+    def __getitem__(self, key):
+        entry = self.get(key)
+        if entry is None:
+            raise KeyError(key)
+        return entry
+
+    def _whole(self) -> dict:
+        if self._table is None:
+            induced = self._induced
+            self._table = induced.materialize(self._p)
+            induced.release()
+        return self._table
+
+    def __iter__(self):
+        return iter(self._whole())
+
+    def __len__(self):
+        return len(self._whole())
+
+    def __eq__(self, other):
+        return self._whole() == other
+
+    def items(self):
+        return self._whole().items()
+
+    def values(self):
+        return self._whole().values()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ to the timing fields (``timings``: ``total_s``, ``build_s`` for the quotient
 category build, ``cohomology_s`` for the Hom-complexes of ``sod``, their
 cohomology and the End comparison, and ``relations_s`` for the relation
 sweep of ``validate``, ``stasheff``, ``gamma build`` and ``deform``):
-witness lists are sorted.
+witness lists are sorted.  The quotient category's tables are evaluated on
+demand, so its entries are paid for in ``cohomology_s`` by ``sod`` (only
+those it reads) and in ``relations_s`` by ``gamma build``.
 ``sod``, ``gamma build``, ``deform`` and the ``filtration`` commands certify
 nothing, and write no file, for an input algebra that fails its structure or
 relation checks.  ``--jobs N`` is accepted for compatibility and has no effect.
@@ -67,8 +69,8 @@ from .specfile import (
     _parse_cochain,
     _read_json,
     category_to_dict,
+    parse_field,
     parse_spec,
-    parse_spec_dict,
     serialize,
 )
 
@@ -355,15 +357,17 @@ def cmd_deform(args) -> int:
 
 
 def _load_cochain(path: str, cat) -> dict:
-    """The cochain in the file at ``path``, read once: the ``cochain`` section
-    of a spec file (an object with a ``field``), else a bare
-    ``{"arity", "table"}`` object over the labels of ``cat``."""
+    """The cochain in the file at ``path``, read once, over the labels of
+    ``cat``: the ``cochain`` section of a spec file (an object with a
+    ``field``, which must be the field of ``cat``; the rest of the file is
+    not parsed), else a bare ``{"arity", "table"}`` object."""
     data = _read_json(path)
     if isinstance(data, dict) and "field" in data:
-        cochain = parse_spec_dict(data).cochain
-        if cochain is None:
+        if parse_field(data["field"]) != cat.field:
+            raise SpecError(f"{path}: spec file field differs from the field of the input")
+        if "cochain" not in data:
             raise SpecError(f"{path}: spec file has no cochain section")
-        return cochain
+        data = data["cochain"]
     return _parse_cochain(data, cat)
 
 

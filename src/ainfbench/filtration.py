@@ -119,7 +119,7 @@ def check_filtration(r: AInfCategory, filt: Filtration) -> ValidationReport:
     report.add("graded", not not_graded, witnesses=not_graded)
 
     table = _ProductTable(r, space)
-    level_ids = [table.intern(lv.rows) for lv in filt.levels]
+    level_ids = [table.intern(lv.sparse_rows) for lv in filt.levels]
     contained: dict = {}  # (target level, ids) -> whether the product lies in it
 
     bad_compat = []
@@ -191,7 +191,7 @@ def quotient_by_ideal(r: AInfCategory, ideal: Subspace, prefix: str = "q"):
         raise FiltrationError("ideal is not a subspace of the algebra")
     full = full_subspace(r)
     table = _ProductTable(r, space)
-    full_ids, ideal_ids = table.intern(full.rows), table.intern(ideal.rows)
+    full_ids, ideal_ids = table.intern(full.sparse_rows), table.intern(ideal.sparse_rows)
 
     for p in sorted(r.mult):
         for pos in range(p):
@@ -212,7 +212,7 @@ def quotient_by_ideal(r: AInfCategory, ideal: Subspace, prefix: str = "q"):
     degrees = tuple(q.degrees)
     qspace = GradedSpace(tuple(labels), degrees)
 
-    rep_ids = table.intern(q.reps)
+    rep_ids = table.intern(q.sparse_reps)
     mult: dict = {}
     for p in sorted(r.mult):
         induced = {}

@@ -33,11 +33,13 @@ reducing e_b splits it uniquely as e_b = d + sum_k c_k rep_k + r with d in the
 denominator: c is the quotient coordinate vector of e_b, and the remainder r
 its residue, zero iff e_b lies in the numerator.  Both are kept as sparse
 columns once index b is met, so ``project(v)`` = sum_b v_b * column_b costs
-the support of ``v``; ``project_strict_sparse`` also sums the residue columns
-and rejects ``v`` when that sum is nonzero, and ``project_strict`` is its
-dense view.  ``quotient_space`` checks containment by one count: the echelon
-spans D + P + N (denominator, preferred vectors, numerator), which contains N,
-so D and P lie in N iff it has dim N rows; only a failed count looks for the
+the support of ``v`` (``project_sparse`` is its sparse form, and the
+representatives are kept sparse too, as ``sparse_reps``);
+``project_strict_sparse`` also sums the residue columns and rejects ``v``
+when that sum is nonzero, and ``project_strict`` is its dense view.
+``quotient_space`` checks containment by one count: the echelon spans
+D + P + N (denominator, preferred vectors, numerator), which contains N, so
+D and P lie in N iff it has dim N rows; only a failed count looks for the
 first denominator row outside N, the witness.
 
 The dimension of a cohomology group H^q comes from the ranks of d_q and
@@ -46,11 +48,13 @@ same way as a quotient, on sparse vectors only, when first asked for: the
 echelon of d_{q-1}'s columns seeds the presentation and the candidates are
 the kernel basis of d_q that ``nullspace`` returns, computed from the rows
 transposed from its columns.  No containment test is needed, as
-``FiniteComplex`` has checked d o d = 0.
+``FiniteComplex`` has checked d o d = 0, in ints: over Q each degree's
+columns are scaled by the lcm of their denominators first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .scalars import ExactField
@@ -347,14 +351,15 @@ class QuotientPresentation:
         else:
             self._echelon = _Echelon(field, [_sparse(field, r) for r in denominator_rows])
         self._rep_of = {}  # pivot of a representative's row -> its index
-        reps = []
+        sparse_reps = []
         for v in candidates:
             new = self._echelon.insert(_sparse(field, v))
             if new is not None:
-                self._rep_of[new[0]] = len(reps)
-                reps.append(_dense(field, new[1], self.ambient.dim))
-        self.reps = tuple(reps)
-        self.dim = len(reps)
+                self._rep_of[new[0]] = len(sparse_reps)
+                sparse_reps.append(new[1])
+        self.sparse_reps = tuple(sparse_reps)  # the representatives' echelon rows, not to be mutated
+        self.reps = tuple(_dense(field, r, self.ambient.dim) for r in sparse_reps)
+        self.dim = len(sparse_reps)
 
         # representative degrees (quotients of graded subspaces stay graded)
         self.degrees = tuple(self.ambient.degree_of_vector(r) for r in self.reps)
@@ -390,13 +395,19 @@ class QuotientPresentation:
         ``v`` is a coordinate tuple or a sparse dict index -> scalar."""
         return _dense(self.field, self._combine(v, 0), self.dim)
 
-    def project_strict_sparse(self, v) -> dict:
-        """Quotient coordinates of ``v``, ascending dict index -> nonzero
-        scalar; errors if ``v`` is not in the numerator mod denominator."""
-        if self._combine(v, 1):
-            raise LinAlgError("vector lies outside the numerator; projection undefined")
+    def project_sparse(self, v) -> dict:
+        """Quotient coordinates of ``v`` as an ascending dict index -> nonzero
+        scalar, without the residue check: for a ``v`` known to lie in the
+        numerator."""
         coords = self._combine(v, 0)
         return {k: coords[k] for k in sorted(coords)}
+
+    def project_strict_sparse(self, v) -> dict:
+        """``project_sparse``, but errors if ``v`` is not in the numerator mod
+        denominator."""
+        if self._combine(v, 1):
+            raise LinAlgError("vector lies outside the numerator; projection undefined")
+        return self.project_sparse(v)
 
     def project_strict(self, v):
         """The dense view of ``project_strict_sparse``."""
@@ -494,16 +505,26 @@ class FiniteComplex:
             if bad:
                 raise ComplexError(f"differential at degree {q} has wrong shape")
             self.columns[q] = cols
-        for q, cols in self.columns.items():
-            nxt = self.columns.get(q + 1, {})
+        # d o d in ints: over Q each degree's columns are scaled by the lcm of
+        # their denominators; only a failing entry is recomputed in the field
+        p = field.characteristic
+        ints = {q: cols if p else _scaled_columns(cols) for q, cols in self.columns.items()}
+        for q, cols in ints.items():
+            nxt = ints.get(q + 1, {})
             bad = []
             for j, col in cols.items():
                 out: dict = {}
                 for k in col.keys() & nxt.keys():
-                    field.add_scaled(out, nxt[k], col[k])
-                bad += [(i, j, a) for i, a in out.items()]
+                    c = col[k]
+                    for i, a in nxt[k].items():
+                        out[i] = out.get(i, 0) + c * a
+                bad += [(i, j) for i, s in out.items() if (s % p if p else s)]
             if bad:
-                i, j, a = min(bad)
+                i, j = min(bad)
+                col, nxt = self.columns[q][j], self.columns[q + 1]
+                a = field.zero
+                for k in col.keys() & nxt.keys():
+                    a = field.add(a, field.mul(col[k], nxt[k].get(i, field.zero)))
                 raise ComplexError(f"d o d != 0: entry ({i},{j}) from degree {q} equals {a}")
 
     def dims(self) -> dict:
@@ -525,6 +546,12 @@ class FiniteComplex:
             for i, a in col.items():
                 rows[i][j] = a
         return tuple(map(tuple, rows))
+
+
+def _scaled_columns(cols: dict) -> dict:
+    """Sparse columns of Fractions times the lcm of their denominators, as ints."""
+    den = math.lcm(*{a.denominator for col in cols.values() for a in col.values()})
+    return {j: {i: a.numerator * (den // a.denominator) for i, a in col.items()} for j, col in cols.items()}
 
 
 class CohomologyData:

@@ -30,10 +30,11 @@ Every m_p evaluation here (``mu1``, :class:`HomComplexResult`, ``mu2``,
 Each complex expands its connection paths once into label chains (labels,
 shift parities, degrees minus one, coefficient), and so does each morphism
 for its components; a term is three lists of chains (pre, mid, post), and
-each concatenation costs one table lookup.  Terms are summed as ints scaled
-by D, the lcm of the table denominators (cached on the category) times the
-chains' denominators: one division (over Q) or reduction (over F_p) per
-nonzero entry.
+each concatenation costs one table lookup, so a category whose tables are
+evaluated on demand (the quotient category of ``auslander``) evaluates only
+the entries these lookups meet.  Terms are summed as ints scaled by D, the lcm
+of the denominators of the table entries met so far times the chains'
+denominators: one division (over Q) or reduction (over F_p) per nonzero entry.
 """
 
 from __future__ import annotations
@@ -104,9 +105,11 @@ def _chain_sums(cat: AInfCategory, terms, den: int) -> dict:
     concatenation pre + mid + post that m_p maps to a nonzero entry adds it,
     times the product of the coefficients and the sign of :func:`_odd`, at
     ``key``.  Returns the nonzero sums {(key, label): scalar}: ints over
-    ``den`` times ``cat._mult_scale``, divided (Q) or reduced (F_p) once.
+    ``den`` times a scale that grows with the table entries met (the running
+    sums are multiplied by the missing factor when an entry's denominator
+    does not divide it), divided (Q) or reduced (F_p) once.
     """
-    tables, unit = defaultdict(dict, cat.mult), cat._mult_scale
+    tables, unit = defaultdict(dict, cat.mult), 1
     sums: dict = {}
     for key, pre, mid, post in terms:
         for pre_labels, pre_lam, pre_dm1, pre_c in pre:
@@ -121,8 +124,13 @@ def _chain_sums(cat: AInfCategory, terms, den: int) -> dict:
                     if _odd(pre_lam + mid_lam + post_lam, pre_dm1 + mid_dm1 + post_dm1):
                         c = -c
                     for out_lab, v in entry.items():
+                        d = v.denominator
+                        if unit % d:
+                            grow = d // math.gcd(unit, d)
+                            unit *= grow
+                            sums = {k: s * grow for k, s in sums.items()}
                         k = (key, out_lab)
-                        sums[k] = sums.get(k, 0) + c * v.numerator * (unit // v.denominator)
+                        sums[k] = sums.get(k, 0) + c * v.numerator * (unit // d)
     p = cat.field.characteristic
     if p:
         return {k: v % p for k, v in sums.items() if v % p}

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import itertools
 import json
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +30,8 @@ from ainfbench.filtration import (
     quotient_by_ideal,
     zero_subspace,
 )
-from ainfbench.linalg import QuotientPresentation
+from ainfbench.linalg import LinAlgError, QuotientPresentation, Subspace
+from ainfbench.perfmod import sod_report
 from ainfbench.specfile import category_to_dict, serialize
 
 from .corpus import (
@@ -284,12 +287,14 @@ def test_sweeps_evaluate_each_product_once(monkeypatch):
                                  trivial_extension(3, 1)], ids=["x6", "trivext-3-1"])
 def test_build_projects_each_product_once_per_presentation(alg, monkeypatch):
     # pairs (j, i) whose levels are equal share one presentation, and each
-    # product of representatives reaches it once, whichever pair asks
+    # product of representatives reaches it once, whichever pair asks and
+    # whether its entry is looked up or materialized; the build itself
+    # proves strictness without projecting
     filt, _ = appendix_filtration(alg, kappa=1)
     n = filt.n
     last = []
     projected = Counter()
-    product, project = auslander._ProductTable.product, QuotientPresentation.project_strict_sparse
+    product, project = auslander._ProductTable.product, QuotientPresentation.project_sparse
 
     def recording(self, ids):
         last[:] = [ids]
@@ -300,10 +305,98 @@ def test_build_projects_each_product_once_per_presentation(alg, monkeypatch):
         return project(self, v)
 
     monkeypatch.setattr(auslander._ProductTable, "product", recording)
-    monkeypatch.setattr(QuotientPresentation, "project_strict_sparse", counting)
+    monkeypatch.setattr(QuotientPresentation, "project_sparse", counting)
     aus = build_auslander(alg, filt)
+    assert not projected
+    gamma = aus.gamma
+    labels = list(gamma.all_labels())
+    for key in itertools.product(labels, repeat=2):
+        if gamma.tgt(key[0]) == 0:  # the products into object 0 first
+            gamma.apply_labels(2, key)
+    looked_up = sum(projected.values())
+    for table in list(gamma.mult.values()):
+        len(table)
     monkeypatch.undo()
-    assert projected and max(projected.values()) == 1
+    assert 0 < looked_up < sum(projected.values())
+    assert max(projected.values()) == 1
     levels = {(filt.level(max(j - i, 0)), filt.level(n - i), i == j and filt.level(n - i).dim > 0)
               for i in range(n) for j in range(n)}
     assert len({id(q) for q in aus.quotients.values()}) == len(levels)
+
+
+@pytest.mark.parametrize("alg, filt", list(_oracle_cases()))
+def test_gamma_lookups_match_materialized_table(alg, filt):
+    # entries evaluated one key at a time equal the materialized table on
+    # every composable key, in it or not; the tables, once materialized,
+    # are plain dicts that the full constructor accepts unchanged
+    lazy = build_auslander(alg, filt).gamma
+    aus = build_auslander(alg, filt)
+    whole = {p: dict(table) for p, table in aus.gamma.mult.items()}
+    assert all(type(table) is dict for table in aus.gamma.mult.values())
+    assert set(lazy.mult) == set(whole)
+    composable = 0
+    for p in whole:
+        for chain in itertools.product(lazy.objects, repeat=p + 1):
+            for key in itertools.product(*[lazy.basis(chain[u + 1], chain[u]) for u in range(p)]):
+                assert lazy.mult[p].get(key) == whole[p].get(key), key
+                composable += 1
+        assert lazy.mult[p].get(("no label",) * p) is None
+    assert composable > sum(len(t) for t in whole.values())
+    assert lazy.mult == whole
+    full = AInfCategory(aus.gamma.field, aus.gamma.objects, aus.gamma.hom, aus.gamma.units, whole)
+    assert full.tables_equal(aus.gamma) and full.tables_equal(lazy)
+
+
+@pytest.mark.parametrize("alg", [rescaled(truncated_polynomial(6), random.Random(8)),
+                                 trivial_extension(3, 1)], ids=["x6", "trivext-3-1"])
+def test_sod_evaluates_fewer_entries_than_the_table_has(alg, monkeypatch):
+    filt, _ = appendix_filtration(alg, kappa=1)
+    aus = build_auslander(alg, filt)
+    entry, read = auslander._Induced.entry, []
+
+    def counting(self, p, key):
+        out = entry(self, p, key)
+        if out is not None:
+            read.append((p, key))
+        return out
+
+    monkeypatch.setattr(auslander._Induced, "entry", counting)
+    assert sod_report(aus).passed
+    monkeypatch.undo()
+    assert len(set(read)) == len(read)
+    assert 0 < len(read) < sum(len(table) for table in aus.gamma.mult.values())
+
+
+def test_gamma_and_its_memos_need_no_cycle_collector():
+    # Gamma, its on-demand tables and their memos form no reference cycle:
+    # after a sod report they go with the last reference, not at the next
+    # run of the cycle collector
+    alg = trivial_extension(3, 1)
+    filt, _ = appendix_filtration(alg, kappa=1)
+    gc.collect()
+    gc.disable()
+    try:
+        aus = build_auslander(alg, filt)
+        assert sod_report(aus).passed
+        gamma, induced = weakref.ref(aus.gamma), weakref.ref(aus.gamma.mult[2]._induced)
+        del aus
+        assert gamma() is None and induced() is None
+    finally:
+        gc.enable()
+
+
+def test_build_refuses_a_product_outside_its_numerator():
+    # nested levels (R, <x1, x2, x3>, <x3>, 0) of k[x]/x^4 that the products
+    # do not respect: x1 * x1 = x2 lies outside F^2 = <x3>, so the chain
+    # (0, 1, 2) meets a product outside its numerator, and the build refuses
+    # before any table is read
+    alg = truncated_polynomial(4)
+    space = alg.hom[("*", "*")]
+
+    def span(*labels):
+        return Subspace(space, QQ, [{space.index(lab): 1} for lab in labels])
+
+    filt = Filtration(alg, [full_subspace(alg), span("x1", "x2", "x3"), span("x3"), zero_subspace(alg)])
+    assert not check_filtration(alg, filt).passed
+    with pytest.raises(LinAlgError, match="vector lies outside the numerator; projection undefined"):
+        build_auslander(alg, filt)

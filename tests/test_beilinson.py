@@ -1,7 +1,6 @@
-"""The Beilinson algebras of P^2 (and, for its radical levels, P^3) in
-one-object form, against answers known from their geometry rather than from
-this package (Beilinson 1978, "Coherent sheaves on P^n and problems of linear
-algebra")."""
+"""The Beilinson algebras of P^2 and P^3 in one-object form, against answers
+known from their geometry rather than from this package (Beilinson 1978,
+"Coherent sheaves on P^n and problems of linear algebra")."""
 
 from math import comb
 
@@ -14,14 +13,12 @@ from ainfbench.perfmod import sod_report
 
 from .corpus import beilinson_algebra
 
-D = 2
-
-
-@pytest.fixture(scope="module")
-def p2():
-    alg = beilinson_algebra(D)
+@pytest.fixture(scope="module", params=[2, 3])
+def beilinson(request):
+    d = request.param
+    alg = beilinson_algebra(d)
     filt, _ = appendix_filtration(alg, 1)
-    return alg, filt, build_auslander(alg, filt)
+    return d, filt, build_auslander(alg, filt)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -37,8 +34,8 @@ def test_hom_dims_are_monomial_counts(d):
     assert alg.total_dim() == sum(comb(d + k, d) * (d + 1 - k) for k in range(d + 1))
 
 
-def test_p2_is_associative(p2):
-    alg, _, _ = p2
+def test_p2_is_associative():
+    alg = beilinson_algebra(2)
     assert validate_structure(alg).passed
     assert check_stasheff(alg).passed
 
@@ -54,9 +51,9 @@ def test_radical_levels(d, closed_form):
     assert params.radical == filt.levels[1] and params.nil_index == d + 1
 
 
-def test_p2_gamma_hom_dims(p2):
+def test_gamma_hom_dims(beilinson):
     # dim Γ(j, i) = dim F^max(j-i,0) - dim F^(n-i)
-    _, filt, aus = p2
+    _, filt, aus = beilinson
     levels = [lv.dim for lv in filt.levels]
     n = len(levels) - 1
     assert aus.hom_dims() == tuple(
@@ -64,16 +61,16 @@ def test_p2_gamma_hom_dims(p2):
     )
 
 
-def test_p2_semiorthogonal(p2):
-    # R/F^1 = R/J = k^3, one copy of k per idempotent, all in degree 0; the
-    # Hom-complexes vanish above the diagonal and are H(R/F^1) on it
-    _, _, aus = p2
+def test_semiorthogonal(beilinson):
+    # R/F^1 = R/J = k^(d+1), one copy of k per idempotent, all in degree 0;
+    # the Hom-complexes vanish above the diagonal and are H(R/F^1) on it
+    d, _, aus = beilinson
     rep = sod_report(aus)
     assert rep.passed, rep.to_json()["failures"]
-    assert rep.rbar_dims == {0: D + 1}
+    assert rep.rbar_dims == {0: d + 1}
     for i in range(aus.n):
         for j in range(aus.n):
             if j > i:
                 assert rep.ps_table[i][j] == {} and rep.ss_table[i][j] == {}, (i, j)
-        assert rep.ps_table[i][i] == rep.ss_table[i][i] == {0: D + 1}
+        assert rep.ps_table[i][i] == rep.ss_table[i][i] == {0: d + 1}
     assert all(r["ok"] for r in rep.end_results)

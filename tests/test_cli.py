@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from ainfbench import GF, QQ, cli
+from ainfbench.ainf import AInfCategory
 from ainfbench.cli import main
 from ainfbench.filtration import check_filtration, degree_filtration
 from ainfbench.hochschild import diagonal_bimodule, hochschild_differential
@@ -329,6 +330,42 @@ def test_cli_deform_reads_cochain_file_once(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert opened.count(str(in_spec)) == 1
     assert (mask_timings(out), out_file.read_bytes()) == expected
+
+
+def test_cli_deform_parses_only_the_cochain_section(tmp_path, capsys, monkeypatch):
+    # the spec file named by --cochain gives its cochain section only: the
+    # base, the square-zero extension and the deformation make 3
+    # constructions, and the report stays the same
+    dual = str(FIXTURES / "dual.json")
+    out_file = tmp_path / "deformed.json"
+    constructed = []
+    init = AInfCategory.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed.append(1)
+        init(self, *args, **kwargs)
+
+    code, out, _ = run(capsys, "deform", dual, "--cochain", dual, "-o", str(out_file))
+    expected = (code, mask_timings(out), out_file.read_bytes())
+    monkeypatch.setattr(AInfCategory, "__init__", counting)
+    code, out, _ = run(capsys, "deform", dual, "--cochain", dual, "-o", str(out_file))
+    monkeypatch.undo()
+    assert len(constructed) == 3
+    assert (code, mask_timings(out), out_file.read_bytes()) == expected
+
+
+def test_cli_deform_refuses_cochain_over_another_field(tmp_path, capsys):
+    spec = json.loads((FIXTURES / "dual.json").read_text())
+    spec["field"] = {"kind": "prime-field", "characteristic": 3}
+    spec["cochain"]["table"][0]["output"] = {"1": 1}
+    other = tmp_path / "gf3.json"
+    other.write_text(json.dumps(spec))
+    out_file = tmp_path / "deformed.json"
+    code, out, err = run(capsys, "deform", str(FIXTURES / "dual.json"), "--cochain", str(other),
+                         "-o", str(out_file))
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {other}: spec file field differs from the field of the input"
+    assert not out_file.exists()
 
 
 DEFORM_GOLDEN = Path(__file__).parent / "deform_golden.json"

@@ -404,6 +404,21 @@ def test_hom_differential_matches_naive_oracle(field):
     assert checked > 0 and composed > 0 and broken_seen > 0
 
 
+def test_chain_sums_rescale_running_sums_when_a_denominator_is_new():
+    # the kernel's scale starts at 1 and grows with the entries it meets; a
+    # sum that meets 1/2 and then 1/3 equals the sum of the two terms alone
+    cat = algebra(QQ, [("1", 0), ("a", 0), ("b", 0)], "1",
+                  {2: {("a", "a"): {"a": Fraction(1, 2)}, ("b", "b"): {"a": Fraction(1, 3)}}})
+
+    def term(lab):
+        chain = [((lab,), (0,), (-1,), 1)]
+        return ("k", chain, chain, perfmod._EMPTY)
+
+    alone = [perfmod._chain_sums(cat, [term(lab)], 1)[("k", "a")] for lab in ("a", "b")]
+    assert sorted(map(abs, alone)) == [Fraction(1, 3), Fraction(1, 2)]
+    assert perfmod._chain_sums(cat, [term("a"), term("b")], 1) == {("k", "a"): sum(alone)}
+
+
 def test_complexes_over_different_categories_are_rejected():
     # G2 keeps only the unit products of Γ, over the same objects and homs;
     # Hom(P_1 over G2, S_0 over Γ) used to be computed with G2's tables
