@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import weakref
 from collections.abc import Mapping
 
@@ -131,20 +130,17 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
     return AuslanderCategory(r, filt, gamma, quotients)
 
 
-_ZERO: dict = {}  # the zero entry of the memos below, shared and never mutated
-
-
 class _Induced:
     """The tables m_p of Gamma, induced by those of R through the coset
     representatives, each a ``_Table`` evaluated on demand.
 
-    The representatives are interned once per presentation in the product
-    table that the filtration sweeps share, so each product is evaluated
+    The representatives are interned once per presentation in one product
+    table of Gamma's own, so each product of representatives is evaluated
     once; it is projected once per (presentation, ids), to coordinates only,
-    as the constructor has proved it strict (:meth:`_nonzero_arities`).  The
-    label dict of an (output pair, ids) is shared by its table keys.  Gamma
-    is held by a weak reference, so that no reference cycle keeps it or the
-    memos alive until the cycle collector runs.
+    as the constructor has proved it strict (:meth:`_nonzero_arities`).
+    Entries are memoized per key, by ``_Table``.  Gamma is held by a weak
+    reference, so that no reference cycle keeps it or the memos alive until
+    the cycle collector runs.
     """
 
     def __init__(self, r: AInfCategory, space, levels: list, quotients: dict, labels_by_pair: dict):
@@ -155,7 +151,6 @@ class _Induced:
         self.rep_ids = {pr: ids[q] for pr, q in quotients.items()}
         self.where = {lab: (pr, k) for pr, labels in labels_by_pair.items() for k, lab in enumerate(labels)}
         self.projected: dict = {}  # presentation -> {ids: quotient coordinates}
-        self.entries: dict = {}  # output pair -> {ids: Gamma output vector}
         self.arities = self._nonzero_arities(r, levels, ids)
         self.gamma = None  # a weak reference to Gamma, set by the build
 
@@ -203,24 +198,22 @@ class _Induced:
                 arities.append(p)
         return arities
 
-    def _entry(self, out_pair, ids) -> dict:
+    def _entry(self, out_pair, ids):
         """The Gamma output vector of the product of the representatives
-        ``ids`` in ``out_pair``, computed and memoized; most products vanish
-        (in R, or in the quotient), and every zero entry is one shared empty
-        dict."""
-        entry = _ZERO
+        ``ids`` in ``out_pair``, or None when it is zero, as most products
+        are (in R, or in the quotient)."""
         prod = self.products.product(ids)
-        if prod:
-            q = self.quotients[out_pair]
-            projected = self.projected.setdefault(q, {})
-            coords = projected.get(ids)
-            if coords is None:
-                coords = projected[ids] = q.project_sparse(prod)
-            if coords:
-                labels = self.labels_by_pair[out_pair]
-                entry = {labels[k]: c for k, c in coords.items()}
-        self.entries.setdefault(out_pair, {})[ids] = entry
-        return entry
+        if not prod:
+            return None
+        q = self.quotients[out_pair]
+        projected = self.projected.setdefault(q, {})
+        coords = projected.get(ids)
+        if coords is None:
+            coords = projected[ids] = q.project_sparse(prod)
+        if not coords:
+            return None
+        labels = self.labels_by_pair[out_pair]
+        return {labels[k]: c for k, c in coords.items()}
 
     def entry(self, p: int, key):
         """The entry of m_p at ``key``, or None when it has none: a zero
@@ -232,11 +225,7 @@ class _Induced:
         if any(a[0][0] != b[0][1] for a, b in zip(located, located[1:])):
             return None
         out_pair = (located[-1][0][0], located[0][0][1])
-        ids = tuple(self.rep_ids[pr][k] for pr, k in located)
-        entry = self.entries.get(out_pair, {}).get(ids)
-        if entry is None:
-            entry = self._entry(out_pair, ids)
-        return entry or None
+        return self._entry(out_pair, tuple(self.rep_ids[pr][k] for pr, k in located))
 
     def materialize(self, p: int) -> dict:
         """Table p in full, by two ``itertools.product`` over the ids and over
@@ -246,12 +235,9 @@ class _Induced:
             # chain = (i_1, ..., i_{p+1}); argument u lives in hom(i_{u+1} -> i_u)
             pairs = [(chain[u + 1], chain[u]) for u in range(p)]
             out_pair = (chain[p], chain[0])
-            out_entries = self.entries.setdefault(out_pair, {})
             for ids, key in zip(itertools.product(*[rep_ids[pr] for pr in pairs]),
                                 itertools.product(*[labels_by_pair[pr] for pr in pairs])):
-                entry = out_entries.get(ids)
-                if entry is None:
-                    entry = self._entry(out_pair, ids)
+                entry = self._entry(out_pair, ids)
                 if entry:
                     table[key] = entry
         return table
@@ -416,50 +402,3 @@ def embed_generator(a: AuslanderCategory) -> dict:
         if translated != g_restricted:
             raise AuslanderError(f"generator embedding fails to intertwine m_{p}")
     return mapping
-
-
-# ---------------------------------------------------------------------------
-# lift independence
-
-
-def verify_lift_independence(a: AuslanderCategory, trials: int = 50, rng: random.Random | None = None) -> bool:
-    """Recompute random induced products with perturbed coset lifts.
-
-    Each trial perturbs every argument's representative by a random element
-    of its denominator; the projected product must be unchanged.
-    """
-    rng = rng or random.Random(0)
-    r = a.base
-    obj = r.objects[0]
-    field = r.field
-    n = a.n
-
-    arities = sorted(r.mult)
-    if not arities:
-        return True
-    for _ in range(trials):
-        p = rng.choice(arities)
-        chain = tuple(rng.randrange(n) for _ in range(p + 1))
-        pairs = [(chain[u + 1], chain[u]) for u in range(p)]
-        if any(a.quotients[pr].dim == 0 for pr in pairs):
-            continue
-        picks = [rng.randrange(a.quotients[pr].dim) for pr in pairs]
-        base_args = []
-        pert_args = []
-        for pr, k in zip(pairs, picks):
-            q = a.quotients[pr]
-            rep = q.reps[k]
-            noise = [field.zero] * len(rep)
-            for row in q.denominator.rows:
-                c = field.of_int(rng.randint(-2, 2))
-                if c != 0:
-                    noise = [field.add(x, field.mul(c, y)) for x, y in zip(noise, row)]
-            pert = tuple(field.add(x, y) for x, y in zip(rep, noise))
-            base_args.append(r.coords_to_element(rep, obj, obj))
-            pert_args.append(r.coords_to_element(pert, obj, obj))
-        out_q = a.quotients[(chain[p], chain[0])]
-        base_vec = r.element_to_coords(r.apply(p, base_args), obj, obj)
-        pert_vec = r.element_to_coords(r.apply(p, pert_args), obj, obj)
-        if out_q.project_strict(base_vec) != out_q.project_strict(pert_vec):
-            return False
-    return True

@@ -7,7 +7,7 @@ Subcommands:
     filtration check <file>
     filtration degree <file> -o OUT
     filtration appendix <file> --kappa K -o OUT
-    gamma build <file> -o OUT [--lift-trials N] [--jobs N]
+    gamma build <file> -o OUT [--jobs N]
     sod <file> [--format json|text] [--jobs N]
     deform <file> --cochain <file> -o OUT
 
@@ -28,9 +28,7 @@ relation checks.  ``--jobs N`` is accepted for compatibility and has no effect.
 ``gamma build`` reports ``lift_independence`` from the build itself: it runs
 only on a filtration that passes its compatibility check, and the build
 proves the index inequalities, which together make the induced products
-independent of the coset representatives.  ``--lift-trials N`` adds N
-seeded random lift perturbations as a sampled cross-check, ANDed into the
-verdict.
+independent of the coset representatives.
 
 ``main`` builds the argument parser on its first call and reuses it for the
 life of the process.  Each subcommand names its handler, which is looked up
@@ -48,7 +46,7 @@ import sys
 import time
 
 from .ainf import check_stasheff, validate_structure
-from .auslander import build_auslander, verify_lift_independence
+from .auslander import build_auslander
 from .filtration import (
     FiltrationError,
     appendix_filtration,
@@ -168,6 +166,20 @@ def _need_filtration(spec):
     return spec.filtration
 
 
+def _filtered_input(command: str, spec, started: float):
+    """The filtration of the input when the algebra is valid and the
+    filtration passes its compatibility check; else None, after emitting
+    the FAIL report of the check that failed."""
+    filt = _need_filtration(spec)
+    if not _input_valid(command, spec, started):
+        return None
+    report = check_filtration(spec.category, filt)
+    if report.passed:
+        return filt
+    _emit({"command": command, "verdict": "FAIL", "report": report.to_json()}, started)
+    return None
+
+
 def cmd_filtration_check(args) -> int:
     started = time.perf_counter()
     spec = parse_spec(args.file)
@@ -245,27 +257,13 @@ def cmd_filtration_appendix(args) -> int:
 def cmd_gamma_build(args) -> int:
     started = time.perf_counter()
     spec = parse_spec(args.file)
-    filt = _need_filtration(spec)
-    if not _input_valid("gamma build", spec, started):
-        return EXIT_FAIL
-    filt_report = check_filtration(spec.category, filt)
-    if not filt_report.passed:
-        _emit(
-            {
-                "command": "gamma build",
-                "verdict": "FAIL",
-                "report": filt_report.to_json(),
-            },
-            started,
-        )
+    filt = _filtered_input("gamma build", spec, started)
+    if filt is None:
         return EXIT_FAIL
     aus, build_s = _timed(build_auslander, spec.category, filt)
     relations, relations_s = _timed(check_stasheff, aus.gamma)
     structure = validate_structure(aus.gamma)
-    # the filtration check above and the build's inequality proof are the
-    # certificate; sampled perturbations only cross-check it
-    lifts_ok = args.lift_trials <= 0 or verify_lift_independence(aus, trials=args.lift_trials)
-    ok = relations.passed and structure.passed and lifts_ok
+    ok = relations.passed and structure.passed
     _write_out(args.output, serialize(category_to_dict(aus.gamma)))
     _emit(
         {
@@ -274,7 +272,8 @@ def cmd_gamma_build(args) -> int:
             "objects": aus.n,
             "hom_dims": [list(row) for row in aus.hom_dims()],
             "total_dim": aus.gamma.total_dim(),
-            "lift_independence": lifts_ok,
+            # the filtration check and the build's inequality proof
+            "lift_independence": True,
             "output": args.output,
             "structure": structure.to_json(),
             "relations": relations.to_json(),
@@ -288,15 +287,8 @@ def cmd_gamma_build(args) -> int:
 def cmd_sod(args) -> int:
     started = time.perf_counter()
     spec = parse_spec(args.file)
-    filt = _need_filtration(spec)
-    if not _input_valid("sod", spec, started):
-        return EXIT_FAIL
-    filt_report = check_filtration(spec.category, filt)
-    if not filt_report.passed:
-        _emit(
-            {"command": "sod", "verdict": "FAIL", "report": filt_report.to_json()},
-            started,
-        )
+    filt = _filtered_input("sod", spec, started)
+    if filt is None:
         return EXIT_FAIL
     aus, build_s = _timed(build_auslander, spec.category, filt)
     rep, cohomology_s = _timed(sod_report, aus)
@@ -415,9 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("file")
     q.add_argument("-o", "--output", required=True)
     q.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    q.add_argument("--lift-trials", type=int, default=0,
-                   help="also cross-check lift independence on N seeded random "
-                   "lift perturbations (default 0: the build's proof alone)")
     q.set_defaults(func="cmd_gamma_build")
 
     p = sub.add_parser("sod", help="semiorthogonality report")

@@ -241,11 +241,6 @@ def quotient_by_ideal(r: AInfCategory, ideal: Subspace, prefix: str = "q"):
     return quotient, q
 
 
-def filtration_quotient_algebra(r: AInfCategory, filt: Filtration, prefix: str = "rbar"):
-    """R/F^1 with its induced structure (an honest quotient by compatibility)."""
-    return quotient_by_ideal(r, filt.levels[1], prefix=prefix)
-
-
 # ---------------------------------------------------------------------------
 # radicals (characteristic zero)
 

@@ -48,7 +48,6 @@ from functools import cached_property
 
 from .ainf import AInfCategory
 from .auslander import AuslanderCategory
-from .filtration import filtration_quotient_algebra
 from .linalg import FiniteComplex, complex_cohomology, rref, solve_linear
 
 
@@ -531,23 +530,21 @@ def hom_complex(x: TwistedComplex, y: TwistedComplex) -> HomComplexResult:
 
 
 # ---------------------------------------------------------------------------
-# cohomology of a one-object algebra (with its product)
+# cohomology of an endomorphism algebra (with its product)
 
 
 class AlgebraCohomology:
-    """H^* of a one-object category with the product induced by m_2.
+    """H^* of the endomorphism algebra hom(obj -> obj) of a category, with the
+    product induced by m_2.
 
     For a minimal algebra this is the algebra itself; otherwise classes are
     presented by explicit cocycle representatives.
     """
 
-    def __init__(self, alg: AInfCategory):
-        self.alg = alg
-        obj = alg.objects[0]
+    def __init__(self, alg: AInfCategory, obj):
+        self.alg, self.obj = alg, obj
         space = alg.hom[(obj, obj)]
         field = alg.field
-        self.obj = obj
-        self.space = space
         components: dict = {}
         for i, lab in enumerate(space.labels):
             components.setdefault(space.degrees[i], []).append(lab)
@@ -591,10 +588,7 @@ class AlgebraCohomology:
         return self.class_coords(out, da + db)
 
     def unit_class_index(self):
-        obj = self.obj
-        unit_elem = self.alg.unit_vector(obj)
-        coords = self.class_coords(unit_elem, 0)
-        return coords
+        return self.class_coords(self.alg.unit_vector(self.obj), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +596,11 @@ class AlgebraCohomology:
 
 
 def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, end: HomComplexResult,
-                   rbar_h: AlgebraCohomology, rbar_pres) -> dict:
+                   rbar_h: AlgebraCohomology) -> dict:
     """Verify H^*(End(S_i)) is a copy of H^*(R/F^1) via the right action.
 
-    ``end`` is ``hom_complex(s_i, s_i)``, built once by :func:`sod_report`.
+    ``end`` is ``hom_complex(s_i, s_i)``, built once by :func:`sod_report`;
+    ``rbar_h`` is the cohomology of R/F^1 = Gamma(n-1, n-1).
 
     For each class rbar with representative r, the candidate endomorphism is
     the diagonal matrix of the classes of r (one slot per entry of S_i),
@@ -634,7 +629,7 @@ def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, end: HomComplexR
         return out
 
     def diagonal_candidate(elem, degree):
-        comps = {(a, a): _lift_rbar_class(aus, rbar_h, rbar_pres, elem, o) for a, (o, _) in enumerate(s_i.entries)}
+        comps = {(a, a): _lift_rbar_class(aus, rbar_h, elem, o) for a, (o, _) in enumerate(s_i.entries)}
         return ModuleMorphismElement(s_i, s_i, degree, comps)
 
     reps = {}
@@ -692,15 +687,11 @@ def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, end: HomComplexR
     return out
 
 
-def _lift_rbar_class(aus: AuslanderCategory, rbar_h: AlgebraCohomology, rbar_pres, elem: dict, gamma_obj) -> dict:
+def _lift_rbar_class(aus: AuslanderCategory, rbar_h: AlgebraCohomology, elem: dict, gamma_obj) -> dict:
     """Class in hom(o -> o) of a representative of an R/F^1 element."""
-    cat = aus.gamma
-    coords = [cat.field.zero] * rbar_pres.dim
-    for lab, c in elem.items():
-        coords[rbar_h.space.index(lab)] = c
-    ambient = rbar_pres.lift(tuple(coords))
-    q = aus.quotients[(gamma_obj, gamma_obj)]
-    cls = q.project_strict(ambient)
+    cat, top = aus.gamma, rbar_h.obj
+    ambient = aus.quotients[(top, top)].lift(cat.element_to_coords(elem, top, top))
+    cls = aus.quotients[(gamma_obj, gamma_obj)].project_strict(ambient)
     return cat.coords_to_element(cls, gamma_obj, gamma_obj)
 
 
@@ -769,11 +760,14 @@ def sod_report(aus: AuslanderCategory) -> SodReport:
     (a) H Hom(P_j, S_i) vanishes for j > i and matches H^*(R/F^1) for j = i;
     (b) H End(S_i) is a copy of H^*(R/F^1) (see :func:`end_comparison`);
     (c) H Hom(S_j, S_i) vanishes for j > i.
+
+    R/F^1 is Gamma(n-1, n-1) = F^0/F^1, read off the on-demand tables of
+    Gamma: the build has presented it, and the filtration check has proved
+    F^1 an ideal.
     """
     n = aus.n
     gamma = aus.gamma
-    rbar, pres = filtration_quotient_algebra(aus.base, aus.filtration)
-    rbar_h = AlgebraCohomology(rbar)
+    rbar_h = AlgebraCohomology(gamma, n - 1)
     rbar_dims = rbar_h.dims()
 
     ps = [representable(aus, i) for i in range(n)]
@@ -793,7 +787,7 @@ def sod_report(aus: AuslanderCategory) -> SodReport:
             h = hom_complex(ss[j], ss[i])
             ss_table[i].append(h.cohomology_dims())
             if j == i:  # End(S_i), compared while it is the one alive
-                res = end_comparison(aus, ss[i], h, rbar_h, pres)
+                res = end_comparison(aus, ss[i], h, rbar_h)
                 end_results.append({"i": i, "ok": res["ok"], "failures": res["failures"]})
     for i in range(n):
         for j in range(n):

@@ -6,7 +6,7 @@ import itertools
 import random
 
 from ainfbench import QQ, GradedSpace, algebra, category
-from ainfbench.filtration import Filtration, check_filtration
+from ainfbench.filtration import Filtration, check_filtration, full_subspace, zero_subspace
 from ainfbench.hochschild import Bimodule, HochschildCochain, HochschildError
 from ainfbench.linalg import Subspace
 
@@ -154,6 +154,15 @@ def truncated_polynomial(m, field=QQ):
             if i + j < m:
                 prods[(f"x{i}", f"x{j}")] = {f"x{i+j}": 1}
     return algebra(field, [(l, 0) for l in labels], "1", {2: unital_m2(labels, "1", prods, field)})
+
+
+def incompatible_filtration(field=QQ):
+    """k[x]/x^4 with F = (R, (x), 0), which fails the compatibility check
+    (x.x escapes F^2 = 0) while the quotient category build accepts it."""
+    alg = truncated_polynomial(4, field)
+    space = alg.hom[(alg.objects[0],) * 2]
+    ideal = Subspace(space, field, [{i: field.one} for i in (1, 2, 3)])
+    return alg, Filtration(alg, [full_subspace(alg), ideal, zero_subspace(alg)])
 
 
 def trivial_extension(a, kappa, field=QQ):

@@ -19,13 +19,15 @@ into a dense matrix, with no ``perfmod`` evaluation helper; the composition
 mu2, the Maurer-Cartan defect and the differential of an evaluation are
 summed the same way over their own paths.  The two
 index inequalities of the quotient category are checked one chain at a time,
-as stated.  The Hochschild differential is the classical alternating sum,
-term by term.
+as stated, and the independence of its products from the coset
+representatives, which the build proves, is sampled with random lifts.  The
+Hochschild differential is the classical alternating sum, term by term.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 
 def naive_rref(field, rows, ncols):
@@ -275,6 +277,47 @@ def naive_gamma_table(aus):
         if table:
             mult[p] = table
     return mult
+
+
+def lift_independence_sampled(aus, trials=50, rng=None):
+    """Recompute random induced products of Gamma with perturbed coset lifts.
+
+    Each trial picks a chain of objects and one representative per argument,
+    perturbs every representative by a random element of its denominator,
+    and multiplies both tuples with :func:`naive_mult`; the quotient
+    coordinates of the two products (:func:`naive_quotient_coords`) must be
+    equal and defined."""
+    rng = rng or random.Random(0)
+    r = aus.base
+    field = r.field
+    obj = r.objects[0]
+    labels = r.hom[(obj, obj)].labels
+    arities = sorted(r.mult)
+
+    def product_coords(p, vectors, out_q):
+        args = [{labels[i]: c for i, c in enumerate(v) if c != 0} for v in vectors]
+        out = naive_mult(r, p, args)
+        return naive_quotient_coords(out_q, tuple(out.get(lab, field.zero) for lab in labels))
+
+    for _ in range(trials if arities else 0):
+        p = rng.choice(arities)
+        chain = [rng.randrange(aus.n) for _ in range(p + 1)]
+        qs = [aus.quotients[(chain[u + 1], chain[u])] for u in range(p)]
+        if any(q.dim == 0 for q in qs):
+            continue
+        reps = [q.reps[rng.randrange(q.dim)] for q in qs]
+        perturbed = []
+        for q, rep in zip(qs, reps):
+            v = list(rep)
+            for row in q.denominator.rows:
+                c = field.of_int(rng.randint(-2, 2))
+                v = [field.add(x, field.mul(c, y)) for x, y in zip(v, row)]
+            perturbed.append(v)
+        out_q = aus.quotients[(chain[p], chain[0])]
+        coords = product_coords(p, reps, out_q)
+        if coords is None or coords != product_coords(p, perturbed, out_q):
+            return False
+    return True
 
 
 def naive_quotient_table(r, quotient, q):

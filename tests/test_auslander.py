@@ -19,7 +19,6 @@ from ainfbench.auslander import (
     build_auslander,
     check_index_inequalities_exhaustive,
     embed_generator,
-    verify_lift_independence,
 )
 from ainfbench.filtration import (
     Filtration,
@@ -38,6 +37,7 @@ from .corpus import (
     LARGE_DENOMINATORS,
     beilinson_algebra,
     dual_numbers,
+    incompatible_filtration,
     random_filtered_algebra,
     rescaled,
     toy_algebra,
@@ -47,6 +47,7 @@ from .corpus import (
 from .oracles import (
     index_inequality_denominators,
     index_inequality_telescoping,
+    lift_independence_sampled,
     naive_gamma_table,
 )
 
@@ -128,7 +129,7 @@ def test_padded_filtration_changes_gamma():
 
 
 def test_lift_independence_toy(toy_gamma):
-    assert verify_lift_independence(toy_gamma, trials=50, rng=random.Random(42))
+    assert lift_independence_sampled(toy_gamma, trials=50, rng=random.Random(42))
 
 
 def test_index_inequality_single_tuples():
@@ -187,7 +188,7 @@ def test_random_filtered_gammas_pass():
         aus = build_auslander(alg, filt)
         assert validate_structure(aus.gamma).passed
         assert check_stasheff(aus.gamma).passed
-        assert verify_lift_independence(aus, trials=20, rng=rng)
+        assert lift_independence_sampled(aus, trials=20, rng=rng)
         embed_generator(aus)
 
 
@@ -209,6 +210,21 @@ def _oracle_cases():
         for k in range(draws):
             yield pytest.param(*random_filtered_algebra(rng, field),
                                id=f"random-{field.characteristic}-{k}")
+
+
+@pytest.mark.parametrize("alg, filt", list(_oracle_cases()))
+def test_lift_independence_sampled(alg, filt):
+    # the build proves it; random lifts in every argument only sample it
+    aus = build_auslander(alg, filt)
+    assert lift_independence_sampled(aus, trials=30, rng=random.Random(f"lifts:{aus.n}"))
+
+
+def test_lift_sampler_sees_an_incompatible_filtration():
+    # the build's strictness checks pass, and the products depend on the
+    # lifts; this is why every command runs the filtration check first
+    alg, filt = incompatible_filtration()
+    assert not check_filtration(alg, filt).passed
+    assert not lift_independence_sampled(build_auslander(alg, filt), trials=50, rng=random.Random(1))
 
 
 def _ordered(table):

@@ -24,7 +24,14 @@ from ainfbench.specfile import (
     serialize,
 )
 
-from .corpus import LARGE_DENOMINATORS, dual_numbers, random_associative_algebra, random_cochain, rescaled
+from .corpus import (
+    LARGE_DENOMINATORS,
+    dual_numbers,
+    incompatible_filtration,
+    random_associative_algebra,
+    random_cochain,
+    rescaled,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TOY = str(FIXTURES / "toy.json")
@@ -163,29 +170,12 @@ def test_cli_gamma_roundtrip(tmp_path, capsys):
     assert serialize(category_to_dict(spec.category)) == out_file.read_text()
 
 
-def test_cli_gamma_lift_independence_needs_no_sampling(tmp_path, capsys, monkeypatch):
-    def sampled(aus, trials):
-        raise AssertionError("sampled lift perturbations ran")
-
-    monkeypatch.setattr(cli, "verify_lift_independence", sampled)
-    code, out, _ = run(capsys, "gamma", "build", TOY, "-o", str(tmp_path / "g.json"))
-    data = json.loads(out)
-    assert code == 0 and data["verdict"] == "PASS" and data["lift_independence"] is True
-
-
-def test_cli_gamma_lift_trials_cross_check(tmp_path, capsys, monkeypatch):
-    calls = []
-
-    def sampled(aus, trials):
-        calls.append(trials)
-        return False
-
-    monkeypatch.setattr(cli, "verify_lift_independence", sampled)
-    code, out, _ = run(capsys, "gamma", "build", TOY, "-o", str(tmp_path / "g.json"),
-                       "--lift-trials", "20")
-    data = json.loads(out)
-    assert calls == [20]
-    assert code == 1 and data["verdict"] == "FAIL" and data["lift_independence"] is False
+def test_cli_gamma_has_no_lift_trials_option(tmp_path, capsys):
+    # the build proves lift independence; the sampler is a test oracle
+    code, _, err = run(capsys, "gamma", "build", TOY, "-o", str(tmp_path / "g.json"),
+                       "--lift-trials", "1")
+    assert code == 2 and "--lift-trials" in err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_cli_validate_toy(capsys):
@@ -596,6 +586,23 @@ def test_cli_gamma_build_refuses_invalid_base(tmp_path, capsys):
     assert code == 1
     _assert_degrees_fail(out)
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", [("gamma", "build"), ("sod",)], ids=["gamma-build", "sod"])
+def test_cli_refuses_incompatible_filtration(tmp_path, capsys, command):
+    # both commands emit the filtration check's report, in one key order,
+    # and build nothing
+    alg, filt = incompatible_filtration()
+    spec = tmp_path / "x4.json"
+    spec.write_text(serialize(category_to_dict(alg, filtration=filt)))
+    out_file = tmp_path / "gamma.json"
+    argv = (*command, str(spec)) + (("-o", str(out_file)) if command[0] == "gamma" else ())
+    code, out, _ = run(capsys, *argv)
+    report = json.loads(out)
+    assert code == 1 and list(report) == ["command", "verdict", "report", "timings"]
+    assert report["command"] == " ".join(command) and report["verdict"] == "FAIL"
+    assert report["report"] == json.loads(json.dumps(check_filtration(alg, filt).to_json()))
+    assert not report["report"]["passed"] and not out_file.exists()
 
 
 def test_cli_stage_timings(tmp_path, capsys):

@@ -12,7 +12,6 @@ from ainfbench.filtration import (
     appendix_filtration,
     check_filtration,
     degree_filtration,
-    filtration_quotient_algebra,
     full_subspace,
     nilpotency_index,
     quotient_by_ideal,
@@ -318,7 +317,7 @@ def test_appendix_filtration_toy():
     assert filt.levels[1] == span_of(toy, ["e", "t"])
     assert filt.levels[2] == span_of(toy, ["t"])
     assert check_filtration(toy, filt).passed
-    rbar, _ = filtration_quotient_algebra(toy, filt)
+    rbar, _ = quotient_by_ideal(toy, filt.levels[1])
     assert rbar.total_dim() == 1
     assert radical(rbar).dim == 0
 
@@ -366,7 +365,7 @@ def test_appendix_filtration_semisimple_with_lower_part():
     assert params.big_n == 1
     assert filt.dims() == (2, 1, 0)
     assert check_filtration(alg, filt).passed
-    rbar, _ = filtration_quotient_algebra(alg, filt)
+    rbar, _ = quotient_by_ideal(alg, filt.levels[1])
     assert radical(rbar).dim == 0
 
 
@@ -384,7 +383,7 @@ def test_appendix_rejects_prime_field():
 def test_quotient_algebra_is_associative_unital():
     toy = toy_algebra()
     filt, _ = appendix_filtration(toy, kappa=1)
-    rbar, pres = filtration_quotient_algebra(toy, filt)
+    rbar, pres = quotient_by_ideal(toy, filt.levels[1])
     assert validate_structure(rbar).passed
     assert check_stasheff(rbar).passed
     # induced higher products vanish on the quotient here

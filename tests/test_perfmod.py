@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from ainfbench import GF, QQ, AInfCategory, algebra, check_stasheff, validate_structure
+import ainfbench.ainf as ainf
+import ainfbench.filtration as filtration
 from ainfbench.scalars import FieldError
 from ainfbench.specfile import parse_spec
 from ainfbench.auslander import build_auslander
@@ -550,27 +552,47 @@ def test_sod_report_random_filtered():
         assert rep.passed, rep.to_json()["failures"]
 
 
+def _appendix(make, kappa):
+    """The appendix filtration over Q, and its coordinate copy elsewhere."""
+    def filtered(field):
+        if field == QQ:
+            alg = make(QQ)
+            return alg, appendix_filtration(alg, kappa)[0]
+        return coordinate_filtration(make, kappa, field)
+    return filtered
+
+
+def _toy_degree(field):
+    toy = toy_algebra(field)
+    return toy, degree_filtration(toy)
+
+
+def _toy_trivial(field):
+    toy = toy_algebra(field)
+    return toy, Filtration(toy, [full_subspace(toy), zero_subspace(toy)])
+
+
 SOD_CASES = {
-    "toy-k1": (toy_algebra, 1),
-    "x6": (lambda f: truncated_polynomial(6, f), 1),
-    "trivext-2-1": (lambda f: trivial_extension(2, 1, f), 1),
+    "toy-k1": _appendix(toy_algebra, 1),
+    "x6": _appendix(lambda f: truncated_polynomial(6, f), 1),
+    "trivext-2-1": _appendix(lambda f: trivial_extension(2, 1, f), 1),
+    # R/F^1 is not k: dims {0: 2}, all of toy (n = 1), and k^3
+    "toy-degree": _toy_degree,
+    "toy-trivial": _toy_trivial,
+    "beilinson-2": _appendix(lambda f: beilinson_algebra(2, f), 1),
 }
 
 
 @pytest.mark.parametrize("case", [f"{name}/{field}" for name in SOD_CASES for field in ("Q", "GF3")])
 def test_sod_report_matches_golden(case, monkeypatch):
     """``sod_report(aus).to_json()``, key order included, equals the report
-    recorded in ``sod_golden.json`` by the sod of the commit before the
-    integer Hom-differential kernel: the appendix filtration over Q, and its
-    coordinate copy over GF(3).  sod builds each of its 2n^2 Hom-complexes
-    once (End(S_i) is the S/S table's diagonal)."""
+    recorded in ``sod_golden.json`` by an earlier sod: the first three cases
+    by the one before the integer Hom-differential kernel, the three whose
+    R/F^1 is not k by the one that still built R/F^1 as a second quotient
+    algebra.  sod builds each of its 2n^2 Hom-complexes once (End(S_i) is
+    the S/S table's diagonal)."""
     name, field = case.split("/")
-    make, kappa = SOD_CASES[name]
-    if field == "Q":
-        alg = make(QQ)
-        aus = build_auslander(alg, appendix_filtration(alg, kappa)[0])
-    else:
-        aus = build_auslander(*coordinate_filtration(make, kappa, GF(3)))
+    aus = build_auslander(*SOD_CASES[name](QQ if field == "Q" else GF(3)))
     built = []
     init = HomComplexResult.__init__
     monkeypatch.setattr(HomComplexResult, "__init__", lambda self, x, y: built.append((x, y)) or init(self, x, y))
@@ -578,6 +600,22 @@ def test_sod_report_matches_golden(case, monkeypatch):
     golden = json.loads(SOD_GOLDEN.read_text(encoding="utf-8"))[case]
     assert json.dumps(report, indent=2) == json.dumps(golden, indent=2)
     assert len(built) == 2 * aus.n ** 2
+
+
+@pytest.mark.parametrize("name", ["toy-degree", "beilinson-2"])
+def test_sod_reads_rbar_off_gamma(name, monkeypatch):
+    # R/F^1 is Gamma(n-1, n-1): sod builds no second quotient algebra and no
+    # product table of its own
+    aus = build_auslander(*SOD_CASES[name](QQ))
+    calls = []
+    init, quotient = ainf._ProductTable.__init__, filtration.quotient_by_ideal
+    monkeypatch.setattr(ainf._ProductTable, "__init__",
+                        lambda self, *a: calls.append("_ProductTable") or init(self, *a))
+    monkeypatch.setattr(filtration, "quotient_by_ideal",
+                        lambda *a, **k: calls.append("quotient_by_ideal") or quotient(*a, **k))
+    report = sod_report(aus)
+    assert report.passed and report.rbar_dims == {0: aus.gamma.hom[(aus.n - 1,) * 2].dim}
+    assert calls == []
 
 
 def test_sod_generation_witnesses(toy_aus):
