@@ -6,11 +6,11 @@ F^{i_1 + ... + i_p} (indices above n read as n, where F^n = 0).
 
 Included here: the compatibility checker, the filtration by cohomological
 degree of a non-positively graded minimal algebra, Jacobson radicals of
-finite-dimensional associative algebras in characteristic zero as one kernel
-of the trace form (x, y) -> trace(L_{xy}) (Curtis and Reiner 1962), certified
-by checking that the kernel is an ideal, that the quotient by it has zero
-trace kernel and that it is nilpotent, and the explicit filtration of an
-algebra concentrated in degrees {0, -kappa} built from radical powers.
+finite-dimensional associative algebras as one kernel of the trace form
+(x, y) -> trace(L_{xy}) (Curtis and Reiner 1962), certified by checking that
+the kernel is nilpotent, that it is an ideal and that the quotient by it has
+zero trace kernel, and the explicit filtration of an algebra concentrated in
+degrees {0, -kappa} built from radical powers.
 """
 
 from __future__ import annotations
@@ -242,17 +242,18 @@ def quotient_by_ideal(r: AInfCategory, ideal: Subspace, prefix: str = "q"):
 
 
 # ---------------------------------------------------------------------------
-# radicals (characteristic zero)
+# radicals
 
 
 def radical(a: AInfCategory) -> Subspace:
-    """Jacobson radical of an associative algebra in degree 0, characteristic 0.
+    """Jacobson radical of an associative algebra in degree 0.
 
-    By the trace-form criterion (Curtis and Reiner 1962) the radical is the
-    kernel J of (x, y) -> trace(L_{xy}), computed once and certified in three
-    straight-line steps: J is an ideal (checked by :func:`quotient_by_ideal`);
-    R/J has zero trace kernel, so R/J is semisimple and rad ⊆ J; and J is
-    nilpotent, so J ⊆ rad.
+    rad lies in the kernel J of the trace form (x, y) -> trace(L_{xy}) in
+    every characteristic (xy is nilpotent for x in rad), so J is the radical
+    whenever J is nilpotent, as always in characteristic 0 (Curtis and
+    Reiner 1962).  J is computed once and certified in three straight-line
+    steps: J is nilpotent (FiltrationError otherwise, as for k[x]/x^p over
+    F_p); J is an ideal (:func:`quotient_by_ideal`); R/J has zero trace kernel.
     """
     return _radical_powers(a)[1]
 
@@ -261,17 +262,19 @@ def _radical_powers(a: AInfCategory) -> list:
     """[A, J, J^2, ..., 0] for J = radical(a), certified as there."""
     _, space = _one_object(a)
     field = a.field
-    if field.characteristic != 0:
-        raise FiltrationError("radical computation requires characteristic zero")
     if any(p != 2 for p in a.mult):
         raise FiltrationError("radical requires an associative algebra with only m_2")
     if any(d != 0 for d in space.degrees):
         raise FiltrationError("radical requires the algebra concentrated in degree 0")
     j = Subspace(space, field, _trace_kernel(a))
+    try:
+        powers = _powers(a, j)
+    except FiltrationError:
+        raise FiltrationError("trace kernel is not nilpotent") from None
     quotient, _ = quotient_by_ideal(a, j, prefix="rq")
     if _trace_kernel(quotient):
         raise FiltrationError("the quotient by the trace kernel has a nonzero trace kernel")
-    return _powers(a, j)  # FiltrationError unless nilpotent
+    return powers
 
 
 def _trace_kernel(a: AInfCategory):
@@ -349,8 +352,6 @@ def appendix_filtration(r: AInfCategory, kappa: int):
     """
     obj, space = _one_object(r)
     field = r.field
-    if field.characteristic != 0:
-        raise FiltrationError("the construction requires characteristic zero")
     if kappa < 1:
         raise FiltrationError("kappa must be a positive integer")
     if 1 in r.mult:

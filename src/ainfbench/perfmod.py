@@ -764,6 +764,10 @@ def sod_report(aus: AuslanderCategory) -> SodReport:
     R/F^1 is Gamma(n-1, n-1) = F^0/F^1, read off the on-demand tables of
     Gamma: the build has presented it, and the filtration check has proved
     F^1 an ideal.
+
+    Hom(P_j, S_i) and, for j <= i, Hom(S_j, S_i) are computed.  For j > i,
+    S_{n-1} = P_{n-1}, and Hom(S_j, S_i) extends Hom(P_j, S_i) by Hom(P_{j+1},
+    S_i)[-1] (mu1 never lowers the source slot): zero if both are, else built.
     """
     n = aus.n
     gamma = aus.gamma
@@ -784,6 +788,12 @@ def sod_report(aus: AuslanderCategory) -> SodReport:
     end_results = []
     for i in range(n):
         for j in range(n):
+            if j == n - 1 > i:
+                ss_table[i].append(ps_table[i][j])
+                continue
+            if j > i and not ps_table[i][j] and not ps_table[i][j + 1]:
+                ss_table[i].append({})
+                continue
             h = hom_complex(ss[j], ss[i])
             ss_table[i].append(h.cohomology_dims())
             if j == i:  # End(S_i), compared while it is the one alive

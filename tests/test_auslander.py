@@ -204,7 +204,7 @@ def _oracle_cases():
     yield pytest.param(x6_large, appendix_filtration(x6_large, kappa=1)[0], id="x6-large-denominators")
     yield pytest.param(triv, appendix_filtration(triv, kappa=1)[0], id="trivext-3-1")
     yield pytest.param(p2, appendix_filtration(p2, kappa=1)[0], id="beilinson-2")
-    # appendix_filtration needs characteristic zero: prime fields draw theirs
+    # prime fields draw random filtrations
     for field, draws in ((QQ, 3), (GF(3), 3), (GF(5), 1)):
         rng = random.Random(f"gamma-oracle:{field.characteristic}")
         for k in range(draws):

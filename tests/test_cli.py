@@ -7,6 +7,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -26,11 +27,13 @@ from ainfbench.specfile import (
 
 from .corpus import (
     LARGE_DENOMINATORS,
+    beilinson_algebra,
     dual_numbers,
     incompatible_filtration,
     random_associative_algebra,
     random_cochain,
     rescaled,
+    truncated_polynomial,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -209,6 +212,34 @@ def test_cli_filtration_appendix(tmp_path, capsys):
     # kappa can also come from the file
     code2, out2, _ = run(capsys, "filtration", "appendix", TOY, "-o", str(out_file))
     assert code2 == 0
+
+
+@pytest.mark.parametrize("p, name, nilpotent", [
+    (3, "x4", True), (3, "x5", True), (3, "P2", True), (3, "x3", False), (3, "x6", False), (3, "P3", False),
+    (5, "x3", True), (5, "x4", True), (5, "x6", True), (5, "x5", False), (5, "P2", False), (5, "P3", False),
+])
+def test_cli_filtration_appendix_over_prime_field(p, name, nilpotent, tmp_path, capsys):
+    """Over F_p the trace kernel J is the radical whenever it is nilpotent,
+    and the appendix levels are then the closed form: (m, m-1, ..., 0) for
+    k[x]/x^m, sum_{k >= q} (d+1-k) C(d+k, d) at level q for Beilinson P^d.
+    Otherwise J holds an idempotent and the command refuses: tr(L_1) = m on
+    k[x]/x^m, and the idempotents of P^d have traces C(d+1+k, d+1), k = 0..d."""
+    d = int(name[1:])
+    field = GF(p)
+    if name[0] == "x":
+        alg, levels = truncated_polynomial(d, field), list(range(d, -1, -1))
+    else:
+        alg = beilinson_algebra(d, field)
+        levels = [sum((d + 1 - k) * comb(d + k, d) for k in range(q, d + 1)) for q in range(d + 2)]
+    src, out_file = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(serialize(category_to_dict(alg)))
+    code, out, err = run(capsys, "filtration", "appendix", str(src), "--kappa", "1", "-o", str(out_file))
+    if nilpotent:
+        assert code == 0 and json.loads(out)["levels"] == levels
+        assert parse_spec(str(out_file)).filtration.dims() == tuple(levels)
+    else:
+        assert (code, out, err.strip()) == (2, "", "error: trace kernel is not nilpotent")
+        assert not out_file.exists()
 
 
 def test_cli_deform_cocycle(tmp_path, capsys):

@@ -175,10 +175,13 @@ def test_radical_upper_triangular():
     assert j == span_of(alg, ["x"])
 
 
-def test_radical_refuses_prime_field():
+def test_radical_of_dual_numbers_over_prime_fields():
+    # trace(L_1) = 2: over GF(5) the trace kernel is span(e), nilpotent, so
+    # it is the radical; over GF(2) it is everything, and radical() refuses
     alg = dual_numbers(GF(5))
-    with pytest.raises(FiltrationError):
-        radical(alg)
+    assert radical(alg) == span_of(alg, ["e"])
+    with pytest.raises(FiltrationError, match="not nilpotent"):
+        radical(dual_numbers(GF(2)))
 
 
 def test_radical_invariants_random():
@@ -375,9 +378,15 @@ def test_appendix_rejects_bad_grading():
         appendix_filtration(toy, kappa=2)  # t sits in degree -1, not -2
 
 
-def test_appendix_rejects_prime_field():
-    with pytest.raises(FiltrationError):
-        appendix_filtration(toy_algebra(GF(7)), kappa=1)
+def test_appendix_filtration_toy_over_prime_fields():
+    # the degree-0 part is the dual numbers: over GF(7) the levels are those
+    # over Q, over GF(2) the trace kernel is not nilpotent
+    toy = toy_algebra(GF(7))
+    filt, params = appendix_filtration(toy, kappa=1)
+    assert params.radical == span_of(toy, ["e"]) and params.nil_index == 2
+    assert filt.dims() == (3, 2, 1, 1, 0) and check_filtration(toy, filt).passed
+    with pytest.raises(FiltrationError, match="not nilpotent"):
+        appendix_filtration(toy_algebra(GF(2)), kappa=1)
 
 
 def test_quotient_algebra_is_associative_unital():

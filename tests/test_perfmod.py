@@ -307,7 +307,8 @@ def test_iterated_cones_consistent(toy_aus):
 def coordinate_filtration(make, kappa, field):
     """The algebra ``make(field)`` with the appendix filtration of
     ``make(QQ)``, whose levels are spanned by basis vectors, rebuilt over
-    ``field`` (the appendix construction itself needs characteristic 0)."""
+    ``field`` (over F_p the appendix construction refuses an algebra whose
+    trace kernel is not nilpotent, such as k[x]/x^6 over GF(3))."""
     filt_q, _ = appendix_filtration(make(QQ), kappa)
     alg = make(field)
     space = alg.hom[(alg.objects[0],) * 2]
@@ -580,6 +581,8 @@ SOD_CASES = {
     "toy-degree": _toy_degree,
     "toy-trivial": _toy_trivial,
     "beilinson-2": _appendix(lambda f: beilinson_algebra(2, f), 1),
+    # the paper's dimension-3 setting: P^3 with O + O(1) + O(2) + O(3), n = 4
+    "beilinson-3": _appendix(lambda f: beilinson_algebra(3, f), 1),
 }
 
 
@@ -589,8 +592,10 @@ def test_sod_report_matches_golden(case, monkeypatch):
     recorded in ``sod_golden.json`` by an earlier sod: the first three cases
     by the one before the integer Hom-differential kernel, the three whose
     R/F^1 is not k by the one that still built R/F^1 as a second quotient
-    algebra.  sod builds each of its 2n^2 Hom-complexes once (End(S_i) is
-    the S/S table's diagonal)."""
+    algebra, Beilinson P^3 by the one that built every Hom(S_j, S_i).  sod
+    builds each of its n^2 + n(n+1)/2 Hom-complexes once: every Hom(P_j,
+    S_i), and Hom(S_j, S_i) for j <= i (End(S_i) is the S/S table's
+    diagonal); the cells j > i follow from the P/S table."""
     name, field = case.split("/")
     aus = build_auslander(*SOD_CASES[name](QQ if field == "Q" else GF(3)))
     built = []
@@ -599,7 +604,86 @@ def test_sod_report_matches_golden(case, monkeypatch):
     report = sod_report(aus).to_json()
     golden = json.loads(SOD_GOLDEN.read_text(encoding="utf-8"))[case]
     assert json.dumps(report, indent=2) == json.dumps(golden, indent=2)
-    assert len(built) == 2 * aus.n ** 2
+    assert len(built) == aus.n ** 2 + aus.n * (aus.n + 1) // 2
+
+
+def _labelled_columns(h):
+    """The differential of ``h`` as {(degree, (t, s, lab)): {(t', s', lab'): c}}."""
+    out = {}
+    for q, keys in h.basis_by_degree.items():
+        cols, rows = h.complex.columns.get(q, {}), h.basis_by_degree.get(q + 1, [])
+        for k, key in enumerate(keys):
+            out[(q, key)] = {rows[r]: c for r, c in cols.get(k, {}).items()}
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+@pytest.mark.parametrize("name", list(SOD_CASES))
+def test_sod_upper_triangle_follows_from_p_s_table(name, field):
+    """The lemma behind sod's cells j > i, and their oracle.  S_{n-1} is
+    P_{n-1}.  For i < j < n-1 the source slot s = 1 of Hom(S_j, S_i) spans a
+    subcomplex, -1 times Hom(P_{j+1}, S_i) one degree up, and the quotient
+    by it (slots s = 0, rows s = 0) is Hom(P_j, S_i).  Each cell j > i,
+    built directly here (its d o d check runs), has the dims sod wrote."""
+    aus = build_auslander(*SOD_CASES[name](field))
+    n = aus.n
+    ps = [representable(aus, j) for j in range(n)]
+    ss = [cone(psi(aus, i)) for i in range(n - 1)]
+    ss.append(cone(zero_morphism(empty_complex(aus.gamma), ps[-1])))
+    assert ss[-1].entries == ps[-1].entries and not ss[-1].conn
+    report = sod_report(aus)
+    for i in range(n):
+        for j in range(i + 1, n):
+            h = hom_complex(ss[j], ss[i])
+            assert h.cohomology_dims() == report.ss_table[i][j]
+            if j == n - 1:
+                continue
+            cols = _labelled_columns(h)
+            p0 = _labelled_columns(hom_complex(ps[j], ss[i]))
+            p1 = _labelled_columns(hom_complex(ps[j + 1], ss[i]))
+            assert {key for key in cols if key[1][1] == 1} == {(q + 1, (t, 1, lab)) for q, (t, _, lab) in p1}
+            assert {key for key in cols if key[1][1] == 0} == set(p0)
+            for (q, (t, s, lab)), col in cols.items():
+                if s == 1:
+                    want = p1[(q - 1, (t, 0, lab))]
+                    assert col == {(t2, 1, lab2): field.neg(c) for (t2, _, lab2), c in want.items()}
+                else:
+                    assert {key: c for key, c in col.items() if key[1] == 0} == p0[(q, (t, s, lab))]
+
+
+def test_sod_builds_the_upper_triangle_when_a_premise_fails(monkeypatch):
+    # no compatible filtration of a small corpus algebra makes sod fail, so
+    # the cells Hom(P_j0, S_i) and Hom(P_{n-1}, S_i) are made to read
+    # nonzero: the S/S cells whose exact sequences end in them, j0 - 1, j0
+    # and n - 2, are then built directly, and Hom(S_{n-1}, S_i) copies its
+    # P/S cell
+    aus = build_auslander(*SOD_CASES["x6"](QQ))
+    n, i, j0 = aus.n, 0, 2
+    assert i < j0 - 1 and j0 < n - 2
+    s_i = ((i, 0), (i + 1, 1))
+    real = perfmod.hom_complex
+
+    def fake(x, y):
+        h = real(x, y)
+        if x.entries in (((j0, 0),), ((n - 1, 0),)) and y.entries == s_i:
+            h.cohomology_dims = lambda: {0: 1}
+        return h
+
+    built = []
+    init = HomComplexResult.__init__
+    monkeypatch.setattr(HomComplexResult, "__init__", lambda self, x, y: built.append((x, y)) or init(self, x, y))
+    monkeypatch.setattr(perfmod, "hom_complex", fake)
+    report = sod_report(aus)
+    assert len(built) == n ** 2 + n * (n + 1) // 2 + 3
+    upper = [x.entries[0][0] for x, y in built if x.size == 2 and y.entries == s_i and x.entries[0][0] > i]
+    assert upper == [j0 - 1, j0, n - 2]
+    assert report.ss_table[i][j0 - 1] == report.ss_table[i][j0] == report.ss_table[i][n - 2] == {}
+    assert report.ss_table[i][n - 1] == {0: 1}
+    assert report.failures == [
+        {"check": "hom_P_S_vanishing", "i": i, "j": j0, "dims": {"0": 1}},
+        {"check": "hom_P_S_vanishing", "i": i, "j": n - 1, "dims": {"0": 1}},
+        {"check": "hom_S_S_vanishing", "i": i, "j": n - 1, "dims": {"0": 1}},
+    ]
 
 
 @pytest.mark.parametrize("name", ["toy-degree", "beilinson-2"])
@@ -637,8 +721,7 @@ def test_hom_complex_end_of_generator_n1():
 
 
 def test_sod_over_prime_field():
-    # the whole pipeline is exact over F_p as well (hand-built filtration,
-    # since radical computation is restricted to characteristic zero)
+    # the whole pipeline is exact over F_p as well (hand-built filtration)
     from ainfbench import GF
     from ainfbench.linalg import Subspace
 
