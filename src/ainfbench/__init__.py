@@ -20,7 +20,6 @@ from .linalg import (
     Subspace,
     complex_cohomology,
     echelon_basis,
-    membership,
     quotient_space,
 )
 from .ainf import (
@@ -125,7 +124,6 @@ __all__ = [
     "full_subcategory",
     "hochschild_differential",
     "hom_complex",
-    "membership",
     "opposite",
     "parse_spec",
     "psi",

@@ -240,19 +240,20 @@ class AInfCategory:
                 field.add_scaled(out, entry, coeff)
         return out
 
-    def element_to_coords(self, elem: dict, x, y):
-        space = self.hom[(x, y)]
-        v = [self.field.zero] * space.dim
+    def element_to_coords(self, elem: dict, x, y) -> dict:
+        """The element as sparse coordinates {index in hom(x, y): scalar}."""
+        v = {}
         for lab, c in elem.items():
             sx, sy, _, i = self._info[lab]
             if (sx, sy) != (x, y):
                 raise CategoryError(f"element has component {lab!r} outside hom({x!r},{y!r})")
-            v[i] = c
-        return tuple(v)
+            if c != 0:
+                v[i] = c
+        return {i: v[i] for i in sorted(v)}
 
-    def coords_to_element(self, coords, x, y) -> dict:
-        space = self.hom[(x, y)]
-        return {space.labels[i]: c for i, c in enumerate(coords) if c != 0}
+    def coords_to_element(self, coords: dict, x, y) -> dict:
+        labels = self.hom[(x, y)].labels
+        return {labels[i]: c for i, c in coords.items() if c != 0}
 
     # -- chains ------------------------------------------------------------
 
@@ -277,10 +278,9 @@ class _ProductTable:
     """Products of coordinate vectors of one hom-space, each evaluated once.
 
     The filtered-algebra sweeps multiply the same spanning vectors over and
-    over.  ``intern`` gives each coordinate row of ``space``, dense or sparse
-    ``{index: scalar}`` without zeros, an id (equal rows of one form share
-    one); ``product(ids)`` is m_p of those rows, p =
-    len(ids), as sparse coordinates ``{index: scalar}`` in ``space``.  It
+    over.  ``intern`` gives each sparse coordinate row ``{index: scalar}`` of
+    ``space``, without zeros, an id (equal rows share one); ``product(ids)``
+    is m_p of those rows, p = len(ids), as sparse coordinates in ``space``.  It
     calls :meth:`AInfCategory.apply` the first time and is cached after, so
     the products must land in ``space`` too (true in a one-object algebra).
     """
@@ -296,12 +296,11 @@ class _ProductTable:
     def intern(self, rows) -> list:
         ids = []
         for row in rows:
-            key = frozenset(row.items()) if isinstance(row, dict) else row
+            key = frozenset(row.items())
             k = self._ids.get(key)
             if k is None:
                 k = self._ids[key] = len(self._elements)
-                items = row.items() if isinstance(row, dict) else enumerate(row)
-                self._elements.append({self.labels[i]: c for i, c in items if c != 0})
+                self._elements.append({self.labels[i]: c for i, c in row.items()})
             ids.append(k)
         return ids
 

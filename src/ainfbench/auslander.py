@@ -108,7 +108,7 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
             want = filt.level(max(j - i, 0)).dim - filt.level(n - i).dim
             if q.dim != want:
                 raise AuslanderError(f"hom({j},{i}) dimension {q.dim} != {want}")
-            labels = [_gamma_label(j, i, space.labels[min(rep)]) for rep in q.sparse_reps]
+            labels = [_gamma_label(j, i, space.labels[min(rep)]) for rep in q.reps]
             if len(set(labels)) != len(labels):
                 raise AuslanderError("internal label collision in quotient basis")
             labels_by_pair[(j, i)] = labels
@@ -118,10 +118,9 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
                     unit_labels[i] = labels[0]
                 else:
                     cls = q.project(unit_vec)
-                    idx = [k for k, c in enumerate(cls) if c != 0]
-                    if len(idx) != 1 or cls[idx[0]] != field.one:
+                    if list(cls.values()) != [field.one]:
                         raise AuslanderError("unit class is not a quotient basis vector")
-                    unit_labels[i] = labels[idx[0]]
+                    unit_labels[i] = labels[min(cls)]
 
     induced = _Induced(r, space, levels, quotients, labels_by_pair)
     mult = {p: _Table(induced, p) for p in induced.arities}
@@ -147,7 +146,7 @@ class _Induced:
         self.n = len(levels) - 1
         self.quotients, self.labels_by_pair = quotients, labels_by_pair
         self.products = _ProductTable(r, space)
-        ids = {q: self.products.intern(q.sparse_reps) for q in dict.fromkeys(quotients.values())}
+        ids = {q: self.products.intern(q.reps) for q in dict.fromkeys(quotients.values())}
         self.rep_ids = {pr: ids[q] for pr, q in quotients.items()}
         self.where = {lab: (pr, k) for pr, labels in labels_by_pair.items() for k, lab in enumerate(labels)}
         self.projected: dict = {}  # presentation -> {ids: quotient coordinates}
@@ -173,7 +172,7 @@ class _Induced:
         n, products = self.n, self.products
         flag, tags = _Echelon(r.field), {}
         for k in range(n - 1, -1, -1):
-            for row in levels[k].sparse_rows:
+            for row in levels[k].rows:
                 new = flag.insert(row)
                 if new is not None:
                     tags[new[0]] = k
@@ -209,7 +208,7 @@ class _Induced:
         projected = self.projected.setdefault(q, {})
         coords = projected.get(ids)
         if coords is None:
-            coords = projected[ids] = q.project_sparse(prod)
+            coords = projected[ids] = q.project(prod)
         if not coords:
             return None
         labels = self.labels_by_pair[out_pair]
@@ -380,10 +379,9 @@ def embed_generator(a: AuslanderCategory) -> dict:
         raise AuslanderError("Gamma(0,0) is not R on the nose")
     mapping = {}
     for k, rep in enumerate(q.reps):
-        nz = [(i, c) for i, c in enumerate(rep) if c != 0]
-        if len(nz) != 1 or nz[0][1] != r.field.one:
+        if list(rep.values()) != [r.field.one]:
             raise AuslanderError("Gamma(0,0) representatives are not the basis of R")
-        mapping[space.labels[nz[0][0]]] = a.gamma.hom[(0, 0)].labels[k]
+        mapping[space.labels[min(rep)]] = a.gamma.hom[(0, 0)].labels[k]
 
     gamma = a.gamma
     for p in sorted(set(r.mult) | set(gamma.mult)):

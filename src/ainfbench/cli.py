@@ -23,7 +23,9 @@ demand, so its entries are paid for in ``cohomology_s`` by ``sod`` (only
 those it reads) and in ``relations_s`` by ``gamma build``.
 ``sod``, ``gamma build``, ``deform`` and the ``filtration`` commands certify
 nothing, and write no file, for an input algebra that fails its structure or
-relation checks.  ``--jobs N`` is accepted for compatibility and has no effect.
+relation checks.  ``filtration appendix`` also reports FAIL, with a failed
+``radical`` check, when the trace kernel of a valid input is not its radical.
+``--jobs N`` is accepted for compatibility and has no effect.
 
 ``gamma build`` reports ``lift_independence`` from the build itself: it runs
 only on a filtration that passes its compatibility check, and the build
@@ -45,10 +47,11 @@ import json
 import sys
 import time
 
-from .ainf import check_stasheff, validate_structure
+from .ainf import ValidationReport, check_stasheff, validate_structure
 from .auslander import build_auslander
 from .filtration import (
     FiltrationError,
+    RadicalError,
     appendix_filtration,
     check_filtration,
     degree_filtration,
@@ -58,7 +61,7 @@ from .hochschild import (
     HochschildError,
     deform_by_cocycle,
     diagonal_bimodule,
-    hochschild_differential,
+    is_cocycle,
 )
 from .perfmod import ModuleError, sod_report
 from .specfile import (
@@ -231,7 +234,13 @@ def cmd_filtration_appendix(args) -> int:
     kappa = args.kappa if args.kappa is not None else spec.kappa
     if kappa is None:
         raise SpecError("appendix construction needs --kappa or a kappa field")
-    filt, params = appendix_filtration(spec.category, kappa)
+    try:
+        filt, params = appendix_filtration(spec.category, kappa)
+    except RadicalError as exc:  # a valid input whose radical is refused
+        report = ValidationReport()
+        report.add("radical", False, detail=str(exc), witnesses=[exc.witness])
+        _emit({"command": "filtration appendix", "verdict": "FAIL", "report": report.to_json()}, started)
+        return EXIT_FAIL
     report = check_filtration(spec.category, filt)
     _write_out(
         args.output,
@@ -328,7 +337,7 @@ def cmd_deform(args) -> int:
     }
     eta = HochschildCochain(cat, module, raw["arity"], table)
     deformed = deform_by_cocycle(cat, module, eta)
-    cocycle = hochschild_differential(eta).is_zero()
+    cocycle = is_cocycle(eta)
     structure = validate_structure(deformed)
     relations, relations_s = _timed(check_stasheff, deformed)
     ok = structure.passed and relations.passed

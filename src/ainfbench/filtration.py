@@ -26,6 +26,22 @@ class FiltrationError(ValueError):
     pass
 
 
+class RadicalError(FiltrationError):
+    """A trace kernel that fails its certificate as the radical of a valid
+    algebra; ``witness`` is a check witness holding the nonzero vector that
+    shows it."""
+
+    def __init__(self, message, witness: dict):
+        super().__init__(message)
+        self.witness = witness
+
+
+def _witness(reason, vector: dict, space: GradedSpace, field) -> dict:
+    labels = space.labels
+    return {"arity": 0, "tuple": [], "reason": reason,
+            "vector": {labels[i]: field.unparse(c) for i, c in vector.items() if c != 0}}
+
+
 def _one_object(r: AInfCategory):
     if len(r.objects) != 1:
         raise FiltrationError("filtrations are defined for one-object categories")
@@ -47,7 +63,7 @@ def subspace_product(r: AInfCategory, s: Subspace, t: Subspace) -> Subspace:
     """Span of m_2(s, t) over spanning vectors."""
     _, space = _one_object(r)
     table = _ProductTable(r, space)
-    s_ids, t_ids = table.intern(s.sparse_rows), table.intern(t.sparse_rows)
+    s_ids, t_ids = table.intern(s.rows), table.intern(t.rows)
     return Subspace(space, r.field, [table.product((u, v)) for u in s_ids for v in t_ids])
 
 
@@ -119,7 +135,7 @@ def check_filtration(r: AInfCategory, filt: Filtration) -> ValidationReport:
     report.add("graded", not not_graded, witnesses=not_graded)
 
     table = _ProductTable(r, space)
-    level_ids = [table.intern(lv.sparse_rows) for lv in filt.levels]
+    level_ids = [table.intern(lv.rows) for lv in filt.levels]
     contained: dict = {}  # (target level, ids) -> whether the product lies in it
 
     bad_compat = []
@@ -191,7 +207,7 @@ def quotient_by_ideal(r: AInfCategory, ideal: Subspace, prefix: str = "q"):
         raise FiltrationError("ideal is not a subspace of the algebra")
     full = full_subspace(r)
     table = _ProductTable(r, space)
-    full_ids, ideal_ids = table.intern(full.sparse_rows), table.intern(ideal.sparse_rows)
+    full_ids, ideal_ids = table.intern(full.rows), table.intern(ideal.rows)
 
     for p in sorted(r.mult):
         for pos in range(p):
@@ -203,16 +219,13 @@ def quotient_by_ideal(r: AInfCategory, ideal: Subspace, prefix: str = "q"):
                             f"subspace is not an ideal: m_{p} escapes it (slot {pos})"
                         )
 
-    unit_vec = full.rows[space.index(r.units[obj])]
+    unit_vec = {space.index(r.units[obj]): field.one}
     q = quotient_space(full, ideal, preferred=[unit_vec] if not ideal.contains(unit_vec) else [])
-    labels = []
-    for rep in q.reps:
-        lead = next(i for i, a in enumerate(rep) if a != 0)
-        labels.append(f"{prefix}:{space.labels[lead]}")
+    labels = [f"{prefix}:{space.labels[min(rep)]}" for rep in q.reps]
     degrees = tuple(q.degrees)
     qspace = GradedSpace(tuple(labels), degrees)
 
-    rep_ids = table.intern(q.sparse_reps)
+    rep_ids = table.intern(q.reps)
     mult: dict = {}
     for p in sorted(r.mult):
         induced = {}
@@ -220,22 +233,20 @@ def quotient_by_ideal(r: AInfCategory, ideal: Subspace, prefix: str = "q"):
             out = table.product(tuple(rep_ids[i] for i in key))
             if not out:
                 continue
-            coords = q.project(out)
-            entry = {labels[i]: c for i, c in enumerate(coords) if c != 0}
+            entry = {labels[i]: c for i, c in q.project(out).items()}
             if entry:
                 induced[tuple(labels[i] for i in key)] = entry
         if induced:
             mult[p] = induced
 
     unit_class = q.project(unit_vec)
-    unit_idx = [i for i, c in enumerate(unit_class) if c != 0]
-    if len(unit_idx) != 1 or unit_class[unit_idx[0]] != field.one:
+    if list(unit_class.values()) != [field.one]:
         raise FiltrationError("class of the unit is not a quotient basis vector")
     quotient = AInfCategory(
         field,
         (obj,),
         {(obj, obj): qspace},
-        {obj: labels[unit_idx[0]]},
+        {obj: labels[min(unit_class)]},
         mult,
     )
     return quotient, q
@@ -252,8 +263,10 @@ def radical(a: AInfCategory) -> Subspace:
     every characteristic (xy is nilpotent for x in rad), so J is the radical
     whenever J is nilpotent, as always in characteristic 0 (Curtis and
     Reiner 1962).  J is computed once and certified in three straight-line
-    steps: J is nilpotent (FiltrationError otherwise, as for k[x]/x^p over
-    F_p); J is an ideal (:func:`quotient_by_ideal`); R/J has zero trace kernel.
+    steps: J is nilpotent, else RadicalError with a nonzero vector of
+    J^(dim R + 1) (as for k[x]/x^p over F_p); J is an ideal
+    (:func:`quotient_by_ideal`); R/J has zero trace kernel, else RadicalError
+    with a vector of that kernel.
     """
     return _radical_powers(a)[1]
 
@@ -269,11 +282,14 @@ def _radical_powers(a: AInfCategory) -> list:
     j = Subspace(space, field, _trace_kernel(a))
     try:
         powers = _powers(a, j)
-    except FiltrationError:
-        raise FiltrationError("trace kernel is not nilpotent") from None
+    except RadicalError as exc:
+        raise RadicalError("trace kernel is not nilpotent", exc.witness) from None
     quotient, _ = quotient_by_ideal(a, j, prefix="rq")
-    if _trace_kernel(quotient):
-        raise FiltrationError("the quotient by the trace kernel has a nonzero trace kernel")
+    kernel = _trace_kernel(quotient)
+    if kernel:
+        raise RadicalError("the quotient by the trace kernel has a nonzero trace kernel",
+                           _witness("R/J has a nonzero trace kernel", dict(enumerate(kernel[0])),
+                                    _one_object(quotient)[1], field))
     return powers
 
 
@@ -309,15 +325,16 @@ def _trace_kernel(a: AInfCategory):
 
 def _powers(r: AInfCategory, j: Subspace) -> list:
     """[R, J, J^2, ..., J^a = 0], a the least with J^a = 0 (a = 1 when J = 0);
-    FiltrationError once J^(dim R + 1) != 0.  One product table serves the
+    RadicalError once J^(dim R + 1) != 0.  One product table serves the
     chain, and each distinct product enters the next power's echelon once."""
     table = _ProductTable(r, j.ambient)
-    j_ids = table.intern(j.sparse_rows)
+    j_ids = table.intern(j.rows)
     powers = [full_subspace(r), j]
     while powers[-1].dim > 0:
         if len(powers) > j.ambient.dim + 1:
-            raise FiltrationError("subspace is not nilpotent")
-        ids = table.intern(powers[-1].sparse_rows)
+            raise RadicalError("subspace is not nilpotent", _witness(
+                f"J^{len(powers) - 1} != 0", powers[-1].rows[0], j.ambient, r.field))
+        ids = table.intern(powers[-1].rows)
         distinct = {frozenset(p.items()): p for p in (table.product((u, v)) for u in ids for v in j_ids)}
         powers.append(Subspace(j.ambient, r.field, distinct.values()))
     return powers
@@ -378,7 +395,7 @@ def appendix_filtration(r: AInfCategory, kappa: int):
     # J's powers from radical's nilpotency check, moved into R's coordinates;
     # a product of degree-0 vectors has degree 0, so J^p is the same in R
     at = [space.index(lab) for lab in labels0]
-    moved = [[{at[i]: c for i, c in row.items()} for row in p.sparse_rows] for p in _radical_powers(a0)[1:]]
+    moved = [[{at[i]: c for i, c in row.items()} for row in p.rows] for p in _radical_powers(a0)[1:]]
     j_powers = [full_subspace(r)] + [Subspace(space, field, rows) for rows in moved]
     j = j_powers[1]
     a = len(j_powers) - 1

@@ -1,21 +1,26 @@
 """Exact graded linear algebra: echelon spans, quotients, finite complexes.
 
 Everything here is coordinate-based over an :class:`~ainfbench.scalars.ExactField`.
-Vectors are tuples of scalars; matrices are tuples of row tuples, acting on
-column vectors (``out[i] = sum_j M[i][j] * v[j]``).  Internally vectors are
-sparse dicts index -> nonzero scalar, and a :class:`FiniteComplex` also takes
-its differentials as sparse columns ``{j: {i: scalar}}``.  Coordinates
-entering an elimination pass ``ExactField.coerce``, which rejects floats and
-bools.
+A vector is a sparse dict index -> nonzero scalar.  Every vector this module
+hands out (the rows of a :class:`Subspace`, the representatives of a
+:class:`QuotientPresentation`, projections, lifts and cohomology classes)
+has its keys in ascending index order.  ``Subspace``, ``QuotientPresentation``
+and ``quotient_space`` also take dense coordinate tuples as input, and
+coordinates entering an elimination pass ``ExactField.coerce``, which rejects
+floats and bools.  Only the dense utilities ``rref``, ``nullspace``,
+``solve_linear`` and ``echelon_basis`` and the matrix views of a
+:class:`FiniteComplex` work on tuples: matrices are tuples of row tuples,
+acting on column vectors (``out[i] = sum_j M[i][j] * v[j]``).  A
+``FiniteComplex`` also takes its differentials as sparse columns
+``{j: {i: scalar}}``.
 
 All elimination is one private sparse semi-echelon form, ``_Echelon``: rows
 ``{col: scalar}`` keyed by pivot, each 1 at its pivot and 0 before it and at
-every earlier pivot.  ``rref`` inserts every row, then re-inserts the rows in
-descending pivot order, which gives the reduced row echelon form: the
+every earlier pivot.  ``_reduced`` inserts every row, then re-inserts the
+rows in descending pivot order, which gives the reduced row echelon form: the
 canonical representative, so two subspaces are equal iff their rows are.
-A :class:`Subspace` keeps those sparse reduced rows as its echelon (they
-vanish at every pivot but their own), takes dense or sparse vectors, and
-tests membership by one reduction of the sparse vector.
+A :class:`Subspace` keeps those reduced rows as its echelon (they vanish at
+every pivot but their own) and tests membership by one reduction.
 Homogeneous vectors stay homogeneous under row reduction (basis vectors of
 distinct degrees have disjoint support), so graded subspaces need no extra
 block bookkeeping.
@@ -23,33 +28,30 @@ block bookkeeping.
 A :class:`QuotientPresentation` seeds one echelon with spanning vectors of the
 denominator and inserts candidate vectors; each that adds a pivot is a coset
 representative.  ``quotient_space`` seeds it with a copy of the denominator's
-sparse reduced rows, an echelon already, and inserts the preferred vectors,
-then the numerator's sparse reduced rows.  None of it depends on the
-elimination order.  The pivots of a span W are the leading columns of its
-vectors, so the remainder of v modulo W is the unique v - w (w in W) that is 0
-at every pivot of W; a representative is the scaled remainder of its vector
-modulo what was inserted before it.  As the echelon's rows span the numerator,
-reducing e_b splits it uniquely as e_b = d + sum_k c_k rep_k + r with d in the
+reduced rows, an echelon already, and inserts the preferred vectors, then
+the numerator's reduced rows.  None of it depends on the elimination order.
+The pivots of a span W are the leading columns of its vectors, so the
+remainder of v modulo W is the unique v - w (w in W) that is 0 at every pivot
+of W; a representative is the scaled remainder of its vector modulo what was
+inserted before it.  As the echelon's rows span the numerator, reducing e_b
+splits it uniquely as e_b = d + sum_k c_k rep_k + r with d in the
 denominator: c is the quotient coordinate vector of e_b, and the remainder r
 its residue, zero iff e_b lies in the numerator.  Both are kept as sparse
 columns once index b is met, so ``project(v)`` = sum_b v_b * column_b costs
-the support of ``v`` (``project_sparse`` is its sparse form, and the
-representatives are kept sparse too, as ``sparse_reps``);
-``project_strict_sparse`` also sums the residue columns and rejects ``v``
-when that sum is nonzero, and ``project_strict`` is its dense view.
-``quotient_space`` checks containment by one count: the echelon spans
-D + P + N (denominator, preferred vectors, numerator), which contains N, so
-D and P lie in N iff it has dim N rows; only a failed count looks for the
-first denominator row outside N, the witness.
+the support of ``v``; ``project_strict`` also sums the residue columns and
+rejects ``v`` when that sum is nonzero.  ``quotient_space`` checks
+containment by one count: the echelon spans D + P + N (denominator, preferred
+vectors, numerator), which contains N, so D and P lie in N iff it has dim N
+rows; only a failed count looks for the first denominator row outside N, the
+witness.
 
 The dimension of a cohomology group H^q comes from the ranks of d_q and
 d_{q-1}, one echelon of sparse columns each.  Its classes are presented the
-same way as a quotient, on sparse vectors only, when first asked for: the
-echelon of d_{q-1}'s columns seeds the presentation and the candidates are
-the kernel basis of d_q that ``nullspace`` returns, computed from the rows
-transposed from its columns.  No containment test is needed, as
-``FiniteComplex`` has checked d o d = 0, in ints: over Q each degree's
-columns are scaled by the lcm of their denominators first.
+same way as a quotient when first asked for: the echelon of d_{q-1}'s
+columns seeds the presentation and the candidates are the kernel basis of
+d_q, computed from the rows transposed from its columns.  No containment
+test is needed, as ``FiniteComplex`` has checked d o d = 0, in ints: over Q
+each degree's columns are scaled by the lcm of their denominators first.
 """
 
 from __future__ import annotations
@@ -80,8 +82,9 @@ def vec_is_zero(v) -> bool:
     return all(a == 0 for a in v)
 
 
-def vec_sub(field, u, v):
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
+def _fits(v, n: int) -> bool:
+    """Whether a dense or sparse vector fits an ambient of dimension ``n``."""
+    return all(0 <= j < n for j in v) if isinstance(v, dict) else len(v) == n
 
 
 def _sparse(field, v) -> dict:
@@ -156,7 +159,7 @@ def _reduced(field: ExactField, rows) -> _Echelon:
     reduced = _Echelon(field)
     for piv in sorted(semi.rows, reverse=True):
         reduced.insert(semi.rows[piv])
-    reduced.rows = {p: reduced.rows[p] for p in sorted(reduced.rows)}
+    reduced.rows = {p: dict(sorted(reduced.rows[p].items())) for p in sorted(reduced.rows)}
     return reduced
 
 
@@ -234,9 +237,9 @@ class GradedSpace:
         except ValueError:
             raise LinAlgError(f"unknown basis label {label!r}") from None
 
-    def degree_of_vector(self, v):
+    def degree_of_vector(self, v: dict):
         """Common degree of the support of ``v``; None if zero, error if mixed."""
-        degs = {self.degrees[i] for i, a in enumerate(v) if a != 0}
+        degs = {self.degrees[i] for i, a in v.items() if a != 0}
         if not degs:
             return None
         if len(degs) > 1:
@@ -248,25 +251,21 @@ class Subspace:
     """Span of vectors in a graded ambient space, held in reduced echelon form.
 
     Vectors, here and in ``contains``, are coordinate tuples or sparse dicts
-    index -> scalar.  The sparse reduced rows (``sparse_rows``, not to be
-    mutated) are the span's ``_Echelon``; ``rows`` (dense) and ``pivots`` are
-    read off them."""
+    index -> scalar.  The sparse reduced rows (``rows``, not to be mutated)
+    are the span's ``_Echelon``, and ``pivots`` their leading indices."""
 
     def __init__(self, ambient: GradedSpace, field: ExactField, vectors=()):
         self.ambient = ambient
         self.field = field
         self._echelon = _reduced(field, [self._coords(v) for v in vectors])
-        self.sparse_rows = tuple(self._echelon.rows.values())
-        self.rows = tuple(_dense(field, r, ambient.dim) for r in self.sparse_rows)
+        self.rows = tuple(self._echelon.rows.values())
         self.pivots = tuple(self._echelon.rows)
-        self.graded = all(len({ambient.degrees[i] for i in r}) == 1 for r in self.sparse_rows)
+        self.graded = all(len({ambient.degrees[i] for i in r}) == 1 for r in self.rows)
 
     def _coords(self, v) -> dict:
         """A dense or sparse vector as a sparse one, checked against the ambient."""
-        n = self.ambient.dim
-        outside = any(not 0 <= j < n for j in v) if isinstance(v, dict) else len(v) != n
-        if outside:
-            raise LinAlgError(f"vector does not fit the ambient dimension {n}")
+        if not _fits(v, self.ambient.dim):
+            raise LinAlgError(f"vector does not fit the ambient dimension {self.ambient.dim}")
         return _sparse(self.field, v)
 
     @property
@@ -303,7 +302,7 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient.labels, self.rows))
+        return hash((self.ambient.labels, self.pivots))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient.dim})"
@@ -318,10 +317,6 @@ def echelon_basis(vectors, field: ExactField, ambient: GradedSpace | None = None
         n = len(vectors[0])
         ambient = GradedSpace(tuple(f"e{i}" for i in range(n)), (0,) * n)
     return Subspace(ambient, field, vectors)
-
-
-def membership(s: Subspace, v) -> bool:
-    return s.contains(v)
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +346,16 @@ class QuotientPresentation:
         else:
             self._echelon = _Echelon(field, [_sparse(field, r) for r in denominator_rows])
         self._rep_of = {}  # pivot of a representative's row -> its index
-        sparse_reps = []
+        reps = []
         for v in candidates:
             new = self._echelon.insert(_sparse(field, v))
             if new is not None:
-                self._rep_of[new[0]] = len(sparse_reps)
-                sparse_reps.append(new[1])
-        self.sparse_reps = tuple(sparse_reps)  # the representatives' echelon rows, not to be mutated
-        self.reps = tuple(_dense(field, r, self.ambient.dim) for r in sparse_reps)
-        self.dim = len(sparse_reps)
+                piv, row = new
+                row = self._echelon.rows[piv] = dict(sorted(row.items()))
+                self._rep_of[piv] = len(reps)
+                reps.append(row)
+        self.reps = tuple(reps)  # the representatives' echelon rows, not to be mutated
+        self.dim = len(reps)
 
         # representative degrees (quotients of graded subspaces stay graded)
         self.degrees = tuple(self.ambient.degree_of_vector(r) for r in self.reps)
@@ -380,58 +376,50 @@ class QuotientPresentation:
         col = self._columns[b] = (coords, residue)
         return col
 
-    def _combine(self, v, part):
+    def _combine(self, v: dict, part) -> dict:
         """sum_b v_b * column_b for ``part`` 0 (coords) or 1 (residue), as a
-        dict index -> nonzero scalar; ``v`` is dense or a dict index -> scalar."""
+        dict index -> nonzero scalar."""
         acc: dict = {}
-        for b, c in v.items() if isinstance(v, dict) else enumerate(v):
+        for b, c in v.items():
             if c != 0:
                 self.field.add_scaled(acc, self._column(b)[part], c)
         return acc
 
-    def project(self, v):
-        """Quotient coordinates of an ambient vector (class of its numerator part).
-
-        ``v`` is a coordinate tuple or a sparse dict index -> scalar."""
-        return _dense(self.field, self._combine(v, 0), self.dim)
-
-    def project_sparse(self, v) -> dict:
-        """Quotient coordinates of ``v`` as an ascending dict index -> nonzero
-        scalar, without the residue check: for a ``v`` known to lie in the
-        numerator."""
+    def project(self, v: dict) -> dict:
+        """Quotient coordinates of the ambient vector ``v``, the class of its
+        numerator part, without the residue check: for a ``v`` known to lie
+        in the numerator."""
         coords = self._combine(v, 0)
         return {k: coords[k] for k in sorted(coords)}
 
-    def project_strict_sparse(self, v) -> dict:
-        """``project_sparse``, but errors if ``v`` is not in the numerator mod
+    def project_strict(self, v: dict) -> dict:
+        """``project``, but errors if ``v`` is not in the numerator mod
         denominator."""
         if self._combine(v, 1):
             raise LinAlgError("vector lies outside the numerator; projection undefined")
-        return self.project_sparse(v)
+        return self.project(v)
 
-    def project_strict(self, v):
-        """The dense view of ``project_strict_sparse``."""
-        return _dense(self.field, self.project_strict_sparse(v), self.dim)
-
-    def lift(self, coords):
-        if len(coords) != self.dim:
-            raise LinAlgError("quotient coordinate length mismatch")
+    def lift(self, coords: dict) -> dict:
+        """The ambient vector sum_k coords_k * reps[k]."""
         acc: dict = {}
-        for c, piv in zip(coords, self._rep_of):
-            if c != 0:
-                self.field.add_scaled(acc, self._echelon.rows[piv], c)
-        return _dense(self.field, acc, self.ambient.dim)
+        for k, c in coords.items():
+            if not 0 <= k < self.dim:
+                raise LinAlgError(f"quotient coordinate {k} outside dimension {self.dim}")
+            self.field.add_scaled(acc, self.reps[k], c)
+        return {b: acc[b] for b in sorted(acc)}
 
     def verify(self) -> bool:
-        """Self-check: project(lift(c)) = c, tested on the unit vectors c, and
-        lift(project(r)) - r lies in the denominator for every numerator row."""
+        """Self-check from the presentation's own echelon: project(lift(e_k))
+        = e_k for each representative, and lift(project(r)) - r is a
+        combination of the denominator rows alone for each echelon row r."""
         field = self.field
-        for k, rep in enumerate(self.reps):
-            if self.project(rep) != tuple(field.one if j == k else field.zero for j in range(self.dim)):
-                return False
-        for r in self.numerator.rows:
-            residue = vec_sub(field, self.lift(self.project(r)), r)
-            if not self.denominator.contains(residue):
+        if any(self.project(self.lift({k: field.one})) != {k: field.one} for k in range(self.dim)):
+            return False
+        for r in self._echelon.rows.values():
+            residue = self.lift(self.project(r))
+            field.add_scaled(residue, r, field.neg(field.one))
+            multipliers = {}
+            if self._echelon.reduce(residue, multipliers) or multipliers.keys() & self._rep_of.keys():
                 return False
         return True
 
@@ -442,16 +430,16 @@ def quotient_space(numerator: Subspace, denominator: Subspace, preferred=()) -> 
     if ambient != denominator.ambient:
         raise LinAlgError("numerator and denominator have different ambients")
     preferred = tuple(preferred)
-    if any(len(v) != ambient.dim for v in preferred):
+    if not all(_fits(v, ambient.dim) for v in preferred):
         raise LinAlgError("dimension mismatch")
     seed = _Echelon(numerator.field)  # reduced rows are an echelon already
     seed.rows = {p: dict(r) for p, r in denominator._echelon.rows.items()}
-    q = QuotientPresentation(ambient, numerator.field, seed, (*preferred, *numerator._echelon.rows.values()))
+    q = QuotientPresentation(ambient, numerator.field, seed, (*preferred, *numerator.rows))
     # D + P + N is N iff D and P lie in N; only a failed count seeks the witness
     if denominator.dim + q.dim != numerator.dim:
         for r in denominator.rows:
             if not numerator.contains(r):
-                raise ContainmentError(r)
+                raise ContainmentError(_dense(numerator.field, r, ambient.dim))
         raise LinAlgError("preferred representative lies outside the numerator")
     q.numerator, q.denominator = numerator, denominator
     return q
@@ -609,13 +597,13 @@ class CohomologyData:
         g = self.groups.get(q)
         return g.reps if g is not None else ()
 
-    def class_coords(self, q, cocycle):
+    def class_coords(self, q, cocycle: dict) -> dict:
         """Coordinates of a cocycle's class in the chosen degree-q basis."""
         g = self.groups.get(q)
         if g is None:
-            if not vec_is_zero(cocycle):
+            if not vec_is_zero(cocycle.values()):
                 raise LinAlgError("nonzero vector in a zero group")
-            return ()
+            return {}
         return g.project_strict(cocycle)
 
 

@@ -304,13 +304,8 @@ def category_to_dict(cat: AInfCategory, filtration: Filtration | None = None,
         levels = []
         for lv in filtration.levels:
             level = []
-            for row in lv.rows:
-                combo = {
-                    str(space.labels[i]): field.unparse(c)
-                    for i, c in enumerate(row)
-                    if c != 0
-                }
-                level.append(combo)
+            for row in lv.rows:  # keys in ascending basis index
+                level.append({str(space.labels[i]): field.unparse(c) for i, c in row.items()})
             levels.append(level)
         data["filtration"] = levels
     if cochain is not None:

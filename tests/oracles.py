@@ -30,6 +30,11 @@ import itertools
 import random
 
 
+def dense(field, v: dict, n: int) -> tuple:
+    """The sparse vector ``v`` as a coordinate tuple of length ``n``."""
+    return tuple(v.get(i, field.zero) for i in range(n))
+
+
 def naive_rref(field, rows, ncols):
     """Reduced row echelon form of a dense matrix: (nonzero rows, pivots)."""
     m = [list(r) for r in rows]
@@ -183,14 +188,17 @@ def naive_hochschild_differential(phi):
 
 
 def naive_quotient_coords(q, v):
-    """Quotient coordinates of ``v`` by solving v = sum_i d_i D_i + sum_k c_k r_k
-    over the denominator rows D_i and the representatives r_k at once; these
-    columns are a basis of the numerator, so the solution is unique.  None
-    when ``v`` lies outside the numerator."""
-    cols = list(q.denominator.rows) + list(q.reps)
+    """Quotient coordinates of the dense vector ``v``, as a sparse dict, by
+    solving v = sum_i d_i D_i + sum_k c_k r_k over the denominator rows D_i
+    and the representatives r_k at once; these columns are a basis of the
+    numerator, so the solution is unique.  None when ``v`` lies outside the
+    numerator."""
+    cols = [dense(q.field, r, len(v)) for r in (*q.denominator.rows, *q.reps)]
     m = tuple(tuple(col[i] for col in cols) for i in range(len(v)))
     x = naive_solve(q.field, m, tuple(v), len(cols))
-    return None if x is None else tuple(x[len(q.denominator.rows):])
+    if x is None:
+        return None
+    return {k: c for k, c in enumerate(x[q.denominator.dim:]) if c != 0}
 
 
 def naive_radical(a):
@@ -228,7 +236,7 @@ def naive_radical(a):
         # pull the kernel back through the quotients taken so far
         vecs = kernel
         if lifts is not None:
-            vecs = [lifts.lift(v) for v in vecs]
+            vecs = [lifts.lift(dict(enumerate(v))) for v in vecs]
         grew = False
         amb = space
         base = Subspace(amb, field, j_rows)
@@ -263,7 +271,7 @@ def naive_gamma_table(aus):
             out_pair = (chain[p], chain[0])
             for combo in itertools.product(*[range(aus.quotients[pr].dim) for pr in pairs]):
                 args = [
-                    {labels[i]: c for i, c in enumerate(aus.quotients[pr].reps[k]) if c != 0}
+                    {labels[i]: c for i, c in aus.quotients[pr].reps[k].items()}
                     for pr, k in zip(pairs, combo)
                 ]
                 out = naive_mult(r, p, args)
@@ -271,7 +279,7 @@ def naive_gamma_table(aus):
                 coords = naive_quotient_coords(aus.quotients[out_pair], vec)
                 if coords is None:
                     raise AssertionError(f"product on {chain} leaves the numerator")
-                entry = {names[out_pair][k]: c for k, c in enumerate(coords) if c != 0}
+                entry = {names[out_pair][k]: c for k, c in coords.items()}
                 if entry:
                     table[tuple(names[pr][k] for pr, k in zip(pairs, combo))] = entry
         if table:
@@ -305,13 +313,13 @@ def lift_independence_sampled(aus, trials=50, rng=None):
         qs = [aus.quotients[(chain[u + 1], chain[u])] for u in range(p)]
         if any(q.dim == 0 for q in qs):
             continue
-        reps = [q.reps[rng.randrange(q.dim)] for q in qs]
+        reps = [dense(field, q.reps[rng.randrange(q.dim)], len(labels)) for q in qs]
         perturbed = []
         for q, rep in zip(qs, reps):
             v = list(rep)
             for row in q.denominator.rows:
                 c = field.of_int(rng.randint(-2, 2))
-                v = [field.add(x, field.mul(c, y)) for x, y in zip(v, row)]
+                v = [field.add(x, field.mul(c, y)) for x, y in zip(v, dense(field, row, len(labels)))]
             perturbed.append(v)
         out_q = aus.quotients[(chain[p], chain[0])]
         coords = product_coords(p, reps, out_q)
@@ -328,14 +336,14 @@ def naive_quotient_table(r, quotient, q):
     obj = r.objects[0]
     labels = r.hom[(obj, obj)].labels
     names = quotient.hom[(obj, obj)].labels
-    reps = [{labels[i]: c for i, c in enumerate(rep) if c != 0} for rep in q.reps]
+    reps = [{labels[i]: c for i, c in rep.items()} for rep in q.reps]
     mult = {}
     for p in sorted(r.mult):
         table = {}
         for key in itertools.product(range(q.dim), repeat=p):
             out = naive_mult(r, p, [reps[k] for k in key])
             coords = naive_quotient_coords(q, tuple(out.get(lab, field.zero) for lab in labels))
-            entry = {names[k]: c for k, c in enumerate(coords) if c != 0}
+            entry = {names[k]: c for k, c in coords.items()}
             if entry:
                 table[tuple(names[k] for k in key)] = entry
         if table:
@@ -351,7 +359,7 @@ def naive_filtration_report(r, filt):
     obj = r.objects[0]
     space = r.hom[(obj, obj)]
     labels, dim = space.labels, space.dim
-    levels = [lv.rows for lv in filt.levels]
+    levels = [[dense(field, r, dim) for r in lv.rows] for lv in filt.levels]
     n = len(levels) - 1
 
     def inside(rows, vecs):

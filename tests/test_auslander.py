@@ -305,25 +305,27 @@ def test_build_projects_each_product_once_per_presentation(alg, monkeypatch):
     # pairs (j, i) whose levels are equal share one presentation, and each
     # product of representatives reaches it once, whichever pair asks and
     # whether its entry is looked up or materialized; the build itself
-    # proves strictness without projecting
+    # proves strictness without projecting a product (it projects only the
+    # unit, on the diagonal pairs with denominator 0, before any product)
     filt, _ = appendix_filtration(alg, kappa=1)
     n = filt.n
     last = []
     projected = Counter()
-    product, project = auslander._ProductTable.product, QuotientPresentation.project_sparse
+    product, project = auslander._ProductTable.product, QuotientPresentation.project
 
     def recording(self, ids):
         last[:] = [ids]
         return product(self, ids)
 
     def counting(self, v):
-        projected[(id(self), last[0])] += 1
+        projected[(id(self), last[0] if last else "unit")] += 1
         return project(self, v)
 
     monkeypatch.setattr(auslander._ProductTable, "product", recording)
-    monkeypatch.setattr(QuotientPresentation, "project_sparse", counting)
+    monkeypatch.setattr(QuotientPresentation, "project", counting)
     aus = build_auslander(alg, filt)
-    assert not projected
+    assert projected and all(ids == "unit" for _, ids in projected)
+    projected.clear()
     gamma = aus.gamma
     labels = list(gamma.all_labels())
     for key in itertools.product(labels, repeat=2):

@@ -223,7 +223,9 @@ def test_cli_filtration_appendix_over_prime_field(p, name, nilpotent, tmp_path, 
     and the appendix levels are then the closed form: (m, m-1, ..., 0) for
     k[x]/x^m, sum_{k >= q} (d+1-k) C(d+k, d) at level q for Beilinson P^d.
     Otherwise J holds an idempotent and the command refuses: tr(L_1) = m on
-    k[x]/x^m, and the idempotents of P^d have traces C(d+1+k, d+1), k = 0..d."""
+    k[x]/x^m, and the idempotents of P^d have traces C(d+1+k, d+1), k = 0..d.
+    The input is valid, so the refusal is a FAIL verdict (exit 1) whose one
+    failed check, ``radical``, carries a nonzero vector of J^(dim R + 1)."""
     d = int(name[1:])
     field = GF(p)
     if name[0] == "x":
@@ -238,7 +240,13 @@ def test_cli_filtration_appendix_over_prime_field(p, name, nilpotent, tmp_path, 
         assert code == 0 and json.loads(out)["levels"] == levels
         assert parse_spec(str(out_file)).filtration.dims() == tuple(levels)
     else:
-        assert (code, out, err.strip()) == (2, "", "error: trace kernel is not nilpotent")
+        report = json.loads(out)
+        assert (code, err, report["verdict"]) == (1, "", "FAIL")
+        (check,) = report["report"]["checks"]
+        assert (check["name"], check["passed"], check["detail"]) == ("radical", False, "trace kernel is not nilpotent")
+        (witness,) = check["witnesses"]
+        dim = sum(1 for _ in alg.all_labels())
+        assert witness["reason"] == f"J^{dim + 1} != 0" and witness["vector"]
         assert not out_file.exists()
 
 

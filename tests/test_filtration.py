@@ -9,6 +9,7 @@ from ainfbench.filtration import (
     AppendixParams,
     Filtration,
     FiltrationError,
+    RadicalError,
     appendix_filtration,
     check_filtration,
     degree_filtration,
@@ -270,16 +271,20 @@ def test_radical_refuses_trace_kernel_with_non_semisimple_quotient():
     alg = algebra(QQ, [(lab, 0) for lab in labels], "1",
                   {2: unital_m2(labels, "1", {("a1", "a0"): {"a0": -1}})})
     assert naive_radical(alg) == span_of(alg, ["a0", "a1"])
-    with pytest.raises(FiltrationError, match="nonzero trace kernel"):
+    with pytest.raises(RadicalError, match="nonzero trace kernel") as err:
         radical(alg)
+    # the witness is the kernel vector of R/J, the class of a1
+    assert list(err.value.witness["vector"]) == ["rq:a1"]
 
 
 def test_radical_refuses_nonassociative_fixture():
     # x*x = y and x*y = x: the trace kernel span(x, y) is an ideal with
     # semisimple quotient k, but it is its own square, so not nilpotent
     alg = parse_spec(FIXTURES / "nonassoc.json").category
-    with pytest.raises(FiltrationError, match="not nilpotent"):
+    with pytest.raises(RadicalError, match="not nilpotent") as err:
         radical(alg)
+    dim = alg.hom[(alg.objects[0],) * 2].dim
+    assert err.value.witness["reason"] == f"J^{dim + 1} != 0" and err.value.witness["vector"]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])

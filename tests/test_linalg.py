@@ -13,14 +13,13 @@ from ainfbench import (
     Subspace,
     complex_cohomology,
     echelon_basis,
-    membership,
     quotient_space,
 )
 import ainfbench.linalg as linalg
 from ainfbench.linalg import ComplexError, LinAlgError, QuotientPresentation, nullspace, rref, solve_linear
 from ainfbench.scalars import FieldError
 
-from .oracles import naive_quotient_coords, naive_rank, naive_rref, naive_solve
+from .oracles import dense, naive_quotient_coords, naive_rank, naive_rref, naive_solve
 
 F = Fraction
 
@@ -28,18 +27,18 @@ F = Fraction
 def test_echelon_basis_forced_reduction():
     s = echelon_basis([(F(1), F(0), F(0)), (F(1), F(1), F(0))], QQ)
     assert s.dim == 2
-    assert s.rows == ((F(1), F(0), F(0)), (F(0), F(1), F(0)))
+    assert s.rows == ({0: F(1)}, {1: F(1)})
 
 
 def test_echelon_basis_integer_input_stays_exact():
     # the pivot inverse of an int must be a Fraction, never a float
     rows = echelon_basis([(3, 1)], QQ).rows
-    assert rows == ((F(1), F(1, 3)),)
-    assert all(isinstance(a, Fraction) for row in rows for a in row)
+    assert rows == ({0: F(1), 1: F(1, 3)},)
+    assert all(isinstance(a, Fraction) for row in rows for a in row.values())
 
 
 def test_echelon_basis_rejects_inexact_scalars():
-    # echelon_basis([(0.5, 1)], QQ).rows used to be ((1.0, Fraction(2, 1)),)
+    # echelon_basis([(0.5, 1)], QQ) used to have the row (1.0, Fraction(2, 1))
     with pytest.raises(FieldError):
         echelon_basis([(0.5, 1)], QQ)
     with pytest.raises(FieldError):
@@ -51,7 +50,7 @@ def test_prime_field_input_is_reduced():
     amb = GradedSpace(("a", "b"), (0, 0))
     assert Subspace(amb, GF(3), []).contains((3, 0))
     assert not Subspace(amb, GF(3), []).contains((4, 0))
-    assert Subspace(amb, GF(3), [(4, 5)]).rows == ((1, 2),)
+    assert Subspace(amb, GF(3), [(4, 5)]).rows == ({0: 1, 1: 2},)
 
 
 def test_echelon_basis_empty_span():
@@ -64,15 +63,15 @@ def test_echelon_basis_empty_span():
 def test_echelon_basis_proportional_vectors():
     s = echelon_basis([(F(2), F(4)), (F(1), F(2))], QQ)
     assert s.dim == 1
-    assert s.rows == ((F(1), F(2)),)
+    assert s.rows == ({0: F(1), 1: F(2)},)
 
 
 def test_membership():
     s = echelon_basis([(F(1), F(0))], QQ)
-    assert membership(s, (F(3), F(0)))
-    assert not membership(s, (F(0), F(1)))
+    assert s.contains((F(3), F(0)))
+    assert not s.contains((F(0), F(1)))
     zero = Subspace(GradedSpace(("a", "b"), (0, 0)), QQ, ())
-    assert membership(zero, (F(0), F(0)))
+    assert zero.contains((F(0), F(0)))
 
 
 def test_membership_dimension_mismatch():
@@ -98,6 +97,7 @@ def test_subspace_sparse_input_matches_dense(field):
         dense = Subspace(amb, field, vecs)
         sp = Subspace(amb, field, [sparse(v) for v in vecs])
         assert (sp.rows, sp.pivots) == (dense.rows, dense.pivots)
+        assert all(list(r) == sorted(r) for r in sp.rows)
         for v in draw(n, 4) + vecs:
             inside = naive_rank(field, vecs + [v], n) == naive_rank(field, vecs, n)
             assert sp.contains(sparse(v)) == dense.contains(v) == inside
@@ -129,7 +129,7 @@ def test_echelon_over_prime_field():
     f5 = GF(5)
     s = echelon_basis([(2, 4), (1, 2)], f5)
     assert s.dim == 1
-    assert s.rows == ((1, 2),)  # (2,4) scaled by inverse(2) = 3
+    assert s.rows == ({0: 1, 1: 2},)  # (2,4) scaled by inverse(2) = 3
     assert s.contains((3, 6 % 5))
 
 
@@ -151,7 +151,7 @@ def test_quotient_toy_coset():
     den = Subspace(amb, QQ, [(F(0), F(1), F(0)), (F(0), F(0), F(1))])
     q = quotient_space(num, den)
     assert q.dim == 1
-    assert q.reps == ((F(1), F(0), F(0)),)
+    assert q.reps == ({0: F(1)},)
     assert q.degrees == (0,)
 
 
@@ -178,6 +178,12 @@ def test_quotient_preferred_outside_numerator():
     with pytest.raises(LinAlgError, match="preferred") as err:
         quotient_space(num, den, preferred=[(0, 1)])
     assert not isinstance(err.value, ContainmentError)
+    # preferred vectors may be sparse; an index outside the ambient is a
+    # dimension mismatch, as a tuple of the wrong length is
+    assert quotient_space(num, den, preferred=[{0: 2}]).reps == ({0: 1},)
+    for bad in ((1, 0, 0), {2: 1}, {-1: 1}):
+        with pytest.raises(LinAlgError, match="dimension mismatch"):
+            quotient_space(num, den, preferred=[bad])
 
 
 def test_quotient_projection_lift_invariants_random():
@@ -194,6 +200,17 @@ def test_quotient_projection_lift_invariants_random():
         q = quotient_space(num, den)
         assert q.dim == num.dim - den.dim
         assert q.verify()
+    # presentations that quotient_space did not make: no numerator Subspace
+    amb = GradedSpace(("a", "b"), (0, 0))
+    assert QuotientPresentation(amb, QQ, [], [(1, 0)]).verify()
+    c = FiniteComplex(QQ, {-1: ("e_src", "t_src"), 0: ("1", "e", "t")},
+                      {-1: ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))})
+    assert complex_cohomology(c).groups[0].verify()
+    # a broken presentation fails the check: its representative's column
+    # no longer reads it as the class e_0
+    broken = QuotientPresentation(amb, QQ, [], [(1, 0)])
+    broken._columns[0] = ({0: F(2)}, {})
+    assert not broken.verify()
 
 
 @pytest.mark.parametrize(
@@ -214,15 +231,13 @@ def test_project_strict_rejects_vectors_outside_numerator(field, outside):
     q = quotient_space(num, den)
     for _ in range(2):  # the second round reads the cached columns
         for v, projected in outside:
-            v = tuple(map(o, v))
+            v = {k: o(c) for k, c in enumerate(v) if c != 0}
             assert not num.contains(v)
             with pytest.raises(LinAlgError):
                 q.project_strict(v)
-            with pytest.raises(LinAlgError):
-                q.project_strict({k: c for k, c in enumerate(v) if c != 0})
             # non-strict projection keeps its value off the numerator
-            assert q.project(v) == projected
-        inside = tuple(map(o, (2, 3, 2, 3)))  # sum of the spanning vectors
+            assert dense(field, q.project(v), q.dim) == projected
+        inside = dict(enumerate(map(o, (2, 3, 2, 3))))  # sum of the spanning vectors
         assert q.project_strict(inside) == q.project(inside)
     with pytest.raises(LinAlgError):
         q.project({4: o(1)})  # no basis index 4 in a 4-dimensional ambient
@@ -250,7 +265,7 @@ def test_projection_matches_oracle_random(field):
             v = [field.zero] * n
             for row in num.rows:
                 a = field.of_int(rng.randint(-2, 2))
-                v = [field.add(x, field.mul(a, y)) for x, y in zip(v, row)]
+                v = [field.add(x, field.mul(a, y)) for x, y in zip(v, dense(field, row, n))]
             probes.append(tuple(v))
         for _ in range(2):  # the second round reads the cached columns
             for v in probes:
@@ -259,19 +274,16 @@ def test_projection_matches_oracle_random(field):
                 if want is None:
                     outside += 1
                     with pytest.raises(LinAlgError):
-                        q.project_strict(v)
-                    with pytest.raises(LinAlgError):
                         q.project_strict(sparse)
                 else:
-                    assert q.project_strict(v) == want
                     assert q.project_strict(sparse) == want
-                    assert q.project(v) == want
-                assert q.project(sparse) == q.project(v)
+                    assert q.project(sparse) == want
+                assert q.project(dict(enumerate(v))) == q.project(sparse)  # explicit zeros
     assert outside > 0
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
-def test_project_strict_is_dense_view_of_sparse_projection(field):
+def test_projections_and_lifts_are_ascending_sparse(field):
     rng = random.Random(f"sparse-projection:{field.characteristic}")
 
     def rand_vec(n):
@@ -293,18 +305,20 @@ def test_project_strict_is_dense_view_of_sparse_projection(field):
         again = QuotientPresentation(amb, field, den.rows, (*preferred, *num.rows))
         assert q.reps == again.reps
         assert not {id(r) for r in q._echelon.rows.values()} & {id(r) for r in den._echelon.rows.values()}
-        for v in [rand_vec(n) for _ in range(4)] + [tuple(q.lift(rand_vec(q.dim))) for _ in range(3)]:
+        lifts = [q.lift(dict(enumerate(rand_vec(q.dim)))) for _ in range(3)]
+        assert all(list(v) == sorted(v) and all(c != 0 for c in v.values()) for v in (*q.reps, *lifts))
+        for v in [dict(enumerate(rand_vec(n))) for _ in range(4)] + lifts:
             if not num.contains(v):
                 outside += 1
                 with pytest.raises(LinAlgError):
                     q.project_strict(v)
-                with pytest.raises(LinAlgError):
-                    q.project_strict_sparse(v)
                 continue
-            sparse = q.project_strict_sparse(v)
-            assert list(sparse) == sorted(sparse) and all(c != 0 for c in sparse.values())
-            assert q.project_strict(v) == tuple(sparse.get(k, field.zero) for k in range(q.dim))
-            assert q.project_strict(v) == q.project(v)
+            coords = q.project_strict(v)
+            assert list(coords) == sorted(coords) and all(c != 0 for c in coords.values())
+            assert coords == q.project(v)
+            assert q.project(q.lift(coords)) == coords
+    with pytest.raises(LinAlgError):
+        q.lift({q.dim: field.one})
     assert outside > 0
 
 
@@ -396,7 +410,7 @@ def test_complex_cone_of_inclusion():
     h = complex_cohomology(c)
     assert h.dims() == {0: 1}
     reps = h.representatives(0)
-    assert len(reps) == 1 and reps[0][0] != 0
+    assert len(reps) == 1 and reps[0].get(0, 0) != 0
 
 
 def _columns(m):
@@ -500,8 +514,7 @@ def test_complex_sparse_columns_match_dense(field):
         for q in range(-1, 3):
             assert sparse.differential(q) == dense.differential(q)
             assert hs.representatives(q) == hd.representatives(q)
-            n = len(comps.get(q, ()))
-            units = [tuple(field.one if i == j else field.zero for i in range(n)) for j in range(n)]
+            units = [{j: field.one} for j in range(len(comps.get(q, ())))]
             for v in list(hd.representatives(q)) + units:
                 try:
                     want = hd.class_coords(q, v)
@@ -531,16 +544,15 @@ def test_euler_characteristic_random_complexes(field):
             reps = h.representatives(q)
             prev = c.differential(q - 1)
             for k, rep in enumerate(reps):
-                unit = tuple(field.one if j == k else field.zero for j in range(len(reps)))
-                assert h.class_coords(q, rep) == unit
+                assert h.class_coords(q, rep) == {k: field.one}
                 w = [field.of_int(wrng.randint(-2, 2)) for _ in c.components.get(q - 1, ())]
-                moved = tuple(field.add(a, b) for a, b in zip(rep, _apply(field, prev, w)))
-                assert h.class_coords(q, moved) == unit
+                moved = [field.add(a, b) for a, b in zip(dense(field, rep, len(labels)), _apply(field, prev, w))]
+                assert h.class_coords(q, dict(enumerate(moved))) == {k: field.one}
             for j in range(len(labels)):
                 v = tuple(field.one if i == j else field.zero for i in range(len(labels)))
                 if any(a != 0 for a in _apply(field, c.differential(q), v)):
                     with pytest.raises(LinAlgError):
-                        h.class_coords(q, v)
+                        h.class_coords(q, {j: field.one})
 
 
 def _presented_eagerly(c):
@@ -574,8 +586,7 @@ def test_cohomology_dims_from_ranks_present_classes_on_demand(field, monkeypatch
         assert h.total_dim() == sum(want.values())
         assert not built  # dimensions alone present nothing
         for q, labels in c.components.items():
-            n = len(labels)
-            units = [tuple(field.one if i == j else field.zero for i in range(n)) for j in range(n)]
+            units = [{j: field.one} for j in range(len(labels))]
             for v in list(eager[q].reps) + units:
                 try:
                     expected = eager[q].project_strict(v)
