@@ -6,20 +6,23 @@ products induced on the quotients by m_p of R through chosen coset
 representatives.  Induced products are independent of the representatives,
 and the proof has two halves.  Perturbing argument k of m_p by an element of
 its denominator F^{n-i_k} changes the product by an element of
-F^{(n-i_k) + sum_{u != k} max(i_{u+1}-i_u, 0)} when F is compatible with the
-products (``check_filtration``, which callers run before the build), and
-that level lies inside the output denominator F^{n-i_1} by the integer
-inequalities, which the build proves for its own n and arity by one dynamic
-program over chain positions (``_least_slack``).
+F^{(n-i_k) + sum_{u != k} max(i_{u+1}-i_u, 0)} because F is compatible with
+the products, which the build proves first on the filtration's flag basis
+(``filtration._Flag``, shared with ``check_filtration``: one proof per
+``Filtration``), and that level lies inside the output denominator
+F^{n-i_1} by the integer inequalities, which the build proves for its own n
+and arity by one dynamic program over chain positions (``_least_slack``).
+The same two facts make every product of representatives strict: it lies
+in its numerator F^{max(i_{p+1}-i_1, 0)} by compatibility and the
+telescoping inequality.
 
-The build makes every check eagerly (hom dims, label collisions, unit
-classes, the inequalities, and strictness: every product of representatives
-lies in its numerator) but evaluates Gamma's tables on demand (``_Induced``):
-``sod`` pays only for the entries its Hom-complexes read, while iteration,
-``len`` and ``==`` materialize a whole table, so ``gamma build``,
-``validate``, serialization and equality see every entry.  The levels are
-deduplicated once, by Subspace equality, so the pairs (j, i) with equal
-numerator and denominator levels share one presentation.
+The build makes every check eagerly (compatibility, hom dims, label
+collisions, unit classes, the inequalities) but evaluates Gamma's tables on
+demand (``_Induced``): ``sod`` pays only for the entries its Hom-complexes
+read, while iteration, ``len`` and ``==`` materialize a whole table, so
+``gamma build``, ``validate``, serialization and equality see every entry.
+The levels are deduplicated once, by Subspace equality, so the pairs (j, i)
+with equal numerator and denominator levels share one presentation.
 
 hom dims satisfy dim Gamma(j,i) = dim F^{max(j-i,0)} - dim F^{n-i}, and
 Gamma(0,0) is R itself on the nose: the generator embeds by a basis-level
@@ -34,8 +37,8 @@ import weakref
 from collections.abc import Mapping
 
 from .ainf import AInfCategory, _ProductTable
-from .filtration import Filtration
-from .linalg import GradedSpace, LinAlgError, _Echelon, quotient_space
+from .filtration import Filtration, _Valuations
+from .linalg import GradedSpace, quotient_space
 
 
 class AuslanderError(ValueError):
@@ -67,15 +70,21 @@ def _gamma_label(j, i, lead):
 
 
 def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
-    """Construct Gamma, checking the hom dimensions, the index inequalities
-    for every chain of objects (by ``_least_slack``), and strictness of
-    every product of representatives; its tables are evaluated on demand."""
+    """Construct Gamma, checking that the filtration is compatible with the
+    products (its flag proof, built once per ``Filtration``), the hom
+    dimensions and the index inequalities for every chain of objects (by
+    ``_least_slack``); its tables are evaluated on demand."""
     obj = r.objects[0]
     space = r.hom[(obj, obj)]
     field = r.field
     n = filt.n
     if n < 1:
         raise AuslanderError("filtration must have n >= 1")
+    flag = filt._flag(r)
+    if not flag.compatible:
+        raise AuslanderError("the levels do not decrease" if not flag.decreasing
+                             else f"F^{n} is not 0" if filt.levels[n].dim
+                             else "the filtration is not compatible with the products")
 
     p_max = max(r.mult, default=0)
     if p_max >= 1:
@@ -122,7 +131,7 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
                         raise AuslanderError("unit class is not a quotient basis vector")
                     unit_labels[i] = labels[min(cls)]
 
-    induced = _Induced(r, space, levels, quotients, labels_by_pair)
+    induced = _Induced(r, space, flag, quotients, labels_by_pair)
     mult = {p: _Table(induced, p) for p in induced.arities}
     gamma = AInfCategory._trusted(field, tuple(range(n)), hom, unit_labels, mult)
     induced.gamma = weakref.ref(gamma)
@@ -136,50 +145,37 @@ class _Induced:
     The representatives are interned once per presentation in one product
     table of Gamma's own, so each product of representatives is evaluated
     once; it is projected once per (presentation, ids), to coordinates only,
-    as the constructor has proved it strict (:meth:`_nonzero_arities`).
+    as the build has proved it strict (see the module docstring).
     Entries are memoized per key, by ``_Table``.  Gamma is held by a weak
     reference, so that no reference cycle keeps it or the memos alive until
     the cycle collector runs.
     """
 
-    def __init__(self, r: AInfCategory, space, levels: list, quotients: dict, labels_by_pair: dict):
-        self.n = len(levels) - 1
+    def __init__(self, r: AInfCategory, space, flag, quotients: dict, labels_by_pair: dict):
+        self.n = flag.n
         self.quotients, self.labels_by_pair = quotients, labels_by_pair
         self.products = _ProductTable(r, space)
         ids = {q: self.products.intern(q.reps) for q in dict.fromkeys(quotients.values())}
         self.rep_ids = {pr: ids[q] for pr, q in quotients.items()}
         self.where = {lab: (pr, k) for pr, labels in labels_by_pair.items() for k, lab in enumerate(labels)}
         self.projected: dict = {}  # presentation -> {ids: quotient coordinates}
-        self.arities = self._nonzero_arities(r, levels, ids)
+        self.arities = self._nonzero_arities(r, flag, ids)
         self.gamma = None  # a weak reference to Gamma, set by the build
 
-    def _nonzero_arities(self, r: AInfCategory, levels: list, rep_ids: dict) -> list:
-        """Prove every product of representatives strict; return the arities
-        of R whose induced table has a nonzero entry.
+    def _nonzero_arities(self, r: AInfCategory, flag, rep_ids: dict) -> list:
+        """The arities of R whose induced table has a nonzero entry.
 
-        One flag echelon takes the sparse rows of F^{n-1}, ..., F^0 in turn
-        and tags each new pivot with its level; after level k it must have
-        dim F^k rows, which proves F^{k+1} inside F^k, so the rows tagged k or
-        more are a basis of F^k.  The valuation of a product (the largest k
-        with the product in F^k: n for zero, -1 outside F^0) is then the
-        least tag of the rows its reduction uses, one reduction per distinct
-        product.  Chain (i_1, ..., i_{p+1}) lands in F^{max(i_{p+1} - i_1, 0)}
-        / F^{n - i_1}: each of its products must reach the numerator level,
-        and one that stays below the denominator level gives a nonzero entry.
-        The least valuation over a chain's products is taken once per tuple
-        of argument presentations, from the ids of their representatives
-        (``rep_ids``, by presentation)."""
-        n, products = self.n, self.products
-        flag, tags = _Echelon(r.field), {}
-        for k in range(n - 1, -1, -1):
-            for row in levels[k].rows:
-                new = flag.insert(row)
-                if new is not None:
-                    tags[new[0]] = k
-            if len(flag.rows) != levels[k].dim:
-                raise AuslanderError(f"F^{k + 1} is not inside F^{k}")
-
-        valuation, presentation = _Valuations(products, flag, tags, n), self.quotients.__getitem__
+        The valuation of a product (the largest k with the product in F^k)
+        is read off the filtration's flag, whose proof the build has
+        required, one reduction per distinct product (``_Valuations``).
+        Chain (i_1, ..., i_{p+1}) lands in F^{max(i_{p+1} - i_1, 0)} /
+        F^{n - i_1}, and a product that stays below the denominator level
+        gives a nonzero entry.  The least valuation over a chain's products
+        is taken once per tuple of argument presentations, from the ids of
+        their representatives (``rep_ids``, by presentation)."""
+        n = self.n
+        valuation = _Valuations(self.products, flag.echelon, flag.tags, n)
+        presentation = self.quotients.__getitem__
         least, arities = {}, []  # argument presentations -> least valuation
         for p in sorted(r.mult):
             nonzero = False
@@ -190,8 +186,6 @@ class _Induced:
                 if low is None:
                     low = least[args] = min(map(valuation.__getitem__, itertools.product(
                         *map(rep_ids.__getitem__, args))), default=n)
-                if low < 0 or low < chain[p] - chain[0]:
-                    raise LinAlgError("vector lies outside the numerator; projection undefined")
                 nonzero = nonzero or low < n - chain[0]
             if nonzero:
                 arities.append(p)
@@ -248,22 +242,6 @@ class _Induced:
         if gamma is not None and all(t._table is not None for t in gamma.mult.values()):
             for p, t in gamma.mult.items():
                 gamma.mult[p], t._induced, t._memo = t._table, None, None
-
-
-class _Valuations(dict):
-    """ids -> valuation of the product of those representatives, computed on
-    first lookup by reducing it against the flag echelon (see
-    :meth:`_Induced._nonzero_arities`)."""
-
-    def __init__(self, products: _ProductTable, flag: _Echelon, tags: dict, n: int):
-        super().__init__()
-        self.products, self.flag, self.tags, self.n = products, flag, tags, n
-
-    def __missing__(self, ids):
-        prod, used = self.products.product(ids), {}
-        val = self[ids] = (self.n if not prod else -1 if self.flag.reduce(prod, used)
-                           else min(map(self.tags.__getitem__, used)))
-        return val
 
 
 class _Table(Mapping):

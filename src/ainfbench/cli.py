@@ -28,9 +28,10 @@ relation checks.  ``filtration appendix`` also reports FAIL, with a failed
 ``--jobs N`` is accepted for compatibility and has no effect.
 
 ``gamma build`` reports ``lift_independence`` from the build itself: it runs
-only on a filtration that passes its compatibility check, and the build
-proves the index inequalities, which together make the induced products
-independent of the coset representatives.
+only on a filtration that passes its compatibility check, whose flag proof
+the build reuses (and refuses to build without), and the build proves the
+index inequalities, which together make the induced products independent of
+the coset representatives.
 
 ``main`` builds the argument parser on its first call and reuses it for the
 life of the process.  Each subcommand names its handler, which is looked up

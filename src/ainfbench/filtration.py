@@ -4,7 +4,9 @@ A filtration is a chain F^0 = R >= F^1 >= ... >= F^n = 0 of graded subspaces
 compatible with all products: m_p(F^{i_1} (x) ... (x) F^{i_p}) lies in
 F^{i_1 + ... + i_p} (indices above n read as n, where F^n = 0).
 
-Included here: the compatibility checker, the filtration by cohomological
+Included here: the compatibility checker, which proves compatibility on one
+flag basis of the levels (``_Flag``, built once per ``Filtration`` and read
+by the quotient category build as well), the filtration by cohomological
 degree of a non-positively graded minimal algebra, Jacobson radicals of
 finite-dimensional associative algebras as one kernel of the trace form
 (x, y) -> trace(L_{xy}) (Curtis and Reiner 1962), certified by checking that
@@ -16,10 +18,11 @@ degrees {0, -kappa} built from radical powers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .ainf import AInfCategory, ValidationReport, _ProductTable
-from .linalg import GradedSpace, Subspace, quotient_space
+from .linalg import GradedSpace, Subspace, _Echelon, quotient_space
 
 
 class FiltrationError(ValueError):
@@ -74,6 +77,7 @@ class Filtration:
         _one_object(algebra)
         self.algebra = algebra
         self.levels = tuple(levels)
+        self._proof = None  # the flag of the levels for ``algebra``, once built
         if len(self.levels) < 2:
             raise FiltrationError("a filtration needs at least the levels F^0 and F^n = 0")
         space = algebra.hom[(algebra.objects[0],) * 2]
@@ -92,24 +96,30 @@ class Filtration:
     def dims(self):
         return tuple(lv.dim for lv in self.levels)
 
+    def _flag(self, r: AInfCategory) -> "_Flag":
+        """The levels' flag with its compatibility proof for the products of
+        ``r``: built once for ``self.algebra``, afresh for any other."""
+        if r is not self.algebra:
+            return _Flag(r, self.levels)
+        if self._proof is None:
+            self._proof = _Flag(r, self.levels)
+        return self._proof
+
 
 def check_filtration(r: AInfCategory, filt: Filtration) -> ValidationReport:
-    """Type invariants plus product compatibility, checked on spanning vectors.
+    """Type invariants plus product compatibility, proved on the flag basis.
 
-    Index tuples with sum above n are implied by monotonicity (every factor
-    may be raised until the sum hits n, where the target is 0), so the sweep
-    runs over tuples with i_1 + ... + i_p <= n only.
-
-    The same spanning vectors recur across levels, so they are interned in
-    one product table: each product of spanning vectors is evaluated once, as
-    sparse coordinates, and reduced against the target level's echelon once
-    per target level.  Every failing (indices, vectors) pair still gets its
-    own witness.
+    The filtration's flag (:class:`_Flag`, built once per ``Filtration`` and
+    shared with the quotient category build) proves the levels decreasing
+    and, with F^n = 0, decides compatibility from at most dim^p valuations
+    per arity.  Only where the flag fails do the witness listers run: the
+    per-level containment check and :func:`_compatibility_witnesses`, so a
+    FAIL report lists every failing level and every failing (indices,
+    vectors) pair.
     """
     report = ValidationReport()
     _, space = _one_object(r)
     n = filt.n
-    field = r.field
 
     full = full_subspace(r)
     f0_ok = filt.levels[0] == full
@@ -121,10 +131,12 @@ def check_filtration(r: AInfCategory, filt: Filtration) -> ValidationReport:
                detail=f"dim F^{n} = {filt.levels[n].dim}",
                witnesses=[] if fn_ok else [{"arity": 0, "tuple": [n], "reason": f"F^{n} != 0"}])
 
-    bad_decreasing = []
-    for p in range(n):
-        if not filt.levels[p].contains_subspace(filt.levels[p + 1]):
-            bad_decreasing.append({"arity": 0, "tuple": [p], "reason": f"F^{p+1} not inside F^{p}"})
+    flag = filt._flag(r)
+    bad_decreasing = [] if flag.decreasing else [
+        {"arity": 0, "tuple": [p], "reason": f"F^{p+1} not inside F^{p}"}
+        for p in range(n)
+        if not filt.levels[p].contains_subspace(filt.levels[p + 1])
+    ]
     report.add("decreasing", not bad_decreasing, witnesses=bad_decreasing)
 
     not_graded = [
@@ -134,11 +146,103 @@ def check_filtration(r: AInfCategory, filt: Filtration) -> ValidationReport:
     ]
     report.add("graded", not not_graded, witnesses=not_graded)
 
+    bad_compat = [] if flag.compatible else _compatibility_witnesses(r, filt)
+    report.add("compatibility", not bad_compat, witnesses=bad_compat)
+    return report
+
+
+class _Flag:
+    """The flag basis of a filtration and the compatibility proof it gives.
+
+    ``echelon`` takes the sparse rows of F^n, F^{n-1}, ..., F^0 in turn and
+    ``tags`` each new pivot with its level.  After level k it must have
+    dim F^k rows, which proves F^{k+1} inside F^k (``decreasing``; the loop
+    stops at the first level that fails), so the rows tagged k or more are
+    a basis of F^k.  With F^n = 0 as well, F is compatible with m_p iff
+    every p-tuple of flag rows with tags (k_1, ..., k_p) has a product of
+    valuation at least min(k_1 + ... + k_p, n) (:class:`_Valuations`), by
+    multilinearity.  So at most dim^p products per arity decide
+    ``compatible``: a tuple whose rows meet no key of the table of m_p in
+    their supports has product zero and is skipped (:func:`_meeting`).
+    """
+
+    def __init__(self, r: AInfCategory, levels: tuple):
+        n = len(levels) - 1
+        self.n = n
+        self.echelon, self.tags = _Echelon(r.field), {}
+        self.decreasing = True
+        for k in range(n, -1, -1):
+            for row in levels[k].rows:
+                new = self.echelon.insert(row)
+                if new is not None:
+                    self.tags[new[0]] = k
+            if len(self.echelon.rows) != levels[k].dim:
+                self.decreasing = False
+                break
+        self.compatible = self.decreasing and levels[n].dim == 0 and self._products_compatible(r)
+
+    def _products_compatible(self, r: AInfCategory) -> bool:
+        space = _one_object(r)[1]
+        products = _ProductTable(r, space)
+        rows = list(self.echelon.rows.values())
+        ids = products.intern(rows)  # fresh ids, in row order
+        tag = [self.tags[piv] for piv in self.echelon.rows]
+        having = {}  # label -> ids of the rows with a nonzero coordinate there
+        for k, row in zip(ids, rows):
+            for i in row:
+                having.setdefault(space.labels[i], []).append(k)
+        valuation, n = _Valuations(products, self.echelon, self.tags, self.n), self.n
+        for p, table in sorted(r.mult.items()):
+            for args in _meeting(table, having, ids, p):
+                if valuation[args] < min(sum(map(tag.__getitem__, args)), n):
+                    return False
+        return True
+
+
+def _meeting(table: dict, having: dict, ids: list, p: int):
+    """The p-tuples of ``ids`` whose rows meet a key of ``table`` in their
+    supports, one label per row; every other tuple has product zero.  When
+    the keys would list at least len(ids)^p tuples, all of those instead."""
+    factors = [[having.get(lab, ()) for lab in key] for key in table]
+    if sum(math.prod(map(len, f)) for f in factors) >= len(ids) ** p:
+        return itertools.product(ids, repeat=p)
+    return dict.fromkeys(itertools.chain.from_iterable(itertools.product(*f) for f in factors))
+
+
+class _Valuations(dict):
+    """ids -> valuation of the product of those interned rows: the largest k
+    with the product in F^k, n for zero and -1 outside F^0.  It is computed
+    on first lookup as the least tag of the flag rows (:class:`_Flag`) that
+    its one reduction uses."""
+
+    def __init__(self, products: _ProductTable, flag: _Echelon, tags: dict, n: int):
+        super().__init__()
+        self.products, self.flag, self.tags, self.n = products, flag, tags, n
+
+    def __missing__(self, ids):
+        prod, used = self.products.product(ids), {}
+        val = self[ids] = (self.n if not prod else -1 if self.flag.reduce(prod, used)
+                           else min(map(self.tags.__getitem__, used)))
+        return val
+
+
+def _compatibility_witnesses(r: AInfCategory, filt: Filtration) -> list:
+    """One witness per index tuple (i_1, ..., i_p) with sum at most n and
+    spanning vectors of F^{i_1}, ..., F^{i_p} whose product escapes
+    F^{i_1 + ... + i_p}.
+
+    Index tuples with sum above n are implied by monotonicity (every factor
+    may be raised until the sum hits n, where the target is 0).  The same
+    spanning vectors recur across levels, so they are interned in one
+    product table: each product is evaluated once and reduced against the
+    target level's echelon once per target level.
+    """
+    _, space = _one_object(r)
+    n, field = filt.n, r.field
     table = _ProductTable(r, space)
     level_ids = [table.intern(lv.rows) for lv in filt.levels]
     contained: dict = {}  # (target level, ids) -> whether the product lies in it
-
-    bad_compat = []
+    bad = []
     for p in sorted(r.mult):
         for indices in itertools.product(range(n), repeat=p):
             total = sum(indices)
@@ -153,7 +257,7 @@ def check_filtration(r: AInfCategory, filt: Filtration) -> ValidationReport:
                     ok = contained[(total, ids)] = filt.level(total).contains(out)
                 if not ok:
                     vector = sorted((space.labels[k], c) for k, c in out.items())
-                    bad_compat.append(
+                    bad.append(
                         {
                             "arity": p,
                             "tuple": list(indices),
@@ -161,8 +265,7 @@ def check_filtration(r: AInfCategory, filt: Filtration) -> ValidationReport:
                             "vector": {lab: field.unparse(c) for lab, c in vector},
                         }
                     )
-    report.add("compatibility", not bad_compat, witnesses=bad_compat)
-    return report
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +441,6 @@ def _powers(r: AInfCategory, j: Subspace) -> list:
         distinct = {frozenset(p.items()): p for p in (table.product((u, v)) for u in ids for v in j_ids)}
         powers.append(Subspace(j.ambient, r.field, distinct.values()))
     return powers
-
-
-def nilpotency_index(r: AInfCategory, j: Subspace) -> int:
-    """Least a with J^a = 0 (a = 1 when J = 0)."""
-    return len(_powers(r, j)) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ quotient coordinates come from one direct linear solve with it, not from the
 presentation's cached elimination.  The filtration report and the tables of
 a quotient algebra are rebuilt from their definitions with those two, with no
 memo.  The radical is the old fixed-point loop over trace
-kernels of successive quotients.  The Hom-complex differential is
+kernels of successive quotients, and a nilpotency index the count of iterated
+subspace products.  The Hom-complex differential is
 built one basis vector at a time from the definition of mu1: every pair of
 connection paths, every choice of labels, :func:`naive_apply` on each label
 tuple and the three sign exponents of ``perfmod``'s module docstring, summed
@@ -252,6 +253,20 @@ def naive_radical(a):
     j = Subspace(space, field, j_rows)
     _powers(a, j)  # FiltrationError unless nilpotent
     return j
+
+
+def nilpotency_index(r, j):
+    """Least a with J^a = 0 (a = 1 when J = 0), by iterated
+    ``subspace_product`` rather than the package's power chain;
+    FiltrationError once J^(dim R + 1) != 0."""
+    from ainfbench.filtration import FiltrationError, subspace_product
+
+    power, a = j, 1
+    while power.dim:
+        if a > j.ambient.dim:
+            raise FiltrationError("subspace is not nilpotent")
+        power, a = subspace_product(r, power, j), a + 1
+    return a
 
 
 def naive_gamma_table(aus):

@@ -29,7 +29,7 @@ from ainfbench.filtration import (
     quotient_by_ideal,
     zero_subspace,
 )
-from ainfbench.linalg import LinAlgError, QuotientPresentation, Subspace
+from ainfbench.linalg import QuotientPresentation, Subspace
 from ainfbench.perfmod import sod_report
 from ainfbench.specfile import category_to_dict, serialize
 
@@ -219,11 +219,15 @@ def test_lift_independence_sampled(alg, filt):
     assert lift_independence_sampled(aus, trials=30, rng=random.Random(f"lifts:{aus.n}"))
 
 
-def test_lift_sampler_sees_an_incompatible_filtration():
-    # the build's strictness checks pass, and the products depend on the
-    # lifts; this is why every command runs the filtration check first
+def test_lift_sampler_sees_an_incompatible_filtration(monkeypatch):
+    # the build refuses the filtration; forced past its flag proof, it
+    # builds a Gamma whose products depend on the lifts, which the sampler
+    # must see
     alg, filt = incompatible_filtration()
     assert not check_filtration(alg, filt).passed
+    with pytest.raises(AuslanderError, match="not compatible with the products"):
+        build_auslander(alg, filt)
+    monkeypatch.setattr(filt._flag(alg), "compatible", True)
     assert not lift_independence_sampled(build_auslander(alg, filt), trials=50, rng=random.Random(1))
 
 
@@ -299,6 +303,37 @@ def test_sweeps_evaluate_each_product_once(monkeypatch):
         assert calls and max(calls.values()) == 1
 
 
+@pytest.mark.parametrize("alg, filt", [
+    pytest.param(*_appendix_case(toy_algebra()), id="toy"),
+    pytest.param(*_appendix_case(rescaled(truncated_polynomial(6), random.Random(8))), id="x6"),
+    pytest.param(*_appendix_case(beilinson_algebra(2)), id="beilinson-2"),
+])
+def test_one_flag_proof_per_filtration(alg, filt, monkeypatch):
+    # the flag proof evaluates at most dim^p products per arity p, once per
+    # Filtration: the build reuses the check's proof, and only a call with
+    # another algebra proves afresh
+    import ainfbench.filtration as filtration
+
+    dim = alg.total_dim()
+    calls, flags = Counter(), []
+    apply, flag = AInfCategory.apply, filtration._Flag
+
+    def counting(self, p, args):
+        calls[p] += 1
+        return apply(self, p, args)
+
+    monkeypatch.setattr(AInfCategory, "apply", counting)
+    monkeypatch.setattr(filtration, "_Flag", lambda *args: flags.append(args[0]) or flag(*args))
+    assert check_filtration(alg, filt).passed
+    assert calls and all(calls[p] <= dim ** p for p in calls) and set(calls) <= set(alg.mult)
+    build_auslander(alg, filt)
+    assert flags == [alg]
+    other = AInfCategory(alg.field, alg.objects, alg.hom, alg.units, alg.mult)
+    assert check_filtration(other, filt).passed and check_filtration(other, filt).passed
+    build_auslander(alg, filt)
+    assert flags == [alg, other, other]
+
+
 @pytest.mark.parametrize("alg", [rescaled(truncated_polynomial(6), random.Random(8)),
                                  trivial_extension(3, 1)], ids=["x6", "trivext-3-1"])
 def test_build_projects_each_product_once_per_presentation(alg, monkeypatch):
@@ -308,6 +343,7 @@ def test_build_projects_each_product_once_per_presentation(alg, monkeypatch):
     # proves strictness without projecting a product (it projects only the
     # unit, on the diagonal pairs with denominator 0, before any product)
     filt, _ = appendix_filtration(alg, kappa=1)
+    assert check_filtration(alg, filt).passed  # the build reuses this flag proof
     n = filt.n
     last = []
     projected = Counter()
@@ -406,8 +442,8 @@ def test_gamma_and_its_memos_need_no_cycle_collector():
 def test_build_refuses_a_product_outside_its_numerator():
     # nested levels (R, <x1, x2, x3>, <x3>, 0) of k[x]/x^4 that the products
     # do not respect: x1 * x1 = x2 lies outside F^2 = <x3>, so the chain
-    # (0, 1, 2) meets a product outside its numerator, and the build refuses
-    # before any table is read
+    # (0, 1, 2) would meet a product outside its numerator; the build's flag
+    # proof refuses the filtration before any quotient is taken
     alg = truncated_polynomial(4)
     space = alg.hom[("*", "*")]
 
@@ -416,5 +452,17 @@ def test_build_refuses_a_product_outside_its_numerator():
 
     filt = Filtration(alg, [full_subspace(alg), span("x1", "x2", "x3"), span("x3"), zero_subspace(alg)])
     assert not check_filtration(alg, filt).passed
-    with pytest.raises(LinAlgError, match="vector lies outside the numerator; projection undefined"):
+    with pytest.raises(AuslanderError, match="not compatible with the products"):
+        build_auslander(alg, filt)
+
+
+@pytest.mark.parametrize("levels, message", [
+    (lambda a: [zero_subspace(a), full_subspace(a), zero_subspace(a)], "the levels do not decrease"),
+    (lambda a: [full_subspace(a), full_subspace(a)], r"F\^1 is not 0"),
+], ids=["increasing", "fn-nonzero"])
+def test_build_refuses_levels_its_flag_cannot_prove(levels, message):
+    alg = dual_numbers()
+    filt = Filtration(alg, levels(alg))
+    assert not check_filtration(alg, filt).passed
+    with pytest.raises(AuslanderError, match=message):
         build_auslander(alg, filt)

@@ -14,7 +14,6 @@ from ainfbench.filtration import (
     check_filtration,
     degree_filtration,
     full_subspace,
-    nilpotency_index,
     quotient_by_ideal,
     radical,
     subspace_product,
@@ -39,7 +38,7 @@ from .corpus import (
     upper_triangular_2,
     upper_triangular_3,
 )
-from .oracles import naive_filtration_report, naive_quotient_table, naive_radical
+from .oracles import naive_filtration_report, naive_quotient_table, naive_radical, nilpotency_index
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -410,6 +409,84 @@ def test_random_filtered_algebras_pass():
         alg, filt = random_filtered_algebra(rng)
         assert check_filtration(alg, filt).passed
         assert 2 <= filt.n <= 5
+
+
+def _filtration_over(field, make, kappa):
+    """``make(field)`` with its appendix filtration (its degree filtration
+    when ``kappa`` is None).  Where F_p refuses the trace kernel, the
+    rational filtration's levels are taken instead: they are spanned by basis
+    vectors, so they read the same over every field."""
+    alg = make(field)
+    if kappa is None:
+        return alg, degree_filtration(alg)
+    try:
+        return alg, appendix_filtration(alg, kappa)[0]
+    except RadicalError:
+        pass
+    rational = appendix_filtration(make(QQ), kappa)[0]
+    assert all(set(row.values()) == {1} for lv in rational.levels for row in lv.rows)
+    space = alg.hom[(alg.objects[0],) * 2]
+    return alg, Filtration(alg, [Subspace(space, field, [dict.fromkeys(row, field.one) for row in lv.rows])
+                                 for lv in rational.levels])
+
+
+FLAG_ORACLE_CASES = {
+    "toy-appendix": (toy_algebra, 1),
+    "toy-degree": (toy_algebra, None),
+    "x6-appendix": (lambda field: truncated_polynomial(6, field), 1),
+    "trivext-3-1-appendix": (lambda field: trivial_extension(3, 1, field), 1),
+    "trivext-3-1-degree": (lambda field: trivial_extension(3, 1, field), None),
+    "trivext-3-2-appendix": (lambda field: trivial_extension(3, 2, field), 2),
+    "beilinson-2": (lambda field: beilinson_algebra(2, field), 1),
+    "beilinson-3": (lambda field: beilinson_algebra(3, field), 1),
+}
+
+
+def _flag_oracle_inputs():
+    # the naive report on Beilinson P^3 takes about 14 s over Q, so P^3 runs
+    # over GF(3) only
+    for field in (QQ, GF(3), GF(5)):
+        fid = "Q" if field == QQ else f"GF{field.characteristic}"
+        for name in FLAG_ORACLE_CASES:
+            if name != "beilinson-3" or field == GF(3):
+                yield pytest.param(field, name, id=f"{name}-{fid}")
+        for k in range(2):
+            yield pytest.param(field, k, id=f"random-{k}-{fid}")
+
+
+def _perturbed(alg, filt, rng):
+    """``filt`` with one level F^k, 1 <= k <= n, grown by one vector outside
+    it, of one or two basis vectors with random nonzero coefficients."""
+    field, space, levels = alg.field, filt.levels[0].ambient, list(filt.levels)
+    k = rng.randint(1, filt.n)
+    while True:
+        vector = {i: field.coerce(rng.choice((1, -1, 2)))
+                  for i in rng.sample(range(space.dim), min(space.dim, rng.randint(1, 2)))}
+        if not levels[k].contains(vector):
+            break
+    levels[k] = Subspace(space, field, list(levels[k].rows) + [vector])
+    return Filtration(alg, levels)
+
+
+@pytest.mark.parametrize("field, case", list(_flag_oracle_inputs()))
+def test_flag_proof_matches_naive_report(field, case):
+    # on every input the report, decided by the flag proof, is the naive
+    # sweep's; so is a seeded perturbation of one level, whose FAIL report
+    # the witness listers write; the flag proves compatibility exactly when
+    # the naive levels decrease to F^n = 0 and the products respect them
+    if isinstance(case, int):
+        rng = random.Random(f"flag-oracle:{field.characteristic}")
+        for _ in range(case + 1):
+            alg, filt = random_filtered_algebra(rng, field)
+    else:
+        alg, filt = _filtration_over(field, *FLAG_ORACLE_CASES[case])
+    perturbed = _perturbed(alg, filt, random.Random(f"perturb:{case}:{field.characteristic}"))
+    for f, passes in ((filt, True), (perturbed, False)):
+        naive = naive_filtration_report(alg, f)
+        assert naive["passed"] is passes
+        assert check_filtration(alg, f).to_json() == naive
+        proved = all(c["passed"] for c in naive["checks"] if c["name"] in ("fn_zero", "decreasing", "compatibility"))
+        assert f._flag(alg).compatible is proved
 
 
 def test_quotient_by_ideal_rejects_foreign_ambient():
