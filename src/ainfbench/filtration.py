@@ -18,7 +18,6 @@ degrees {0, -kappa} built from radical powers.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .ainf import AInfCategory, ValidationReport, _ProductTable
@@ -193,20 +192,17 @@ class _Flag:
                 having.setdefault(space.labels[i], []).append(k)
         valuation, n = _Valuations(products, self.echelon, self.tags, self.n), self.n
         for p, table in sorted(r.mult.items()):
-            for args in _meeting(table, having, ids, p):
+            for args in _meeting(table, having):
                 if valuation[args] < min(sum(map(tag.__getitem__, args)), n):
                     return False
         return True
 
 
-def _meeting(table: dict, having: dict, ids: list, p: int):
-    """The p-tuples of ``ids`` whose rows meet a key of ``table`` in their
-    supports, one label per row; every other tuple has product zero.  When
-    the keys would list at least len(ids)^p tuples, all of those instead."""
-    factors = [[having.get(lab, ()) for lab in key] for key in table]
-    if sum(math.prod(map(len, f)) for f in factors) >= len(ids) ** p:
-        return itertools.product(ids, repeat=p)
-    return dict.fromkeys(itertools.chain.from_iterable(itertools.product(*f) for f in factors))
+def _meeting(table: dict, having: dict):
+    """The distinct tuples of row ids whose rows meet a key of ``table`` in
+    their supports, one label per row; every other tuple has product zero."""
+    return dict.fromkeys(itertools.chain.from_iterable(
+        itertools.product(*[having.get(lab, ()) for lab in key]) for key in table))
 
 
 class _Valuations(dict):

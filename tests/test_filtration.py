@@ -302,10 +302,16 @@ def test_power_chain_matches_iterated_products(field):
 
 
 def test_nilpotency_index_refuses_non_nilpotent():
+    # the power chain that gives the nilpotency index (its length minus one)
+    # refuses a subspace that is not nilpotent, with a nonzero vector of
+    # J^(dim R + 1) as witness
+    from ainfbench.filtration import _powers
+
     alg = dual_numbers()
-    assert nilpotency_index(alg, zero_subspace(alg)) == 1
-    with pytest.raises(FiltrationError, match="not nilpotent"):
-        nilpotency_index(alg, full_subspace(alg))
+    assert len(_powers(alg, zero_subspace(alg))) - 1 == 1
+    with pytest.raises(RadicalError, match="not nilpotent") as err:
+        _powers(alg, full_subspace(alg))
+    assert err.value.witness["reason"] == "J^3 != 0" and err.value.witness["vector"]
 
 
 def ideal_power_dim(alg, j, k):
