@@ -29,7 +29,6 @@ from .ainf import (
     algebra,
     category,
     check_stasheff,
-    full_subcategory,
     opposite,
     validate_structure,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "echelon_basis",
     "embed_generator",
     "evaluate_at",
-    "full_subcategory",
     "hochschild_differential",
     "hom_complex",
     "opposite",

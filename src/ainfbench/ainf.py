@@ -340,8 +340,6 @@ def algebra(field, basis, unit, mult, obj="*") -> AInfCategory:
 def validate_structure(c: AInfCategory) -> ValidationReport:
     """Degree bookkeeping, composability, strict unitality, minimality flag."""
     report = ValidationReport()
-    field = c.field
-
     degree_bad = []
     compos_bad = []
     for p, table in sorted(c.mult.items()):
@@ -365,32 +363,37 @@ def validate_structure(c: AInfCategory) -> ValidationReport:
     report.add("degrees", not degree_bad, witnesses=degree_bad)
     report.add("composability", not compos_bad, witnesses=compos_bad)
 
-    unit_bad = []
-    for x in c.objects:
-        ud = c.deg(c.units[x])
-        if ud != 0:
-            unit_bad.append({"arity": 0, "tuple": [c.units[x]], "reason": f"unit degree {ud}"})
-    for (x, y), space in sorted(c.hom.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
-        for lab in space.labels:
-            left = c.apply_labels(2, (c.units[y], lab))
-            if left != {lab: field.one}:
-                unit_bad.append({"arity": 2, "tuple": [c.units[y], lab], "reason": "m_2(1,f) != f"})
-            right = c.apply_labels(2, (lab, c.units[x]))
-            if right != {lab: field.one}:
-                unit_bad.append({"arity": 2, "tuple": [lab, c.units[x]], "reason": "m_2(f,1) != f"})
-    for p, table in sorted(c.mult.items()):
-        if p == 2:
-            continue
-        for key in sorted(table):
-            if any(c.is_unit(lab) for lab in key):
-                unit_bad.append(
-                    {"arity": p, "tuple": list(key), "reason": "higher product nonzero on a unit"}
-                )
+    unit_bad = list(_unit_witnesses(c))
     report.add("units", not unit_bad, witnesses=unit_bad)
 
     minimal = 1 not in c.mult
     report.add("minimality", minimal, detail="m_1 = 0" if minimal else "m_1 != 0", required=False)
     return report
+
+
+def _unit_witnesses(c: AInfCategory):
+    """The ``units`` check's witnesses in report order, lazily: a unit of
+    degree other than 0, ``m_2(1, f) != f`` or ``m_2(f, 1) != f``, a unit in
+    a key of arity other than 2."""
+    one = c.field.one
+    for x in c.objects:
+        ud = c.deg(c.units[x])
+        if ud != 0:
+            yield {"arity": 0, "tuple": [c.units[x]], "reason": f"unit degree {ud}"}
+    for (x, y), space in sorted(c.hom.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
+        for lab in space.labels:
+            left = c.apply_labels(2, (c.units[y], lab))
+            if left != {lab: one}:
+                yield {"arity": 2, "tuple": [c.units[y], lab], "reason": "m_2(1,f) != f"}
+            right = c.apply_labels(2, (lab, c.units[x]))
+            if right != {lab: one}:
+                yield {"arity": 2, "tuple": [lab, c.units[x]], "reason": "m_2(f,1) != f"}
+    for p, table in sorted(c.mult.items()):
+        if p == 2:
+            continue
+        for key in sorted(table):
+            if any(c.is_unit(lab) for lab in key):
+                yield {"arity": p, "tuple": list(key), "reason": "higher product nonzero on a unit"}
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +405,7 @@ def _breaks(info: dict, key: tuple) -> list:
     return [u for u in range(len(key) - 1) if info[key[u]][0] != info[key[u + 1]][1]]
 
 
-def _insertion_sums(cat: AInfCategory, pairs, singles=()) -> dict:
+def _insertion_sums(cat: AInfCategory, pairs, singles=(), skip=frozenset()) -> dict:
     """Signed sums of Gerstenhaber insertions, tuple by tuple, exactly.
 
     Tables map label tuples to sparse output vectors whose labels ``cat``
@@ -412,7 +415,10 @@ def _insertion_sums(cat: AInfCategory, pairs, singles=()) -> dict:
     ``(-1)^(a + c + b*s) * x * outer[K]``, where ``(a, b) = outer_sign(dK,
     r)``, ``(c, s) = inner_sign(dJ)`` and dK, dJ are the degree tuples of K
     and J.  Each of ``singles`` is ``(table, sign)``: the key K receives
-    ``(-1)^sign(dK) * table[K]``.  Only composable tuples receive terms.
+    ``(-1)^sign(dK) * table[K]``.  Only composable tuples receive terms,
+    and none that holds a label of ``skip``: such inner keys and singles are
+    dropped, and an outer key that holds one is summed only at its slot.  The
+    sums on every other tuple are those of the full sweep.
     Returns the nonzero sums as ``{tuple: {label: scalar}}``.
 
     Every term is a product of at most two structure constants, so over Q
@@ -427,14 +433,14 @@ def _insertion_sums(cat: AInfCategory, pairs, singles=()) -> dict:
     """
     info = cat._info
     p = cat.field.characteristic
-    tables = [t for pair in pairs for t in pair[:2]] + [t for t, _ in singles]
+    tables = {id(t): t for pair in pairs for t in pair[:2]} | {id(t): t for t, _ in singles}
     scale = 1 if p else math.lcm(
-        *{v.denominator for t in tables for vec in t.values() for v in vec.values()})
+        *{v.denominator for t in tables.values() for vec in t.values() for v in vec.values()})
     sums: dict = {}
     for outer, inner, outer_sign, inner_sign in pairs:
         by_output: dict = {}
         for key, vec in inner.items():
-            if _breaks(info, key):
+            if _breaks(info, key) or not skip.isdisjoint(key):
                 continue
             c, s = inner_sign(tuple(info[lab][2] for lab in key))
             ends = (info[key[0]][1], info[key[-1]][0]) if key else None
@@ -442,12 +448,16 @@ def _insertion_sums(cat: AInfCategory, pairs, singles=()) -> dict:
                 v = v.numerator * (scale // v.denominator)
                 by_output.setdefault(lab, []).append((key, ends, -v if c % 2 else v, s % 2))
         for key, vec in outer.items():
+            held = [r for r, lab in enumerate(key) if lab in skip]
+            if len(held) > 1:
+                continue
             breaks = _breaks(info, key)
             out = None
             last = len(key) - 1
             for r, lab in enumerate(key):
                 terms = by_output.get(lab)
-                if terms is None or (breaks and any(u != r and u != r - 1 for u in breaks)):
+                if terms is None or (held and held[0] != r) or (
+                        breaks and any(u != r and u != r - 1 for u in breaks)):
                     continue
                 if out is None:
                     out = [(l, v.numerator * (scale // v.denominator)) for l, v in vec.items()]
@@ -470,7 +480,7 @@ def _insertion_sums(cat: AInfCategory, pairs, singles=()) -> dict:
                         sums[t, l] = sums.get((t, l), 0) + v * w
     for table, sign in singles:
         for key, vec in table.items():
-            if _breaks(info, key):
+            if _breaks(info, key) or not skip.isdisjoint(key):
                 continue
             flip = sign(tuple(info[lab][2] for lab in key)) % 2
             for l, v in vec.items():
@@ -484,6 +494,16 @@ def _insertion_sums(cat: AInfCategory, pairs, singles=()) -> dict:
     return result
 
 
+def _units_certify(c: AInfCategory) -> bool:
+    """Whether strict unitality certifies every tuple that holds a unit: no
+    :func:`_unit_witnesses`, and every output in the hom-space between its
+    key's ends (an output outside it meets no ``m_2(1, -)`` entry)."""
+    info = c._info
+    return next(_unit_witnesses(c), None) is None and all(
+        info[lab][:2] == (info[key[-1]][0], info[key[0]][1])
+        for table in c.mult.values() for key, vec in table.items() for lab in vec)
+
+
 def check_stasheff(c: AInfCategory, n_max: int | None = None) -> ValidationReport:
     """Evaluate the defining relations on every composable tuple up to n_max.
 
@@ -492,10 +512,14 @@ def check_stasheff(c: AInfCategory, n_max: int | None = None) -> ValidationRepor
     docstring; a tuple no term reaches satisfies its relation trivially.
     The default bound 2*arity_bound - 1 is sharp: above it every insertion
     term vanishes identically.
+
+    When :func:`_units_certify` holds, tuples that hold a unit are skipped:
+    strict unitality cancels their terms in pairs (the reduced bar
+    construction; Keller 2001, Lefevre-Hasegawa 2003).  Else the sweep is full.
     """
-    field = c.field
     if n_max is None:
         n_max = max(2 * c.arity_bound - 1, 1)
+    skip = set(c.units.values()) if _units_certify(c) else frozenset()
 
     def outer_sign(degs, r):  # (-1)^(r + s*t + s*(|a_1| + ... + |a_r|))
         return r, len(degs) - 1 - r + sum(degs[:r])
@@ -506,14 +530,14 @@ def check_stasheff(c: AInfCategory, n_max: int | None = None) -> ValidationRepor
     defects = _insertion_sums(c, [
         (c.mult[p], c.mult[s], outer_sign, inner_sign)
         for p in c.mult for s in c.mult if p + s - 1 <= n_max
-    ])
+    ], skip=skip)
     by_arity: dict = {n: [] for n in range(1, n_max + 1)}
     for labels, defect in defects.items():
         by_arity[len(labels)].append(
             {
                 "arity": len(labels),
                 "tuple": list(labels),
-                "defect": {lab: field.unparse(v) for lab, v in sorted(defect.items())},
+                "defect": {lab: c.field.unparse(v) for lab, v in sorted(defect.items())},
             }
         )
     report = ValidationReport()
@@ -523,7 +547,7 @@ def check_stasheff(c: AInfCategory, n_max: int | None = None) -> ValidationRepor
 
 
 # ---------------------------------------------------------------------------
-# opposites and subcategories
+# opposites
 
 
 def opposite(c: AInfCategory) -> AInfCategory:
@@ -540,26 +564,3 @@ def opposite(c: AInfCategory) -> AInfCategory:
             new[tuple(reversed(key))] = out
         mult[p] = new
     return AInfCategory(field, c.objects, hom, dict(c.units), mult)
-
-
-def full_subcategory(c: AInfCategory, objs) -> AInfCategory:
-    objs = tuple(objs)
-    if not objs:
-        raise CategoryError("object subset must be nonempty")
-    for x in objs:
-        if x not in c.objects:
-            raise CategoryError(f"unknown object label {x!r}")
-    keep = set(objs)
-    hom = {(x, y): c.hom[(x, y)] for x in objs for y in objs}
-    units = {x: c.units[x] for x in objs}
-    mult: dict = {}
-    for p, table in c.mult.items():
-        new = {}
-        for key, vec in table.items():
-            if all(c.src(l) in keep and c.tgt(l) in keep for l in key):
-                new[key] = dict(vec)
-        if new:
-            mult[p] = new
-    return AInfCategory(c.field, objs, hom, units, mult)
-
-

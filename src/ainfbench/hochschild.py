@@ -249,8 +249,10 @@ def hochschild_differential(phi: HochschildCochain) -> HochschildCochain:
     insertions under the key (), and only the composable products of the
     extension place its value at the right object.
 
-    The result is valid by construction (composable, in the right module
-    slots, of phi's internal degree, normalized by the unit filter): unchecked.
+    The sweep skips every tuple that holds a unit of the base, so the
+    result is normalized as it comes out of the kernel.  It is valid by
+    construction (composable, in the right module slots, of phi's internal
+    degree, normalized): unchecked.
     """
     base = phi.base
     n = phi.arity
@@ -266,12 +268,10 @@ def hochschild_differential(phi: HochschildCochain) -> HochschildCochain:
     def inner_sign(degs):
         return 0, len(degs)
 
-    total = _insertion_sums(ext, [
+    table = _insertion_sums(ext, [
         (phi_table, base.mult.get(2, {}), outer_sign(0), inner_sign),
         (ext_m2, phi_table, outer_sign(n + phi.internal_degree), inner_sign),
-    ])
-    units = set(base.units.values())
-    table = {labels: vec for labels, vec in total.items() if units.isdisjoint(labels)}
+    ], skip=set(base.units.values()))
     return HochschildCochain._trusted(base, phi.module, n + 1, table, phi.internal_degree)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from ainfbench import QQ, GradedSpace, algebra, category
+from ainfbench import QQ, AInfCategory, CategoryError, GradedSpace, algebra, category
 from ainfbench.filtration import Filtration, check_filtration, full_subspace, zero_subspace
 from ainfbench.hochschild import Bimodule, HochschildCochain, HochschildError
 from ainfbench.linalg import Subspace
@@ -439,3 +439,26 @@ def bimodule_direct_sum(m1, m2):
             for key, vec in table.items():
                 tbl[key] = dict(vec)
     return Bimodule(m1.base, spaces, action)
+
+
+def full_subcategory(c: AInfCategory, objs) -> AInfCategory:
+    """The full subcategory on ``objs``: their hom-spaces and the entries
+    whose inputs all lie between them."""
+    objs = tuple(objs)
+    if not objs:
+        raise CategoryError("object subset must be nonempty")
+    for x in objs:
+        if x not in c.objects:
+            raise CategoryError(f"unknown object label {x!r}")
+    keep = set(objs)
+    hom = {(x, y): c.hom[(x, y)] for x in objs for y in objs}
+    units = {x: c.units[x] for x in objs}
+    mult: dict = {}
+    for p, table in c.mult.items():
+        new = {}
+        for key, vec in table.items():
+            if all(c.src(l) in keep and c.tgt(l) in keep for l in key):
+                new[key] = dict(vec)
+        if new:
+            mult[p] = new
+    return AInfCategory(c.field, objs, hom, units, mult)

@@ -368,17 +368,27 @@ def naive_quotient_table(r, quotient, q):
 
 def naive_filtration_report(r, filt):
     """``check_filtration(r, filt).to_json()`` from the definitions: each
-    product of spanning vectors by :func:`naive_mult`, each containment by
-    :func:`naive_rank`, every product evaluated and tested where it occurs."""
+    product of spanning vectors by :func:`naive_mult`, each level brought to
+    :func:`naive_rref` once and a vector inside it when the reduced form
+    clears it, every product evaluated and tested where it occurs."""
     field = r.field
     obj = r.objects[0]
     space = r.hom[(obj, obj)]
     labels, dim = space.labels, space.dim
     levels = [[dense(field, r, dim) for r in lv.rows] for lv in filt.levels]
     n = len(levels) - 1
+    reduced = [naive_rref(field, level, dim) for level in levels]
 
-    def inside(rows, vecs):
-        return naive_rank(field, list(rows) + list(vecs), dim) == naive_rank(field, rows, dim)
+    def inside(k, vecs):
+        for v in vecs:
+            v = list(v)
+            for row, piv in zip(*reduced[k]):
+                c = v[piv]
+                if c != 0:
+                    v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
+            if any(a != 0 for a in v):
+                return False
+        return True
 
     checks = []
 
@@ -386,13 +396,13 @@ def naive_filtration_report(r, filt):
         witnesses = sorted(witnesses, key=lambda w: (w["arity"], tuple(w["tuple"])))
         checks.append({"name": name, "passed": not witnesses, "detail": detail, "witnesses": witnesses})
 
-    full = naive_rank(field, levels[0], dim) == dim
+    full = len(reduced[0][1]) == dim
     add("f0_full", [] if full else [{"arity": 0, "tuple": [0], "reason": "F^0 != R"}],
         f"dim F^0 = {len(levels[0])}, dim R = {dim}")
     add("fn_zero", [] if not levels[n] else [{"arity": 0, "tuple": [n], "reason": f"F^{n} != 0"}],
         f"dim F^{n} = {len(levels[n])}")
     add("decreasing", [{"arity": 0, "tuple": [p], "reason": f"F^{p+1} not inside F^{p}"}
-                       for p in range(n) if not inside(levels[p], levels[p + 1])])
+                       for p in range(n) if not inside(p, levels[p + 1])])
     add("graded", [{"arity": 0, "tuple": [p], "reason": "level not spanned by homogeneous vectors"}
                    for p in range(n + 1)
                    if any(len({space.degrees[i] for i, a in enumerate(row) if a != 0}) > 1
@@ -406,7 +416,7 @@ def naive_filtration_report(r, filt):
             for combo in itertools.product(*[levels[i] for i in indices]):
                 args = [{labels[k]: c for k, c in enumerate(v) if c != 0} for v in combo]
                 out = naive_mult(r, p, args)
-                if out and not inside(levels[total], [tuple(out.get(lab, field.zero) for lab in labels)]):
+                if out and not inside(total, [tuple(out.get(lab, field.zero) for lab in labels)]):
                     bad.append({
                         "arity": p,
                         "tuple": list(indices),

@@ -11,11 +11,11 @@ from ainfbench import (
     algebra,
     category,
     check_stasheff,
-    full_subcategory,
     opposite,
     validate_structure,
 )
-from ainfbench.ainf import _insertion_sums
+from ainfbench import ainf
+from ainfbench.ainf import _insertion_sums, _units_certify
 from ainfbench.auslander import build_auslander
 from ainfbench.filtration import Filtration
 from ainfbench.hochschild import HochschildCochain, deform_by_cocycle, diagonal_bimodule, is_cocycle
@@ -26,11 +26,13 @@ from .corpus import (
     LARGE_DENOMINATORS,
     _subspace_from_labels,
     dual_numbers,
+    full_subcategory,
     nonassociative_example,
     path_algebra_a3,
     random_associative_algebra,
     rescaled,
     toy_algebra,
+    truncated_polynomial,
     unital_m2,
     upper_triangular_2,
 )
@@ -257,6 +259,129 @@ def test_insertion_sums_composable_tuples_only():
     singles = [({("q", "p"): {"ey": F(3, 4)}, ("p", "p"): {"p": F(1)}}, lambda degs: 1)]
     sums = _insertion_sums(c, [empty_inner, far_break], singles)
     assert sums == {("p", "q"): {"p": F(1, 6)}, ("q", "p"): {"ey": F(-3, 4)}}
+
+
+def _restricted(sums, skip):
+    return {t: v for t, v in sums.items() if skip.isdisjoint(t)}
+
+
+def test_insertion_sums_skip_empty_inner_and_singles():
+    # the category of test_insertion_sums_composable_tuples_only, with units
+    # in outer, inner and single keys: skipping a set of labels gives the
+    # full sums restricted to the tuples that hold none of them
+    hom = {
+        ("x", "x"): GradedSpace(("ex",), (0,)),
+        ("y", "y"): GradedSpace(("ey",), (0,)),
+        ("x", "y"): GradedSpace(("p",), (0,)),
+        ("y", "x"): GradedSpace(("q",), (0,)),
+    }
+    c = category(QQ, ("x", "y"), hom, {"x": "ex", "y": "ey"}, {})
+    plus = lambda degs, r=None: (0, 0)
+    outer = {("p", "ex", "q"): {"p": F(1, 2)}, ("ex", "q"): {"q": F(2)}, ("ey", "p"): {"p": F(1)},
+             ("q", "ey"): {"q": F(1)}, ("ex", "ex"): {"ex": F(1)}}
+    inner = {(): {"ex": F(1, 3), "ey": F(1, 5)}, ("q", "p"): {"ex": F(1)}, ("ex", "ex"): {"ex": F(1)},
+             ("p", "q"): {"ey": F(1, 7)}}
+    singles = [({("q", "p"): {"ey": F(3, 4)}, ("ex", "q"): {"q": F(1)}, ("ey", "p"): {"p": F(5)}},
+                lambda degs: 1)]
+    pairs = [(outer, inner, plus, plus)]
+    full = _insertion_sums(c, pairs, singles)
+    for skip in ({"ex"}, {"ey"}, {"ex", "ey"}):
+        pruned = _insertion_sums(c, pairs, singles, skip=skip)
+        assert pruned == _restricted(full, skip)
+        assert pruned != full
+    pruned = _insertion_sums(c, pairs, singles, skip={"ex"})
+    # the empty and the nonempty inner key at the unit's own slot of (p, ex, q)
+    assert pruned[("p", "q")] == {"p": F(1, 6)}
+    assert pruned[("p", "q", "p", "q")] == {"p": F(1, 2)}
+    # (ex, q) gets a single, (ex, ex, q) the inner key (ex, ex)
+    assert {("ex", "q"), ("ex", "ex", "q")} <= set(full) - set(pruned)
+
+
+def _x4_gamma(field):
+    """The quotient category of k[x]/x^4 for its radical-power filtration,
+    whose levels are spanned by basis vectors over every field."""
+    x4 = truncated_polynomial(4, field)
+    spans = (["1", "x1", "x2", "x3"], ["x1", "x2", "x3"], ["x2", "x3"], ["x3"], [])
+    return build_auslander(x4, Filtration(x4, [_subspace_from_labels(x4, lab) for lab in spans])).gamma
+
+
+def _relation_pairs(cat, n_max):
+    """The insertions that check_stasheff sums, with its signs."""
+    return [(cat.mult[p], cat.mult[s], lambda degs, r: (r, len(degs) - 1 - r + sum(degs[:r])),
+             lambda degs: (0, len(degs)))
+            for p in cat.mult for s in cat.mult if p + s - 1 <= n_max]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_unit_tuples_skipped_on_strictly_unital_inputs(field):
+    # the pruned sweep is the full one off the unit tuples, and on the unit
+    # tuples the oracle finds no defect, which is what makes skipping them
+    # sound; nonassoc and the deformation fail their relations elsewhere
+    cases = [(toy_algebra(field), 5), (_gamma_of_toy(field), 4), (_x4_gamma(field), 3),
+             (_non_cocycle_deformations(1, field)[0], 3), (nonassociative_example(field), 3)]
+    for cat, n_max in cases:
+        assert _units_certify(cat)
+        units = set(cat.units.values())
+        pairs = _relation_pairs(cat, n_max)
+        full = _insertion_sums(cat, pairs)
+        assert _insertion_sums(cat, pairs, skip=units) == _restricted(full, units)
+        oracle = _oracle_witnesses(cat, n_max)
+        assert all(units.isdisjoint(labels) for _, labels in oracle)
+        assert _stasheff_witnesses(cat, n_max) == oracle
+
+
+def _misplaced_output_category():
+    """Strictly unital, but m_2(f, h) = h lies in hom(b, a), not hom(b, b)."""
+    hom = {
+        ("a", "a"): GradedSpace(("ea",), (0,)),
+        ("b", "b"): GradedSpace(("eb",), (0,)),
+        ("a", "b"): GradedSpace(("f",), (0,)),
+        ("b", "a"): GradedSpace(("h",), (0,)),
+    }
+    m2 = unital_m2([], "ea", {}) | unital_m2([], "eb", {}) | {
+        ("eb", "f"): {"f": F(1)}, ("f", "ea"): {"f": F(1)},
+        ("ea", "h"): {"h": F(1)}, ("h", "eb"): {"h": F(1)},
+        ("f", "h"): {"h": F(1)},
+    }
+    return category(QQ, ("a", "b"), hom, {"a": "ea", "b": "eb"}, {2: m2})
+
+
+def _not_strictly_unital(field):
+    """Categories that break strict unitality one way each, with the check
+    they fail, and one that is strictly unital but misplaces an output."""
+    m2 = unital_m2(["1", "e"], "1", {("1", "e"): {"e": 2}}, field)
+    yield algebra(field, [("1", 0), ("e", 0)], "1", {2: m2}), "units"
+    toy = toy_algebra(field)
+    m3 = {**toy.mult[3], ("1", "e", "e"): {"t": field.one}}
+    yield algebra(field, [("1", 0), ("e", 0), ("t", -1)], "1", {2: toy.mult[2], 3: m3}), "units"
+    yield algebra(field, [("1", 1), ("e", 0), ("t", -1)], "1", toy.mult), "units"
+    if field == QQ:
+        yield _misplaced_output_category(), "composability"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_unit_tuples_swept_when_units_do_not_certify(field):
+    for cat, failing in _not_strictly_unital(field):
+        assert not _units_certify(cat)
+        report = validate_structure(cat)
+        assert not report.check(failing).passed
+        assert report.check("units").passed is (failing != "units")
+        n_max = 2 * cat.arity_bound - 1
+        oracle = _oracle_witnesses(cat, n_max)
+        assert _stasheff_witnesses(cat, n_max) == oracle
+        assert any(not set(cat.units.values()).isdisjoint(labels) for _, labels in oracle)
+
+
+def test_check_stasheff_skips_units_only_when_they_certify(monkeypatch):
+    skips = []
+    sweep = ainf._insertion_sums
+    monkeypatch.setattr(ainf, "_insertion_sums", lambda *args, skip: skips.append(skip) or sweep(*args, skip=skip))
+    for cat, _ in _not_strictly_unital(QQ):
+        check_stasheff(cat)
+    assert skips == [frozenset()] * 4
+    gamma = _gamma_of_toy(QQ)
+    check_stasheff(gamma)
+    assert skips[-1] == set(gamma.units.values())
 
 
 def test_stasheff_nonassociative_witness():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ainfbench import GF, QQ, check_stasheff, full_subcategory, validate_structure
+from ainfbench import GF, QQ, check_stasheff, validate_structure
 from ainfbench.ainf import AInfCategory
 import ainfbench.auslander as auslander
 from ainfbench.auslander import (
@@ -37,6 +37,7 @@ from .corpus import (
     LARGE_DENOMINATORS,
     beilinson_algebra,
     dual_numbers,
+    full_subcategory,
     incompatible_filtration,
     random_filtered_algebra,
     rescaled,

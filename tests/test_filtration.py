@@ -449,13 +449,10 @@ FLAG_ORACLE_CASES = {
 
 
 def _flag_oracle_inputs():
-    # the naive report on Beilinson P^3 takes about 14 s over Q, so P^3 runs
-    # over GF(3) only
     for field in (QQ, GF(3), GF(5)):
         fid = "Q" if field == QQ else f"GF{field.characteristic}"
         for name in FLAG_ORACLE_CASES:
-            if name != "beilinson-3" or field == GF(3):
-                yield pytest.param(field, name, id=f"{name}-{fid}")
+            yield pytest.param(field, name, id=f"{name}-{fid}")
         for k in range(2):
             yield pytest.param(field, k, id=f"random-{k}-{fid}")
 
