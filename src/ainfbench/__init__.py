@@ -46,8 +46,6 @@ from .auslander import (
     AuslanderCategory,
     AuslanderError,
     build_auslander,
-    check_index_inequalities_exhaustive,
-    embed_generator,
 )
 from .perfmod import (
     HomComplexResult,
@@ -109,7 +107,6 @@ __all__ = [
     "build_auslander",
     "category",
     "check_filtration",
-    "check_index_inequalities_exhaustive",
     "check_stasheff",
     "coboundary_trivialization",
     "complex_cohomology",
@@ -118,7 +115,6 @@ __all__ = [
     "degree_filtration",
     "diagonal_bimodule",
     "echelon_basis",
-    "embed_generator",
     "evaluate_at",
     "hochschild_differential",
     "hom_complex",

@@ -16,17 +16,29 @@ The same two facts make every product of representatives strict: it lies
 in its numerator F^{max(i_{p+1}-i_1, 0)} by compatibility and the
 telescoping inequality.
 
-The build makes every check eagerly (compatibility, hom dims, label
-collisions, unit classes, the inequalities) but evaluates Gamma's tables on
-demand (``_Induced``): ``sod`` pays only for the entries its Hom-complexes
-read, while iteration, ``len`` and ``==`` materialize a whole table, so
-``gamma build``, ``validate``, serialization and equality see every entry.
-The levels are deduplicated once, by Subspace equality, so the pairs (j, i)
-with equal numerator and denominator levels share one presentation.
+The same facts certify Gamma's relations.  Lambda(j, i) = F^{max(j-i,0)} is
+closed under every m_p of R (compatibility and the telescoping inequality),
+I(j, i) = F^{n-i} is an ideal of Lambda (the denominator inequality), and
+Gamma = Lambda / I with the induced products, so Gamma's Stasheff defect on
+a tuple is the class of R's defect on lifts, which is 0 when R satisfies
+its relations.  ``gamma build`` rests its verdict on this quotient argument
+and does not sweep Gamma's relations; ``validate`` and ``stasheff`` sweep
+the written file directly.
 
-hom dims satisfy dim Gamma(j,i) = dim F^{max(j-i,0)} - dim F^{n-i}, and
-Gamma(0,0) is R itself on the nose: the generator embeds by a basis-level
-identification that intertwines every product table bit-exactly.
+The build makes every check eagerly (compatibility, F^0 = R, hom dims,
+label collisions, unit classes, the inequalities) and evaluates no product:
+Gamma's tables are evaluated on demand (``_Induced``).  ``sod`` pays only
+for the entries its Hom-complexes read, while iteration, ``len`` and ``==``
+materialize a whole table, so ``gamma build``, ``validate``, serialization
+and equality see every entry.  The levels are deduplicated once, by
+Subspace equality, so the pairs (j, i) with equal numerator and denominator
+levels share one presentation.
+
+hom dims satisfy dim Gamma(j,i) = dim F^{max(j-i,0)} - dim F^{n-i}.  With
+F^0 = R, which the build requires, and F^n = 0, Gamma(0,0) = F^0 / F^n is R
+itself on the nose, with R's products; R's tables are non-empty (the
+category constructor drops empty ones), so Gamma's arities are R's, each
+with a non-empty table.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ import weakref
 from collections.abc import Mapping
 
 from .ainf import AInfCategory, _ProductTable
-from .filtration import Filtration, _Valuations
+from .filtration import Filtration
 from .linalg import GradedSpace, quotient_space
 
 
@@ -71,9 +83,10 @@ def _gamma_label(j, i, lead):
 
 def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
     """Construct Gamma, checking that the filtration is compatible with the
-    products (its flag proof, built once per ``Filtration``), the hom
-    dimensions and the index inequalities for every chain of objects (by
-    ``_least_slack``); its tables are evaluated on demand."""
+    products (its flag proof, built once per ``Filtration``), that F^0 = R,
+    the hom dimensions and the index inequalities for every chain of
+    objects (by ``_least_slack``); its tables, one per arity of R, are
+    evaluated on demand."""
     obj = r.objects[0]
     space = r.hom[(obj, obj)]
     field = r.field
@@ -85,6 +98,8 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
         raise AuslanderError("the levels do not decrease" if not flag.decreasing
                              else f"F^{n} is not 0" if filt.levels[n].dim
                              else "the filtration is not compatible with the products")
+    if len(flag.echelon.rows) != space.dim:  # the flag's rows span F^0
+        raise AuslanderError("F^0 is not R")
 
     p_max = max(r.mult, default=0)
     if p_max >= 1:
@@ -131,8 +146,8 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
                         raise AuslanderError("unit class is not a quotient basis vector")
                     unit_labels[i] = labels[min(cls)]
 
-    induced = _Induced(r, space, flag, quotients, labels_by_pair)
-    mult = {p: _Table(induced, p) for p in induced.arities}
+    induced = _Induced(r, space, n, quotients, labels_by_pair)
+    mult = {p: _Table(induced, p) for p in sorted(r.mult)}
     gamma = AInfCategory._trusted(field, tuple(range(n)), hom, unit_labels, mult)
     induced.gamma = weakref.ref(gamma)
     return AuslanderCategory(r, filt, gamma, quotients)
@@ -140,7 +155,9 @@ def build_auslander(r: AInfCategory, filt: Filtration) -> AuslanderCategory:
 
 class _Induced:
     """The tables m_p of Gamma, induced by those of R through the coset
-    representatives, each a ``_Table`` evaluated on demand.
+    representatives, each a ``_Table`` evaluated on demand.  Gamma has R's
+    arities: Gamma(0,0) = F^0 / F^n is R (see the module docstring), so no
+    product is evaluated to find its nonzero tables.
 
     The representatives are interned once per presentation in one product
     table of Gamma's own, so each product of representatives is evaluated
@@ -151,45 +168,15 @@ class _Induced:
     the cycle collector runs.
     """
 
-    def __init__(self, r: AInfCategory, space, flag, quotients: dict, labels_by_pair: dict):
-        self.n = flag.n
+    def __init__(self, r: AInfCategory, space, n: int, quotients: dict, labels_by_pair: dict):
+        self.n = n
         self.quotients, self.labels_by_pair = quotients, labels_by_pair
         self.products = _ProductTable(r, space)
         ids = {q: self.products.intern(q.reps) for q in dict.fromkeys(quotients.values())}
         self.rep_ids = {pr: ids[q] for pr, q in quotients.items()}
         self.where = {lab: (pr, k) for pr, labels in labels_by_pair.items() for k, lab in enumerate(labels)}
         self.projected: dict = {}  # presentation -> {ids: quotient coordinates}
-        self.arities = self._nonzero_arities(r, flag, ids)
         self.gamma = None  # a weak reference to Gamma, set by the build
-
-    def _nonzero_arities(self, r: AInfCategory, flag, rep_ids: dict) -> list:
-        """The arities of R whose induced table has a nonzero entry.
-
-        The valuation of a product (the largest k with the product in F^k)
-        is read off the filtration's flag, whose proof the build has
-        required, one reduction per distinct product (``_Valuations``).
-        Chain (i_1, ..., i_{p+1}) lands in F^{max(i_{p+1} - i_1, 0)} /
-        F^{n - i_1}, and a product that stays below the denominator level
-        gives a nonzero entry.  The least valuation over a chain's products
-        is taken once per tuple of argument presentations, from the ids of
-        their representatives (``rep_ids``, by presentation)."""
-        n = self.n
-        valuation = _Valuations(self.products, flag.echelon, flag.tags, n)
-        presentation = self.quotients.__getitem__
-        least, arities = {}, []  # argument presentations -> least valuation
-        for p in sorted(r.mult):
-            nonzero = False
-            for chain in itertools.product(range(n), repeat=p + 1):
-                # argument u lives in hom(i_{u+1} -> i_u)
-                args = tuple(map(presentation, zip(chain[1:], chain)))
-                low = least.get(args)
-                if low is None:
-                    low = least[args] = min(map(valuation.__getitem__, itertools.product(
-                        *map(rep_ids.__getitem__, args))), default=n)
-                nonzero = nonzero or low < n - chain[0]
-            if nonzero:
-                arities.append(p)
-        return arities
 
     def _entry(self, out_pair, ids):
         """The Gamma output vector of the product of the representatives
@@ -307,7 +294,8 @@ def _least_slack(n: int, p: int) -> tuple:
     S - d_k - i_k + i_1, minimized over the slot k too.  For each i_1 the
     positions are walked left to right keeping, per current index, the
     least partial sum with no slot chosen yet and the least with slot k
-    already chosen (its d_k skipped, -i_k + i_1 added).
+    already chosen (its d_k skipped, -i_k + i_1 added).  Each step is
+    linear in n (``_relax``).
 
     Repeating the last index of a chain adds a slot without changing the
     other slacks, so the slacks at p bound those at every smaller arity.
@@ -318,63 +306,17 @@ def _least_slack(n: int, p: int) -> tuple:
         free = [0 if v == first else math.inf for v in idx]
         chosen = [math.inf] * n
         for _ in range(p):
-            choose = min(free[v] + first - v for v in idx)
-            free, chosen = (
-                [min(free[v] + max(w - v, 0) for v in idx) for w in idx],
-                [min(choose, min(chosen[v] + max(w - v, 0) for v in idx)) for w in idx],
-            )
+            choose = min(f - v for v, f in enumerate(free)) + first
+            free, chosen = _relax(free), [min(choose, c) for c in _relax(chosen)]
         telescoping = min(telescoping, min(free[w] - max(w - first, 0) for w in idx))
         denominator = min(denominator, min(chosen))
     return telescoping, denominator
 
 
-def check_index_inequalities_exhaustive(n_max: int = 8, p_max: int = 6) -> bool:
-    """Exhaustive proof of both inequalities for p <= p_max, n <= n_max.
-
-    Subtracting n from both sides of the denominator inequality leaves
-    sum_{u != k} max(i_{u+1} - i_u, 0) >= i_k - i_1, so neither inequality
-    mentions n; tuples over {0..n-1} are a subset of those over {0..n_max-1},
-    and one pass over the largest box is exhaustive for every n <= n_max.
-    """
-    return all(min(_least_slack(n_max, p)) >= 0 for p in range(1, p_max + 1))
-
-
-# ---------------------------------------------------------------------------
-# generator embedding
-
-
-def embed_generator(a: AuslanderCategory) -> dict:
-    """Basis-level identification R = Gamma(0,0) intertwining all products.
-
-    Returns the label map R -> Gamma(0,0); raises if any table entry fails to
-    match bit-exactly (which would indicate a construction bug).
-    """
-    r = a.base
-    obj = r.objects[0]
-    space = r.hom[(obj, obj)]
-    q = a.quotients[(0, 0)]
-    if q.denominator.dim != 0 or q.dim != space.dim:
-        raise AuslanderError("Gamma(0,0) is not R on the nose")
-    mapping = {}
-    for k, rep in enumerate(q.reps):
-        if list(rep.values()) != [r.field.one]:
-            raise AuslanderError("Gamma(0,0) representatives are not the basis of R")
-        mapping[space.labels[min(rep)]] = a.gamma.hom[(0, 0)].labels[k]
-
-    gamma = a.gamma
-    for p in sorted(set(r.mult) | set(gamma.mult)):
-        r_table = r.mult.get(p, {})
-        g_table = gamma.mult.get(p, {})
-        g_restricted = {
-            key: vec
-            for key, vec in g_table.items()
-            if all(gamma.src(l) == 0 and gamma.tgt(l) == 0 for l in key)
-        }
-        translated = {}
-        for key, vec in r_table.items():
-            translated[tuple(mapping[l] for l in key)] = {
-                mapping[l]: c for l, c in vec.items()
-            }
-        if translated != g_restricted:
-            raise AuslanderError(f"generator embedding fails to intertwine m_{p}")
-    return mapping
+def _relax(f: list) -> list:
+    """w -> min_v f[v] + max(w - v, 0): for v <= w a running minimum of
+    f[v] - v, plus w, and for v >= w a running minimum of f[v] from the
+    right, so two linear passes."""
+    left = itertools.accumulate([x - v for v, x in enumerate(f)], min)
+    right = list(itertools.accumulate(reversed(f), min))[::-1]
+    return [min(low + w, high) for w, (low, high) in enumerate(zip(left, right))]

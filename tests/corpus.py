@@ -158,7 +158,7 @@ def truncated_polynomial(m, field=QQ):
 
 def incompatible_filtration(field=QQ):
     """k[x]/x^4 with F = (R, (x), 0), which fails the compatibility check
-    (x.x escapes F^2 = 0) while the quotient category build accepts it."""
+    (x.x escapes F^2 = 0), so the quotient category build refuses it."""
     alg = truncated_polynomial(4, field)
     space = alg.hom[(alg.objects[0],) * 2]
     ideal = Subspace(space, field, [{i: field.one} for i in (1, 2, 3)])

@@ -20,15 +20,23 @@ into a dense matrix, with no ``perfmod`` evaluation helper; the composition
 mu2, the Maurer-Cartan defect and the differential of an evaluation are
 summed the same way over their own paths.  The two
 index inequalities of the quotient category are checked one chain at a time,
-as stated, and the independence of its products from the coset
-representatives, which the build proves, is sampled with random lifts.  The
-Hochschild differential is the classical alternating sum, term by term.
+as stated, and their least slacks are the minimum over every chain; the
+independence of its products from the coset representatives, which the build
+proves, is sampled with random lifts, and the identification of R with
+Gamma(0, 0) is checked table by table.  The Hochschild differential is the
+classical alternating sum, term by term.
+
+:func:`check_index_inequalities_exhaustive` is the one check here that runs
+package code: the package's dynamic program ``_least_slack`` over the
+largest box, whose own oracle is :func:`least_slack_brute_force`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+
+from ainfbench.auslander import _least_slack
 
 
 def dense(field, v: dict, n: int) -> tuple:
@@ -587,3 +595,61 @@ def index_inequality_denominators(chain, n: int) -> bool:
         if total - terms[k] + (n - chain[k]) < n - chain[0]:
             return False
     return True
+
+
+def least_slack_brute_force(n: int, p: int) -> tuple:
+    """The least slacks (rhs - lhs) of the telescoping inequality and of the
+    denominator inequality, the latter least over the slots k too, over
+    every chain (i_1, ..., i_{p+1}) in {0..n-1}^{p+1}, one chain at a time."""
+    telescoping = denominator = None
+    for chain in itertools.product(range(n), repeat=p + 1):
+        terms = [max(chain[u + 1] - chain[u], 0) for u in range(p)]
+        total = sum(terms)
+        tel = total - max(chain[p] - chain[0], 0)
+        den = min(total - terms[k] + (n - chain[k]) - (n - chain[0]) for k in range(p))
+        telescoping = tel if telescoping is None else min(telescoping, tel)
+        denominator = den if denominator is None else min(denominator, den)
+    return telescoping, denominator
+
+
+def check_index_inequalities_exhaustive(n_max: int = 8, p_max: int = 6) -> bool:
+    """Exhaustive proof of both inequalities for p <= p_max, n <= n_max.
+
+    Subtracting n from both sides of the denominator inequality leaves
+    sum_{u != k} max(i_{u+1} - i_u, 0) >= i_k - i_1, so neither inequality
+    mentions n; tuples over {0..n-1} are a subset of those over {0..n_max-1},
+    and one pass of ``_least_slack`` over the largest box is exhaustive for
+    every n <= n_max.
+    """
+    return all(min(_least_slack(n_max, p)) >= 0 for p in range(1, p_max + 1))
+
+
+def embed_generator(aus) -> dict:
+    """Basis-level identification R = Gamma(0,0) intertwining all products.
+
+    Returns the label map R -> Gamma(0,0); raises AssertionError if
+    Gamma(0,0) is not R on the nose, with R's basis as its representatives,
+    or if any table entry fails to match bit-exactly."""
+    r, gamma = aus.base, aus.gamma
+    obj = r.objects[0]
+    space = r.hom[(obj, obj)]
+    q = aus.quotients[(0, 0)]
+    if q.denominator.dim != 0 or q.dim != space.dim:
+        raise AssertionError("Gamma(0,0) is not R on the nose")
+    mapping = {}
+    for k, rep in enumerate(q.reps):
+        if list(rep.values()) != [r.field.one]:
+            raise AssertionError("Gamma(0,0) representatives are not the basis of R")
+        mapping[space.labels[min(rep)]] = gamma.hom[(0, 0)].labels[k]
+    for p in sorted(set(r.mult) | set(gamma.mult)):
+        restricted = {
+            key: vec for key, vec in gamma.mult.get(p, {}).items()
+            if all(gamma.src(lab) == 0 and gamma.tgt(lab) == 0 for lab in key)
+        }
+        translated = {
+            tuple(mapping[lab] for lab in key): {mapping[lab]: c for lab, c in vec.items()}
+            for key, vec in r.mult.get(p, {}).items()
+        }
+        if translated != restricted:
+            raise AssertionError(f"generator embedding fails to intertwine m_{p}")
+    return mapping

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 from ainfbench import QQ, check_stasheff, validate_structure
-from ainfbench.auslander import build_auslander, check_index_inequalities_exhaustive
+from ainfbench.auslander import build_auslander
 from ainfbench.cli import main as cli_main
 from ainfbench.filtration import (
     appendix_filtration,
@@ -38,7 +38,7 @@ from .corpus import (
     random_filtered_algebra,
     toy_algebra,
 )
-from .oracles import lift_independence_sampled
+from .oracles import check_index_inequalities_exhaustive, lift_independence_sampled
 from .test_perfmod import random_twisted_complex
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

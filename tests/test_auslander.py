@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import random
 import weakref
 from collections import Counter
@@ -16,9 +17,8 @@ import ainfbench.auslander as auslander
 from ainfbench.auslander import (
     AuslanderError,
     _least_slack,
+    _relax,
     build_auslander,
-    check_index_inequalities_exhaustive,
-    embed_generator,
 )
 from ainfbench.filtration import (
     Filtration,
@@ -46,8 +46,11 @@ from .corpus import (
     truncated_polynomial,
 )
 from .oracles import (
+    check_index_inequalities_exhaustive,
+    embed_generator,
     index_inequality_denominators,
     index_inequality_telescoping,
+    least_slack_brute_force,
     lift_independence_sampled,
     naive_gamma_table,
 )
@@ -143,26 +146,24 @@ def test_index_inequalities_exhaustive_small():
     assert check_index_inequalities_exhaustive(n_max=5, p_max=4)
 
 
-def _chain_slacks(chain, n):
-    """rhs - lhs of the telescoping inequality, and of the denominator
-    inequality least over the slots k, for one chain."""
-    p = len(chain) - 1
-    terms = [max(chain[u + 1] - chain[u], 0) for u in range(p)]
-    total = sum(terms)
-    telescoping = total - max(chain[p] - chain[0], 0)
-    denominator = min(total - terms[k] + (n - chain[k]) - (n - chain[0]) for k in range(p))
-    return telescoping, denominator
-
-
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_least_slack_matches_brute_force(n):
     for p in range(1, 5):
-        chains = list(itertools.product(range(n), repeat=p + 1))
-        slacks = [_chain_slacks(c, n) for c in chains]
-        for c, (tel, den) in zip(chains, slacks):
-            assert index_inequality_telescoping(c) == (tel >= 0)
-            assert index_inequality_denominators(c, n) == (den >= 0)
-        assert _least_slack(n, p) == tuple(min(col) for col in zip(*slacks))
+        least = least_slack_brute_force(n, p)
+        assert _least_slack(n, p) == least
+        chains = itertools.product(range(n), repeat=p + 1)
+        assert all(index_inequality_telescoping(c) and index_inequality_denominators(c, n)
+                   for c in chains) == (min(least) >= 0)
+
+
+def test_relax_matches_its_definition():
+    # the least slacks are 0 at every n and p, attained by constant chains,
+    # so the step of the dynamic program is checked on its own
+    rng = random.Random(23)
+    for n in range(1, 9):
+        for _ in range(20):
+            f = [rng.choice([math.inf, *range(-4, 5)]) for _ in range(n)]
+            assert _relax(f) == [min(f[v] + max(w - v, 0) for v in range(n)) for w in range(n)]
 
 
 def test_build_refuses_failed_inequality(monkeypatch):
@@ -284,8 +285,8 @@ def test_gamma_matches_golden_digest(case):
 
 
 def test_sweeps_evaluate_each_product_once(monkeypatch):
-    # the filtration check, the ideal check with the induced tables, and the
-    # Gamma build each meet the same argument tuples many times over
+    # the filtration check and the ideal check with the induced tables each
+    # meet the same argument tuples many times over
     alg = rescaled(truncated_polynomial(6), random.Random(8))
     filt, _ = appendix_filtration(alg, kappa=1)
     calls = Counter()
@@ -297,11 +298,14 @@ def test_sweeps_evaluate_each_product_once(monkeypatch):
 
     monkeypatch.setattr(AInfCategory, "apply", counting)
     for sweep in (lambda: check_filtration(alg, filt),
-                  lambda: quotient_by_ideal(alg, filt.levels[1]),
-                  lambda: build_auslander(alg, filt)):
+                  lambda: quotient_by_ideal(alg, filt.levels[1])):
         calls.clear()
         sweep()
         assert calls and max(calls.values()) == 1
+    # the build evaluates no product: its tables are read on demand
+    calls.clear()
+    build_auslander(alg, filt)
+    assert not calls
 
 
 @pytest.mark.parametrize("alg, filt", [
@@ -467,3 +471,80 @@ def test_build_refuses_levels_its_flag_cannot_prove(levels, message):
     assert not check_filtration(alg, filt).passed
     with pytest.raises(AuslanderError, match=message):
         build_auslander(alg, filt)
+
+
+def _span(alg, *labels):
+    space = alg.hom[(alg.objects[0],) * 2]
+    return Subspace(space, alg.field, [{space.index(lab): 1} for lab in labels])
+
+
+def _x4_subalgebra_filtration():
+    """k[x]/x^4 with F = (span(1, x^2), span(x^2), 0): the flag proves the
+    products compatible, but Gamma(0, 0) would be F^0, with hom dims
+    ((2, 1), (1, 1))."""
+    alg = truncated_polynomial(4)
+    return Filtration(alg, [_span(alg, "1", "x2"), _span(alg, "x2"), zero_subspace(alg)])
+
+
+def _toy_unit_filtration():
+    """toy with F = (span(1), 0): Gamma's m_3 would be an empty table."""
+    alg = toy_algebra()
+    return Filtration(alg, [_span(alg, "1"), zero_subspace(alg)])
+
+
+@pytest.mark.parametrize("make", [_x4_subalgebra_filtration, _toy_unit_filtration],
+                         ids=["x4-subalgebra", "toy-unit"])
+def test_build_refuses_f0_other_than_r(make):
+    filt = make()
+    alg = filt.algebra
+    assert filt._flag(alg).compatible
+    report = check_filtration(alg, filt)
+    assert [c.name for c in report.checks if not c.passed] == ["f0_full"]
+    with pytest.raises(AuslanderError, match=r"F\^0 is not R"):
+        build_auslander(alg, filt)
+
+
+CORPUS_FIELDS = {"Q": QQ, "GF3": GF(3), "GF5": GF(5)}
+CORPUS_FILTERED = {
+    "toy": lambda f: _appendix_case(toy_algebra(f)),
+    "toy-degree": lambda f: (toy_algebra(f), degree_filtration(toy_algebra(f))),
+    "x6": lambda f: _appendix_case(truncated_polynomial(6, f)),
+    "x7": lambda f: _appendix_case(truncated_polynomial(7, f)),
+    "trivext-2-1": lambda f: _appendix_case(trivial_extension(2, 1, f)),
+    "trivext-3-1": lambda f: _appendix_case(trivial_extension(3, 1, f)),
+    "trivext-3-2": lambda f: _appendix_case(trivial_extension(3, 2, f), 2),
+    "beilinson-2": lambda f: _appendix_case(beilinson_algebra(2, f)),
+    "random": lambda f: random_filtered_algebra(random.Random(f"gamma-corpus:{f.characteristic}"), f),
+}
+# the appendix filtration needs the trace kernel to be the radical, which it
+# is not in dimension 6 over GF(3), nor for Beilinson P^2 (dimension 10)
+# over GF(5)
+CORPUS_GAMMAS = [f"{name}/{f}" for f in CORPUS_FIELDS for name in CORPUS_FILTERED
+                 if f"{name}/{f}" not in {"x6/GF3", "trivext-3-1/GF3", "trivext-3-2/GF3",
+                                          "beilinson-2/GF5"}]
+
+
+def _corpus_filtered(case):
+    name, field = case.split("/")
+    return CORPUS_FILTERED[name](CORPUS_FIELDS[field])
+
+
+@pytest.mark.parametrize("case", CORPUS_GAMMAS)
+def test_gamma_has_the_arities_of_r(case):
+    # Gamma(0, 0) = F^0 / F^n is R, so every arity of R has a non-empty
+    # table in Gamma, and Gamma has no other
+    alg, filt = _corpus_filtered(case)
+    gamma = build_auslander(alg, filt).gamma
+    assert list(gamma.mult) == sorted(alg.mult)
+    assert all(len(table) > 0 for table in gamma.mult.values())
+
+
+@pytest.mark.parametrize("case", CORPUS_GAMMAS)
+def test_direct_sweep_passes_on_corpus_gammas(case):
+    # the oracle for the quotient argument of ``gamma build``, which does
+    # not sweep Gamma's relations: the direct sweep passes on every Gamma
+    alg, filt = _corpus_filtered(case)
+    assert check_stasheff(alg).passed
+    gamma = build_auslander(alg, filt).gamma
+    assert validate_structure(gamma).passed
+    assert check_stasheff(gamma).passed

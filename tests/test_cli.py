@@ -650,7 +650,7 @@ def test_cli_stage_timings(tmp_path, capsys):
     assert set(json.loads(out)["timings"]) == {"total_s", "build_s", "cohomology_s"}
     code, out, _ = run(capsys, "gamma", "build", TOY, "-o", str(tmp_path / "g.json"))
     assert code == 0
-    assert set(json.loads(out)["timings"]) == {"total_s", "build_s", "relations_s"}
+    assert set(json.loads(out)["timings"]) == {"total_s", "build_s"}
     code, out, _ = run(capsys, "sod", TOY, "--format", "text")
     assert code == 0
     assert out.splitlines()[-1].startswith("timings: build_s ")
@@ -659,13 +659,14 @@ def test_cli_stage_timings(tmp_path, capsys):
 
 
 def test_cli_relations_timing(tmp_path, capsys):
-    # every command that runs the relation sweep times it inside ``timings``
+    # every command that runs the relation sweep times it inside ``timings``;
+    # ``gamma build`` certifies the quotient category's relations by the
+    # quotient argument, with no sweep and so no ``relations_s``
     cochain = tmp_path / "eta.json"
     cochain.write_text(json.dumps({"arity": 2, "table": [{"inputs": ["e", "e"], "output": {"e": "1"}}]}))
     commands = [
         ("validate", TOY),
         ("stasheff", NONASSOC),
-        ("gamma", "build", TOY, "-o", str(tmp_path / "g.json")),
         ("deform", TOY, "--cochain", str(cochain), "-o", str(tmp_path / "d.json")),
     ]
     for argv in commands:
@@ -673,3 +674,7 @@ def test_cli_relations_timing(tmp_path, capsys):
         assert code in (0, 1), argv
         timings = json.loads(out)["timings"]
         assert 0 <= timings["relations_s"] <= timings["total_s"], argv
+    code, out, _ = run(capsys, "gamma", "build", TOY, "-o", str(tmp_path / "g.json"))
+    report = json.loads(out)
+    assert code == 0 and report["relations_method"] == "quotient"
+    assert "relations" not in report and "relations_s" not in report["timings"]
