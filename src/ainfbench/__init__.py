@@ -19,7 +19,6 @@ from .linalg import (
     QuotientPresentation,
     Subspace,
     complex_cohomology,
-    echelon_basis,
     quotient_space,
 )
 from .ainf import (
@@ -114,7 +113,6 @@ __all__ = [
     "deform_by_cocycle",
     "degree_filtration",
     "diagonal_bimodule",
-    "echelon_basis",
     "evaluate_at",
     "hochschild_differential",
     "hom_complex",

@@ -30,9 +30,10 @@ relation checks.  ``filtration appendix`` also reports FAIL, with a failed
 
 ``gamma build`` reports ``lift_independence`` from the build itself: it runs
 only on a filtration that passes its compatibility check, whose flag proof
-the build reuses (and refuses to build without), and the build proves the
-index inequalities, which together make the induced products independent of
-the coset representatives.  The same facts, with R's relations from the
+the build reuses (and refuses to build without), and the index
+inequalities, which hold for every chain of objects (proved in the
+``auslander`` docstring); together they make the induced products
+independent of the coset representatives.  The same facts, with R's relations from the
 input gate, certify the quotient category's relations (``"relations_method":
 "quotient"``, see ``auslander``), so ``gamma build`` does not sweep them;
 ``validate`` and ``stasheff`` run the direct sweep on the written file.
@@ -284,7 +285,7 @@ def cmd_gamma_build(args) -> int:
             "objects": aus.n,
             "hom_dims": [list(row) for row in aus.hom_dims()],
             "total_dim": aus.gamma.total_dim(),
-            # the filtration check and the build's inequality proof
+            # the filtration check and the index inequalities (a theorem)
             "lift_independence": True,
             "output": args.output,
             "structure": structure.to_json(),

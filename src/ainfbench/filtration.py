@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .ainf import AInfCategory, ValidationReport, _ProductTable
-from .linalg import GradedSpace, Subspace, _Echelon, quotient_space
+from .linalg import GradedSpace, Subspace, _Echelon, _kernel, quotient_space
 
 
 class FiltrationError(ValueError):
@@ -387,7 +387,7 @@ def _radical_powers(a: AInfCategory) -> list:
     kernel = _trace_kernel(quotient)
     if kernel:
         raise RadicalError("the quotient by the trace kernel has a nonzero trace kernel",
-                           _witness("R/J has a nonzero trace kernel", dict(enumerate(kernel[0])),
+                           _witness("R/J has a nonzero trace kernel", dict(sorted(kernel[0].items())),
                                     _one_object(quotient)[1], field))
     return powers
 
@@ -406,20 +406,20 @@ def _trace_kernel(a: AInfCategory):
             out = a.apply_labels(2, (lab, labj))
             t = field.add(t, out.get(labj, field.zero))
         tr.append(t)
-    # T[i][j] = trace(L_{b_i b_j}); equations sum_i x_i T[i][j] = 0
+    # T[i][j] = trace(L_{b_i b_j}); equations sum_i x_i T[i][j] = 0, one
+    # sparse row per j
     rows = []
     for j in range(d):
-        row = []
+        row = {}
         for i in range(d):
             out = a.apply_labels(2, (space.labels[i], space.labels[j]))
             val = field.zero
             for lab, c in out.items():
                 val = field.add(val, field.mul(c, tr[space.index(lab)]))
-            row.append(val)
-        rows.append(tuple(row))
-    from .linalg import nullspace
-
-    return list(nullspace(field, tuple(rows), d))
+            if val != 0:
+                row[i] = val
+        rows.append(row)
+    return _kernel(field, rows, d)
 
 
 def _powers(r: AInfCategory, j: Subspace) -> list:

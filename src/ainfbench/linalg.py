@@ -1,18 +1,16 @@
 """Exact graded linear algebra: echelon spans, quotients, finite complexes.
 
 Everything here is coordinate-based over an :class:`~ainfbench.scalars.ExactField`.
-A vector is a sparse dict index -> nonzero scalar.  Every vector this module
-hands out (the rows of a :class:`Subspace`, the representatives of a
-:class:`QuotientPresentation`, projections, lifts and cohomology classes)
-has its keys in ascending index order.  ``Subspace``, ``QuotientPresentation``
-and ``quotient_space`` also take dense coordinate tuples as input, and
-coordinates entering an elimination pass ``ExactField.coerce``, which rejects
-floats and bools.  Only the dense utilities ``rref``, ``nullspace``,
-``solve_linear`` and ``echelon_basis`` and the matrix views of a
-:class:`FiniteComplex` work on tuples: matrices are tuples of row tuples,
-acting on column vectors (``out[i] = sum_j M[i][j] * v[j]``).  A
-``FiniteComplex`` also takes its differentials as sparse columns
-``{j: {i: scalar}}``.
+A vector is a sparse dict index -> scalar, in every form this module takes
+and hands out.  Vectors going in (to :class:`Subspace`,
+:class:`QuotientPresentation` and ``quotient_space``) pass
+``ExactField.coerce``, which rejects floats and bools, and lose their zero
+entries; any other form, a coordinate tuple among them, raises
+:class:`LinAlgError`.  Every vector this module hands out (the rows of a
+``Subspace``, the representatives of a ``QuotientPresentation``,
+projections, lifts and cohomology classes) has no zero entry and its keys in
+ascending index order.  A :class:`FiniteComplex` takes its differentials as
+sparse columns ``{j: {i: scalar}}`` and keeps them that way.
 
 All elimination is one private sparse semi-echelon form, ``_Echelon``: rows
 ``{col: scalar}`` keyed by pivot, each 1 at its pivot and 0 before it and at
@@ -52,6 +50,7 @@ columns seeds the presentation and the candidates are the kernel basis of
 d_q, computed from the rows transposed from its columns.  No containment
 test is needed, as ``FiniteComplex`` has checked d o d = 0, in ints: over Q
 each degree's columns are scaled by the lcm of their denominators first.
+``_solve`` reads one preimage off the reduced rows of the same transpose.
 """
 
 from __future__ import annotations
@@ -67,40 +66,32 @@ class LinAlgError(ValueError):
 
 
 class ContainmentError(LinAlgError):
-    """Denominator not contained in numerator; carries a witness vector."""
+    """Denominator not contained in numerator; carries a witness vector,
+    a denominator row outside the numerator, sparse."""
 
-    def __init__(self, witness):
-        self.witness = tuple(witness)
+    def __init__(self, witness: dict):
+        self.witness = witness
         super().__init__(f"containment violation, witness vector {self.witness}")
 
 
 # ---------------------------------------------------------------------------
-# vectors and matrices
+# vectors
 
 
-def vec_is_zero(v) -> bool:
-    return all(a == 0 for a in v)
-
-
-def _fits(v, n: int) -> bool:
-    """Whether a dense or sparse vector fits an ambient of dimension ``n``."""
-    return all(0 <= j < n for j in v) if isinstance(v, dict) else len(v) == n
-
-
-def _sparse(field, v) -> dict:
-    """Coordinates as a dict index -> nonzero scalar, through ``field.coerce``;
-    ``v`` is a dense sequence or a dict index -> scalar."""
+def _sparse(field, v, n: int) -> dict:
+    """The vector ``v`` as a dict index -> nonzero scalar, through
+    ``field.coerce``; LinAlgError unless ``v`` is a dict index -> scalar
+    with every index in 0..n-1."""
+    if not isinstance(v, dict):
+        raise LinAlgError(f"vectors are sparse dicts {{index: scalar}}, not {type(v).__name__}")
     out = {}
-    for j, a in v.items() if isinstance(v, dict) else enumerate(v):
+    for j, a in v.items():
+        if not 0 <= j < n:
+            raise LinAlgError(f"dimension mismatch: index {j} outside the ambient dimension {n}")
         a = field.coerce(a)
         if a != 0:
             out[j] = a
     return out
-
-
-def _dense(field, v: dict, n: int) -> tuple:
-    zero = field.zero
-    return tuple(v.get(j, zero) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -163,31 +154,30 @@ def _reduced(field: ExactField, rows) -> _Echelon:
     return reduced
 
 
-def rref(field: ExactField, rows):
-    """Reduced row echelon form; returns (rows, pivot columns), zero rows dropped."""
-    rows = list(rows)
-    if not rows:
-        return (), ()
-    ncols = len(rows[0])
-    reduced = _reduced(field, [_sparse(field, r) for r in rows]).rows
-    return tuple(_dense(field, r, ncols) for r in reduced.values()), tuple(reduced)
-
-
-def solve_linear(field: ExactField, m, b):
-    """One solution x of M x = b, or None if inconsistent (free variables 0)."""
-    if not m:
-        return () if vec_is_zero(b) else None
-    ncols = len(m[0])
-    augmented = [tuple(row) + (bi,) for row, bi in zip(m, b)]
-    rows, pivots = rref(field, augmented)
-    if pivots and pivots[-1] == ncols:
+def _solve(field: ExactField, columns: dict, b: dict, ncols: int):
+    """One solution x of M x = b as a sparse vector in ascending index order,
+    or None when there is none.  M has ``ncols`` columns, given sparse
+    (``{j: {i: scalar}}``, as ``FiniteComplex.columns``), and ``b`` is sparse;
+    neither holds a zero entry.  The rows of [M | b] are brought to reduced
+    echelon form: b lies outside the image iff column ``ncols`` is a pivot,
+    and otherwise each pivot variable is read off its row with every free
+    variable 0 (a reduced row vanishes at every other pivot)."""
+    rows = _transpose(columns)
+    for i, a in b.items():
+        rows.setdefault(i, {})[ncols] = a
+    reduced = _reduced(field, rows.values()).rows
+    if ncols in reduced:
         return None
-    # reduced rows vanish at the other pivots, so each pivot variable is
-    # read off its row once the free variables are 0
-    x = [field.zero] * ncols
-    for piv, row in zip(pivots, rows):
-        x[piv] = row[ncols]
-    return tuple(x)
+    return {piv: row[ncols] for piv, row in reduced.items() if ncols in row}
+
+
+def _transpose(columns: dict) -> dict:
+    """The sparse rows {i: {j: scalar}} of the matrix with sparse ``columns``."""
+    rows: dict = {}
+    for j, col in columns.items():
+        for i, a in col.items():
+            rows.setdefault(i, {})[j] = a
+    return rows
 
 
 def _kernel(field: ExactField, rows, ncols: int) -> list:
@@ -202,11 +192,6 @@ def _kernel(field: ExactField, rows, ncols: int) -> list:
             if j != piv:
                 basis[j][piv] = field.neg(a)
     return list(basis.values())
-
-
-def nullspace(field: ExactField, m, ncols: int):
-    """Basis of the kernel of the matrix ``m`` (rows act on length-``ncols`` vectors)."""
-    return tuple(_dense(field, v, ncols) for v in _kernel(field, [_sparse(field, r) for r in m], ncols))
 
 
 # ---------------------------------------------------------------------------
@@ -250,30 +235,25 @@ class GradedSpace:
 class Subspace:
     """Span of vectors in a graded ambient space, held in reduced echelon form.
 
-    Vectors, here and in ``contains``, are coordinate tuples or sparse dicts
-    index -> scalar.  The sparse reduced rows (``rows``, not to be mutated)
-    are the span's ``_Echelon``, and ``pivots`` their leading indices."""
+    Vectors, here and in ``contains``, are sparse dicts index -> scalar
+    (see the module docstring).  The sparse reduced rows (``rows``, not to
+    be mutated) are the span's ``_Echelon``, and ``pivots`` their leading
+    indices."""
 
     def __init__(self, ambient: GradedSpace, field: ExactField, vectors=()):
         self.ambient = ambient
         self.field = field
-        self._echelon = _reduced(field, [self._coords(v) for v in vectors])
+        self._echelon = _reduced(field, [_sparse(field, v, ambient.dim) for v in vectors])
         self.rows = tuple(self._echelon.rows.values())
         self.pivots = tuple(self._echelon.rows)
         self.graded = all(len({ambient.degrees[i] for i in r}) == 1 for r in self.rows)
-
-    def _coords(self, v) -> dict:
-        """A dense or sparse vector as a sparse one, checked against the ambient."""
-        if not _fits(v, self.ambient.dim):
-            raise LinAlgError(f"vector does not fit the ambient dimension {self.ambient.dim}")
-        return _sparse(self.field, v)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def contains(self, v) -> bool:
-        return not self._echelon.reduce(self._coords(v))
+        return not self._echelon.reduce(_sparse(self.field, v, self.ambient.dim))
 
     def _same_ambient(self, other: "Subspace") -> None:
         if other.ambient is not self.ambient and other.ambient != self.ambient:
@@ -287,13 +267,6 @@ class Subspace:
         self._same_ambient(other)
         return Subspace(self.ambient, self.field, self.rows + other.rows)
 
-    def degree_dims(self) -> dict:
-        out: dict = {}
-        for r in self.rows:
-            d = self.ambient.degree_of_vector(r)
-            out[d] = out.get(d, 0) + 1
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -306,17 +279,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient.dim})"
-
-
-def echelon_basis(vectors, field: ExactField, ambient: GradedSpace | None = None) -> Subspace:
-    """Subspace spanned by ``vectors`` with a reduced echelon spanning set."""
-    vectors = tuple(tuple(v) for v in vectors)
-    if ambient is None:
-        if not vectors:
-            raise LinAlgError("cannot infer ambient dimension from an empty family")
-        n = len(vectors[0])
-        ambient = GradedSpace(tuple(f"e{i}" for i in range(n)), (0,) * n)
-    return Subspace(ambient, field, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +297,20 @@ class QuotientPresentation:
     """
 
     def __init__(self, ambient: GradedSpace, field: ExactField, denominator_rows, candidates):
-        """``denominator_rows`` and ``candidates`` are coordinate tuples or
-        sparse dicts index -> scalar; ``denominator_rows`` may also be an
-        ``_Echelon`` of them, which the presentation takes over."""
+        """``denominator_rows`` and ``candidates`` are sparse dicts index ->
+        scalar; ``denominator_rows`` may also be an ``_Echelon`` of them,
+        which the presentation takes over."""
         self.ambient = ambient
         self.field = field
         self.numerator = self.denominator = None  # the Subspaces, set by quotient_space
         if isinstance(denominator_rows, _Echelon):
             self._echelon = denominator_rows
         else:
-            self._echelon = _Echelon(field, [_sparse(field, r) for r in denominator_rows])
+            self._echelon = _Echelon(field, [_sparse(field, r, ambient.dim) for r in denominator_rows])
         self._rep_of = {}  # pivot of a representative's row -> its index
         reps = []
         for v in candidates:
-            new = self._echelon.insert(_sparse(field, v))
+            new = self._echelon.insert(_sparse(field, v, ambient.dim))
             if new is not None:
                 piv, row = new
                 row = self._echelon.rows[piv] = dict(sorted(row.items()))
@@ -429,9 +391,6 @@ def quotient_space(numerator: Subspace, denominator: Subspace, preferred=()) -> 
     ambient = numerator.ambient
     if ambient != denominator.ambient:
         raise LinAlgError("numerator and denominator have different ambients")
-    preferred = tuple(preferred)
-    if not all(_fits(v, ambient.dim) for v in preferred):
-        raise LinAlgError("dimension mismatch")
     seed = _Echelon(numerator.field)  # reduced rows are an echelon already
     seed.rows = {p: dict(r) for p, r in denominator._echelon.rows.items()}
     q = QuotientPresentation(ambient, numerator.field, seed, (*preferred, *numerator.rows))
@@ -439,7 +398,7 @@ def quotient_space(numerator: Subspace, denominator: Subspace, preferred=()) -> 
     if denominator.dim + q.dim != numerator.dim:
         for r in denominator.rows:
             if not numerator.contains(r):
-                raise ContainmentError(_dense(numerator.field, r, ambient.dim))
+                raise ContainmentError(dict(r))
         raise LinAlgError("preferred representative lies outside the numerator")
     q.numerator, q.denominator = numerator, denominator
     return q
@@ -457,13 +416,12 @@ class FiniteComplex:
     """Finite complex of based vector spaces with a degree +1 differential.
 
     ``components[q]`` is the ordered basis (labels) in complex degree q and
-    ``diff[q]`` the map d: C^q -> C^{q+1}, given either as a dense matrix (a
-    sequence of rows) or as sparse columns ``{j: {i: scalar}}``.  Either way
-    its entries pass ``field.coerce`` and only the nonzero ones are kept, as
-    the sparse columns ``columns[q]``; ``diff`` and ``differential(q)`` build
-    dense matrices from them on demand.  d o d = 0 is checked on construction
-    and violations report the failing matrix entry, the first in row-major
-    order.
+    ``diff[q]`` the map d: C^q -> C^{q+1} as sparse columns ``{j: {i:
+    scalar}}``; any other form raises ComplexError.  Its entries pass
+    ``field.coerce`` and only the nonzero ones are kept, as the sparse
+    columns ``columns[q]``.  d o d = 0 is checked on construction and
+    violations report the failing matrix entry (i, j), the first in
+    row-major order.
     """
 
     def __init__(self, field: ExactField, components: dict, diff: dict):
@@ -471,26 +429,19 @@ class FiniteComplex:
         self.components = {q: tuple(labels) for q, labels in components.items() if labels}
         self.columns = {}  # q -> {j: nonzero column j of d_q as {i: scalar}}
         for q, m in diff.items():
-            sparse = isinstance(m, dict)
-            if sparse:
-                entries = ((i, j, a) for j, col in m.items() for i, a in col.items())
-            else:
-                entries = ((i, j, a) for i, row in enumerate(m) for j, a in enumerate(row))
+            if not isinstance(m, dict) or not all(isinstance(col, dict) for col in m.values()):
+                raise ComplexError(f"differential at degree {q} is not sparse columns {{j: {{i: scalar}}}}")
             cols = {}
-            for i, j, a in entries:
-                a = field.coerce(a)
-                if a != 0:
-                    cols.setdefault(j, {})[i] = a
+            for j, col in m.items():
+                for i, a in col.items():
+                    a = field.coerce(a)
+                    if a != 0:
+                        cols.setdefault(j, {})[i] = a
             if not cols:
                 continue
             src = len(self.components.get(q, ()))
             tgt = len(self.components.get(q + 1, ()))
-            if sparse:
-                bad = any(not 0 <= j < src or not all(0 <= i < tgt for i in col)
-                          for j, col in cols.items())
-            else:
-                bad = len(m) != tgt or any(len(row) != src for row in m)
-            if bad:
+            if any(not 0 <= j < src or not all(0 <= i < tgt for i in col) for j, col in cols.items()):
                 raise ComplexError(f"differential at degree {q} has wrong shape")
             self.columns[q] = cols
         # d o d in ints: over Q each degree's columns are scaled by the lcm of
@@ -517,23 +468,6 @@ class FiniteComplex:
 
     def dims(self) -> dict:
         return {q: len(ls) for q, ls in self.components.items()}
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (q % 2) * len(ls) for q, ls in self.components.items())
-
-    @property
-    def diff(self) -> dict:
-        """The nonzero differentials as dense matrices, keyed by degree."""
-        return {q: self.differential(q) for q in self.columns}
-
-    def differential(self, q):
-        """The matrix of d_q as a tuple of row tuples (all zero outside ``diff``)."""
-        rows = [[self.field.zero] * len(self.components.get(q, ()))
-                for _ in self.components.get(q + 1, ())]
-        for j, col in self.columns.get(q, {}).items():
-            for i, a in col.items():
-                rows[i][j] = a
-        return tuple(map(tuple, rows))
 
 
 def _scaled_columns(cols: dict) -> dict:
@@ -575,10 +509,7 @@ class CohomologyData:
             for q, want in self._dims.items():
                 labels = self.complex.components[q]
                 ambient = GradedSpace(labels, (q,) * len(labels))
-                rows: dict = {}  # the rows of d_q, transposed from its columns
-                for j, col in self.complex.columns.get(q, {}).items():
-                    for i, a in col.items():
-                        rows.setdefault(i, {})[j] = a
+                rows = _transpose(self.complex.columns.get(q, {}))  # the rows of d_q
                 kernel = _kernel(field, rows.values(), len(labels))
                 image = self._images.pop(q - 1, None) or _Echelon(field)
                 g = groups[q] = QuotientPresentation(ambient, field, image, kernel)
@@ -601,7 +532,7 @@ class CohomologyData:
         """Coordinates of a cocycle's class in the chosen degree-q basis."""
         g = self.groups.get(q)
         if g is None:
-            if not vec_is_zero(cocycle.values()):
+            if any(c != 0 for c in cocycle.values()):
                 raise LinAlgError("nonzero vector in a zero group")
             return {}
         return g.project_strict(cocycle)

@@ -48,7 +48,7 @@ from functools import cached_property
 
 from .ainf import AInfCategory
 from .auslander import AuslanderCategory
-from .linalg import FiniteComplex, _Echelon, complex_cohomology, solve_linear
+from .linalg import FiniteComplex, _Echelon, _solve, complex_cohomology
 
 
 class ModuleError(ValueError):
@@ -631,13 +631,13 @@ def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, end: HomComplexR
         if df0.is_zero():
             f = f0
         else:
-            m = end.complex.differential(d)
-            target = end.coords_from_morphism(df0)
-            sol = solve_linear(field, m, tuple(field.neg(target.get(i, field.zero)) for i in range(len(m))))
+            target = {i: field.neg(c) for i, c in end.coords_from_morphism(df0).items()}
+            sol = _solve(field, end.complex.columns.get(d, {}), target,
+                         len(end.complex.components.get(d, ())))
             if sol is None:
                 out["failures"].append({"check": "closure", "class": [d, k]})
                 continue
-            f = f0.plus(end.morphism_from_coords(d, dict(enumerate(sol))))
+            f = f0.plus(end.morphism_from_coords(d, sol))
             if not mu1(f).is_zero():
                 out["failures"].append({"check": "closure", "class": [d, k]})
                 continue

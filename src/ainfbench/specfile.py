@@ -192,7 +192,7 @@ def _parse_filtration(levels, category: AInfCategory) -> Filtration:
         for combo in level:
             if not isinstance(combo, dict):
                 raise SpecError(f"filtration level #{i}: combinations are objects")
-            v = [field.zero] * space.dim
+            v = {}
             for lab, c in combo.items():
                 if lab not in space.labels:
                     raise SpecError(f"filtration level #{i}: unknown basis name {lab!r}")
@@ -200,7 +200,7 @@ def _parse_filtration(levels, category: AInfCategory) -> Filtration:
                     v[space.index(lab)] = field.parse(c)
                 except FieldError as exc:
                     raise SpecError(f"filtration level #{i}: {exc}") from None
-            vecs.append(tuple(v))
+            vecs.append(v)
         subs.append(Subspace(space, field, vecs))
     try:
         return Filtration(category, subs)

@@ -165,6 +165,20 @@ def incompatible_filtration(field=QQ):
     return alg, Filtration(alg, [full_subspace(alg), ideal, zero_subspace(alg)])
 
 
+def dg_closure_example(field=QQ):
+    """A DG algebra on which ``sod``'s End comparison must correct a
+    candidate: basis 1 and b in degree 0, a in degree -1, m_1(a) = b, m_2
+    unital with no other products, filtered by F = (R, span(b), 0).  In
+    R/F^1 = span(1, a) the class of a is a cocycle, but its diagonal
+    candidate in End(S_0) is not closed, as m_1 != 0: ``end_comparison``
+    solves for its correction (with a free variable), once per ``sod``.
+    Every corpus algebra with m_1 = 0 has closed diagonal candidates."""
+    alg = algebra(field, [("1", 0), ("a", -1), ("b", 0)], "1",
+                  {1: {("a",): {"b": field.one}}, 2: unital_m2(["1", "a", "b"], "1", {}, field)})
+    span_b = Subspace(alg.hom[(alg.objects[0],) * 2], field, [{2: field.one}])
+    return alg, Filtration(alg, [full_subspace(alg), span_b, zero_subspace(alg)])
+
+
 def trivial_extension(a, kappa, field=QQ):
     """k[x]/(x^a) ⋉ (k[x]/(x^a))[kappa]: x_i in degree 0 and y_i = x_i eps in
     degree -kappa, with y0 = eps and eps^2 = 0."""
@@ -326,12 +340,7 @@ def random_associative_algebra(rng: random.Random, field=QQ):
 
 def _subspace_from_labels(alg, labels_subset):
     space = alg.hom[(alg.objects[0],) * 2]
-    vecs = []
-    for lab in labels_subset:
-        v = [alg.field.zero] * space.dim
-        v[space.index(lab)] = alg.field.one
-        vecs.append(tuple(v))
-    return Subspace(space, alg.field, vecs)
+    return Subspace(space, alg.field, [{space.index(lab): alg.field.one} for lab in labels_subset])
 
 
 def ideal_power(alg, ideal: Subspace, k: int) -> Subspace:
@@ -409,10 +418,7 @@ def _close_to_ideal(alg, seed: Subspace) -> Subspace:
 
     obj = alg.objects[0]
     space = alg.hom[(obj, obj)]
-    full = Subspace(space, alg.field, [
-        tuple(alg.field.one if i == j else alg.field.zero for i in range(space.dim))
-        for j in range(space.dim)
-    ])
+    full = Subspace(space, alg.field, [{j: alg.field.one} for j in range(space.dim)])
     out = seed
     while True:
         grown = out.sum(subspace_product(alg, full, out)).sum(subspace_product(alg, out, full))

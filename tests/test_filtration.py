@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from ainfbench import GF, QQ, algebra, check_stasheff, validate_structure
+import ainfbench.filtration as filtration
 from ainfbench.filtration import (
     AppendixParams,
     Filtration,
@@ -47,12 +48,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def unit_vectors(alg, labels):
     obj = alg.objects[0]
     space = alg.hom[(obj, obj)]
-    vecs = []
-    for lab in labels:
-        v = [alg.field.zero] * space.dim
-        v[space.index(lab)] = alg.field.one
-        vecs.append(tuple(v))
-    return vecs
+    return [{space.index(lab): alg.field.one} for lab in labels]
 
 
 def span_of(alg, labels):
@@ -276,6 +272,28 @@ def test_radical_refuses_trace_kernel_with_non_semisimple_quotient():
     assert list(err.value.witness["vector"]) == ["rq:a1"]
 
 
+def test_radical_witness_lists_labels_in_index_order(monkeypatch):
+    # a sparse kernel vector holds its free column first, then the pivots;
+    # the refusal's witness still lists its labels in ascending index order
+    labels = ["1", "a0", "a1"]
+    alg = algebra(QQ, [(lab, 0) for lab in labels], "1",
+                  {2: unital_m2(labels, "1", {("a1", "a0"): {"a0": -1}})})
+    trace_kernel = filtration._trace_kernel
+
+    def unordered(a):
+        kernel = trace_kernel(a)
+        if a is alg:
+            return kernel
+        assert kernel == [{1: QQ.one}]  # the class of a1, as above
+        return [{1: QQ.one, 0: QQ.of_int(2)}]
+
+    monkeypatch.setattr(filtration, "_trace_kernel", unordered)
+    with pytest.raises(RadicalError, match="nonzero trace kernel") as err:
+        radical(alg)
+    assert err.value.witness["vector"] == {"rq:1": "2", "rq:a1": "1"}
+    assert list(err.value.witness["vector"]) == ["rq:1", "rq:a1"]
+
+
 def test_radical_refuses_nonassociative_fixture():
     # x*x = y and x*y = x: the trace kernel span(x, y) is an ideal with
     # semisimple quotient k, but it is its own square, so not nilpotent
@@ -494,8 +512,8 @@ def test_flag_proof_matches_naive_report(field, case):
 
 def test_quotient_by_ideal_rejects_foreign_ambient():
     toy = toy_algebra()
-    other_dim = Subspace(GradedSpace(("a", "b"), (0, 0)), QQ, [(0, 1)])
-    other_labels = Subspace(GradedSpace(("a", "b", "c"), (0, 0, -1)), QQ, [(0, 0, 1)])
+    other_dim = Subspace(GradedSpace(("a", "b"), (0, 0)), QQ, [{1: 1}])
+    other_labels = Subspace(GradedSpace(("a", "b", "c"), (0, 0, -1)), QQ, [{2: 1}])
     for ideal in (other_dim, other_labels):
         with pytest.raises(FiltrationError, match="not a subspace of the algebra"):
             quotient_by_ideal(toy, ideal)

@@ -20,7 +20,7 @@ from ainfbench.filtration import (
     full_subspace,
     zero_subspace,
 )
-from ainfbench.linalg import Subspace, complex_cohomology
+from ainfbench.linalg import Subspace, _kernel, _transpose, complex_cohomology
 import ainfbench.perfmod as perfmod
 from ainfbench.perfmod import (
     HomComplexResult,
@@ -45,6 +45,7 @@ from ainfbench.perfmod import (
 from .corpus import (
     LARGE_DENOMINATORS,
     beilinson_algebra,
+    dg_closure_example,
     dual_numbers,
     random_filtered_algebra,
     rescaled,
@@ -53,7 +54,18 @@ from .corpus import (
     truncated_polynomial,
     unital_m2,
 )
-from .oracles import dense, naive_evaluation, naive_hom_differential, naive_maurer_cartan, naive_mu2
+from .oracles import (
+    degree_dims,
+    dense,
+    dense_differential,
+    euler_characteristic,
+    naive_evaluation,
+    naive_hom_differential,
+    naive_maurer_cartan,
+    naive_mu2,
+    naive_rank,
+    naive_solve,
+)
 
 F = Fraction
 TOY = Path(__file__).parent.parent / "fixtures" / "toy.json"
@@ -86,7 +98,7 @@ def test_representable_evaluations(toy_aus):
     p0 = representable(toy_aus, 0)
     c = evaluate_at(p0, 0)
     assert sum(len(v) for v in c.components.values()) == 3
-    assert not c.diff
+    assert not c.columns
     # P_1 evaluated at 3 is hom(1 -> 3) = R/F^1, one-dimensional in degree 0
     p1 = representable(toy_aus, 1)
     c13 = evaluate_at(p1, 3)
@@ -218,7 +230,7 @@ def test_cone_values_follow_level_quotients(toy_aus):
                 num = filt.level(i - j)
                 den = filt.level(i - j + 1)
                 expected: dict = {}
-                nd, dd = num.degree_dims(), den.degree_dims()
+                nd, dd = degree_dims(num), degree_dims(den)
                 for d in set(nd) | set(dd):
                     v = nd.get(d, 0) - dd.get(d, 0)
                     if v:
@@ -264,16 +276,9 @@ def test_mu1_squares_to_zero_random_morphisms(toy_aus):
 
 def closed_degree0_morphisms(h):
     """All closed degree-0 basis combinations of a hom-complex."""
-    out = []
-    z = h.complex.differential(0)
-    from ainfbench.linalg import nullspace
-
     dim0 = len(h.basis_by_degree.get(0, ()))
-    if dim0 == 0:
-        return out
-    for v in nullspace(h.source.cat.field, z, dim0):
-        out.append(h.morphism_from_coords(0, dict(enumerate(v))))
-    return out
+    rows = _transpose(h.complex.columns.get(0, {})).values()
+    return [h.morphism_from_coords(0, v) for v in _kernel(h.source.cat.field, rows, dim0)]
 
 
 def random_twisted_complex(aus, rng, depth=2):
@@ -316,7 +321,7 @@ def coordinate_filtration(make, kappa, field):
     for lv in filt_q.levels:
         support = sorted({i for row in lv.rows for i in row})
         assert len(support) == lv.dim
-        unit_rows = [tuple(field.one if k == i else field.zero for k in range(space.dim)) for i in support]
+        unit_rows = [{i: field.one} for i in support]
         levels.append(Subspace(space, field, unit_rows))
     return alg, Filtration(alg, levels)
 
@@ -363,7 +368,7 @@ def test_hom_differential_matches_naive_oracle(field):
             h = homs[(a, b)] = hom_complex(x, y)
             for d, keys in h.basis_by_degree.items():
                 want = naive_hom_differential(h, d)
-                assert h.complex.differential(d) == want
+                assert dense_differential(h.complex, d) == want
                 checked += any(a != 0 for row in want for a in row)
                 # mu1 of a random multi-label morphism: the same combination of columns
                 v, f = random_morphism(h, d)
@@ -389,7 +394,7 @@ def test_hom_differential_matches_naive_oracle(field):
                 labels, matrices = naive_evaluation(x, j)
                 e = evaluate_at(x, j)
                 assert e.components == labels
-                assert {d: e.differential(d) for d in labels} == matrices
+                assert {d: dense_differential(e, d) for d in labels} == matrices
         # the defect of random connections, built without the check: shifts
         # one step apart and mostly one object, so that paths of three
         # degree-0 labels reach m_3
@@ -479,9 +484,9 @@ def test_triangle_euler_characteristic(toy_aus):
     for i in range(n - 1):
         s = cone(psi(toy_aus, i))
         for j in range(n):
-            chi_s = evaluate_at(s, j).euler_characteristic()
-            chi_pi = evaluate_at(representable(toy_aus, i), j).euler_characteristic()
-            chi_pi1 = evaluate_at(representable(toy_aus, i + 1), j).euler_characteristic()
+            chi_s = euler_characteristic(evaluate_at(s, j))
+            chi_pi = euler_characteristic(evaluate_at(representable(toy_aus, i), j))
+            chi_pi1 = euler_characteristic(evaluate_at(representable(toy_aus, i + 1), j))
             assert chi_s == chi_pi - chi_pi1
 
 
@@ -583,6 +588,8 @@ SOD_CASES = {
     "beilinson-2": _appendix(lambda f: beilinson_algebra(2, f), 1),
     # the paper's dimension-3 setting: P^3 with O + O(1) + O(2) + O(3), n = 4
     "beilinson-3": _appendix(lambda f: beilinson_algebra(3, f), 1),
+    # m_1 != 0: the End comparison corrects a diagonal candidate
+    "dg-closure": dg_closure_example,
 }
 
 
@@ -592,7 +599,9 @@ def test_sod_report_matches_golden(case, monkeypatch):
     recorded in ``sod_golden.json`` by an earlier sod: the first three cases
     by the one before the integer Hom-differential kernel, the three whose
     R/F^1 is not k by the one that still built R/F^1 as a second quotient
-    algebra, Beilinson P^3 by the one that built every Hom(S_j, S_i).  sod
+    algebra, Beilinson P^3 by the one that built every Hom(S_j, S_i), the
+    DG closure example by the one that solved for its correction with a
+    dense elimination.  sod
     builds each of its n^2 + n(n+1)/2 Hom-complexes once: every Hom(P_j,
     S_i), and Hom(S_j, S_i) for j <= i (End(S_i) is the S/S table's
     diagonal); the cells j > i follow from the P/S table."""
@@ -605,6 +614,26 @@ def test_sod_report_matches_golden(case, monkeypatch):
     golden = json.loads(SOD_GOLDEN.read_text(encoding="utf-8"))[case]
     assert json.dumps(report, indent=2) == json.dumps(golden, indent=2)
     assert len(built) == aus.n ** 2 + aus.n * (aus.n + 1) // 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_end_comparison_solves_for_the_closure_correction(field, monkeypatch):
+    # the one corpus input whose diagonal candidate is not closed: sod solves
+    # d x = -d f0 once, in End(S_0), and every End check passes; the preimage
+    # is the dense oracle's, every free variable 0, as the correction f_r
+    # depends on it
+    solved = []
+    solve = perfmod._solve
+    monkeypatch.setattr(perfmod, "_solve", lambda *a: solved.append((a, solve(*a))) or solved[-1][1])
+    report = sod_report(build_auslander(*dg_closure_example(field)))
+    assert report.passed, report.to_json()["failures"]
+    assert [c["ok"] for c in report.to_json()["end_algebra_checks"]] == [True, True]
+    assert len(solved) == 1
+    (_, columns, b, ncols), x = solved[0]
+    nrows = 1 + max(i for col in (*columns.values(), b) for i in col)
+    m = tuple(tuple(columns.get(j, {}).get(i, field.zero) for j in range(ncols)) for i in range(nrows))
+    assert x and dense(field, x, ncols) == naive_solve(field, m, dense(field, b, nrows), ncols)
+    assert naive_rank(field, m, ncols) < ncols  # a free variable to set to 0
 
 
 def _labelled_columns(h):
@@ -731,7 +760,7 @@ def test_sod_over_prime_field():
     alg = dual_numbers(f5)
     obj = alg.objects[0]
     space = alg.hom[(obj, obj)]
-    ideal = Subspace(space, f5, [(0, 1)])
+    ideal = Subspace(space, f5, [{1: 1}])
     filt = Filtration(alg, [full_subspace(alg), ideal, zero_subspace(alg)])
     assert check_filtration(alg, filt).passed
     rep = sod_report(build_auslander(alg, filt))
