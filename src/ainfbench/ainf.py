@@ -316,10 +316,6 @@ class _ProductTable:
 # constructors
 
 
-def category(field, objects, hom, units, mult) -> AInfCategory:
-    return AInfCategory(field, objects, hom, units, mult)
-
-
 def algebra(field, basis, unit, mult, obj="*") -> AInfCategory:
     """One-object category from a flat basis list [(label, degree), ...]."""
     labels = tuple(lab for lab, _ in basis)

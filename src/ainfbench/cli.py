@@ -26,6 +26,10 @@ those it reads) and by ``gamma build`` after ``build_s``, in
 nothing, and write no file, for an input algebra that fails its structure or
 relation checks.  ``filtration appendix`` also reports FAIL, with a failed
 ``radical`` check, when the trace kernel of a valid input is not its radical.
+``deform`` reports FAIL, with a failed ``higher_products`` check naming the
+arity and one key of its table, and writes no file, for a base with a
+nonzero m_k, k >= 3: its Hochschild differential inserts only m_2, so no
+``cocycle`` verdict is given there.  ``stasheff --max-arity N`` needs N >= 1.
 ``--jobs N`` is accepted for compatibility and has no effect.
 
 ``gamma build`` reports ``lift_independence`` from the build itself: it runs
@@ -65,6 +69,7 @@ from .filtration import (
 from .hochschild import (
     HochschildCochain,
     HochschildError,
+    _higher_product,
     deform_by_cocycle,
     diagonal_bimodule,
     is_cocycle,
@@ -342,6 +347,14 @@ def cmd_deform(args) -> int:
     }
     eta = HochschildCochain(cat, module, raw["arity"], table)
     deformed = deform_by_cocycle(cat, module, eta)
+    higher = _higher_product(cat)
+    if higher:  # the differential inserts only m_2: no cocycle verdict here
+        k, key = higher
+        report = ValidationReport()
+        report.add("higher_products", False, detail=f"m_{k} is nonzero; deform needs a base with no m_k, k >= 3",
+                   witnesses=[{"arity": k, "tuple": list(key)}])
+        _emit({"command": "deform", "verdict": "FAIL", "report": report.to_json()}, started)
+        return EXIT_FAIL
     cocycle = is_cocycle(eta)
     structure = validate_structure(deformed)
     relations, relations_s = _timed(check_stasheff, deformed)
@@ -377,6 +390,13 @@ def _load_cochain(path: str, cat) -> dict:
     return _parse_cochain(data, cat)
 
 
+def _positive_int(text: str) -> int:
+    """An integer >= 1: a relation sweep up to arity 0 or below checks nothing."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ainfbench",
@@ -392,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stasheff", help="evaluate the defining relations")
     p.add_argument("file")
-    p.add_argument("--max-arity", type=int, default=None)
+    p.add_argument("--max-arity", type=_positive_int, default=None)
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.set_defaults(func="cmd_stasheff")
 

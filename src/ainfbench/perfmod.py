@@ -283,10 +283,6 @@ def _check_entry(source: TwistedComplex, target: TwistedComplex, degree: int, t,
         )
 
 
-def zero_morphism(source: TwistedComplex, target: TwistedComplex, degree: int = 0):
-    return ModuleMorphismElement(source, target, degree, {})
-
-
 def _check_same_category(*complexes):
     """ModuleError unless all live over one category, or equal field and tables."""
     cat = complexes[0].cat
@@ -374,13 +370,10 @@ def representable(aus: AuslanderCategory, i: int) -> TwistedComplex:
     return TwistedComplex(aus.gamma, [(i, 0)], {})
 
 
-def empty_complex(cat: AInfCategory) -> TwistedComplex:
-    return TwistedComplex(cat, [], {})
-
-
 def psi(aus: AuslanderCategory, i: int) -> ModuleMorphismElement:
-    """The closed degree-0 morphism P_{i+1} -> P_i carried by the class of the
-    unit in hom(i -> i+1); on evaluations it acts as the inclusion-style map."""
+    """The degree-0 morphism P_{i+1} -> P_i carried by the class of the
+    unit in hom(i -> i+1); on evaluations it acts as the inclusion-style map.
+    It is closed, which ``cone(psi(aus, i))`` checks."""
     if not 0 <= i <= aus.n - 2:
         raise ModuleError(f"psi index {i} out of range 0..{aus.n - 2}")
     gamma = aus.gamma
@@ -388,26 +381,17 @@ def psi(aus: AuslanderCategory, i: int) -> ModuleMorphismElement:
     obj = r.objects[0]
     unit_vec = r.element_to_coords(r.unit_vector(obj), obj, obj)
     elem = gamma.coords_to_element(aus.quotients[(i, i + 1)].project_strict(unit_vec), i, i + 1)
-    f = ModuleMorphismElement(
-        representable(aus, i + 1), representable(aus, i), 0, {(0, 0): elem}
-    )
-    if not is_closed(f):
-        raise ModuleError("unit class failed to be closed (construction bug)")
-    return f
+    return ModuleMorphismElement(representable(aus, i + 1), representable(aus, i), 0, {(0, 0): elem})
 
 
 def cone(f: ModuleMorphismElement) -> TwistedComplex:
     """Entries of the target followed by the source shifted one step; the
-    morphism fills the connecting block.  Requires f closed of degree 0."""
+    morphism fills the connecting block.  Requires f closed of degree 0: the
+    one place where a morphism is checked for both (ModuleError otherwise)."""
     if f.degree != 0:
         raise ModuleError(f"cone requires a degree-0 morphism, got degree {f.degree}")
     if not is_closed(f):
         raise ModuleError("cone requires a closed morphism")
-    return _cone(f)
-
-
-def _cone(f: ModuleMorphismElement) -> TwistedComplex:
-    """The cone of ``f``, which the caller has checked closed of degree 0."""
     x, y = f.source, f.target
     off = y.size
     entries = list(y.entries) + [(o, k + 1) for o, k in x.entries]
@@ -693,7 +677,7 @@ def _combine(reps, degree, coords: dict, end):
         term = reps[(degree, k)].scaled(c)
         total = term if total is None else total.plus(term)
     if total is None:
-        total = zero_morphism(end.source, end.target, degree)
+        total = ModuleMorphismElement(end.source, end.target, degree)
     return total
 
 
@@ -748,22 +732,19 @@ def sod_report(aus: AuslanderCategory) -> SodReport:
     Gamma: the build has presented it, and the filtration check has proved
     F^1 an ideal.
 
+    S_i is the cone of psi_i for i < n - 1, and S_{n-1} is P_{n-1} itself:
+    the cone of 0 -> P_{n-1} has P_{n-1}'s one entry and no connection.
+
     Hom(P_j, S_i) and, for j <= i, Hom(S_j, S_i) are computed.  For j > i,
     S_{n-1} = P_{n-1}, and Hom(S_j, S_i) extends Hom(P_j, S_i) by Hom(P_{j+1},
     S_i)[-1] (mu1 never lowers the source slot): zero if both are, else built.
     """
     n = aus.n
-    gamma = aus.gamma
-    rbar_h = AlgebraCohomology(gamma, n - 1)
+    rbar_h = AlgebraCohomology(aus.gamma, n - 1)
     rbar_dims = rbar_h.dims()
 
     ps = [representable(aus, i) for i in range(n)]
-    ss = []
-    for i in range(n):
-        if i < n - 1:
-            ss.append(_cone(psi(aus, i)))  # psi has checked that psi_i is closed
-        else:
-            ss.append(cone(zero_morphism(empty_complex(gamma), ps[i])))
+    ss = [cone(psi(aus, i)) for i in range(n - 1)] + [ps[n - 1]]
 
     failures = []
     ps_table = [[hom_complex(ps[j], ss[i]).cohomology_dims() for j in range(n)] for i in range(n)]

@@ -46,6 +46,11 @@ def _require_keys(obj: dict, required, optional=(), where="top level"):
         raise SpecError(f"missing fields {missing} at {where}")
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is a JSON integer: ``true`` and ``false`` are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class WorkbenchSpec:
     """Parsed and structurally validated input file."""
 
@@ -67,7 +72,7 @@ def parse_field(obj) -> ExactField:
         return ExactField(0)
     if kind == "prime-field":
         p = obj.get("characteristic")
-        if not isinstance(p, int):
+        if not _is_int(p):
             raise SpecError("prime-field needs an integer characteristic")
         try:
             return ExactField(p)
@@ -107,7 +112,7 @@ def parse_spec_dict(data: dict) -> WorkbenchSpec:
         seen.add(name)
         if srco not in objects or tgto not in objects:
             raise SpecError(f"basis entry #{k} ({name!r}): unknown source/target object")
-        if not isinstance(deg, int):
+        if not _is_int(deg):
             raise SpecError(f"basis entry #{k} ({name!r}): degree must be an integer")
         hom_labels.setdefault((srco, tgto), []).append(name)
         hom_degrees.setdefault((srco, tgto), []).append(deg)
@@ -123,6 +128,8 @@ def parse_spec_dict(data: dict) -> WorkbenchSpec:
     for x, u in units.items():
         if x not in objects:
             raise SpecError(f"unit given for unknown object {x!r}")
+        if not isinstance(u, str):
+            raise SpecError(f"unit of object {x!r} must be a basis name")
 
     if not isinstance(data["mult"], list):
         raise SpecError("mult must be a list of entries")
@@ -131,28 +138,10 @@ def parse_spec_dict(data: dict) -> WorkbenchSpec:
         if not isinstance(row, dict):
             raise SpecError(f"mult entry #{k} must be an object")
         _require_keys(row, ["arity", "inputs", "output"], (), f"mult entry #{k}")
-        p, inputs, output = row["arity"], row["inputs"], row["output"]
-        if not isinstance(p, int) or p < 1:
+        p = row["arity"]
+        if not _is_int(p) or p < 1:
             raise SpecError(f"mult entry #{k}: arity must be a positive integer")
-        if not isinstance(inputs, list) or len(inputs) != p:
-            raise SpecError(f"mult entry #{k}: inputs must list exactly {p} names")
-        for lab in inputs:
-            if lab not in seen:
-                raise SpecError(f"mult entry #{k}: unknown basis name {lab!r}")
-        if not isinstance(output, dict):
-            raise SpecError(f"mult entry #{k}: output must be an object")
-        vec = {}
-        for lab, c in output.items():
-            if lab not in seen:
-                raise SpecError(f"mult entry #{k}: unknown basis name {lab!r} in output")
-            try:
-                vec[lab] = field.parse(c)
-            except FieldError as exc:
-                raise SpecError(f"mult entry #{k}: {exc}") from None
-        key = tuple(inputs)
-        if key in mult.get(p, {}):
-            raise SpecError(f"mult entry #{k}: duplicate entry for {key}")
-        mult.setdefault(p, {})[key] = vec
+        _read_entry(row, p, seen, field, mult.setdefault(p, {}), f"mult entry #{k}")
 
     try:
         category = AInfCategory(field, tuple(objects), hom, units, mult)
@@ -170,7 +159,7 @@ def parse_spec_dict(data: dict) -> WorkbenchSpec:
     kappa = None
     if "kappa" in data:
         kappa = data["kappa"]
-        if not isinstance(kappa, int) or kappa < 1:
+        if not _is_int(kappa) or kappa < 1:
             raise SpecError("kappa must be a positive integer")
 
     return WorkbenchSpec(category, filtration, cochain, kappa)
@@ -213,7 +202,7 @@ def _parse_cochain(obj, category: AInfCategory) -> dict:
         raise SpecError("cochain must be an object")
     _require_keys(obj, ["arity", "table"], (), "cochain")
     n = obj["arity"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SpecError("cochain arity must be a positive integer")
     if not isinstance(obj["table"], list):
         raise SpecError("cochain table must be a list of entries")
@@ -223,22 +212,35 @@ def _parse_cochain(obj, category: AInfCategory) -> dict:
         if not isinstance(row, dict):
             raise SpecError(f"cochain entry #{k} must be an object")
         _require_keys(row, ["inputs", "output"], (), f"cochain entry #{k}")
-        inputs = row["inputs"]
-        if not isinstance(inputs, list) or len(inputs) != n:
-            raise SpecError(f"cochain entry #{k}: inputs must list exactly {n} names")
-        for lab in inputs:
-            if lab not in labels:
-                raise SpecError(f"cochain entry #{k}: unknown basis name {lab!r}")
-        vec = {}
-        for lab, c in row["output"].items():
-            if lab not in labels:
-                raise SpecError(f"cochain entry #{k}: unknown basis name {lab!r} in output")
-            try:
-                vec[lab] = category.field.parse(c)
-            except FieldError as exc:
-                raise SpecError(f"cochain entry #{k}: {exc}") from None
-        table[tuple(inputs)] = vec
+        _read_entry(row, n, labels, category.field, table, f"cochain entry #{k}")
     return {"arity": n, "table": table}
+
+
+def _read_entry(row: dict, n: int, names, field: ExactField, table: dict, where: str) -> None:
+    """Add one mult or cochain row to ``table``, keyed by its inputs (a list
+    of exactly ``n`` names in ``names``), its output (an object mapping names
+    in ``names`` to scalars of ``field``) as the value.  SpecError for any
+    other row, and for a key already in ``table``."""
+    inputs, output = row["inputs"], row["output"]
+    if not isinstance(inputs, list) or len(inputs) != n:
+        raise SpecError(f"{where}: inputs must list exactly {n} names")
+    for lab in inputs:
+        if not isinstance(lab, str) or lab not in names:
+            raise SpecError(f"{where}: unknown basis name {lab!r}")
+    if not isinstance(output, dict):
+        raise SpecError(f"{where}: output must be an object")
+    vec = {}
+    for lab, c in output.items():
+        if lab not in names:
+            raise SpecError(f"{where}: unknown basis name {lab!r} in output")
+        try:
+            vec[lab] = field.parse(c)
+        except FieldError as exc:
+            raise SpecError(f"{where}: {exc}") from None
+    key = tuple(inputs)
+    if key in table:
+        raise SpecError(f"{where}: duplicate entry for {key}")
+    table[key] = vec
 
 
 def _read_json(path):
@@ -407,7 +409,3 @@ def _dumps(obj) -> str:
     pieces: list = []
     _encode(obj, "\n", pieces.append)
     return "".join(pieces)
-
-
-def serialize_category(cat: AInfCategory, **sections) -> str:
-    return serialize(category_to_dict(cat, **sections))

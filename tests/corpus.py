@@ -5,10 +5,11 @@ from __future__ import annotations
 import itertools
 import random
 
-from ainfbench import QQ, AInfCategory, CategoryError, GradedSpace, algebra, category
+from ainfbench import QQ
+from ainfbench.ainf import AInfCategory, CategoryError, algebra
 from ainfbench.filtration import Filtration, check_filtration, full_subspace, zero_subspace
 from ainfbench.hochschild import Bimodule, HochschildCochain, HochschildError
-from ainfbench.linalg import Subspace
+from ainfbench.linalg import GradedSpace, Subspace
 
 
 def unital_m2(labels, unit, products, field=QQ):
@@ -122,7 +123,7 @@ def path_algebra_a3(field=QQ):
         ("ba", "e1"): {"ba": one},
         ("b", "a"): {"ba": one},
     }
-    return category(
+    return AInfCategory(
         field,
         ("v1", "v2", "v3"),
         hom,
@@ -258,7 +259,7 @@ def rescaled(cat, rng: random.Random, factors=SMALL_FACTORS):
             mult[p][key] = {
                 lab: field.mul(field.mul(coeff, c), field.inv(scale[lab])) for lab, c in vec.items()
             }
-    return category(field, cat.objects, cat.hom, cat.units, mult)
+    return AInfCategory(field, cat.objects, cat.hom, cat.units, mult)
 
 
 def random_cochain(rng: random.Random, cat, module, arity, values=((-1, 1), (1, 1))):

@@ -9,7 +9,8 @@ import random
 import time
 from pathlib import Path
 
-from ainfbench import QQ, check_stasheff, validate_structure
+from ainfbench import QQ
+from ainfbench.ainf import check_stasheff, validate_structure
 from ainfbench.auslander import build_auslander
 from ainfbench.cli import main as cli_main
 from ainfbench.filtration import (

@@ -4,21 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from ainfbench import (
-    GF,
-    GradedSpace,
-    QQ,
+from ainfbench import GF, QQ, ainf
+from ainfbench.ainf import (
+    AInfCategory,
+    _insertion_sums,
+    _units_certify,
     algebra,
-    category,
     check_stasheff,
     opposite,
     validate_structure,
 )
-from ainfbench import ainf
-from ainfbench.ainf import _insertion_sums, _units_certify
 from ainfbench.auslander import build_auslander
 from ainfbench.filtration import Filtration
 from ainfbench.hochschild import HochschildCochain, deform_by_cocycle, diagonal_bimodule, is_cocycle
+from ainfbench.linalg import GradedSpace
 from ainfbench.scalars import FieldError
 
 from .corpus import (
@@ -123,7 +122,7 @@ def _wrong_hom_category():
         ("f", "ea"): {"f": F(1)},
         ("eb", "f"): {"f": F(1)},
     }
-    return category(QQ, ("a", "b"), hom, {"a": "ea", "b": "eb"}, {2: m2})
+    return AInfCategory(QQ, ("a", "b"), hom, {"a": "ea", "b": "eb"}, {2: m2})
 
 
 def _non_cocycle_deformations(count, field=QQ):
@@ -228,7 +227,7 @@ def _non_composable_key_category():
         ("eb", "g"): {"g": F(1)},
         ("g", "f"): {"f": F(2)},
     }
-    return category(QQ, ("a", "b"), hom, {"a": "ea", "b": "eb"}, {2: m2})
+    return AInfCategory(QQ, ("a", "b"), hom, {"a": "ea", "b": "eb"}, {2: m2})
 
 
 def test_stasheff_non_composable_key_stays_exact():
@@ -251,7 +250,7 @@ def test_insertion_sums_composable_tuples_only():
         ("x", "y"): GradedSpace(("p",), (0,)),
         ("y", "x"): GradedSpace(("q",), (0,)),
     }
-    c = category(QQ, ("x", "y"), hom, {"x": "ex", "y": "ey"}, {})
+    c = AInfCategory(QQ, ("x", "y"), hom, {"x": "ex", "y": "ey"}, {})
     plus = lambda degs, r=None: (0, 0)
     empty_inner = ({("p", "ex", "q"): {"p": F(1, 2)}, ("p", "ex", "p"): {"p": F(1)}},
                    {(): {"ex": F(1, 3)}}, plus, plus)
@@ -275,7 +274,7 @@ def test_insertion_sums_skip_empty_inner_and_singles():
         ("x", "y"): GradedSpace(("p",), (0,)),
         ("y", "x"): GradedSpace(("q",), (0,)),
     }
-    c = category(QQ, ("x", "y"), hom, {"x": "ex", "y": "ey"}, {})
+    c = AInfCategory(QQ, ("x", "y"), hom, {"x": "ex", "y": "ey"}, {})
     plus = lambda degs, r=None: (0, 0)
     outer = {("p", "ex", "q"): {"p": F(1, 2)}, ("ex", "q"): {"q": F(2)}, ("ey", "p"): {"p": F(1)},
              ("q", "ey"): {"q": F(1)}, ("ex", "ex"): {"ex": F(1)}}
@@ -343,7 +342,7 @@ def _misplaced_output_category():
         ("ea", "h"): {"h": F(1)}, ("h", "eb"): {"h": F(1)},
         ("f", "h"): {"h": F(1)},
     }
-    return category(QQ, ("a", "b"), hom, {"a": "ea", "b": "eb"}, {2: m2})
+    return AInfCategory(QQ, ("a", "b"), hom, {"a": "ea", "b": "eb"}, {2: m2})
 
 
 def _not_strictly_unital(field):
@@ -421,7 +420,7 @@ def test_opposite_transposes_hom_dims():
         ("e2", "a"): {"a": F(1)},
         ("a", "e1"): {"a": F(1)},
     }
-    cat = category(QQ, ("v1", "v2"), hom, {"v1": "e1", "v2": "e2"}, {2: m2})
+    cat = AInfCategory(QQ, ("v1", "v2"), hom, {"v1": "e1", "v2": "e2"}, {2: m2})
     op = opposite(cat)
     assert op.hom[("v2", "v1")].dim == 1
     assert op.hom[("v1", "v2")].dim == 0
@@ -475,7 +474,7 @@ def test_full_subcategory_direct_factor():
         ("v", "v"): GradedSpace(("ev",), (0,)),
     }
     m2 = {("eu", "eu"): {"eu": F(1)}, ("ev", "ev"): {"ev": F(1)}}
-    cat = category(QQ, ("u", "v"), hom, {"u": "eu", "v": "ev"}, {2: m2})
+    cat = AInfCategory(QQ, ("u", "v"), hom, {"u": "eu", "v": "ev"}, {2: m2})
     sub = full_subcategory(cat, ("u",))
     assert sub.total_dim() == 1
     assert check_stasheff(sub).passed

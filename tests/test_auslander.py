@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from ainfbench import GF, QQ, check_stasheff, validate_structure
-from ainfbench.ainf import AInfCategory
+from ainfbench import GF, QQ
+from ainfbench.ainf import AInfCategory, check_stasheff, validate_structure
 import ainfbench.auslander as auslander
 from ainfbench.auslander import AuslanderError, build_auslander
 from ainfbench.filtration import (

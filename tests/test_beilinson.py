@@ -6,7 +6,8 @@ from math import comb
 
 import pytest
 
-from ainfbench import QQ, check_stasheff, validate_structure
+from ainfbench import QQ
+from ainfbench.ainf import check_stasheff, validate_structure
 from ainfbench.auslander import build_auslander
 from ainfbench.filtration import appendix_filtration
 from ainfbench.perfmod import sod_report

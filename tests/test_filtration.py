@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from ainfbench import GF, QQ, algebra, check_stasheff, validate_structure
+from ainfbench import GF, QQ
+from ainfbench.ainf import algebra, check_stasheff, validate_structure
 import ainfbench.filtration as filtration
 from ainfbench.filtration import (
     AppendixParams,

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from ainfbench import GF, QQ, AInfCategory, check_stasheff, validate_structure
+from ainfbench import GF, QQ
+from ainfbench.ainf import AInfCategory, check_stasheff, validate_structure
 from ainfbench.cli import main
 from ainfbench.hochschild import (
     HochschildCochain,
@@ -363,6 +364,16 @@ def test_functor_check_rejects_wrong_multiple(make, q, table):
     assert not functor(-sign)
     assert not functor(2)
     assert not functor(0)
+
+
+def test_coboundary_trivialization_refuses_a_base_with_higher_products():
+    # toy has m_3(e, e, e) = t, which the differential does not insert: the
+    # functor check used to fail on most single-entry phi of toy
+    c = toy_algebra()
+    m = diagonal_bimodule(c)
+    for q, key in ((1, ("e",)), (2, ("e", "e"))):
+        with pytest.raises(HochschildError, match="m_3"):
+            coboundary_trivialization(c, m, HochschildCochain(c, m, q, {key: {"M.e": F(1)}}))
 
 
 def _count_inits(monkeypatch, *classes) -> list:

@@ -4,18 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from ainfbench import (
+from ainfbench import GF, QQ
+import ainfbench.linalg as linalg
+from ainfbench.linalg import (
+    ComplexError,
     ContainmentError,
     FiniteComplex,
-    GF,
     GradedSpace,
-    QQ,
+    LinAlgError,
+    QuotientPresentation,
     Subspace,
     complex_cohomology,
     quotient_space,
 )
-import ainfbench.linalg as linalg
-from ainfbench.linalg import ComplexError, LinAlgError, QuotientPresentation
 from ainfbench.scalars import FieldError
 
 from .oracles import (
