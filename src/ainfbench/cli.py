@@ -28,8 +28,8 @@ relation checks.  ``filtration appendix`` also reports FAIL, with a failed
 ``radical`` check, when the trace kernel of a valid input is not its radical.
 ``deform`` reports FAIL, with a failed ``higher_products`` check naming the
 arity and one key of its table, and writes no file, for a base with a
-nonzero m_k, k >= 3: its Hochschild differential inserts only m_2, so no
-``cocycle`` verdict is given there.  ``stasheff --max-arity N`` needs N >= 1.
+nonzero m_1 or m_k, k >= 3: its Hochschild differential inserts only m_2, so
+no ``cocycle`` verdict is given there.  ``stasheff --max-arity N`` needs N >= 1.
 ``--jobs N`` is accepted for compatibility and has no effect.
 
 ``gamma build`` reports ``lift_independence`` from the build itself: it runs
@@ -351,7 +351,8 @@ def cmd_deform(args) -> int:
     if higher:  # the differential inserts only m_2: no cocycle verdict here
         k, key = higher
         report = ValidationReport()
-        report.add("higher_products", False, detail=f"m_{k} is nonzero; deform needs a base with no m_k, k >= 3",
+        needs = "m_1 = 0 and no m_k, k >= 3" if k == 1 else "no m_k, k >= 3"
+        report.add("higher_products", False, detail=f"m_{k} is nonzero; deform needs a base with {needs}",
                    witnesses=[{"arity": k, "tuple": list(key)}])
         _emit({"command": "deform", "verdict": "FAIL", "report": report.to_json()}, started)
         return EXIT_FAIL

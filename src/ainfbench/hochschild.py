@@ -18,10 +18,12 @@ is the classical alternating sum
         + phi(a_1, a_2 a_3, ...) - ... + (-1)^(n+1) phi(a_1, ..., a_n) a_{n+1}.
 
 On associative bases the commutator has no other components, so d o d = 0 and
-the deformation equivalence are exact there.  For bases with higher products
-the remaining components are not captured by a single-arity cochain, so
+the deformation equivalence are exact there.  For bases with a differential
+or higher products the remaining components (the insertions of m_1 and of
+m_k, k >= 3) are not captured by the m_2-only differential, so
 :func:`coboundary_trivialization` and the CLI's ``deform`` refuse a base with
-a nonzero m_k, k >= 3 (:func:`_higher_product`), and give no verdict on it.
+a nonzero m_1 or m_k, k >= 3 (:func:`_higher_product`), and give no verdict
+on it.
 
 The differential, the functor equations of :func:`coboundary_trivialization`
 and the relation check of :mod:`ainfbench.ainf` are all sums of Gerstenhaber
@@ -281,10 +283,11 @@ def is_cocycle(phi: HochschildCochain) -> bool:
 
 
 def _higher_product(c: AInfCategory):
-    """(k, key): the least arity k >= 3 at which ``c`` has a nonzero m_k,
-    and the least key of that table; None when ``c`` has no such product, the
-    only bases on which :func:`hochschild_differential` is the whole [m, phi]."""
-    k = min((p for p in c.mult if p >= 3), default=None)
+    """(k, key): the least arity k other than 2 at which ``c`` has a nonzero
+    m_k (m_1 or m_k, k >= 3), and the least key of that table; None when
+    ``c`` has no such product, the only bases on which
+    :func:`hochschild_differential` is the whole [m, phi]."""
+    k = min((p for p in c.mult if p != 2), default=None)
     return None if k is None else (k, min(c.mult[k]))
 
 
@@ -333,8 +336,8 @@ def coboundary_trivialization(c: AInfCategory, m: Bimodule, phi: HochschildCocha
     For even arity, id - phi is checked as id + phi from the plain to the
     deformed extension, with the same defect up to sign: d(phi) and phi take
     pure-C inputs to module outputs.  The deformation reuses ``plain``.
-    HochschildError on a base with a nonzero m_k, k >= 3, where d(phi) is
-    not the differential's whole value (:func:`_higher_product`).
+    HochschildError on a base with a nonzero m_1 or m_k, k >= 3, where
+    d(phi) is not the differential's whole value (:func:`_higher_product`).
     """
     higher = _higher_product(c)
     if higher:

@@ -45,11 +45,12 @@ witness.
 
 The dimension of a cohomology group H^q comes from the ranks of d_q and
 d_{q-1}, one echelon of sparse columns each.  Its classes are presented the
-same way as a quotient when first asked for: the echelon of d_{q-1}'s
-columns seeds the presentation and the candidates are the kernel basis of
-d_q, computed from the rows transposed from its columns.  No containment
-test is needed, as ``FiniteComplex`` has checked d o d = 0, in ints: over Q
-each degree's columns are scaled by the lcm of their denominators first.
+same way as a quotient, one degree at a time, when that degree is first
+asked for: the echelon of d_{q-1}'s columns seeds the presentation and the
+candidates are the kernel basis of d_q, computed from the rows transposed
+from its columns.  No containment test is needed, as ``FiniteComplex`` has
+checked d o d = 0, in ints, on every pair of consecutive nonzero maps: over
+Q the columns of those maps are scaled by the lcm of their denominators first.
 ``_solve`` reads one preimage off the reduced rows of the same transpose.
 """
 
@@ -444,12 +445,15 @@ class FiniteComplex:
             if any(not 0 <= j < src or not all(0 <= i < tgt for i in col) for j, col in cols.items()):
                 raise ComplexError(f"differential at degree {q} has wrong shape")
             self.columns[q] = cols
-        # d o d in ints: over Q each degree's columns are scaled by the lcm of
-        # their denominators; only a failing entry is recomputed in the field
+        # d o d in ints, on the pairs (q, q + 1) where both maps are nonzero:
+        # over Q each such degree's columns are scaled by the lcm of their
+        # denominators; only a failing entry is recomputed in the field
         p = field.characteristic
-        ints = {q: cols if p else _scaled_columns(cols) for q, cols in self.columns.items()}
-        for q, cols in ints.items():
-            nxt = ints.get(q + 1, {})
+        pairs = [q for q in self.columns if q + 1 in self.columns]
+        ints = {q: self.columns[q] if p else _scaled_columns(self.columns[q])
+                for q in {*pairs, *(q + 1 for q in pairs)}}
+        for q in pairs:
+            cols, nxt = ints[q], ints[q + 1]
             bad = []
             for j, col in cols.items():
                 out: dict = {}
@@ -482,10 +486,11 @@ class CohomologyData:
     Dimensions come from ranks: the constructor inserts the sparse columns of
     each d_q into one echelon, and dim H^q = dim C^q - rank d_q - rank d_{q-1},
     exact because ``FiniteComplex`` has checked d o d = 0.  Classes are
-    presented on first use of ``groups``, ``representatives`` or
-    ``class_coords``: H^q is a ``QuotientPresentation`` whose echelon is the
-    one of d_{q-1}'s columns, taken over, with the kernel basis of d_q as
-    candidates; each group's dim is checked against the one from ranks.
+    presented one degree at a time, on first use of ``group(q)``,
+    ``representatives(q)`` or ``class_coords(q, ...)``: H^q is a
+    ``QuotientPresentation`` whose echelon is the one of d_{q-1}'s columns,
+    taken over, with the kernel basis of d_q as candidates, and its dim is
+    checked against the one from ranks.  ``groups`` presents every degree.
     """
 
     def __init__(self, complex_: FiniteComplex):
@@ -498,25 +503,27 @@ class CohomologyData:
             q: len(labels) - rank.get(q, 0) - rank.get(q - 1, 0)
             for q, labels in sorted(complex_.components.items())
         }
-        self._groups = None
+        self._groups = {}  # q -> QuotientPresentation of H^q, once presented
+
+    def group(self, q):
+        """QuotientPresentation of H^q, built on first use; None when C^q = 0."""
+        g = self._groups.get(q)
+        if g is None and q in self._dims:
+            field = self.complex.field
+            labels = self.complex.components[q]
+            ambient = GradedSpace(labels, (q,) * len(labels))
+            rows = _transpose(self.complex.columns.get(q, {}))  # the rows of d_q
+            kernel = _kernel(field, rows.values(), len(labels))
+            image = self._images.pop(q - 1, None) or _Echelon(field)
+            g = self._groups[q] = QuotientPresentation(ambient, field, image, kernel)
+            if g.dim != self._dims[q]:
+                raise LinAlgError(f"H^{q} presented with dim {g.dim}, ranks give {self._dims[q]}")
+        return g
 
     @property
     def groups(self) -> dict:
-        """degree -> QuotientPresentation of H^q, built on first use."""
-        if self._groups is None:
-            field = self.complex.field
-            groups = {}
-            for q, want in self._dims.items():
-                labels = self.complex.components[q]
-                ambient = GradedSpace(labels, (q,) * len(labels))
-                rows = _transpose(self.complex.columns.get(q, {}))  # the rows of d_q
-                kernel = _kernel(field, rows.values(), len(labels))
-                image = self._images.pop(q - 1, None) or _Echelon(field)
-                g = groups[q] = QuotientPresentation(ambient, field, image, kernel)
-                if g.dim != want:
-                    raise LinAlgError(f"H^{q} presented with dim {g.dim}, ranks give {want}")
-            self._groups = groups
-        return self._groups
+        """degree -> QuotientPresentation of H^q, for every degree of the complex."""
+        return {q: self.group(q) for q in self._dims}
 
     def dims(self) -> dict:
         return {q: d for q, d in self._dims.items() if d > 0}
@@ -525,12 +532,12 @@ class CohomologyData:
         return sum(self._dims.values())
 
     def representatives(self, q):
-        g = self.groups.get(q)
+        g = self.group(q)
         return g.reps if g is not None else ()
 
     def class_coords(self, q, cocycle: dict) -> dict:
         """Coordinates of a cocycle's class in the chosen degree-q basis."""
-        g = self.groups.get(q)
+        g = self.group(q)
         if g is None:
             if any(c != 0 for c in cocycle.values()):
                 raise LinAlgError("nonzero vector in a zero group")

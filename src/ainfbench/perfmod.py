@@ -439,11 +439,13 @@ class HomComplexResult:
 
     The underlying graded space collects hom(o_t^target -> o_s^source) over
     all component slots, graded by total degree; the differential is mu1.
-    Each degree's columns come from one kernel call (see the module
-    docstring) with a one-label chain per basis slot (t, s, lab), keyed by
-    positions in the next degree and handed to :class:`FiniteComplex` as
-    sparse columns.  Both complexes must live over one category (ModuleError
-    otherwise).
+    Every degree's columns come from one kernel call for the whole complex
+    (see the module docstring): a one-label chain per basis slot (t, s, lab)
+    of each degree that has a next one, keyed by (degree, column), with the
+    sums split by degree into sparse columns keyed by positions in the next
+    degree.  The (t, s, lab) keys themselves are the labels of the
+    :class:`FiniteComplex`.  Both complexes must live over one category
+    (ModuleError otherwise).
     """
 
     def __init__(self, source: TwistedComplex, target: TwistedComplex):
@@ -462,23 +464,16 @@ class HomComplexResult:
             d: {key: i for i, key in enumerate(keys)}
             for d, keys in self.basis_by_degree.items()
         }
-        comp_labels = {
-            d: tuple(f"{t}|{s}|{lab}" for t, s, lab in keys)
-            for d, keys in self.basis_by_degree.items()
-        }
-        diff: dict = {}  # degree -> sparse columns {j: {i: scalar}}
-        for d, keys in self.basis_by_degree.items():
-            pos = self._pos.get(d + 1)
-            if pos is None:
-                continue
-            cols = diff[d] = {}
-            slots = ((j, t, s, [_slot_chain(source, target, t, s, lab, 1)]) for j, (t, s, lab) in enumerate(keys))
-            for ((j, t2, s2), lab2), c in _mu1_sums(source, target, slots, 1).items():
-                i = pos.get((t2, s2, lab2))
-                if i is None:  # only a malformed table gets here; this raises
-                    _check_entry(source, target, d + 1, t2, s2, lab2)
-                cols.setdefault(j, {})[i] = c
-        self.complex = FiniteComplex(cat.field, comp_labels, diff)
+        # degree -> sparse columns {j: {i: scalar}}, for each degree with a next one
+        diff: dict = {d: {} for d in self.basis_by_degree if d + 1 in self._pos}
+        slots = (((d, j), t, s, [_slot_chain(source, target, t, s, lab, 1)])
+                 for d in diff for j, (t, s, lab) in enumerate(self.basis_by_degree[d]))
+        for (((d, j), t2, s2), lab2), c in _mu1_sums(source, target, slots, 1).items():
+            i = self._pos[d + 1].get((t2, s2, lab2))
+            if i is None:  # only a malformed table gets here; this raises
+                _check_entry(source, target, d + 1, t2, s2, lab2)
+            diff[d].setdefault(j, {})[i] = c
+        self.complex = FiniteComplex(cat.field, self.basis_by_degree, diff)
         self.cohomology = complex_cohomology(self.complex)
 
     def dims(self) -> dict:
@@ -547,8 +542,8 @@ class AlgebraCohomology:
         self._pos = pos
         # class basis: (degree, index) with sparse representatives
         self.classes = []
-        for d in sorted(self.cohomology.groups):
-            for k, rep in enumerate(self.cohomology.groups[d].reps):
+        for d, g in sorted(self.cohomology.groups.items()):
+            for k, rep in enumerate(g.reps):
                 self.classes.append((d, k, {comp_labels[d][i]: c for i, c in rep.items()}))
 
     def dims(self) -> dict:
@@ -636,7 +631,8 @@ def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, end: HomComplexR
     for (d, k), f in reps.items():
         by_degree.setdefault(d, []).append(end.class_of(f))
     for d, vecs in by_degree.items():
-        want = end.cohomology.groups[d].dim if d in end.cohomology.groups else 0
+        g = end.cohomology.group(d)
+        want = g.dim if g is not None else 0
         if len(_Echelon(field, vecs).rows) != len(vecs) or len(vecs) != want:
             out["failures"].append({"check": "linear_iso", "degree": d})
 

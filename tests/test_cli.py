@@ -28,6 +28,7 @@ from ainfbench.specfile import (
 from .corpus import (
     LARGE_DENOMINATORS,
     beilinson_algebra,
+    dg_closure_example,
     dual_numbers,
     incompatible_filtration,
     random_associative_algebra,
@@ -736,6 +737,24 @@ def test_cli_deform_refuses_a_base_with_higher_products(tmp_path, capsys):
     [check] = report["report"]["checks"]
     assert check["name"] == "higher_products" and not check["passed"] and "m_3" in check["detail"]
     assert check["witnesses"] == [{"arity": 3, "tuple": ["e", "e", "e"]}]
+
+
+def test_cli_deform_refuses_a_dg_base(tmp_path, capsys):
+    # m_1(a) = b, and the differential inserts only m_2: eta(b, b) = b used to
+    # get a FAIL verdict next to "cocycle": true, and a written file
+    alg, filt = dg_closure_example()
+    spec = tmp_path / "dg.json"
+    spec.write_text(serialize(category_to_dict(alg, filtration=filt)))
+    cochain = tmp_path / "eta.json"
+    cochain.write_text(json.dumps({"arity": 2, "table": [{"inputs": ["b", "b"], "output": {"b": "1"}}]}))
+    out_file = tmp_path / "deformed.json"
+    code, out, err = run(capsys, "deform", str(spec), "--cochain", str(cochain), "-o", str(out_file))
+    report = json.loads(out)
+    assert (code, err) == (1, "") and not out_file.exists()
+    assert list(report) == ["command", "verdict", "report", "timings"] and report["verdict"] == "FAIL"
+    [check] = report["report"]["checks"]
+    assert check["name"] == "higher_products" and not check["passed"] and "m_1" in check["detail"]
+    assert check["witnesses"] == [{"arity": 1, "tuple": ["a"]}]
 
 
 def _value_paths(value, path=()):

@@ -25,6 +25,7 @@ from ainfbench.specfile import parse_spec
 from .corpus import (
     LARGE_DENOMINATORS,
     bimodule_direct_sum,
+    dg_closure_example,
     dual_numbers,
     random_associative_algebra,
     random_cochain,
@@ -374,6 +375,15 @@ def test_coboundary_trivialization_refuses_a_base_with_higher_products():
     for q, key in ((1, ("e",)), (2, ("e", "e"))):
         with pytest.raises(HochschildError, match="m_3"):
             coboundary_trivialization(c, m, HochschildCochain(c, m, q, {key: {"M.e": F(1)}}))
+
+
+def test_coboundary_trivialization_refuses_a_dg_base():
+    # m_1(a) = b, which the differential does not insert either
+    c, _ = dg_closure_example()
+    m = diagonal_bimodule(c)
+    for q, key in ((1, ("b",)), (2, ("b", "b"))):
+        with pytest.raises(HochschildError, match="m_1"):
+            coboundary_trivialization(c, m, HochschildCochain(c, m, q, {key: {"M.b": F(1)}}))
 
 
 def _count_inits(monkeypatch, *classes) -> list:

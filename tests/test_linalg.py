@@ -509,6 +509,21 @@ def test_complex_dd_violation_reported():
     assert "entry (0,1) from degree 0 equals 2" in str(err.value)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_complex_dd_checked_across_a_gap(field):
+    # C^0 -> C^1, no d_1, C^2 -> C^3 -> C^4: only the pair (2, 3) is walked
+    half = field.inv(field.of_int(2))
+    comps = {0: ("a0", "a1"), 1: ("b0",), 2: ("c0", "c1"), 3: ("d0", "d1"), 4: ("e0",)}
+    d0 = _columns(((1, half),))
+    d2 = _columns(((1, 0), (half, 0)))
+    valid = FiniteComplex(field, comps, {0: d0, 2: d2, 3: _columns(((1, field.neg(field.of_int(2))),))})
+    assert complex_cohomology(valid).dims() == {0: 1, 2: 1}
+    # d_3 d_2 = (1 + 1/2, 0): the violation sits in the last pair only
+    with pytest.raises(ComplexError) as err:
+        FiniteComplex(field, comps, {0: d0, 2: d2, 3: _columns(((1, 1),))})
+    assert str(err.value) == f"d o d != 0: entry (0,0) from degree 2 equals {field.add(field.one, half)}"
+
+
 def test_complex_entries_are_exact():
     # the float used to be accepted and only failed inside complex_cohomology
     comps = {0: ("a",), 1: ("b",)}
@@ -665,8 +680,9 @@ def test_cohomology_dims_from_ranks_present_classes_on_demand(field, monkeypatch
         assert h.dims() == {q: d for q, d in want.items() if d}
         assert h.total_dim() == sum(want.values())
         assert not built  # dimensions alone present nothing
-        for q, labels in c.components.items():
-            units = [{j: field.one} for j in range(len(labels))]
+
+        def check_classes(q):
+            units = [{j: field.one} for j in range(len(c.components[q]))]
             for v in list(eager[q].reps) + units:
                 try:
                     expected = eager[q].project_strict(v)
@@ -675,8 +691,17 @@ def test_cohomology_dims_from_ranks_present_classes_on_demand(field, monkeypatch
                         h.class_coords(q, v)
                 else:
                     assert h.class_coords(q, v) == expected
-        assert built == Counter({"kernel": len(c.components), "presentation": len(c.components)})
-        assert {q: g.dim for q, g in h.groups.items() if g.dim} == h.dims()
+
+        degrees = list(c.components)
+        if degrees:  # the first class asked for presents its degree alone
+            check_classes(degrees[0])
+            assert built == Counter({"kernel": 1, "presentation": 1})
+        groups = h.groups  # and the all-degrees view presents the rest
+        assert built == Counter({"kernel": len(degrees), "presentation": len(degrees)})
+        for q in degrees[1:]:
+            check_classes(q)
+        assert built == Counter({"kernel": len(degrees), "presentation": len(degrees)})
+        assert {q: g.dim for q, g in groups.items() if g.dim} == h.dims()
         assert {q: g.reps for q, g in h.groups.items()} == {q: g.reps for q, g in eager.items()}
         assert c.columns == columns  # the echelons inserted copies of the columns
 

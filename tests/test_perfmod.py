@@ -352,9 +352,12 @@ def test_hom_differential_matches_naive_oracle(field):
         v = tuple(random_scalar() for _ in h.basis_by_degree[d])
         return v, h.morphism_from_coords(d, dict(enumerate(v)))
 
+    filtered = [coordinate_filtration(make, 1, field) for make in algebras]
+    # m_1(a) = b: the one corpus input whose Hom differentials carry m_1 terms
+    filtered.append(dg_closure_example(field))
     checked = composed = broken_seen = 0
-    for make in algebras:
-        aus = build_auslander(*coordinate_filtration(make, 1, field))
+    for alg, filt in filtered:
+        aus = build_auslander(alg, filt)
         ps = [representable(aus, j) for j in range(aus.n)]
         ss = [cone(psi(aus, i)) for i in range(aus.n - 1)]
         ss.append(cone(ModuleMorphismElement(TwistedComplex(aus.gamma, []), ps[-1], 0)))
@@ -547,6 +550,27 @@ def test_sod_report_evaluates_mu1_once_per_morphism(monkeypatch):
     assert sod_report(aus).passed
     assert len(seen) >= aus.n - 1
     assert len({id(f) for f in seen}) == len(seen)
+
+
+def test_hom_complex_makes_one_kernel_call(monkeypatch):
+    # every degree's columns of a Hom-complex come from one _mu1_sums call,
+    # one per complex however many degrees it has (x^10: 155 complexes)
+    alg = truncated_polynomial(10)
+    aus = build_auslander(alg, appendix_filtration(alg, 1)[0])
+    calls = []
+    sums = perfmod._mu1_sums
+    monkeypatch.setattr(perfmod, "_mu1_sums", lambda *a: calls.append(a) or sums(*a))
+    per_complex = []
+    init = HomComplexResult.__init__
+
+    def counted(self, x, y):
+        before = len(calls)
+        init(self, x, y)
+        per_complex.append(len(calls) - before)
+
+    monkeypatch.setattr(HomComplexResult, "__init__", counted)
+    assert sod_report(aus).passed
+    assert per_complex == [1] * (aus.n ** 2 + aus.n * (aus.n + 1) // 2)
 
 
 def test_sod_report_random_filtered():
