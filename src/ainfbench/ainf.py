@@ -65,15 +65,16 @@ class CheckResult:
 
 
 class ValidationReport:
-    """Pass/fail per check; every failure carries at least one witness."""
+    """Pass/fail per check; every failure carries at least one witness.
+    ``category`` is the category a :func:`validate_structure` report is of."""
 
-    def __init__(self):
+    def __init__(self, category: AInfCategory | None = None):
         self.checks: list[CheckResult] = []
+        self.category = category
 
     def add(self, name, passed, detail="", witnesses=None, required=True):
-        self.checks.append(
-            CheckResult(name, passed, detail, sorted_witnesses(witnesses or []), required)
-        )
+        witnesses = sorted(witnesses or [], key=lambda w: (w.get("arity", 0), tuple(w.get("tuple", ()))))
+        self.checks.append(CheckResult(name, passed, detail, witnesses, required))
 
     @property
     def passed(self) -> bool:
@@ -94,10 +95,6 @@ class ValidationReport:
     def __repr__(self):
         status = "PASS" if self.passed else "FAIL"
         return f"ValidationReport({status}, {len(self.checks)} checks)"
-
-
-def sorted_witnesses(ws):
-    return sorted(ws, key=lambda w: (w.get("arity", 0), tuple(w.get("tuple", ()))))
 
 
 # ---------------------------------------------------------------------------
@@ -334,30 +331,30 @@ def algebra(field, basis, unit, mult, obj="*") -> AInfCategory:
 
 
 def validate_structure(c: AInfCategory) -> ValidationReport:
-    """Degree bookkeeping, composability, strict unitality, minimality flag."""
-    report = ValidationReport()
-    degree_bad = []
-    compos_bad = []
-    for p, table in sorted(c.mult.items()):
-        for key in sorted(table):
-            if not c.composable(key):
-                compos_bad.append({"arity": p, "tuple": list(key), "reason": "inputs not composable"})
+    """Degree bookkeeping, composability, strict unitality, minimality flag.
+    One walk over the tables in stored order; only the witnesses are sorted,
+    by (arity, tuple, output label), the order of a walk over sorted tables."""
+    info = c._info
+    bad: dict = {"degrees": [], "composability": []}
+    for p, table in c.mult.items():
+        for key, vec in table.items():
+            ins = [info[lab] for lab in key]
+            if any(a[0] != b[1] for a, b in zip(ins, ins[1:])):
+                bad["composability"].append((p, key, "", "inputs not composable"))
                 continue
-            out_pair = (c.src(key[-1]), c.tgt(key[0]))
-            want = sum(c.deg(l) for l in key) + 2 - p
-            for lab, coeff in sorted(table[key].items()):
-                lx, ly, ld, _ = c._info[lab]
+            out_pair = (ins[-1][0], ins[0][1])
+            want = sum(i[2] for i in ins) + 2 - p
+            for lab in vec:
+                lx, ly, ld, _ = info[lab]
                 if (lx, ly) != out_pair:
-                    compos_bad.append(
-                        {"arity": p, "tuple": list(key), "reason": f"output {lab} in wrong hom-space"}
-                    )
+                    bad["composability"].append((p, key, lab, f"output {lab} in wrong hom-space"))
                 elif ld != want:
-                    degree_bad.append(
-                        {"arity": p, "tuple": list(key),
-                         "reason": f"output {lab} has degree {ld}, expected {want}"}
-                    )
-    report.add("degrees", not degree_bad, witnesses=degree_bad)
-    report.add("composability", not compos_bad, witnesses=compos_bad)
+                    bad["degrees"].append((p, key, lab, f"output {lab} has degree {ld}, expected {want}"))
+    report = ValidationReport(c)
+    for name, ws in bad.items():
+        ws.sort(key=lambda w: w[:3])
+        report.add(name, not ws, witnesses=[{"arity": p, "tuple": list(key), "reason": why}
+                                            for p, key, _, why in ws])
 
     unit_bad = list(_unit_witnesses(c))
     report.add("units", not unit_bad, witnesses=unit_bad)
@@ -368,28 +365,27 @@ def validate_structure(c: AInfCategory) -> ValidationReport:
 
 
 def _unit_witnesses(c: AInfCategory):
-    """The ``units`` check's witnesses in report order, lazily: a unit of
-    degree other than 0, ``m_2(1, f) != f`` or ``m_2(f, 1) != f``, a unit in
-    a key of arity other than 2."""
+    """The ``units`` check's witnesses, lazily (``ValidationReport.add``
+    sorts them): a unit of degree other than 0, ``m_2(1, f) != f`` or
+    ``m_2(f, 1) != f``, a unit in a key of arity other than 2."""
     one = c.field.one
+    m2 = c.mult.get(2, {})
     for x in c.objects:
         ud = c.deg(c.units[x])
         if ud != 0:
             yield {"arity": 0, "tuple": [c.units[x]], "reason": f"unit degree {ud}"}
     for (x, y), space in sorted(c.hom.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
         for lab in space.labels:
-            left = c.apply_labels(2, (c.units[y], lab))
-            if left != {lab: one}:
+            if m2.get((c.units[y], lab)) != {lab: one}:
                 yield {"arity": 2, "tuple": [c.units[y], lab], "reason": "m_2(1,f) != f"}
-            right = c.apply_labels(2, (lab, c.units[x]))
-            if right != {lab: one}:
+            if m2.get((lab, c.units[x])) != {lab: one}:
                 yield {"arity": 2, "tuple": [lab, c.units[x]], "reason": "m_2(f,1) != f"}
-    for p, table in sorted(c.mult.items()):
-        if p == 2:
-            continue
-        for key in sorted(table):
-            if any(c.is_unit(lab) for lab in key):
-                yield {"arity": p, "tuple": list(key), "reason": "higher product nonzero on a unit"}
+    units = set(c.units.values())
+    for p, table in c.mult.items():
+        if p != 2:
+            for key in table:
+                if not units.isdisjoint(key):
+                    yield {"arity": p, "tuple": list(key), "reason": "higher product nonzero on a unit"}
 
 
 # ---------------------------------------------------------------------------
@@ -490,17 +486,25 @@ def _insertion_sums(cat: AInfCategory, pairs, singles=(), skip=frozenset()) -> d
     return result
 
 
-def _units_certify(c: AInfCategory) -> bool:
+def _units_certify(c: AInfCategory, structure: ValidationReport | None = None) -> bool:
     """Whether strict unitality certifies every tuple that holds a unit: no
     :func:`_unit_witnesses`, and every output in the hom-space between its
-    key's ends (an output outside it meets no ``m_2(1, -)`` entry)."""
+    key's ends (an output outside it meets no ``m_2(1, -)`` entry).  Given
+    ``validate_structure(c)``, its ``units`` check is the first half, and a
+    passed ``composability`` check the second; a report of another category
+    is ignored."""
     info = c._info
-    return next(_unit_witnesses(c), None) is None and all(
+    if structure is None or structure.category is not c:
+        units, placed = next(_unit_witnesses(c), None) is None, False
+    else:
+        units, placed = structure.check("units").passed, structure.check("composability").passed
+    return units and (placed or all(
         info[lab][:2] == (info[key[-1]][0], info[key[0]][1])
-        for table in c.mult.values() for key, vec in table.items() for lab in vec)
+        for table in c.mult.values() for key, vec in table.items() for lab in vec))
 
 
-def check_stasheff(c: AInfCategory, n_max: int | None = None) -> ValidationReport:
+def check_stasheff(c: AInfCategory, n_max: int | None = None,
+                   structure: ValidationReport | None = None) -> ValidationReport:
     """Evaluate the defining relations on every composable tuple up to n_max.
 
     The relation sum is the insertion of the structure maps into themselves,
@@ -512,10 +516,12 @@ def check_stasheff(c: AInfCategory, n_max: int | None = None) -> ValidationRepor
     When :func:`_units_certify` holds, tuples that hold a unit are skipped:
     strict unitality cancels their terms in pairs (the reduced bar
     construction; Keller 2001, Lefevre-Hasegawa 2003).  Else the sweep is full.
+    A caller with ``structure = validate_structure(c)`` passes it, and the
+    unit verdict is read from it, not walked again: the same report.
     """
     if n_max is None:
         n_max = max(2 * c.arity_bound - 1, 1)
-    skip = set(c.units.values()) if _units_certify(c) else frozenset()
+    skip = set(c.units.values()) if _units_certify(c, structure) else frozenset()
 
     def outer_sign(degs, r):  # (-1)^(r + s*t + s*(|a_1| + ... + |a_r|))
         return r, len(degs) - 1 - r + sum(degs[:r])

@@ -69,10 +69,12 @@ from .filtration import (
 from .hochschild import (
     HochschildCochain,
     HochschildError,
+    _check_deformable,
+    _deform,
     _higher_product,
-    deform_by_cocycle,
     diagonal_bimodule,
-    is_cocycle,
+    hochschild_differential,
+    square_zero_extension,
 )
 from .perfmod import ModuleError, sod_report
 from .specfile import (
@@ -115,7 +117,7 @@ def _input_valid(command: str, spec, started: float) -> bool:
     FAIL report carrying their witnesses.  No certificate is given for an
     input that is not a valid A-infinity algebra."""
     structure = validate_structure(spec.category)
-    relations = check_stasheff(spec.category)
+    relations = check_stasheff(spec.category, structure=structure)
     if structure.passed and relations.passed:
         return True
     _emit(
@@ -139,7 +141,7 @@ def cmd_validate(args) -> int:
     started = time.perf_counter()
     spec = parse_spec(args.file)
     structure = validate_structure(spec.category)
-    relations, relations_s = _timed(check_stasheff, spec.category)
+    relations, relations_s = _timed(check_stasheff, spec.category, None, structure)
     ok = structure.passed and relations.passed
     _emit(
         {
@@ -159,7 +161,7 @@ def cmd_stasheff(args) -> int:
     spec = parse_spec(args.file)
     structure = validate_structure(spec.category)
     pre_ok = structure.check("degrees").passed and structure.check("composability").passed
-    report, relations_s = _timed(check_stasheff, spec.category, args.max_arity)
+    report, relations_s = _timed(check_stasheff, spec.category, args.max_arity, structure)
     ok = pre_ok and report.passed
     _emit(
         {
@@ -346,7 +348,7 @@ def cmd_deform(args) -> int:
         for key, vec in raw["table"].items()
     }
     eta = HochschildCochain(cat, module, raw["arity"], table)
-    deformed = deform_by_cocycle(cat, module, eta)
+    _check_deformable(cat, module, eta)
     higher = _higher_product(cat)
     if higher:  # the differential inserts only m_2: no cocycle verdict here
         k, key = higher
@@ -356,9 +358,11 @@ def cmd_deform(args) -> int:
                    witnesses=[{"arity": k, "tuple": list(key)}])
         _emit({"command": "deform", "verdict": "FAIL", "report": report.to_json()}, started)
         return EXIT_FAIL
-    cocycle = is_cocycle(eta)
+    ext = square_zero_extension(cat, module, eta.arity - 2)
+    cocycle = hochschild_differential(eta, ext).is_zero()
+    deformed = _deform(cat, ext, eta)
     structure = validate_structure(deformed)
-    relations, relations_s = _timed(check_stasheff, deformed)
+    relations, relations_s = _timed(check_stasheff, deformed, None, structure)
     ok = structure.passed and relations.passed
     _write_out(args.output, serialize(category_to_dict(deformed)))
     _emit(

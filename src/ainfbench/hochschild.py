@@ -29,7 +29,10 @@ The differential, the functor equations of :func:`coboundary_trivialization`
 and the relation check of :mod:`ainfbench.ainf` are all sums of Gerstenhaber
 insertions, and all three are summed by the one sparse join
 :func:`ainfbench.ainf._insertion_sums`, each with its own signs.  Cochains
-are validated where they enter; a deformation builds one square-zero extension.
+and bimodules are validated where they enter, and what is built from them
+(extensions, deformations, differentials) is valid by construction and not
+checked again; ``deform`` builds one square-zero extension, which its
+differential and its deformation share.
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ class Bimodule:
 
     Action tables map mixed tuples (exactly one M-label among C-labels) to
     M-valued sparse vectors; arity 2 gives the left/right actions, higher
-    arities are optional.  M-labels must not collide with base labels.
+    arities are optional.  M-labels must not collide with base labels.  All
+    of it is checked here, where tables enter; values pass ``field.coerce``
+    (a float or bool raises ``FieldError``), and zeros are then dropped.
     """
 
     def __init__(self, base: AInfCategory, spaces: dict, action: dict):
@@ -67,10 +72,15 @@ class Bimodule:
                         raise HochschildError(f"duplicate or colliding label {lab!r}")
                     self._info[lab] = (x, y, sp.degrees[i])
         self.action = {}
+        coerce = base.field.coerce
         for p, table in action.items():
+            if not isinstance(p, int) or p < 1:
+                raise HochschildError(f"bad action arity {p!r}")
             clean = {}
             for key, vec in table.items():
                 key = tuple(key)
+                if len(key) != p:
+                    raise HochschildError(f"arity-{p} action entry with {len(key)} inputs")
                 m_slots = [i for i, lab in enumerate(key) if lab in self._info]
                 if len(m_slots) != 1:
                     raise HochschildError(
@@ -83,6 +93,7 @@ class Bimodule:
                 for lab, c in vec.items():
                     if lab not in self._info:
                         raise HochschildError(f"action output {lab!r} is not a module label")
+                    c = coerce(c)
                     if c != 0:
                         out[lab] = c
                 if out:
@@ -105,7 +116,9 @@ class Bimodule:
 
 def diagonal_bimodule(c: AInfCategory, prefix: str = "M") -> Bimodule:
     """The category acting on a relabeled copy of itself; every product table
-    entry yields one action entry per argument slot."""
+    entry yields one action entry per argument slot, all sharing one output
+    vector.  The action is valid by construction, as ``c`` is, and taken
+    unchecked; the new labels are checked for collisions."""
     spaces = {}
     rename = {}
     for (x, y), sp in c.hom.items():
@@ -122,8 +135,10 @@ def diagonal_bimodule(c: AInfCategory, prefix: str = "M") -> Bimodule:
                 new_key = tuple(
                     rename[lab] if i == slot else lab for i, lab in enumerate(key)
                 )
-                tbl[new_key] = dict(out)
-    return Bimodule(c, spaces, action)
+                tbl[new_key] = out
+    m = Bimodule(c, spaces, {})
+    m.action = action
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +146,11 @@ def diagonal_bimodule(c: AInfCategory, prefix: str = "M") -> Bimodule:
 
 
 def square_zero_extension(c: AInfCategory, m: Bimodule, shift: int) -> AInfCategory:
-    """The category C + M[shift] of :func:`_extension_tables`."""
-    hom, mult = _extension_tables(c, m, shift)
-    return AInfCategory(c.field, c.objects, hom, c.units, mult)
-
-
-def _extension_tables(c: AInfCategory, m: Bimodule, shift: int) -> tuple[dict, dict]:
-    """The hom-spaces and products of C + M[shift]: module labels lowered in
-    degree by the shift, action entries twisted by the Koszul sign of sliding
-    the shift line past the arguments, products of two module elements zero."""
+    """The category C + M[shift]: module labels lowered in degree by the
+    shift, action entries twisted by the Koszul sign of sliding the shift
+    line past the arguments, products of two module elements zero.  Valid by
+    construction from ``c`` and ``m`` (both checked where they entered), so
+    built by :meth:`AInfCategory._trusted`, sharing their vectors."""
     if m.base is not c and not m.base.tables_equal(c):
         raise HochschildError("bimodule is not over the given category")
     field = c.field
@@ -160,7 +171,7 @@ def _extension_tables(c: AInfCategory, m: Bimodule, shift: int) -> tuple[dict, d
             if exp:
                 vec = {lab: field.neg(co) for lab, co in vec.items()}
             tbl[key] = vec
-    return hom, mult
+    return AInfCategory._trusted(field, c.objects, hom, c.units, mult)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +251,7 @@ class HochschildCochain:
 # the differential
 
 
-def hochschild_differential(phi: HochschildCochain) -> HochschildCochain:
+def hochschild_differential(phi: HochschildCochain, ext: AInfCategory | None = None) -> HochschildCochain:
     """Arity-(n+1) component of the commutator with m_2.
 
     The terms are the insertions of m_2 into the cochain (inner parity 0)
@@ -255,11 +266,14 @@ def hochschild_differential(phi: HochschildCochain) -> HochschildCochain:
     The sweep skips every tuple that holds a unit of the base, so the
     result is normalized as it comes out of the kernel.  It is valid by
     construction (composable, in the right module slots, of phi's internal
-    degree, normalized): unchecked.
+    degree, normalized): unchecked.  ``ext``, when given, must be
+    ``square_zero_extension(phi.base, phi.module, n - 2)``: a caller that
+    deforms by phi too builds it once for both.
     """
     base = phi.base
     n = phi.arity
-    ext = square_zero_extension(base, phi.module, n - 2)
+    if ext is None:
+        ext = square_zero_extension(base, phi.module, n - 2)
     phi_table = phi.table if n else {(): {lab: c for vec in phi.table.values() for lab, c in vec.items()}}
     ext_m2 = {key: vec for key, vec in ext.mult.get(2, {}).items() if ext.composable(key)}
 
@@ -299,27 +313,44 @@ def deform_by_cocycle(c: AInfCategory, m: Bimodule, eta: HochschildCochain) -> A
     """The square-zero extension with m_n augmented by eta on pure-C inputs.
 
     Requires eta of internal degree 0, so the added component has operator
-    degree 2 - n at the shift n - 2.  The result satisfies the defining
-    relations iff eta is a Hochschild cocycle.
+    degree 2 - n at the shift n - 2 (:func:`_check_deformable`).  The result
+    satisfies the defining relations iff eta is a Hochschild cocycle.
     """
-    if eta.base is not c and not eta.base.tables_equal(c):
+    _check_deformable(c, m, eta)
+    return _deform(c, square_zero_extension(c, m, eta.arity - 2), eta)
+
+
+def _check_over(c: AInfCategory, m: Bimodule, phi: HochschildCochain) -> None:
+    """HochschildError unless phi is a cochain over ``c`` with values in ``m``."""
+    if phi.base is not c and not phi.base.tables_equal(c):
         raise HochschildError("cochain is not over the given category")
+    if phi.module is not m and any(lab not in m._info for vec in phi.table.values() for lab in vec):
+        raise HochschildError("cochain values lie outside the given bimodule")
+
+
+def _check_deformable(c: AInfCategory, m: Bimodule, eta: HochschildCochain) -> None:
+    """HochschildError unless eta is a cochain over ``c`` with values in
+    ``m`` (:func:`_check_over`), of arity >= 1 and internal degree 0."""
+    _check_over(c, m, eta)
     if eta.arity < 1:
         raise HochschildError("deformations need cochain arity >= 1")
     if eta.internal_degree != 0:
         raise HochschildError(f"cocycle internal degree {eta.internal_degree} "
                               f"does not match the shift {eta.arity - 2}")
-    return _deform(c, *_extension_tables(c, m, eta.arity - 2), eta)
 
 
-def _deform(c: AInfCategory, hom: dict, mult: dict, eta: HochschildCochain) -> AInfCategory:
-    """The deformation's one category: the square-zero extension at shift
-    eta.arity - 2, given by its tables ``hom`` and ``mult`` (left unchanged),
-    with eta added to m_n, and none of the gates of :func:`deform_by_cocycle`."""
-    tbl = {key: dict(vec) for key, vec in mult.get(eta.arity, {}).items()}
+def _deform(c: AInfCategory, ext: AInfCategory, eta: HochschildCochain) -> AInfCategory:
+    """The deformation's one category: the square-zero extension ``ext`` at
+    shift eta.arity - 2 (left unchanged) with eta added to m_n, and none of
+    the gates of :func:`deform_by_cocycle`.  eta's values lie in M and m_n's
+    on pure-C keys in C, so they merge without cancelling into tables valid
+    by construction (:meth:`AInfCategory._trusted`); an empty m_n is dropped."""
+    n = eta.arity
+    tbl = dict(ext.mult.get(n, {}))
     for key, vec in eta.table.items():
-        c.field.add_scaled(tbl.setdefault(key, {}), vec)
-    return AInfCategory(c.field, c.objects, hom, c.units, {**mult, eta.arity: tbl})
+        tbl[key] = {**tbl.get(key, {}), **vec}
+    mult = {**ext.mult, n: tbl} if tbl else ext.mult
+    return AInfCategory._trusted(c.field, c.objects, ext.hom, c.units, mult)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +367,11 @@ def coboundary_trivialization(c: AInfCategory, m: Bimodule, phi: HochschildCocha
     For even arity, id - phi is checked as id + phi from the plain to the
     deformed extension, with the same defect up to sign: d(phi) and phi take
     pure-C inputs to module outputs.  The deformation reuses ``plain``.
-    HochschildError on a base with a nonzero m_1 or m_k, k >= 3, where
-    d(phi) is not the differential's whole value (:func:`_higher_product`).
+    HochschildError unless phi is over ``c`` with values in ``m``
+    (:func:`_check_over`), and on a base with a nonzero m_1 or m_k, k >= 3,
+    where d(phi) is not the differential's whole value (:func:`_higher_product`).
     """
+    _check_over(c, m, phi)
     higher = _higher_product(c)
     if higher:
         raise HochschildError(f"the base has a nonzero m_{higher[0]} (at {higher[1]}); "
@@ -347,7 +380,7 @@ def coboundary_trivialization(c: AInfCategory, m: Bimodule, phi: HochschildCocha
     if eta.table and eta.internal_degree:
         raise HochschildError(f"d(phi) has internal degree {eta.internal_degree}, not 0")
     plain = square_zero_extension(c, m, eta.arity - 2)
-    deformed = _deform(c, plain.hom, plain.mult, eta)
+    deformed = _deform(c, plain, eta)
     src, tgt = (deformed, plain) if phi.arity % 2 else (plain, deformed)
     return _verify_functor(src, tgt, phi, phi.arity)
 

@@ -39,10 +39,6 @@ class ExactField:
             raise FieldError(f"characteristic must be 0 or a prime, got {characteristic}")
         self.characteristic = characteristic
 
-    @property
-    def kind(self) -> str:
-        return "rationals" if self.characteristic == 0 else "prime-field"
-
     # -- element constructors ------------------------------------------
 
     @property

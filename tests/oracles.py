@@ -25,7 +25,9 @@ large box, with the chains that share prefix statistics walked together); the
 independence of its products from the coset representatives, which the build
 proves, is sampled with random lifts, and the identification of R with
 Gamma(0, 0) is checked table by table.  The Hochschild differential is the
-classical alternating sum, term by term.
+classical alternating sum, term by term.  The structure report is rebuilt by
+a walk over sorted tables and sorted outputs through the category's
+accessors.
 
 The package's linear algebra takes sparse vectors only; :func:`dense`,
 :func:`dense_differential`, :func:`degree_dims` and
@@ -39,6 +41,8 @@ import collections
 import itertools
 import math
 import random
+
+from ainfbench.ainf import ValidationReport
 
 
 def dense(field, v: dict, n: int) -> tuple:
@@ -701,3 +705,44 @@ def embed_generator(aus) -> dict:
         if translated != restricted:
             raise AssertionError(f"generator embedding fails to intertwine m_{p}")
     return mapping
+
+
+def naive_validate_structure(c):
+    """``validate_structure`` as a walk over sorted tables and sorted
+    outputs, with the unit checks written out through ``apply_labels`` and
+    ``is_unit``: the same report, built in report order."""
+    report = ValidationReport()
+    degree_bad, compos_bad = [], []
+    for p, table in sorted(c.mult.items()):
+        for key in sorted(table):
+            if not all(c.src(a) == c.tgt(b) for a, b in zip(key, key[1:])):
+                compos_bad.append({"arity": p, "tuple": list(key), "reason": "inputs not composable"})
+                continue
+            want = sum(c.deg(lab) for lab in key) + 2 - p
+            for lab in sorted(table[key]):
+                if (c.src(lab), c.tgt(lab)) != (c.src(key[-1]), c.tgt(key[0])):
+                    compos_bad.append({"arity": p, "tuple": list(key), "reason": f"output {lab} in wrong hom-space"})
+                elif c.deg(lab) != want:
+                    degree_bad.append({"arity": p, "tuple": list(key),
+                                       "reason": f"output {lab} has degree {c.deg(lab)}, expected {want}"})
+    report.add("degrees", not degree_bad, witnesses=degree_bad)
+    report.add("composability", not compos_bad, witnesses=compos_bad)
+    unit_bad = []
+    for x in c.objects:
+        if c.deg(c.units[x]) != 0:
+            unit_bad.append({"arity": 0, "tuple": [c.units[x]], "reason": f"unit degree {c.deg(c.units[x])}"})
+    one = c.field.one
+    for (x, y), space in sorted(c.hom.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
+        for lab in space.labels:
+            if c.apply_labels(2, (c.units[y], lab)) != {lab: one}:
+                unit_bad.append({"arity": 2, "tuple": [c.units[y], lab], "reason": "m_2(1,f) != f"})
+            if c.apply_labels(2, (lab, c.units[x])) != {lab: one}:
+                unit_bad.append({"arity": 2, "tuple": [lab, c.units[x]], "reason": "m_2(f,1) != f"})
+    for p, table in sorted(c.mult.items()):
+        for key in sorted(table):
+            if p != 2 and any(c.is_unit(lab) for lab in key):
+                unit_bad.append({"arity": p, "tuple": list(key), "reason": "higher product nonzero on a unit"})
+    report.add("units", not unit_bad, witnesses=unit_bad)
+    minimal = 1 not in c.mult
+    report.add("minimality", minimal, detail="m_1 = 0" if minimal else "m_1 != 0", required=False)
+    return report

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from ainfbench.auslander import build_auslander
 from ainfbench.filtration import Filtration
 from ainfbench.hochschild import HochschildCochain, deform_by_cocycle, diagonal_bimodule, is_cocycle
 from ainfbench.linalg import GradedSpace
+from ainfbench.specfile import parse_spec
 from ainfbench.scalars import FieldError
 
 from .corpus import (
@@ -35,7 +37,7 @@ from .corpus import (
     unital_m2,
     upper_triangular_2,
 )
-from .oracles import naive_stasheff_holds
+from .oracles import naive_stasheff_holds, naive_validate_structure
 
 F = Fraction
 
@@ -381,6 +383,118 @@ def test_check_stasheff_skips_units_only_when_they_certify(monkeypatch):
     gamma = _gamma_of_toy(QQ)
     check_stasheff(gamma)
     assert skips[-1] == set(gamma.units.values())
+
+
+def _scrambled_failures(rng):
+    """A two-object category whose tables fail the degree and composability
+    checks at several outputs of one key, and the units check on an arity-3
+    key, with its keys and outputs entered in a random order."""
+    hom = {
+        ("a", "a"): GradedSpace(("ea",), (0,)),
+        ("b", "b"): GradedSpace(("eb",), (0,)),
+        ("a", "b"): GradedSpace(("f", "g"), (0, 1)),
+        ("b", "a"): GradedSpace(("h",), (0,)),
+    }
+    entries = [
+        (2, ("ea", "ea"), {"ea": 1}), (2, ("eb", "eb"), {"eb": 1}),
+        (2, ("f", "ea"), {"f": 1, "g": 1, "h": 1}),  # g: degree 1; h: hom(b, a)
+        (2, ("eb", "f"), {"h": 1, "ea": 2, "g": 1, "f": 1}),  # h, ea: wrong hom-space; g: degree
+        (2, ("g", "ea"), {"g": 1}), (2, ("eb", "g"), {"g": 1}),
+        (2, ("ea", "h"), {"h": 1}), (2, ("h", "eb"), {"h": 1}),
+        (2, ("f", "f"), {"f": 3}), (2, ("g", "f"), {"h": 1}),  # not composable
+        (2, ("h", "f"), {"ea": 1, "eb": 1}),  # eb: wrong hom-space
+        (3, ("ea", "ea", "ea"), {"ea": 1}),  # a unit in an arity-3 key, degree 0 not -1
+        (3, ("h", "f", "h"), {"h": 1, "f": 1}),  # f: wrong hom-space; h: degree
+        (1, ("g",), {"f": 1, "g": 1}),  # f, g: degree 0 and 1, not 2
+    ]
+    rng.shuffle(entries)
+    mult: dict = {}
+    for p, key, vec in entries:
+        items = list(vec.items())
+        rng.shuffle(items)
+        mult.setdefault(p, {})[key] = dict(items)
+    return AInfCategory(QQ, ("a", "b"), hom, {"a": "ea", "b": "eb"}, mult)
+
+
+def _structure_cases(field):
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    cats = [parse_spec(str(path)).category for path in sorted(fixtures.glob("*.json"))] if field == QQ else []
+    cats += [toy_algebra(field), _gamma_of_toy(field), _x4_gamma(field), nonassociative_example(field)]
+    cats += _non_cocycle_deformations(3, field) + [cat for cat, _ in _not_strictly_unital(field)]
+    if field == QQ:
+        cats += [_wrong_hom_category(), _non_composable_key_category(), _graded_deformation()]
+    return cats
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_validate_structure_matches_sorted_walk(field):
+    # one walk in stored order, witnesses sorted afterwards: the report of a
+    # walk over sorted tables and sorted outputs, on passing and failing inputs
+    cats = _structure_cases(field)
+    if field == QQ:
+        rng = random.Random(5)
+        cats += [_scrambled_failures(rng) for _ in range(6)]
+    failing = 0
+    for cat in cats:
+        report = validate_structure(cat)
+        assert report.to_json() == naive_validate_structure(cat).to_json()
+        failing += not report.passed
+    assert failing >= (9 if field == QQ else 3)
+
+
+def test_scrambled_failures_list_every_witness_in_report_order():
+    report = validate_structure(_scrambled_failures(random.Random(1)))
+    assert [(w["arity"], w["tuple"], w["reason"]) for w in report.check("composability").witnesses] == [
+        (2, ["eb", "f"], "output ea in wrong hom-space"),
+        (2, ["eb", "f"], "output h in wrong hom-space"),
+        (2, ["f", "ea"], "output h in wrong hom-space"),
+        (2, ["f", "f"], "inputs not composable"),
+        (2, ["g", "f"], "inputs not composable"),
+        (2, ["h", "f"], "output eb in wrong hom-space"),
+        (3, ["h", "f", "h"], "output f in wrong hom-space"),
+    ]
+    assert [(w["arity"], w["tuple"], w["reason"]) for w in report.check("degrees").witnesses] == [
+        (1, ["g"], "output f has degree 0, expected 2"),
+        (1, ["g"], "output g has degree 1, expected 2"),
+        (2, ["eb", "f"], "output g has degree 1, expected 0"),
+        (2, ["f", "ea"], "output g has degree 1, expected 0"),
+        (3, ["ea", "ea", "ea"], "output ea has degree 0, expected -1"),
+        (3, ["h", "f", "h"], "output h has degree 0, expected -1"),
+    ]
+    assert report.check("units").witnesses[-1] == {
+        "arity": 3, "tuple": ["ea", "ea", "ea"], "reason": "higher product nonzero on a unit"}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_check_stasheff_reads_the_unit_verdict_from_the_structure_report(field, monkeypatch):
+    # the caller's structure report gives the same relation report, with no
+    # second unit pass; without one, check_stasheff walks the units itself
+    cats = _structure_cases(field)
+    passes = []
+    walk = ainf._unit_witnesses
+    monkeypatch.setattr(ainf, "_unit_witnesses", lambda c: passes.append(1) or walk(c))
+    for cat in cats:
+        n_max = min(2 * cat.arity_bound - 1, 4)
+        structure = validate_structure(cat)
+        passes.clear()
+        given = check_stasheff(cat, n_max, structure)
+        assert not passes
+        assert given.to_json() == check_stasheff(cat, n_max).to_json()
+        assert passes == [1]
+        assert _units_certify(cat, structure) == _units_certify(cat)
+
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_check_stasheff_ignores_a_structure_report_of_another_category(field):
+    # a passing report of toy must not let the sweep skip the unit tuples
+    # of a category that is not strictly unital
+    foreign = validate_structure(toy_algebra(field))
+    assert foreign.passed and foreign.category is not None
+    for cat, _ in _not_strictly_unital(field):
+        assert not _units_certify(cat, foreign)
+        n_max = 2 * cat.arity_bound - 1
+        assert check_stasheff(cat, n_max, foreign).to_json() == check_stasheff(cat, n_max).to_json()
 
 
 def test_stasheff_nonassociative_witness():

@@ -739,6 +739,42 @@ def test_cli_deform_refuses_a_base_with_higher_products(tmp_path, capsys):
     assert check["witnesses"] == [{"arity": 3, "tuple": ["e", "e", "e"]}]
 
 
+def test_cli_deform_refusal_builds_no_deformation(tmp_path, capsys, monkeypatch):
+    # the cochain's gates run first, then the higher-products refusal, and
+    # only then the build: toy's refusal makes the parsed base alone (it
+    # used to build a deformation nothing read), and a cochain of internal
+    # degree -1 on toy is still a usage error, exit 2
+    cochain = tmp_path / "eta.json"
+    cochain.write_text(json.dumps({"arity": 2, "table": [{"inputs": ["e", "e"], "output": {"e": "1"}}]}))
+    out_file = tmp_path / "deformed.json"
+    constructed = []
+    init = AInfCategory.__init__
+    monkeypatch.setattr(AInfCategory, "__init__", lambda self, *a: constructed.append(1) or init(self, *a))
+    code, out, _ = run(capsys, "deform", TOY, "--cochain", str(cochain), "-o", str(out_file))
+    monkeypatch.undo()
+    assert code == 1 and json.loads(out)["report"]["checks"][0]["name"] == "higher_products"
+    assert len(constructed) == 1
+    cochain.write_text(json.dumps({"arity": 1, "table": [{"inputs": ["e"], "output": {"t": "1"}}]}))
+    code, out, err = run(capsys, "deform", TOY, "--cochain", str(cochain), "-o", str(out_file))
+    assert (code, out) == (2, "") and "internal degree -1" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_cli_deform_by_an_empty_cochain(arity, tmp_path, capsys):
+    # the deformation by zero is the extension: no empty m_n table is added,
+    # so the sweep's bound stays 2 * 2 - 1 = 3 on dual.json, whose 3 products
+    # and 6 actions are all the file holds
+    cochain = tmp_path / "eta.json"
+    cochain.write_text(json.dumps({"arity": arity, "table": []}))
+    out_file = tmp_path / "deformed.json"
+    code, out, err = run(capsys, "deform", DUAL, "--cochain", str(cochain), "-o", str(out_file))
+    report = json.loads(out)
+    assert (code, err, report["verdict"], report["cocycle"]) == (0, "", "PASS", True)
+    assert [c["name"] for c in report["relations"]["checks"]] == ["stasheff_n1", "stasheff_n2", "stasheff_n3"]
+    assert [entry["arity"] for entry in json.loads(out_file.read_text())["mult"]] == [2] * 9
+
+
 def test_cli_deform_refuses_a_dg_base(tmp_path, capsys):
     # m_1(a) = b, and the differential inserts only m_2: eta(b, b) = b used to
     # get a FAIL verdict next to "cocycle": true, and a written file

@@ -1,14 +1,16 @@
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ainfbench import GF, QQ
+from ainfbench import GF, QQ, ainf, cli, hochschild
 from ainfbench.ainf import AInfCategory, check_stasheff, validate_structure
 from ainfbench.cli import main
 from ainfbench.hochschild import (
+    Bimodule,
     HochschildCochain,
     HochschildError,
     _verify_functor,
@@ -19,11 +21,14 @@ from ainfbench.hochschild import (
     is_cocycle,
     square_zero_extension,
 )
+from ainfbench.linalg import GradedSpace
 from ainfbench.scalars import FieldError
 from ainfbench.specfile import parse_spec
 
 from .corpus import (
+    ASSOCIATIVE_CORPUS,
     LARGE_DENOMINATORS,
+    beilinson_algebra,
     bimodule_direct_sum,
     dg_closure_example,
     dual_numbers,
@@ -31,6 +36,8 @@ from .corpus import (
     random_cochain,
     rescaled,
     toy_algebra,
+    trivial_extension,
+    truncated_polynomial,
     upper_triangular_2,
     zero_bimodule,
 )
@@ -90,6 +97,81 @@ def test_direct_sum_dims_add():
     ext = square_zero_extension(c, both, 0)
     assert ext.total_dim() == c.total_dim() + m1.total_dim() + m2.total_dim()
     assert check_stasheff(ext).passed
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_bimodule_values_are_exact_where_they_enter(field):
+    # the extension takes the action as built, so the bimodule coerces it
+    # where it enters: floats and bools raise here, zeros are dropped
+    c = dual_numbers(field)
+    spaces = {("*", "*"): GradedSpace(("N.1", "N.e"), (0, 0))}
+
+    def action(v):
+        return {2: {("e", "N.1"): {"N.e": v}, ("N.1", "e"): {"N.e": 1, "N.1": 0}}}
+
+    for bad in (0.5, 1.0, True, False):
+        with pytest.raises(FieldError):
+            Bimodule(c, spaces, action(bad))
+    m = Bimodule(c, spaces, action(3))
+    assert m.action[2][("N.1", "e")] == {"N.e": field.one}
+    assert all(type(v) is type(field.one) for t in m.action.values() for vec in t.values() for v in vec.values())
+    if field == GF(3):  # 3 is zero in F_3: the entry is dropped
+        assert ("e", "N.1") not in m.action[2]
+    else:
+        assert m.action[2][("e", "N.1")] == {"N.e": field.of_int(3)}
+    assert not Bimodule(c, spaces, {2: {("e", "N.1"): {"N.e": 0}}}).action
+    for p, key in ((3, ("e", "N.1")), (0, ()), ("2", ("e", "N.1"))):
+        with pytest.raises(HochschildError):
+            Bimodule(c, spaces, {p: {key: {"N.e": 1}}})
+
+
+def _extension_cases(field):
+    cats = [toy_algebra(field), dg_closure_example(field)[0], trivial_extension(3, 1, field),
+            beilinson_algebra(2, field)]
+    if field == QQ:
+        cats += [make() for _, make in ASSOCIATIVE_CORPUS]
+    return cats
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_trusted_extension_equals_the_constructed_one(field):
+    # the extension and the deformation are built valid by construction; the
+    # checking constructor gives the same tables from them
+    rng = random.Random(3)
+    for c in _extension_cases(field):
+        for m in (diagonal_bimodule(c), bimodule_direct_sum(diagonal_bimodule(c), diagonal_bimodule(c, "N"))):
+            for shift in (-1, 0, 1, 2):
+                ext = square_zero_extension(c, m, shift)
+                assert ext.tables_equal(AInfCategory(field, c.objects, ext.hom, c.units, ext.mult))
+                assert all(table for table in ext.mult.values())
+        m = diagonal_bimodule(c)
+        for arity in (1, 2, 3):
+            for eta in (HochschildCochain(c, m, arity, {}), random_cochain(rng, c, m, arity)):
+                if eta is None or eta.internal_degree:
+                    continue
+                deformed = deform_by_cocycle(c, m, eta)
+                assert deformed.tables_equal(AInfCategory(field, c.objects, deformed.hom, c.units, deformed.mult))
+                assert all(table for table in deformed.mult.values())
+
+
+def test_deform_drops_an_empty_top_table():
+    # an empty arity-3 cochain on an associative base adds no m_3 table,
+    # which would raise arity_bound and the relation sweep's bound
+    c = dual_numbers()
+    m = diagonal_bimodule(c)
+    deformed = deform_by_cocycle(c, m, HochschildCochain(c, m, 3, {}))
+    assert set(deformed.mult) == {2} and deformed.arity_bound == 2
+    assert deformed.tables_equal(square_zero_extension(c, m, 1))
+
+
+def test_deform_refuses_a_cochain_valued_outside_the_bimodule():
+    c = dual_numbers()
+    m, other = diagonal_bimodule(c), diagonal_bimodule(c, "N")
+    with pytest.raises(HochschildError, match="outside the given bimodule"):
+        deform_by_cocycle(c, m, HochschildCochain(c, other, 2, {("e", "e"): {"N.1": F(1)}}))
+    same = diagonal_bimodule(c)  # an equal bimodule of its own is accepted
+    eta = HochschildCochain(c, same, 2, {("e", "e"): {"M.1": F(1)}})
+    assert deform_by_cocycle(c, m, eta).tables_equal(deform_by_cocycle(c, same, eta))
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +468,23 @@ def test_coboundary_trivialization_refuses_a_dg_base():
             coboundary_trivialization(c, m, HochschildCochain(c, m, q, {key: {"M.b": F(1)}}))
 
 
+
+def test_coboundary_trivialization_refuses_a_cochain_off_its_base_or_bimodule():
+    # phi enters the deformation's tables unchecked, so its base and its
+    # values are gated as deform_by_cocycle gates eta
+    c = dual_numbers()
+    m = diagonal_bimodule(c)
+    phi = HochschildCochain(c, diagonal_bimodule(c, "N"), 1, {("e",): {"N.e": F(1)}})
+    with pytest.raises(HochschildError, match="outside the given bimodule"):
+        coboundary_trivialization(c, m, phi)
+    x3 = truncated_polynomial(3)
+    phi = HochschildCochain(x3, diagonal_bimodule(x3), 1, {("x1",): {"M.x1": F(1)}})
+    with pytest.raises(HochschildError, match="not over the given category"):
+        coboundary_trivialization(c, m, phi)
+    same = diagonal_bimodule(c)  # an equal bimodule of its own is accepted
+    assert coboundary_trivialization(c, m, HochschildCochain(c, same, 1, {("e",): {"M.e": F(1)}}))
+
+
 def _count_inits(monkeypatch, *classes) -> list:
     """Record the class name of every ``__init__`` call of ``classes``."""
     made = []
@@ -398,8 +497,9 @@ def _count_inits(monkeypatch, *classes) -> list:
 
 
 def test_cochains_checked_where_they_enter_one_extension_per_deformation(tmp_path, capsys, monkeypatch):
-    """``deform`` makes three categories (the parsed base, the deformation
-    and the differential's extension) and checks its one cochain once;
+    """``deform`` makes three categories (the parsed base, the one
+    square-zero extension and its deformation) and checks its one cochain
+    once;
     ``coboundary_trivialization`` makes three (the differential's extension,
     the plain extension and its deformation) and checks no cochain; the
     differential checks none."""
@@ -424,3 +524,38 @@ def test_cochains_checked_where_they_enter_one_extension_per_deformation(tmp_pat
         made.clear()
         assert not hochschild_differential(phi).is_zero()
         assert made.count("HochschildCochain") == 0
+
+
+def test_deform_builds_each_category_once(tmp_path, capsys, monkeypatch):
+    """One ``deform`` verdict builds one square-zero extension, which the
+    differential and the deformation share; the parsed base is the only
+    category built by the checking constructor (the extension and the
+    deformation are ``_trusted``), and the unit check runs once per
+    category, in ``validate_structure``."""
+    counts = {"extension": 0, "init": 0, "trusted": 0, "units": 0}
+    extension, init, trusted, units = (square_zero_extension, AInfCategory.__init__,
+                                       AInfCategory._trusted.__func__, ainf._unit_witnesses)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    base = Path(__file__).resolve().parent.parent / "fixtures" / "dual.json"
+    argv = ["deform", str(base), "--cochain", str(base), "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(hochschild, "square_zero_extension", counted("extension", extension))
+    monkeypatch.setattr(cli, "square_zero_extension", counted("extension", extension))
+    monkeypatch.setattr(AInfCategory, "__init__", counted("init", init))
+    monkeypatch.setattr(AInfCategory, "_trusted", classmethod(counted("trusted", trusted)))
+    monkeypatch.setattr(ainf, "_unit_witnesses", counted("units", units))
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.undo()
+    assert counts["extension"] == 1
+    assert counts["init"] - counts["trusted"] == 1 and counts["trusted"] == 2
+    assert counts["units"] == 2
+    mask = re.compile(r'"timings": \{[^}]*\}')
+    assert mask.sub("", out) == mask.sub("", expected)
