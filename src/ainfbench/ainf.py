@@ -19,9 +19,6 @@ Conventions (used consistently by every module in this package):
   ``(f (x) g)(x (x) y) = (-1)^{|g||x|} f(x) (x) g(y)``).
 * Strict unitality: ``m_2(1, f) = f = m_2(f, 1)`` and every ``m_p`` with
   ``p != 2`` vanishes as soon as one argument is a unit.
-* The opposite category reverses hom-spaces and arguments with the sign
-  ``(-1)^sigma``, ``sigma = sum_{u<v} |a_u| |a_v|``; this makes ``opposite``
-  an involution on the nose.
 
 Structure constants are stored sparsely: a missing tuple means the zero
 vector.  All values are immutable after construction and all operations are
@@ -546,23 +543,3 @@ def check_stasheff(c: AInfCategory, n_max: int | None = None,
     for n in range(1, n_max + 1):
         report.add(f"stasheff_n{n}", not by_arity[n], witnesses=by_arity[n])
     return report
-
-
-# ---------------------------------------------------------------------------
-# opposites
-
-
-def opposite(c: AInfCategory) -> AInfCategory:
-    """Reverse all hom-spaces; arguments reversed with sign sum_{u<v}|a_u||a_v|."""
-    field = c.field
-    hom = {(x, y): c.hom[(y, x)] for x in c.objects for y in c.objects}
-    mult: dict = {}
-    for p, table in c.mult.items():
-        new = {}
-        for key, vec in table.items():
-            degs = [c.deg(l) for l in key]
-            sigma = sum(degs[u] * degs[v] for u in range(p) for v in range(u + 1, p)) % 2
-            out = vec if sigma == 0 else {lab: field.neg(co) for lab, co in vec.items()}
-            new[tuple(reversed(key))] = out
-        mult[p] = new
-    return AInfCategory(field, c.objects, hom, dict(c.units), mult)

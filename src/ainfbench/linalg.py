@@ -371,21 +371,6 @@ class QuotientPresentation:
             self.field.add_scaled(acc, self.reps[k], c)
         return {b: acc[b] for b in sorted(acc)}
 
-    def verify(self) -> bool:
-        """Self-check from the presentation's own echelon: project(lift(e_k))
-        = e_k for each representative, and lift(project(r)) - r is a
-        combination of the denominator rows alone for each echelon row r."""
-        field = self.field
-        if any(self.project(self.lift({k: field.one})) != {k: field.one} for k in range(self.dim)):
-            return False
-        for r in self._echelon.rows.values():
-            residue = self.lift(self.project(r))
-            field.add_scaled(residue, r, field.neg(field.one))
-            multipliers = {}
-            if self._echelon.reduce(residue, multipliers) or multipliers.keys() & self._rep_of.keys():
-                return False
-        return True
-
 
 def quotient_space(numerator: Subspace, denominator: Subspace, preferred=()) -> QuotientPresentation:
     """numerator / denominator, representatives taken from ``preferred`` first."""
@@ -486,11 +471,12 @@ class CohomologyData:
     Dimensions come from ranks: the constructor inserts the sparse columns of
     each d_q into one echelon, and dim H^q = dim C^q - rank d_q - rank d_{q-1},
     exact because ``FiniteComplex`` has checked d o d = 0.  Classes are
-    presented one degree at a time, on first use of ``group(q)``,
-    ``representatives(q)`` or ``class_coords(q, ...)``: H^q is a
-    ``QuotientPresentation`` whose echelon is the one of d_{q-1}'s columns,
-    taken over, with the kernel basis of d_q as candidates, and its dim is
-    checked against the one from ranks.  ``groups`` presents every degree.
+    presented one degree at a time, on first use of ``group(q)`` or
+    ``class_coords(q, ...)``: H^q is a ``QuotientPresentation`` whose
+    echelon is the one of d_{q-1}'s columns, taken over, with the kernel
+    basis of d_q as candidates, so its ``reps`` are the representative
+    cocycles; its dim is checked against the one from ranks.  ``groups``
+    presents every degree.
     """
 
     def __init__(self, complex_: FiniteComplex):
@@ -530,10 +516,6 @@ class CohomologyData:
 
     def total_dim(self) -> int:
         return sum(self._dims.values())
-
-    def representatives(self, q):
-        g = self.group(q)
-        return g.reps if g is not None else ()
 
     def class_coords(self, q, cocycle: dict) -> dict:
         """Coordinates of a cocycle's class in the chosen degree-q basis."""

@@ -1,5 +1,5 @@
 """One-sided twisted complexes over the quotient category: representables,
-inclusion morphisms, cones, evaluations, Hom-complexes, semiorthogonality.
+inclusion morphisms, cones, Hom-complexes, semiorthogonality.
 
 A twisted complex is a finite list of entries (object o_a, shift k_a) with a
 strictly one-sided connection.  The connection component mapping summand s to
@@ -22,11 +22,12 @@ category operations, where the only signs are Koszul signs:
   sum_{j>=2} (k_src_j - k_tgt_j) * sum_{i<j} (deg_i - 1).
 
 These three exponents are the whole sign convention; d o d = 0 on every
-Hom-complex, Maurer-Cartan for every cone, and the Yoneda comparisons below
-are the correctness certificates.
+Hom-complex and Maurer-Cartan for every cone are the correctness
+certificates.
 
 Every m_p evaluation here (``mu1``, :class:`HomComplexResult`, ``mu2``,
-``evaluate_at``, Maurer-Cartan) goes through one kernel, ``_chain_sums``.
+Maurer-Cartan) goes through one kernel, ``_chain_sums``.  The value of a
+complex x at an object j is the Hom-complex Hom(P_j, x) (Yoneda).
 Each complex expands its connection paths once into label chains (labels,
 shift parities, degrees minus one, coefficient), and so does each morphism
 for its components; a term is three lists of chains (pre, mid, post), and
@@ -180,14 +181,6 @@ class TwistedComplex:
     def size(self) -> int:
         return len(self.entries)
 
-    def shift(self, k: int) -> "TwistedComplex":
-        return TwistedComplex(
-            self.cat,
-            [(o, sh + k) for o, sh in self.entries],
-            dict(self.conn),
-            check_mc=False,
-        )
-
     @cached_property
     def _label_chains(self):
         """Connection paths from summand a down to summand b <= a, at
@@ -249,28 +242,12 @@ class ModuleMorphismElement:
     def is_zero(self) -> bool:
         return not self.comps
 
-    def scaled(self, c) -> "ModuleMorphismElement":
-        field = self.source.cat.field
-        return ModuleMorphismElement(
-            self.source,
-            self.target,
-            self.degree,
-            {k: {l: field.mul(c, v) for l, v in e.items()} for k, e in self.comps.items()},
-        )
-
-    def plus(self, other: "ModuleMorphismElement") -> "ModuleMorphismElement":
-        if other.degree != self.degree:
-            raise ModuleError("cannot add morphisms of different degrees")
-        field = self.source.cat.field
-        comps = {k: dict(e) for k, e in self.comps.items()}
-        for k, e in other.comps.items():
-            field.add_scaled(comps.setdefault(k, {}), e)
-        return ModuleMorphismElement(self.source, self.target, self.degree, comps)
-
 
 def _check_entry(source: TwistedComplex, target: TwistedComplex, degree: int, t, s, lab):
     """Raise ModuleError unless the label ``lab`` can sit in component (t, s)
     of a degree-``degree`` morphism from ``source`` to ``target``."""
+    if not (0 <= t < target.size and 0 <= s < source.size):
+        raise ModuleError(f"component ({t},{s}) is outside the {target.size}x{source.size} matrix")
     cat = source.cat
     ot, kt = target.entries[t]
     os_, ks = source.entries[s]
@@ -327,9 +304,10 @@ def mu2(f: ModuleMorphismElement, g: ModuleMorphismElement) -> ModuleMorphismEle
     unique twist that makes identity morphisms strict two-sided units; the
     product stays associative modulo exact terms.
     """
-    if g.target is not f.source and g.target.entries != f.source.entries:
-        raise ModuleError("morphisms are not composable")
-    x, y, z = g.source, g.target, f.target
+    y = g.target
+    if y is not f.source and (y.entries, y.conn) != (f.source.entries, f.source.conn):
+        raise ModuleError("morphisms are not composable: g's target is not f's source")
+    x, z = g.source, f.target
     _check_same_category(x, y, f.source, z)
     (xc, dx), (yc, dy), (zc, dz) = x._label_chains, y._label_chains, z._label_chains
     (gc, dg), (fc, df) = _morphism_chains(g), _morphism_chains(f)
@@ -406,32 +384,7 @@ def cone(f: ModuleMorphismElement) -> TwistedComplex:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and Hom-complexes
-
-
-def evaluate_at(x: TwistedComplex, j) -> FiniteComplex:
-    """Value of the module at object j: sum_a hom(o_a -> j) shifted by k_a,
-    with the differential induced by the connection: mu1 on Hom(P_j, x), P_j
-    the one-entry complex [(j, 0)], in its own basis (a, label)."""
-    cat = x.cat
-    point = TwistedComplex(cat, [(j, 0)])  # ModuleError for an unknown object
-    basis = [(a, lab) for a, (o, _) in enumerate(x.entries) for lab in cat.basis(o, j)]
-    degree_of = {(a, lab): cat.deg(lab) - x.entries[a][1] for a, lab in basis}
-
-    components: dict = {}
-    for key in basis:
-        components.setdefault(degree_of[key], []).append(key)
-    comp_labels = {
-        d: tuple(f"{a}|{lab}" for a, lab in keys) for d, keys in components.items()
-    }
-    pos = {d: {key: i for i, key in enumerate(keys)} for d, keys in components.items()}
-
-    slots = (((a, lab), a, 0, [_slot_chain(point, x, a, 0, lab, 1)]) for a, lab in basis)
-    diff: dict = {}  # degree -> sparse columns {j: {i: scalar}}
-    for ((key, t_out, _), out_lab), c in _mu1_sums(point, x, slots, 1).items():
-        d = degree_of[key]
-        diff.setdefault(d, {}).setdefault(pos[d][key], {})[pos[d + 1][(t_out, out_lab)]] = c
-    return FiniteComplex(cat.field, comp_labels, diff)
+# Hom-complexes
 
 
 class HomComplexResult:
@@ -507,81 +460,32 @@ def hom_complex(x: TwistedComplex, y: TwistedComplex) -> HomComplexResult:
 
 
 # ---------------------------------------------------------------------------
-# cohomology of an endomorphism algebra (with its product)
-
-
-class AlgebraCohomology:
-    """H^* of the endomorphism algebra hom(obj -> obj) of a category, with the
-    product induced by m_2.
-
-    For a minimal algebra this is the algebra itself; otherwise classes are
-    presented by explicit cocycle representatives.
-    """
-
-    def __init__(self, alg: AInfCategory, obj):
-        self.alg, self.obj = alg, obj
-        space = alg.hom[(obj, obj)]
-        field = alg.field
-        components: dict = {}
-        for i, lab in enumerate(space.labels):
-            components.setdefault(space.degrees[i], []).append(lab)
-        comp_labels = {d: tuple(ls) for d, ls in components.items()}
-        pos = {d: {lab: i for i, lab in enumerate(ls)} for d, ls in components.items()}
-        diff: dict = {}
-        for d, ls in components.items():
-            if (d + 1) not in components:
-                if any(alg.apply_labels(1, (lab,)) for lab in ls):
-                    raise ModuleError("m_1 output escapes the graded components")
-                continue
-            diff[d] = {
-                j: {pos[d + 1][out_lab]: c for out_lab, c in alg.apply_labels(1, (lab,)).items()}
-                for j, lab in enumerate(ls)
-            }
-        self.complex = FiniteComplex(field, comp_labels, diff)
-        self.cohomology = complex_cohomology(self.complex)
-        self._pos = pos
-        # class basis: (degree, index) with sparse representatives
-        self.classes = []
-        for d, g in sorted(self.cohomology.groups.items()):
-            for k, rep in enumerate(g.reps):
-                self.classes.append((d, k, {comp_labels[d][i]: c for i, c in rep.items()}))
-
-    def dims(self) -> dict:
-        return self.cohomology.dims()
-
-    def class_coords(self, elem: dict, degree: int) -> dict:
-        pos = self._pos.get(degree, {})
-        return self.cohomology.class_coords(degree, {pos[lab]: c for lab, c in elem.items()})
-
-    def product_class(self, da, elem_a, db, elem_b):
-        """Class of m_2(elem_a, elem_b) in degree da + db."""
-        out = self.alg.apply(2, [elem_a, elem_b])
-        return self.class_coords(out, da + db)
-
-    def unit_class_index(self):
-        return self.class_coords(self.alg.unit_vector(self.obj), 0)
-
-
-# ---------------------------------------------------------------------------
 # the canonical right-action comparison for End(S_i)
 
 
 def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, end: HomComplexResult,
-                   rbar_h: AlgebraCohomology) -> dict:
+                   rbar: HomComplexResult) -> dict:
     """Verify H^*(End(S_i)) is a copy of H^*(R/F^1) via the right action.
 
-    ``end`` is ``hom_complex(s_i, s_i)``, built once by :func:`sod_report`;
-    ``rbar_h`` is the cohomology of R/F^1 = Gamma(n-1, n-1).
+    ``end`` is ``hom_complex(s_i, s_i)`` and ``rbar`` is End(P_{n-1}), both
+    built once by :func:`sod_report`.  End(P_{n-1}) is R/F^1 = Gamma(n-1,
+    n-1) with the differential m_1, so its classes, its unit class and the
+    classes of products (m_2 of Gamma(n-1, n-1) elements) are those of
+    R/F^1.
 
     For each class rbar with representative r, the candidate endomorphism is
     the diagonal matrix of the classes of r (one slot per entry of S_i),
-    corrected by a solvable term to make it closed.  The map r -> [f_r] is
-    verified to be a degree-preserving linear isomorphism carrying the unit
-    to the identity and satisfying the composition law
+    corrected by a solvable term to make it closed: the solution is added to
+    its coordinates.  The map r -> [f_r] is verified to be a
+    degree-preserving linear isomorphism carrying the unit to the identity
+    and satisfying the composition law
 
         mu2(f_r, f_s) ~ f_{m_2(s, r)}
 
-    exactly.  Composition applies its second argument first, so the canonical
+    exactly.  Both sides are compared in class coordinates: [f_r] is
+    computed once per class, and the right-hand side is the combination of
+    those class vectors with the R/F^1 class coordinates of m_2(s, r).
+    Composition applies its second argument first, so the canonical
     identification reverses products: it is an isomorphism onto the opposite
     algebra, hence an isomorphism outright whenever R/F^1 is commutative or
     has an anti-automorphism.
@@ -589,47 +493,55 @@ def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, end: HomComplexR
     if end.source is not s_i or end.target is not s_i:
         raise ModuleError("end must be the Hom-complex End(S_i)")
     field = s_i.cat.field
-    out = {"dims_match": end.cohomology_dims() == rbar_h.dims(), "failures": []}
+    out = {"dims_match": end.cohomology_dims() == rbar.cohomology_dims(), "failures": []}
     if not out["dims_match"]:
         out["failures"].append(
             {"check": "dims",
              "end": {str(d): v for d, v in end.cohomology_dims().items()},
-             "rbar": {str(d): v for d, v in rbar_h.dims().items()}}
+             "rbar": {str(d): v for d, v in rbar.cohomology_dims().items()}}
         )
         out["ok"] = False
         return out
 
-    def diagonal_candidate(elem, degree):
-        comps = {(a, a): _lift_rbar_class(aus, rbar_h, elem, o) for a, (o, _) in enumerate(s_i.entries)}
-        return ModuleMorphismElement(s_i, s_i, degree, comps)
-
+    # (degree, index, representative as a Gamma(n-1, n-1) element) per class
+    classes = [(d, k, {rbar.basis_by_degree[d][b][2]: c for b, c in rep.items()})
+               for d, g in sorted(rbar.cohomology.groups.items()) for k, rep in enumerate(g.reps)]
+    p = rbar.source  # P_{n-1}
+    top = p.entries[0][0]
     reps = {}
-    for d, k, elem in rbar_h.classes:
-        f0 = diagonal_candidate(elem, d)
-        df0 = mu1(f0)
-        if df0.is_zero():
-            f = f0
-        else:
-            target = {i: field.neg(c) for i, c in end.coords_from_morphism(df0).items()}
+    for d, k, elem in classes:
+        f = ModuleMorphismElement(s_i, s_i, d, {(a, a): _lift_rbar_class(aus, top, elem, o)
+                                                for a, (o, _) in enumerate(s_i.entries)})
+        df = mu1(f)
+        if not df.is_zero():
+            target = {b: field.neg(c) for b, c in end.coords_from_morphism(df).items()}
             sol = _solve(field, end.complex.columns.get(d, {}), target,
                          len(end.complex.components.get(d, ())))
-            if sol is None:
-                out["failures"].append({"check": "closure", "class": [d, k]})
-                continue
-            f = f0.plus(end.morphism_from_coords(d, sol))
-            if not mu1(f).is_zero():
+            if sol is not None:
+                v = end.coords_from_morphism(f)
+                field.add_scaled(v, sol)
+                f = end.morphism_from_coords(d, v)
+            if sol is None or not is_closed(f):
                 out["failures"].append({"check": "closure", "class": [d, k]})
                 continue
         reps[(d, k)] = f
 
-    if len(reps) != len(rbar_h.classes):
+    if len(reps) != len(classes):
         out["ok"] = False
         return out
+    cls = {key: end.class_of(f) for key, f in reps.items()}
+
+    def image(degree, coords):
+        """The class of f_r for the R/F^1 class with coordinates ``coords``."""
+        acc: dict = {}
+        for k, c in coords.items():
+            field.add_scaled(acc, cls[(degree, k)], c)
+        return acc
 
     # linear isomorphism: the classes of the f_r span H^* degreewise
     by_degree: dict = {}
-    for (d, k), f in reps.items():
-        by_degree.setdefault(d, []).append(end.class_of(f))
+    for (d, k), v in cls.items():
+        by_degree.setdefault(d, []).append(v)
     for d, vecs in by_degree.items():
         g = end.cohomology.group(d)
         want = g.dim if g is not None else 0
@@ -637,18 +549,15 @@ def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, end: HomComplexR
             out["failures"].append({"check": "linear_iso", "degree": d})
 
     # unit goes to the identity
-    ident = identity_morphism(s_i)
-    unit_f = _combine(reps, 0, rbar_h.unit_class_index(), end)
-    if end.class_of(unit_f) != end.class_of(ident):
+    if image(0, rbar.class_of(identity_morphism(p))) != end.class_of(identity_morphism(s_i)):
         out["failures"].append({"check": "unit"})
 
     # composition law (product reversed by the right action)
-    for (da, ka, ea) in rbar_h.classes:
-        for (db, kb, eb) in rbar_h.classes:
-            left = mu2(reps[(da, ka)], reps[(db, kb)])
-            prod_coords = rbar_h.product_class(db, eb, da, ea)
-            right = _combine(reps, da + db, prod_coords, end)
-            if end.class_of(left) != end.class_of(right):
+    for (da, ka, ea) in classes:
+        for (db, kb, eb) in classes:
+            left = end.class_of(mu2(reps[(da, ka)], reps[(db, kb)]))
+            product = ModuleMorphismElement(p, p, da + db, {(0, 0): aus.gamma.apply(2, [eb, ea])})
+            if left != image(da + db, rbar.class_of(product)):
                 out["failures"].append(
                     {"check": "composition", "classes": [[da, ka], [db, kb]]}
                 )
@@ -657,24 +566,13 @@ def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, end: HomComplexR
     return out
 
 
-def _lift_rbar_class(aus: AuslanderCategory, rbar_h: AlgebraCohomology, elem: dict, gamma_obj) -> dict:
-    """Class in hom(o -> o) of a representative of an R/F^1 element."""
-    cat, top = aus.gamma, rbar_h.obj
+def _lift_rbar_class(aus: AuslanderCategory, top, elem: dict, gamma_obj) -> dict:
+    """Class in hom(o -> o) of a representative of an element of R/F^1 =
+    Gamma(top, top)."""
+    cat = aus.gamma
     ambient = aus.quotients[(top, top)].lift(cat.element_to_coords(elem, top, top))
     cls = aus.quotients[(gamma_obj, gamma_obj)].project_strict(ambient)
     return cat.coords_to_element(cls, gamma_obj, gamma_obj)
-
-
-def _combine(reps, degree, coords: dict, end):
-    """Linear combination of the canonical endomorphisms for given sparse
-    class coords: the class of index k in ``degree`` is ``reps[(degree, k)]``."""
-    total = None
-    for k, c in coords.items():
-        term = reps[(degree, k)].scaled(c)
-        total = term if total is None else total.plus(term)
-    if total is None:
-        total = ModuleMorphismElement(end.source, end.target, degree)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -724,26 +622,31 @@ def sod_report(aus: AuslanderCategory) -> SodReport:
     (b) H End(S_i) is a copy of H^*(R/F^1) (see :func:`end_comparison`);
     (c) H Hom(S_j, S_i) vanishes for j > i.
 
-    R/F^1 is Gamma(n-1, n-1) = F^0/F^1, read off the on-demand tables of
-    Gamma: the build has presented it, and the filtration check has proved
-    F^1 an ideal.
-
     S_i is the cone of psi_i for i < n - 1, and S_{n-1} is P_{n-1} itself:
     the cone of 0 -> P_{n-1} has P_{n-1}'s one entry and no connection.
+
+    R/F^1 is Gamma(n-1, n-1) = F^0/F^1 (the build has presented it, and the
+    filtration check has proved F^1 an ideal), and End(P_{n-1}) is R/F^1
+    with the differential m_1.  So sod reads H^*(R/F^1), its classes and
+    their products off End(P_{n-1}), built once: it is also the P/S and the
+    S/S diagonal cell (n-1, n-1), since S_{n-1} = P_{n-1}.
 
     Hom(P_j, S_i) and, for j <= i, Hom(S_j, S_i) are computed.  For j > i,
     S_{n-1} = P_{n-1}, and Hom(S_j, S_i) extends Hom(P_j, S_i) by Hom(P_{j+1},
     S_i)[-1] (mu1 never lowers the source slot): zero if both are, else built.
+    That is n^2 + n(n+1)/2 - 1 Hom-complexes when every premise holds.
     """
     n = aus.n
-    rbar_h = AlgebraCohomology(aus.gamma, n - 1)
-    rbar_dims = rbar_h.dims()
-
     ps = [representable(aus, i) for i in range(n)]
     ss = [cone(psi(aus, i)) for i in range(n - 1)] + [ps[n - 1]]
+    rbar = hom_complex(ps[n - 1], ps[n - 1])
+    rbar_dims = rbar.cohomology_dims()
+
+    def hom(j, i, src):  # Hom(src[j], S_i), End(P_{n-1}) once
+        return rbar if i == j == n - 1 else hom_complex(src[j], ss[i])
 
     failures = []
-    ps_table = [[hom_complex(ps[j], ss[i]).cohomology_dims() for j in range(n)] for i in range(n)]
+    ps_table = [[hom(j, i, ps).cohomology_dims() for j in range(n)] for i in range(n)]
     ss_table = [[] for _ in range(n)]
     end_results = []
     for i in range(n):
@@ -754,10 +657,10 @@ def sod_report(aus: AuslanderCategory) -> SodReport:
             if j > i and not ps_table[i][j] and not ps_table[i][j + 1]:
                 ss_table[i].append({})
                 continue
-            h = hom_complex(ss[j], ss[i])
+            h = hom(j, i, ss)
             ss_table[i].append(h.cohomology_dims())
             if j == i:  # End(S_i), compared while it is the one alive
-                res = end_comparison(aus, ss[i], h, rbar_h)
+                res = end_comparison(aus, ss[i], h, rbar)
                 end_results.append({"i": i, "ok": res["ok"], "failures": res["failures"]})
     for i in range(n):
         for j in range(n):

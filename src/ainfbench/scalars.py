@@ -101,11 +101,6 @@ class ExactField:
             return a + b
         return (a + b) % self.characteristic
 
-    def sub(self, a, b):
-        if self.characteristic == 0:
-            return a - b
-        return (a - b) % self.characteristic
-
     def mul(self, a, b):
         if self.characteristic == 0:
             return a * b

@@ -469,3 +469,20 @@ def full_subcategory(c: AInfCategory, objs) -> AInfCategory:
         if new:
             mult[p] = new
     return AInfCategory(c.field, objs, hom, units, mult)
+
+
+def opposite(c: AInfCategory) -> AInfCategory:
+    """The opposite category: hom-spaces reversed, and arguments reversed
+    with the sign (-1)^sigma, sigma = sum_{u<v} |a_u| |a_v|, which makes it
+    an involution on the nose."""
+    field = c.field
+    hom = {(x, y): c.hom[(y, x)] for x in c.objects for y in c.objects}
+    mult: dict = {}
+    for p, table in c.mult.items():
+        new = {}
+        for key, vec in table.items():
+            degs = [c.deg(l) for l in key]
+            sigma = sum(degs[u] * degs[v] for u in range(p) for v in range(u + 1, p)) % 2
+            new[tuple(reversed(key))] = vec if sigma == 0 else {lab: field.neg(co) for lab, co in vec.items()}
+        mult[p] = new
+    return AInfCategory(field, c.objects, hom, dict(c.units), mult)

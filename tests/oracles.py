@@ -17,8 +17,10 @@ built one basis vector at a time from the definition of mu1: every pair of
 connection paths, every choice of labels, :func:`naive_apply` on each label
 tuple and the three sign exponents of ``perfmod``'s module docstring, summed
 into a dense matrix, with no ``perfmod`` evaluation helper; the composition
-mu2, the Maurer-Cartan defect and the differential of an evaluation are
-summed the same way over their own paths.  The two
+mu2, the Maurer-Cartan defect and the differential of an evaluation (the
+value of a twisted complex at an object, which ``perfmod`` computes as the
+Hom-complex from a representable) are summed the same way over their own
+paths.  The two
 index inequalities of the quotient category are checked one chain at a time,
 as stated, and their least slacks are the minimum over every chain (over a
 large box, with the chains that share prefix statistics walked together); the
@@ -87,7 +89,7 @@ def naive_rref(field, rows, ncols):
         for i in range(len(m)):
             c = m[i][col]
             if i != top and c != 0:
-                m[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(m[i], m[top])]
+                m[i] = [field.add(a, field.neg(field.mul(c, b))) for a, b in zip(m[i], m[top])]
         pivots.append(col)
     return [tuple(r) for r in m[:len(pivots)]], pivots
 
@@ -421,7 +423,7 @@ def naive_filtration_report(r, filt):
             for row, piv in zip(*reduced[k]):
                 c = v[piv]
                 if c != 0:
-                    v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
+                    v = [field.add(a, field.neg(field.mul(c, b))) for a, b in zip(v, row)]
             if any(a != 0 for a in v):
                 return False
         return True
@@ -604,6 +606,15 @@ def naive_evaluation(x, j):
         matrices[d] = tuple(map(tuple, m))
     labels = {d: tuple(f"{a}|{lab}" for a, lab in keys) for d, keys in by_degree.items()}
     return labels, matrices
+
+
+def naive_evaluation_dims(x, j) -> dict:
+    """The nonzero cohomology dims of :func:`naive_evaluation`, dim C^d -
+    rank d_d - rank d_{d-1} with :func:`naive_rank`."""
+    labels, matrices = naive_evaluation(x, j)
+    rank = {d: naive_rank(x.cat.field, m, len(labels[d])) for d, m in matrices.items()}
+    dims = {d: len(keys) - rank[d] - rank.get(d - 1, 0) for d, keys in labels.items()}
+    return {d: v for d, v in dims.items() if v}
 
 
 def index_inequality_telescoping(chain) -> bool:

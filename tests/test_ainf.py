@@ -12,7 +12,6 @@ from ainfbench.ainf import (
     _units_certify,
     algebra,
     check_stasheff,
-    opposite,
     validate_structure,
 )
 from ainfbench.auslander import build_auslander
@@ -29,6 +28,7 @@ from .corpus import (
     dual_numbers,
     full_subcategory,
     nonassociative_example,
+    opposite,
     path_algebra_a3,
     random_associative_algebra,
     rescaled,

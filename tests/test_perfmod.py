@@ -21,7 +21,7 @@ from ainfbench.filtration import (
     full_subspace,
     zero_subspace,
 )
-from ainfbench.linalg import Subspace, _kernel, _transpose, complex_cohomology
+from ainfbench.linalg import Subspace, _kernel, _transpose
 import ainfbench.perfmod as perfmod
 from ainfbench.perfmod import (
     HomComplexResult,
@@ -29,7 +29,6 @@ from ainfbench.perfmod import (
     ModuleMorphismElement,
     TwistedComplex,
     cone,
-    evaluate_at,
     hom_complex,
     identity_morphism,
     is_closed,
@@ -59,6 +58,7 @@ from .oracles import (
     dense_differential,
     euler_characteristic,
     naive_evaluation,
+    naive_evaluation_dims,
     naive_hom_differential,
     naive_maurer_cartan,
     naive_mu2,
@@ -84,8 +84,38 @@ def toy_deg_aus():
     return build_auslander(toy, degree_filtration(toy))
 
 
-def cohom_dims(fc):
-    return complex_cohomology(fc).dims()
+def shifted(x, k):
+    """The twisted complex ``x`` with every shift raised by ``k``."""
+    return TwistedComplex(x.cat, [(o, sh + k) for o, sh in x.entries], dict(x.conn), check_mc=False)
+
+
+def scaled(f, c):
+    """The morphism ``c * f``."""
+    mul = f.source.cat.field.mul
+    return ModuleMorphismElement(f.source, f.target, f.degree,
+                                 {k: {lab: mul(c, v) for lab, v in e.items()} for k, e in f.comps.items()})
+
+
+def value_at(x, j):
+    """The value of ``x`` at object j: the Hom-complex Hom(P_j, x), P_j the
+    one-entry complex [(j, 0)] (Yoneda)."""
+    return hom_complex(TwistedComplex(x.cat, [(j, 0)]), x)
+
+
+def evaluation_columns(h):
+    """The differential of ``value_at(x, j)`` keyed as :func:`naive_evaluation`
+    labels its basis: {(degree, "a|lab"): {"a'|lab'": c}}."""
+    def name(key):
+        return f"{key[0]}|{key[2]}"
+    return {(q, name(key)): {name(r): c for r, c in col.items()}
+            for (q, key), col in _labelled_columns(h).items()}
+
+
+def naive_evaluation_columns(x, j):
+    """:func:`naive_evaluation` in the form of :func:`evaluation_columns`."""
+    labels, matrices = naive_evaluation(x, j)
+    return {(d, col): {labels[d + 1][i]: row[k] for i, row in enumerate(m) if row[k] != 0}
+            for d, m in matrices.items() for k, col in enumerate(labels[d])}
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +123,14 @@ def cohom_dims(fc):
 
 
 def test_representable_evaluations(toy_aus):
-    # evaluate_at(P_i, j) is hom(i -> j) with zero differential
+    # P_i at j is hom(i -> j) with zero differential
     p0 = representable(toy_aus, 0)
-    c = evaluate_at(p0, 0)
+    c = value_at(p0, 0).complex
     assert sum(len(v) for v in c.components.values()) == 3
     assert not c.columns
     # P_1 evaluated at 3 is hom(1 -> 3) = R/F^1, one-dimensional in degree 0
     p1 = representable(toy_aus, 1)
-    c13 = evaluate_at(p1, 3)
-    assert c13.dims() == {0: 1}
+    assert value_at(p1, 3).dims() == {0: 1}
 
 
 def test_representable_out_of_range(toy_aus):
@@ -110,13 +139,12 @@ def test_representable_out_of_range(toy_aus):
 
 
 def test_shifted_representable(toy_aus):
-    p0 = representable(toy_aus, 0).shift(1)
-    c = evaluate_at(p0, 0)
+    p0 = shifted(representable(toy_aus, 0), 1)
     # hom(0 -> 0) has dims {0: 2, -1: 1}; the shift moves them down by one
-    assert c.dims() == {-1: 2, -2: 1}
+    assert value_at(p0, 0).dims() == {-1: 2, -2: 1}
 
 
-def test_evaluate_at_includes_m1():
+def test_evaluation_includes_m1():
     # a non-minimal dg algebra: 1 and x in degree 0, e in degree -1,
     # m_1(e) = x and unit products only; H(A) is k in degree 0
     m2 = unital_m2(["1", "x", "e"], "1", {})
@@ -124,9 +152,10 @@ def test_evaluate_at_includes_m1():
     assert validate_structure(alg).passed and check_stasheff(alg).passed
     p = TwistedComplex(alg, [("*", 0)])
     # Yoneda: the value at * of X is Hom(P, X), with the m_1 terms on both sides
-    assert cohom_dims(evaluate_at(p, "*")) == hom_complex(p, p).cohomology_dims() == {0: 1}
+    assert naive_evaluation_dims(p, "*") == hom_complex(p, p).cohomology_dims() == {0: 1}
     cone_x = TwistedComplex(alg, [("*", 0), ("*", 1)], {(0, 1): {"x": 1}})
-    assert cohom_dims(evaluate_at(cone_x, "*")) == hom_complex(p, cone_x).cohomology_dims() == {-1: 1, 0: 1}
+    assert naive_evaluation_dims(cone_x, "*") == hom_complex(p, cone_x).cohomology_dims() == {-1: 1, 0: 1}
+    assert evaluation_columns(hom_complex(p, cone_x)) == naive_evaluation_columns(cone_x, "*")
 
 
 def test_twisted_complex_connection_is_exact():
@@ -151,6 +180,17 @@ def test_morphism_components_are_exact():
         ModuleMorphismElement(x, x, 0, {(0, 0): {"e": True}})
     comps = ModuleMorphismElement(x, x, 0, {(0, 0): {"e": 2, "1": 0}}).comps
     assert comps == {(0, 0): {"e": F(2)}} and isinstance(comps[(0, 0)]["e"], Fraction)
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1), (1, 0), (0, 1)],
+                         ids=["negative-t", "negative-s", "t-past-end", "s-past-end"])
+def test_morphism_component_outside_the_matrix_is_module_error(key):
+    # a negative index used to be read from the end, and the morphism with
+    # e at (-1, 0) counted as closed; an index past the end was an IndexError
+    toy = parse_spec(TOY).category
+    x = TwistedComplex(toy, [("*", 0)])
+    with pytest.raises(ModuleError, match=r"outside the 1x1 matrix"):
+        ModuleMorphismElement(x, x, 0, {key: {"e": 1}})
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +221,21 @@ def test_psi_composition_is_unit_class(toy_aus):
         assert comp.comps == {(0, 0): expected}
 
 
+def test_mu2_requires_the_same_middle_complex(toy_aus):
+    # cone(psi_0) and cone(2 psi_0) have equal entries and different
+    # connections; composing through them used to give a "morphism" X1 -> X2
+    # that is not closed
+    x1 = cone(psi(toy_aus, 0))
+    x2 = cone(scaled(psi(toy_aus, 0), toy_aus.gamma.field.of_int(2)))
+    assert x1.entries == x2.entries and x1.conn != x2.conn
+    with pytest.raises(ModuleError, match="not composable"):
+        mu2(identity_morphism(x2), identity_morphism(x1))
+    # the same complex built twice is one complex
+    again = cone(psi(toy_aus, 0))
+    assert again is not x1
+    assert mu2(identity_morphism(again), identity_morphism(x1)).comps == identity_morphism(x1).comps
+
+
 def test_cone_requires_closed_degree_zero(toy_aus):
     p1 = representable(toy_aus, 1)
     p0 = representable(toy_aus, 0)
@@ -205,11 +260,11 @@ def test_cone_shape_and_mc(toy_aus):
 def test_cone_values_toy(toy_aus):
     s0 = cone(psi(toy_aus, 0))
     # at object 0: cone of F^1 -> R, one class in degree 0
-    assert cohom_dims(evaluate_at(s0, 0)) == {0: 1}
+    assert value_at(s0, 0).cohomology_dims() == {0: 1}
     # at object 1: both terms R/F^3 (dim 2), the induced map injective, acyclic
-    c1 = evaluate_at(s0, 1)
+    c1 = value_at(s0, 1)
     assert c1.dims() == {0: 2, -1: 2}
-    assert cohom_dims(c1) == {}
+    assert c1.cohomology_dims() == {}
 
 
 def test_cone_values_follow_level_quotients(toy_aus):
@@ -222,7 +277,7 @@ def test_cone_values_follow_level_quotients(toy_aus):
         else:
             s = cone(ModuleMorphismElement(TwistedComplex(toy_aus.gamma, []), representable(toy_aus, i), 0))
         for j in range(n):
-            dims = cohom_dims(evaluate_at(s, j))
+            dims = value_at(s, j).cohomology_dims()
             if j > i:
                 assert dims == {}
             else:
@@ -281,9 +336,9 @@ def closed_degree0_morphisms(h):
 
 
 def random_twisted_complex(aus, rng, depth=2):
-    x = representable(aus, rng.randrange(aus.n)).shift(rng.randint(-1, 1))
+    x = shifted(representable(aus, rng.randrange(aus.n)), rng.randint(-1, 1))
     for _ in range(depth):
-        y = representable(aus, rng.randrange(aus.n)).shift(rng.randint(-1, 1))
+        y = shifted(representable(aus, rng.randrange(aus.n)), rng.randint(-1, 1))
         if rng.random() < 0.5:
             src, tgt = x, y
         else:
@@ -293,7 +348,7 @@ def random_twisted_complex(aus, rng, depth=2):
             continue
         f = rng.choice(closed)
         c = rng.randint(-2, 2)
-        x = cone(f.scaled(aus.gamma.field.of_int(c)) if c else f)
+        x = cone(scaled(f, aus.gamma.field.of_int(c)) if c else f)
     return x
 
 
@@ -303,7 +358,7 @@ def test_iterated_cones_consistent(toy_aus):
         x = random_twisted_complex(toy_aus, rng)
         assert not maurer_cartan_defect(x)
         for j in range(toy_aus.n):
-            evaluate_at(x, j)  # validates d o d = 0
+            value_at(x, j)  # validates d o d = 0
         y = random_twisted_complex(toy_aus, rng, depth=1)
         hom_complex(x, y)  # validates d o d = 0
 
@@ -363,7 +418,7 @@ def test_hom_differential_matches_naive_oracle(field):
         ss.append(cone(ModuleMorphismElement(TwistedComplex(aus.gamma, []), ps[-1], 0)))
         drawn = [random_twisted_complex(aus, rng) for _ in range(3)]
         # a connection coefficient 2/7: the chains' own denominators
-        drawn.append(cone(psi(aus, 0).scaled(field.mul(field.of_int(2), field.inv(field.of_int(7))))))
+        drawn.append(cone(scaled(psi(aus, 0), field.mul(field.of_int(2), field.inv(field.of_int(7))))))
         complexes = ps + ss + drawn
         homs = {}
         for (a, x), (b, y) in itertools.product(enumerate(complexes), repeat=2):
@@ -393,10 +448,7 @@ def test_hom_differential_matches_naive_oracle(field):
         for x in complexes:
             assert maurer_cartan_defect(x) == naive_maurer_cartan(x) == {}
             for j in aus.gamma.objects:
-                labels, matrices = naive_evaluation(x, j)
-                e = evaluate_at(x, j)
-                assert e.components == labels
-                assert {d: dense_differential(e, d) for d in labels} == matrices
+                assert evaluation_columns(value_at(x, j)) == naive_evaluation_columns(x, j)
         # the defect of random connections, built without the check: shifts
         # one step apart and mostly one object, so that paths of three
         # degree-0 labels reach m_3
@@ -477,8 +529,7 @@ def test_yoneda_consistency(toy_aus):
         j = rng.randrange(toy_aus.n)
         pj = representable(toy_aus, j)
         lhs = hom_complex(pj, y).cohomology_dims()
-        rhs = cohom_dims(evaluate_at(y, j))
-        assert lhs == rhs
+        assert lhs == naive_evaluation_dims(y, j)
 
 
 def test_triangle_euler_characteristic(toy_aus):
@@ -486,9 +537,9 @@ def test_triangle_euler_characteristic(toy_aus):
     for i in range(n - 1):
         s = cone(psi(toy_aus, i))
         for j in range(n):
-            chi_s = euler_characteristic(evaluate_at(s, j))
-            chi_pi = euler_characteristic(evaluate_at(representable(toy_aus, i), j))
-            chi_pi1 = euler_characteristic(evaluate_at(representable(toy_aus, i + 1), j))
+            chi_s = euler_characteristic(value_at(s, j).complex)
+            chi_pi = euler_characteristic(value_at(representable(toy_aus, i), j).complex)
+            chi_pi1 = euler_characteristic(value_at(representable(toy_aus, i + 1), j).complex)
             assert chi_s == chi_pi - chi_pi1
 
 
@@ -554,7 +605,7 @@ def test_sod_report_evaluates_mu1_once_per_morphism(monkeypatch):
 
 def test_hom_complex_makes_one_kernel_call(monkeypatch):
     # every degree's columns of a Hom-complex come from one _mu1_sums call,
-    # one per complex however many degrees it has (x^10: 155 complexes)
+    # one per complex however many degrees it has (x^10: 154 complexes)
     alg = truncated_polynomial(10)
     aus = build_auslander(alg, appendix_filtration(alg, 1)[0])
     calls = []
@@ -570,7 +621,7 @@ def test_hom_complex_makes_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(HomComplexResult, "__init__", counted)
     assert sod_report(aus).passed
-    assert per_complex == [1] * (aus.n ** 2 + aus.n * (aus.n + 1) // 2)
+    assert per_complex == [1] * (aus.n ** 2 + aus.n * (aus.n + 1) // 2 - 1)
 
 
 def test_sod_report_random_filtered():
@@ -625,18 +676,22 @@ def test_sod_report_matches_golden(case, monkeypatch):
     algebra, Beilinson P^3 by the one that built every Hom(S_j, S_i), the
     DG closure example by the one that solved for its correction with a
     dense elimination.  sod
-    builds each of its n^2 + n(n+1)/2 Hom-complexes once: every Hom(P_j,
+    builds each of its n^2 + n(n+1)/2 - 1 Hom-complexes once: every Hom(P_j,
     S_i), and Hom(S_j, S_i) for j <= i (End(S_i) is the S/S table's
-    diagonal); the cells j > i follow from the P/S table."""
+    diagonal), End(P_{n-1}) = End(S_{n-1}) once for both tables and for
+    R/F^1; the cells j > i follow from the P/S table.  No other complex is
+    built: every ``FiniteComplex`` is a Hom-complex's."""
     name, field = case.split("/")
     aus = build_auslander(*SOD_CASES[name](QQ if field == "Q" else GF(3)))
-    built = []
-    init = HomComplexResult.__init__
+    built, complexes = [], []
+    init, complex_init = HomComplexResult.__init__, perfmod.FiniteComplex.__init__
     monkeypatch.setattr(HomComplexResult, "__init__", lambda self, x, y: built.append((x, y)) or init(self, x, y))
+    monkeypatch.setattr(perfmod.FiniteComplex, "__init__",
+                        lambda self, *a: complexes.append(self) or complex_init(self, *a))
     report = sod_report(aus).to_json()
     golden = json.loads(SOD_GOLDEN.read_text(encoding="utf-8"))[case]
     assert json.dumps(report, indent=2) == json.dumps(golden, indent=2)
-    assert len(built) == aus.n ** 2 + aus.n * (aus.n + 1) // 2
+    assert len(built) == len(complexes) == aus.n ** 2 + aus.n * (aus.n + 1) // 2 - 1
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
@@ -657,6 +712,70 @@ def test_end_comparison_solves_for_the_closure_correction(field, monkeypatch):
     m = tuple(tuple(columns.get(j, {}).get(i, field.zero) for j in range(ncols)) for i in range(nrows))
     assert x and dense(field, x, ncols) == naive_solve(field, m, dense(field, b, nrows), ncols)
     assert naive_rank(field, m, ncols) < ncols  # a free variable to set to 0
+
+
+def _end_failures(report):
+    """{i: detail} of a sod report's end_algebra failures, after checking
+    that the report is a FAIL whose every failure is one of them."""
+    out = report.to_json()
+    assert out["verdict"] == "FAIL" and {f["check"] for f in out["failures"]} == {"end_algebra"}
+    return {f["i"]: f["detail"] for f in out["failures"]}
+
+
+def test_end_comparison_dims_failure(monkeypatch):
+    # End(P_{n-1}) of another Gamma: toy's degree filtration has R/F^1 of
+    # dims {0: 2}, its appendix filtration {0: 1}
+    aus = build_auslander(*SOD_CASES["toy-k1"](QQ))
+    other = build_auslander(*SOD_CASES["toy-degree"](QQ))
+    p = representable(other, other.n - 1)
+    wrong = hom_complex(p, p)
+    real = perfmod.end_comparison
+    monkeypatch.setattr(perfmod, "end_comparison", lambda aus, s_i, end, rbar: real(aus, s_i, end, wrong))
+    dims = {"check": "dims", "end": {"0": 1}, "rbar": {"0": 2}}
+    assert _end_failures(sod_report(aus)) == {i: [dims] for i in range(aus.n)}
+
+
+@pytest.mark.parametrize("solve", [lambda *a: None, lambda *a: {}], ids=["no-solution", "wrong-solution"])
+def test_end_comparison_closure_failure(solve, monkeypatch):
+    # the DG input's degree -1 candidate in End(S_0) needs a correction: none
+    # found, or one that leaves it not closed
+    monkeypatch.setattr(perfmod, "_solve", solve)
+    report = sod_report(build_auslander(*dg_closure_example()))
+    assert _end_failures(report) == {0: [{"check": "closure", "class": [-1, 0]}]}
+
+
+def test_end_comparison_linear_iso_failure(monkeypatch):
+    # each R/F^1 = span{1, e} element r lifted as its unit part only: the
+    # augmentation r -> eps(r) 1 is unital and multiplicative (e e = 0), but
+    # not injective, so only the linear isomorphism fails
+    aus = build_auslander(*SOD_CASES["toy-degree"](QQ))
+    real = perfmod._lift_rbar_class
+    unit = aus.gamma.units[aus.n - 1]
+    monkeypatch.setattr(perfmod, "_lift_rbar_class",
+                        lambda aus, top, elem, o: real(aus, top, {unit: elem[unit]} if unit in elem else {}, o))
+    assert _end_failures(sod_report(aus)) == {i: [{"check": "linear_iso", "degree": 0}] for i in range(aus.n)}
+
+
+def test_end_comparison_unit_failure(monkeypatch):
+    # the identity of P_{n-1} doubled: the unit of R/F^1 has class
+    # coordinates 2, so f_1 is twice the identity of S_i for i < n - 1; End(S_{n-1})
+    # is End(P_{n-1}), where both sides double
+    aus = build_auslander(*SOD_CASES["x6"](GF(3)))
+    real = perfmod.identity_morphism
+    monkeypatch.setattr(perfmod, "identity_morphism",
+                        lambda x: scaled(real(x), x.cat.field.of_int(2)) if x.size == 1 else real(x))
+    assert _end_failures(sod_report(aus)) == {i: [{"check": "unit"}] for i in range(aus.n - 1)}
+
+
+def test_end_comparison_composition_failure(monkeypatch):
+    # Gamma's products as R/F^1 sees them scaled by 2: every product of two
+    # classes that is not zero (e e = 0 in R/F^1 = span{1, e}) fails
+    aus = build_auslander(*SOD_CASES["toy-degree"](QQ))
+    real = aus.gamma.apply
+    monkeypatch.setattr(aus.gamma, "apply", lambda p, args: {k: 2 * v for k, v in real(p, args).items()})
+    pairs = [[[0, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]]]
+    assert _end_failures(sod_report(aus)) == {
+        i: [{"check": "composition", "classes": c} for c in pairs] for i in range(aus.n)}
 
 
 def _labelled_columns(h):
@@ -726,7 +845,7 @@ def test_sod_builds_the_upper_triangle_when_a_premise_fails(monkeypatch):
     monkeypatch.setattr(HomComplexResult, "__init__", lambda self, x, y: built.append((x, y)) or init(self, x, y))
     monkeypatch.setattr(perfmod, "hom_complex", fake)
     report = sod_report(aus)
-    assert len(built) == n ** 2 + n * (n + 1) // 2 + 3
+    assert len(built) == n ** 2 + n * (n + 1) // 2 - 1 + 3
     upper = [x.entries[0][0] for x, y in built if x.size == 2 and y.entries == s_i and x.entries[0][0] > i]
     assert upper == [j0 - 1, j0, n - 2]
     assert report.ss_table[i][j0 - 1] == report.ss_table[i][j0] == report.ss_table[i][n - 2] == {}
