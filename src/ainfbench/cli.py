@@ -11,26 +11,38 @@ Subcommands:
     sod <file> [--format json|text] [--jobs N]
     deform <file> --cochain <file> -o OUT
 
-Every command prints a report (JSON unless asked otherwise) and exits with
-0 when all mathematical checks pass, 1 when a check fails (the report carries
-the witnesses), and 2 on usage or parse errors.  Reports are deterministic up
-to the timing fields (``timings``: ``total_s``, ``build_s`` for the quotient
-category build, ``cohomology_s`` for the Hom-complexes of ``sod``, their
-cohomology and the End comparison, and ``relations_s`` for the relation
-sweep of ``validate``, ``stasheff`` and ``deform``): witness lists are
-sorted.  The quotient category's tables are evaluated on demand and not by
-its build, so its entries are paid for in ``cohomology_s`` by ``sod`` (only
-those it reads) and by ``gamma build`` after ``build_s``, in
-``validate_structure`` and serialization.
-``sod``, ``gamma build``, ``deform`` and the ``filtration`` commands certify
-nothing, and write no file, for an input algebra that fails its structure or
-relation checks.  ``filtration appendix`` also reports FAIL, with a failed
-``radical`` check, when the trace kernel of a valid input is not its radical.
-``deform`` reports FAIL, with a failed ``higher_products`` check naming the
-arity and one key of its table, and writes no file, for a base with a
-nonzero m_1 or m_k, k >= 3: its Hochschild differential inserts only m_2, so
-no ``cocycle`` verdict is given there.  ``stasheff --max-arity N`` needs N >= 1.
-``--jobs N`` is accepted for compatibility and has no effect.
+The report envelope, the same for every command:
+- the report is ``{"command", "verdict", <the command's fields>, "timings"}``
+  in that key order.  ``sod`` keeps its own order: ``verdict``, ``n``, its
+  tables and checks, then ``command`` and ``timings``.  ``sod --format text``
+  prints the same report as lines, the timings last;
+- ``timings`` holds ``total_s`` first, then the stage times: ``build_s`` for
+  the quotient category build, ``cohomology_s`` for the Hom-complexes of
+  ``sod``, their cohomology and the End comparison, and ``relations_s`` for
+  the relation sweep of ``validate``, ``stasheff`` and ``deform``;
+- the exit code is 0 for PASS and 1 for FAIL (the report carries the
+  witnesses).  A usage or parse error prints ``usage:`` or ``error:`` on
+  stderr, no report, and exits 2;
+- ``sod``, ``gamma build``, ``deform`` and the ``filtration`` commands
+  certify nothing, and write no file, for an input algebra that fails its
+  structure or relation checks (the input gate): they report FAIL with
+  those checks' witnesses.  ``filtration check`` runs the gate before it
+  asks for the filtration section; ``sod`` and ``gamma build`` ask first.
+
+``main`` starts the clock, parses the input file and calls the handler with
+both; every report, a refusal's too, is printed by one emitter, which also
+maps the verdict to the exit code.  Reports are deterministic up to
+``timings``: witness lists are sorted.  The quotient category's tables are
+evaluated on demand and not by its build, so its entries are paid for in
+``cohomology_s`` by ``sod`` (only those it reads) and by ``gamma build``
+after ``build_s``, in ``validate_structure`` and serialization.
+``filtration appendix`` also reports FAIL, with a failed ``radical`` check,
+when the trace kernel of a valid input is not its radical.  ``deform``
+reports FAIL, with a failed ``higher_products`` check naming the arity and
+one key of its table, and writes no file, for a base with a nonzero m_1 or
+m_k, k >= 3: its Hochschild differential inserts only m_2, so no
+``cocycle`` verdict is given there.  ``stasheff --max-arity N`` needs
+N >= 1.  ``--jobs N`` is accepted for compatibility and has no effect.
 
 ``gamma build`` reports ``lift_independence`` from the build itself: it runs
 only on a filtration that passes its compatibility check, whose flag proof
@@ -95,6 +107,12 @@ EXIT_USAGE = 2
 JOBS_HELP = "accepted for compatibility; has no effect (every command runs serially)"
 
 
+class _Refused(Exception):
+    """A FAIL before any file is written (the input gate, a filtration that
+    fails its check, a refused radical or base); its one argument is the
+    report body, which ``main`` prints."""
+
+
 def _elapsed(started: float) -> float:
     return round(time.perf_counter() - started, 6)
 
@@ -105,31 +123,40 @@ def _timed(fn, *args):
     return fn(*args), _elapsed(started)
 
 
-def _emit(report: dict, started: float) -> None:
-    """Print the report; ``timings`` gets ``total_s`` before any stage times."""
+def _emit(report: dict, started: float, render=_dumps) -> int:
+    """Print ``render(report)``, ``timings`` last with ``total_s`` before any
+    stage times; the exit code of the report's verdict."""
     stages = report.pop("timings", {})
     report["timings"] = {"total_s": _elapsed(started), **stages}
-    print(_dumps(report))
+    print(render(report))
+    return EXIT_PASS if report["verdict"] == "PASS" else EXIT_FAIL
 
 
-def _input_valid(command: str, spec, started: float) -> bool:
-    """Structure and relation checks on the input algebra; on failure emit a
-    FAIL report carrying their witnesses.  No certificate is given for an
-    input that is not a valid A-infinity algebra."""
-    structure = validate_structure(spec.category)
-    relations = check_stasheff(spec.category, structure=structure)
-    if structure.passed and relations.passed:
-        return True
-    _emit(
-        {
-            "command": command,
-            "verdict": "FAIL",
-            "structure": structure.to_json(),
-            "relations": relations.to_json(),
-        },
-        started,
-    )
-    return False
+def _report(args, ok: bool, body: dict, started: float) -> int:
+    """Emit ``{"command", "verdict", **body}``: the verdict PASS when ``ok``."""
+    command = f"{args.command} {args.subcommand}" if "subcommand" in args else args.command
+    return _emit({"command": command, "verdict": "PASS" if ok else "FAIL", **body}, started)
+
+
+def _checked(cat, max_arity=None, needs=None) -> tuple:
+    """The verdict and report body of the structure checks and the relation
+    sweep on ``cat``: PASS when the sweep passes and so do the structure
+    checks named in ``needs`` (every one when None)."""
+    structure = validate_structure(cat)
+    relations, relations_s = _timed(check_stasheff, cat, max_arity, structure)
+    gate = structure.passed if needs is None else all(structure.check(name).passed for name in needs)
+    body = {"structure": structure.to_json(), "relations": relations.to_json(),
+            "timings": {"relations_s": relations_s}}
+    return gate and relations.passed, body
+
+
+def _gate(spec) -> None:
+    """No certificate for an input that is not a valid A-infinity algebra:
+    refuse it with the witnesses of its structure and relation checks."""
+    ok, body = _checked(spec.category)
+    if not ok:
+        del body["timings"]
+        raise _Refused(body)
 
 
 def _write_out(path: str, text: str) -> None:
@@ -137,43 +164,13 @@ def _write_out(path: str, text: str) -> None:
         fh.write(text)
 
 
-def cmd_validate(args) -> int:
-    started = time.perf_counter()
-    spec = parse_spec(args.file)
-    structure = validate_structure(spec.category)
-    relations, relations_s = _timed(check_stasheff, spec.category, None, structure)
-    ok = structure.passed and relations.passed
-    _emit(
-        {
-            "command": "validate",
-            "verdict": "PASS" if ok else "FAIL",
-            "structure": structure.to_json(),
-            "relations": relations.to_json(),
-            "timings": {"relations_s": relations_s},
-        },
-        started,
-    )
-    return EXIT_PASS if ok else EXIT_FAIL
+def cmd_validate(args, spec, started) -> int:
+    return _report(args, *_checked(spec.category), started)
 
 
-def cmd_stasheff(args) -> int:
-    started = time.perf_counter()
-    spec = parse_spec(args.file)
-    structure = validate_structure(spec.category)
-    pre_ok = structure.check("degrees").passed and structure.check("composability").passed
-    report, relations_s = _timed(check_stasheff, spec.category, args.max_arity, structure)
-    ok = pre_ok and report.passed
-    _emit(
-        {
-            "command": "stasheff",
-            "verdict": "PASS" if ok else "FAIL",
-            "structure": structure.to_json(),
-            "relations": report.to_json(),
-            "timings": {"relations_s": relations_s},
-        },
-        started,
-    )
-    return EXIT_PASS if ok else EXIT_FAIL
+def cmd_stasheff(args, spec, started) -> int:
+    # the structure checks the sweep needs: stasheff's verdict ignores the rest
+    return _report(args, *_checked(spec.category, args.max_arity, ("degrees", "composability")), started)
 
 
 def _need_filtration(spec):
@@ -182,68 +179,27 @@ def _need_filtration(spec):
     return spec.filtration
 
 
-def _filtered_input(command: str, spec, started: float):
-    """The filtration of the input when the algebra is valid and the
-    filtration passes its compatibility check; else None, after emitting
-    the FAIL report of the check that failed."""
-    filt = _need_filtration(spec)
-    if not _input_valid(command, spec, started):
-        return None
-    report = check_filtration(spec.category, filt)
-    if report.passed:
-        return filt
-    _emit({"command": command, "verdict": "FAIL", "report": report.to_json()}, started)
-    return None
-
-
-def cmd_filtration_check(args) -> int:
-    started = time.perf_counter()
-    spec = parse_spec(args.file)
-    if not _input_valid("filtration check", spec, started):
-        return EXIT_FAIL
+def cmd_filtration_check(args, spec, started) -> int:
+    _gate(spec)
     filt = _need_filtration(spec)
     report = check_filtration(spec.category, filt)
-    _emit(
-        {
-            "command": "filtration check",
-            "verdict": "PASS" if report.passed else "FAIL",
-            "levels": list(filt.dims()),
-            "report": report.to_json(),
-        },
-        started,
-    )
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return _report(args, report.passed, {"levels": list(filt.dims()), "report": report.to_json()}, started)
 
 
-def cmd_filtration_degree(args) -> int:
-    started = time.perf_counter()
-    spec = parse_spec(args.file)
-    if not _input_valid("filtration degree", spec, started):
-        return EXIT_FAIL
+def cmd_filtration_degree(args, spec, started) -> int:
+    _gate(spec)
     filt = degree_filtration(spec.category)
     report = check_filtration(spec.category, filt)
     _write_out(
         args.output,
         serialize(category_to_dict(spec.category, filtration=filt, kappa=spec.kappa)),
     )
-    _emit(
-        {
-            "command": "filtration degree",
-            "verdict": "PASS" if report.passed else "FAIL",
-            "levels": list(filt.dims()),
-            "output": args.output,
-            "report": report.to_json(),
-        },
-        started,
-    )
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    body = {"levels": list(filt.dims()), "output": args.output, "report": report.to_json()}
+    return _report(args, report.passed, body, started)
 
 
-def cmd_filtration_appendix(args) -> int:
-    started = time.perf_counter()
-    spec = parse_spec(args.file)
-    if not _input_valid("filtration appendix", spec, started):
-        return EXIT_FAIL
+def cmd_filtration_appendix(args, spec, started) -> int:
+    _gate(spec)
     kappa = args.kappa if args.kappa is not None else spec.kappa
     if kappa is None:
         raise SpecError("appendix construction needs --kappa or a kappa field")
@@ -252,94 +208,79 @@ def cmd_filtration_appendix(args) -> int:
     except RadicalError as exc:  # a valid input whose radical is refused
         report = ValidationReport()
         report.add("radical", False, detail=str(exc), witnesses=[exc.witness])
-        _emit({"command": "filtration appendix", "verdict": "FAIL", "report": report.to_json()}, started)
-        return EXIT_FAIL
+        raise _Refused({"report": report.to_json()})
     report = check_filtration(spec.category, filt)
     _write_out(
         args.output,
         serialize(category_to_dict(spec.category, filtration=filt, kappa=kappa)),
     )
-    _emit(
-        {
-            "command": "filtration appendix",
-            "verdict": "PASS" if report.passed else "FAIL",
-            "kappa": kappa,
-            "radical_dim": params.radical.dim,
-            "nil_index": params.nil_index,
-            "N": params.big_n,
-            "levels": list(filt.dims()),
-            "output": args.output,
-            "report": report.to_json(),
-        },
-        started,
-    )
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    body = {
+        "kappa": kappa,
+        "radical_dim": params.radical.dim,
+        "nil_index": params.nil_index,
+        "N": params.big_n,
+        "levels": list(filt.dims()),
+        "output": args.output,
+        "report": report.to_json(),
+    }
+    return _report(args, report.passed, body, started)
 
 
-def cmd_gamma_build(args) -> int:
-    started = time.perf_counter()
-    spec = parse_spec(args.file)
-    filt = _filtered_input("gamma build", spec, started)
-    if filt is None:
-        return EXIT_FAIL
-    aus, build_s = _timed(build_auslander, spec.category, filt)
+def _filtered_input(spec):
+    """The filtration of a valid input that passes its compatibility check;
+    the filtration section is asked for before the input gate runs."""
+    filt = _need_filtration(spec)
+    _gate(spec)
+    report = check_filtration(spec.category, filt)
+    if not report.passed:
+        raise _Refused({"report": report.to_json()})
+    return filt
+
+
+def cmd_gamma_build(args, spec, started) -> int:
+    aus, build_s = _timed(build_auslander, spec.category, _filtered_input(spec))
     structure = validate_structure(aus.gamma)
     _write_out(args.output, serialize(category_to_dict(aus.gamma)))
-    _emit(
-        {
-            "command": "gamma build",
-            "verdict": "PASS" if structure.passed else "FAIL",
-            "objects": aus.n,
-            "hom_dims": [list(row) for row in aus.hom_dims()],
-            "total_dim": aus.gamma.total_dim(),
-            # the filtration check and the index inequalities (a theorem)
-            "lift_independence": True,
-            "output": args.output,
-            "structure": structure.to_json(),
-            # R's relations (the input gate), compatibility and the build
-            "relations_method": "quotient",
-            "timings": {"build_s": build_s},
-        },
-        started,
-    )
-    return EXIT_PASS if structure.passed else EXIT_FAIL
+    body = {
+        "objects": aus.n,
+        "hom_dims": [list(row) for row in aus.hom_dims()],
+        "total_dim": aus.gamma.total_dim(),
+        # the filtration check and the index inequalities (a theorem)
+        "lift_independence": True,
+        "output": args.output,
+        "structure": structure.to_json(),
+        # R's relations (the input gate), compatibility and the build
+        "relations_method": "quotient",
+        "timings": {"build_s": build_s},
+    }
+    return _report(args, structure.passed, body, started)
 
 
-def cmd_sod(args) -> int:
-    started = time.perf_counter()
-    spec = parse_spec(args.file)
-    filt = _filtered_input("sod", spec, started)
-    if filt is None:
-        return EXIT_FAIL
-    aus, build_s = _timed(build_auslander, spec.category, filt)
+def _sod_text(data: dict) -> str:
+    lines = [
+        f"semiorthogonality report: {data['verdict']} (n = {data['n']})",
+        f"H(R/F^1) dims: {data['rbar_cohomology_dims']}",
+    ]
+    for name, key in (("P_j", "hom_P_S_dims"), ("S_j", "hom_S_S_dims")):
+        lines.append(f"H Hom({name}, S_i) total dims (rows i, cols j):")
+        lines += ["  " + " ".join(str(cell["total"]).rjust(3) for cell in row) for row in data[key]]
+    if data["failures"]:
+        lines.append(f"failures: {json.dumps(data['failures'])}")
+    t = data["timings"]
+    lines.append(f"timings: build_s {t['build_s']}, cohomology_s {t['cohomology_s']}, total_s {t['total_s']}")
+    return "\n".join(lines)
+
+
+def cmd_sod(args, spec, started) -> int:
+    aus, build_s = _timed(build_auslander, spec.category, _filtered_input(spec))
     rep, cohomology_s = _timed(sod_report, aus)
-    data = rep.to_json()
-    data["command"] = "sod"
-    data["timings"] = {"build_s": build_s, "cohomology_s": cohomology_s}
-    if args.format == "text":
-        print(f"semiorthogonality report: {data['verdict']} (n = {rep.n})")
-        print(f"H(R/F^1) dims: {data['rbar_cohomology_dims']}")
-
-        def show(name, tab):
-            print(name)
-            for row in tab:
-                print("  " + " ".join(str(cell["total"]).rjust(3) for cell in row))
-
-        show("H Hom(P_j, S_i) total dims (rows i, cols j):", data["hom_P_S_dims"])
-        show("H Hom(S_j, S_i) total dims (rows i, cols j):", data["hom_S_S_dims"])
-        if rep.failures:
-            print(f"failures: {json.dumps(rep.failures)}")
-        print(f"timings: build_s {build_s}, cohomology_s {cohomology_s}, total_s {_elapsed(started)}")
-    else:
-        _emit(data, started)
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+    # sod's own key order: its verdict first, the command after its fields
+    data = {**rep.to_json(), "command": "sod", "timings": {"build_s": build_s, "cohomology_s": cohomology_s}}
+    return _emit(data, started, _sod_text if args.format == "text" else _dumps)
 
 
-def cmd_deform(args) -> int:
-    started = time.perf_counter()
-    spec = parse_spec(args.file)
-    if not _input_valid("deform", spec, started):
-        return EXIT_FAIL
+def cmd_deform(args, spec, started) -> int:
+    _gate(spec)
     cat = spec.category
     raw = _load_cochain(args.cochain, cat)
     module = diagonal_bimodule(cat)
@@ -356,28 +297,13 @@ def cmd_deform(args) -> int:
         needs = "m_1 = 0 and no m_k, k >= 3" if k == 1 else "no m_k, k >= 3"
         report.add("higher_products", False, detail=f"m_{k} is nonzero; deform needs a base with {needs}",
                    witnesses=[{"arity": k, "tuple": list(key)}])
-        _emit({"command": "deform", "verdict": "FAIL", "report": report.to_json()}, started)
-        return EXIT_FAIL
+        raise _Refused({"report": report.to_json()})
     ext = square_zero_extension(cat, module, eta.arity - 2)
     cocycle = hochschild_differential(eta, ext).is_zero()
     deformed = _deform(cat, ext, eta)
-    structure = validate_structure(deformed)
-    relations, relations_s = _timed(check_stasheff, deformed, None, structure)
-    ok = structure.passed and relations.passed
+    ok, body = _checked(deformed)
     _write_out(args.output, serialize(category_to_dict(deformed)))
-    _emit(
-        {
-            "command": "deform",
-            "verdict": "PASS" if ok else "FAIL",
-            "cocycle": cocycle,
-            "output": args.output,
-            "structure": structure.to_json(),
-            "relations": relations.to_json(),
-            "timings": {"relations_s": relations_s},
-        },
-        started,
-    )
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _report(args, ok, {"cocycle": cocycle, "output": args.output, **body}, started)
 
 
 def _load_cochain(path: str, cat) -> dict:
@@ -475,8 +401,11 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    started = time.perf_counter()
     try:
-        return globals()[args.func](args)
+        return globals()[args.func](args, parse_spec(args.file), started)
+    except _Refused as refused:
+        return _report(args, False, refused.args[0], started)
     except (SpecError, FiltrationError, HochschildError, ModuleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

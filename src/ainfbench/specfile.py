@@ -67,7 +67,8 @@ def parse_field(obj) -> ExactField:
     _require_keys(obj, ["kind"], ["characteristic"], "field")
     kind = obj["kind"]
     if kind == "rationals":
-        if obj.get("characteristic", 0) != 0:
+        p = obj.get("characteristic", 0)
+        if not _is_int(p) or p != 0:  # false and 0.0 equal 0 in Python
             raise SpecError("rationals have characteristic 0")
         return ExactField(0)
     if kind == "prime-field":

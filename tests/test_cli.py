@@ -25,6 +25,7 @@ from ainfbench.specfile import (
     serialize,
 )
 
+from . import register
 from .corpus import (
     LARGE_DENOMINATORS,
     beilinson_algebra,
@@ -539,9 +540,15 @@ def test_cli_parser_built_once_and_reused(capsys, monkeypatch):
 
     # a handler rebound after the parser was built is the one that runs
     calls = []
-    monkeypatch.setattr(cli, "cmd_validate", lambda args: calls.append(args.file) or 0)
+    monkeypatch.setattr(cli, "cmd_validate", lambda args, spec, started: calls.append(args.file) or 0)
     assert main(["validate", TOY]) == 0
     assert calls == [TOY] and builds == [1]
+
+
+def test_cli_report_register():
+    # every exit code, report (timings masked) and written file of the
+    # matrix in tests/register.py, as recorded in tests/report_register.json
+    assert register.differences(register.run(slow=False)) == []
 
 
 def test_cli_invalid_input_gets_no_certificate(tmp_path, capsys):
@@ -703,6 +710,9 @@ MALFORMED = {
     "degree-true": lambda s: s["basis"][1].update(degree=True),
     "mult-arity-true": lambda s: s["mult"].append({"arity": True, "inputs": ["e"], "output": {}}),
     "cochain-arity-true": lambda s: s.update(cochain={"arity": True, "table": [{"inputs": ["e"], "output": {"e": "1"}}]}),
+    # false and 0.0 equal 0 in Python: both used to pass for the rationals
+    "rationals-characteristic-false": lambda s: s["field"].update(characteristic=False),
+    "rationals-characteristic-float": lambda s: s["field"].update(characteristic=0.0),
 }
 
 

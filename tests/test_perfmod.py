@@ -778,6 +778,26 @@ def test_end_comparison_composition_failure(monkeypatch):
         i: [{"check": "composition", "classes": c} for c in pairs] for i in range(aus.n)}
 
 
+def _two_odd_classes(field):
+    """k<1, a, b> with a and b in degree -1 and only unit products, filtered
+    by F = (R, 0): R/F^1 = R has classes in two degrees, and the class
+    vectors of degrees 0 and -1 differ."""
+    alg = algebra(field, [("1", 0), ("a", -1), ("b", -1)], "1",
+                  {2: unital_m2(["1", "a", "b"], "1", {}, field)})
+    return alg, Filtration(alg, [full_subspace(alg), zero_subspace(alg)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_end_comparison_composes_in_the_degree_of_the_product(field):
+    # the product of the unit class (degree 0) and b (degree -1) is b: the
+    # composition check reads the f_r classes of degree da + db = -1, where
+    # b is the second class, and degree 0 has only one
+    report = sod_report(build_auslander(*_two_odd_classes(field))).to_json()
+    assert report["verdict"] == "PASS", report["failures"]
+    assert report["rbar_cohomology_dims"] == {"-1": 2, "0": 1}
+    assert [c["ok"] for c in report["end_algebra_checks"]] == [True]
+
+
 def _labelled_columns(h):
     """The differential of ``h`` as {(degree, (t, s, lab)): {(t', s', lab'): c}}."""
     out = {}
