@@ -362,8 +362,8 @@ def validate_structure(c: AInfCategory) -> ValidationReport:
 
 
 def _unit_witnesses(c: AInfCategory):
-    """The ``units`` check's witnesses, lazily (``ValidationReport.add``
-    sorts them): a unit of degree other than 0, ``m_2(1, f) != f`` or
+    """The ``units`` check's witnesses (``ValidationReport.add`` sorts
+    them): a unit of degree other than 0, ``m_2(1, f) != f`` or
     ``m_2(f, 1) != f``, a unit in a key of arity other than 2."""
     one = c.field.one
     m2 = c.mult.get(2, {})
@@ -483,21 +483,13 @@ def _insertion_sums(cat: AInfCategory, pairs, singles=(), skip=frozenset()) -> d
     return result
 
 
-def _units_certify(c: AInfCategory, structure: ValidationReport | None = None) -> bool:
-    """Whether strict unitality certifies every tuple that holds a unit: no
-    :func:`_unit_witnesses`, and every output in the hom-space between its
-    key's ends (an output outside it meets no ``m_2(1, -)`` entry).  Given
-    ``validate_structure(c)``, its ``units`` check is the first half, and a
-    passed ``composability`` check the second; a report of another category
-    is ignored."""
-    info = c._info
-    if structure is None or structure.category is not c:
-        units, placed = next(_unit_witnesses(c), None) is None, False
-    else:
-        units, placed = structure.check("units").passed, structure.check("composability").passed
-    return units and (placed or all(
-        info[lab][:2] == (info[key[-1]][0], info[key[0]][1])
-        for table in c.mult.values() for key, vec in table.items() for lab in vec))
+def _units_certify(structure: ValidationReport) -> bool:
+    """Whether strict unitality certifies every tuple that holds a unit, read
+    off ``structure``, a :func:`validate_structure` report: its ``units``
+    check (no unit witness) and its ``composability`` check (every output in
+    the hom-space between its key's ends, so that none escapes the
+    ``m_2(1, -)`` entries) both pass."""
+    return structure.check("units").passed and structure.check("composability").passed
 
 
 def check_stasheff(c: AInfCategory, n_max: int | None = None,
@@ -513,12 +505,15 @@ def check_stasheff(c: AInfCategory, n_max: int | None = None,
     When :func:`_units_certify` holds, tuples that hold a unit are skipped:
     strict unitality cancels their terms in pairs (the reduced bar
     construction; Keller 2001, Lefevre-Hasegawa 2003).  Else the sweep is full.
-    A caller with ``structure = validate_structure(c)`` passes it, and the
-    unit verdict is read from it, not walked again: the same report.
+    The unit verdict has one source, ``structure = validate_structure(c)``:
+    a caller that has it passes it, and it is built here when none is given
+    or the one given is of another category.
     """
     if n_max is None:
         n_max = max(2 * c.arity_bound - 1, 1)
-    skip = set(c.units.values()) if _units_certify(c, structure) else frozenset()
+    if structure is None or structure.category is not c:
+        structure = validate_structure(c)
+    skip = set(c.units.values()) if _units_certify(structure) else frozenset()
 
     def outer_sign(degs, r):  # (-1)^(r + s*t + s*(|a_1| + ... + |a_r|))
         return r, len(degs) - 1 - r + sum(degs[:r])

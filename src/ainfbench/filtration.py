@@ -114,14 +114,14 @@ def check_filtration(r: AInfCategory, filt: Filtration) -> ValidationReport:
     per arity.  Only where the flag fails do the witness listers run: the
     per-level containment check and :func:`_compatibility_witnesses`, so a
     FAIL report lists every failing level and every failing (indices,
-    vectors) pair.
+    vectors) pair.  F^0 = R is a count: ``Filtration`` has checked that every
+    level is a subspace of R's space, so F^0 is R iff it has R's dimension.
     """
     report = ValidationReport()
     _, space = _one_object(r)
     n = filt.n
 
-    full = full_subspace(r)
-    f0_ok = filt.levels[0] == full
+    f0_ok = filt.levels[0].dim == space.dim
     report.add("f0_full", f0_ok,
                detail=f"dim F^0 = {filt.levels[0].dim}, dim R = {space.dim}",
                witnesses=[] if f0_ok else [{"arity": 0, "tuple": [0], "reason": "F^0 != R"}])
@@ -455,11 +455,22 @@ def appendix_filtration(r: AInfCategory, kappa: int):
     """Filtration of a minimal algebra concentrated in degrees {0, -kappa}.
 
     With J the radical of the degree-0 part, a its nilpotency index and
-    N = (kappa+2)(a-1): levels J^p + R_{-kappa} for p <= N, then
-    sum_{u+v=q} J^u R_{-kappa} J^v at level N+q, truncated at the first
-    vanishing level.  Sums of subspaces, not direct sums: summands may meet.
-    When a = 1 and R_{-kappa} != 0 the minimal N = 0 would make the two level
-    families collide, so N is raised to 1 (any N >= (kappa+2)(a-1) works).
+    N = (kappa+2)(a-1): levels J^p + R_{-kappa} for p <= N, stopping at the
+    first zero level, then M_q = sum_{u+v=q} J^u R_{-kappa} J^v at level N+q
+    until it vanishes.  Sums of subspaces, not direct sums: summands may
+    meet.  When a = 1 and R_{-kappa} != 0 the minimal N = 0 would make the
+    two level families collide, so N is raised to 1 (any N >= (kappa+2)(a-1)
+    works).
+
+    M_q comes from one recursion, M_q = J M_{q-1} + M_{q-1} J, two products
+    per level: m_2 is associative on a minimal algebra.  It starts from
+    level N itself, whose products with J are those of M_0 = R_{-kappa}:
+    J^N = 0 when a >= 2, as N >= a, and J = 0 when a = 1.  It stops by a
+    theorem: J^a = 0, so M_q = 0 for q >= 2a - 1, where each spanning
+    product J^u R_{-kappa} J^v has u >= a or v >= a.  So the loop goes no
+    further than level N + 2a - 1, and there is no termination check: on an
+    input whose m_2 is not associative the last level may be nonzero, which
+    :func:`check_filtration` reports (``fn_zero``).
     """
     obj, space = _one_object(r)
     field = r.field
@@ -497,34 +508,11 @@ def appendix_filtration(r: AInfCategory, kappa: int):
     if a == 1 and rk.dim > 0 and big_n < 1:
         big_n = 1
 
-    def j_power(u):
-        return j_powers[min(u, len(j_powers) - 1)]
-
-    levels = []
-    for p in range(big_n + 1):
-        lv = j_power(p).sum(rk) if p > 0 else full_subspace(r)
-        levels.append(lv)
-        if lv.dim == 0:
-            break
-    else:
-        q = 1
-        while True:
-            lv = zero_subspace(r)
-            for u in range(q + 1):
-                v = q - u
-                term = subspace_product(r, j_power(u), rk) if u else rk
-                term = subspace_product(r, term, j_power(v)) if v else term
-                lv = lv.sum(term)
-            levels.append(lv)
-            if lv.dim == 0 or q > 2 * (a + 1):
-                break
-            q += 1
-
-    if levels[-1].dim != 0:
-        raise FiltrationError("filtration did not terminate at zero")
-    # truncate at the first vanishing level
-    first_zero = next(i for i, lv in enumerate(levels) if lv.dim == 0)
-    levels = levels[: first_zero + 1]
+    levels = [j_powers[0]]
+    while levels[-1].dim and len(levels) < big_n + 2 * a:  # level N + 2a - 1 is M_{2a-1} = 0
+        p, last = len(levels), levels[-1]
+        levels.append(j_powers[min(p, a)].sum(rk) if p <= big_n
+                      else subspace_product(r, j, last).sum(subspace_product(r, last, j)))
 
     filt = Filtration(r, levels)
     params = AppendixParams(kappa=kappa, radical=j, nil_index=a, big_n=big_n)

@@ -23,8 +23,8 @@ Homogeneous vectors stay homogeneous under row reduction (basis vectors of
 distinct degrees have disjoint support), so graded subspaces need no extra
 block bookkeeping.
 
-A :class:`QuotientPresentation` seeds one echelon with spanning vectors of the
-denominator and inserts candidate vectors; each that adds a pivot is a coset
+A :class:`QuotientPresentation` takes over an echelon of the denominator's
+spanning vectors and inserts candidate vectors; each that adds a pivot is a coset
 representative.  ``quotient_space`` seeds it with a copy of the denominator's
 reduced rows, an echelon already, and inserts the preferred vectors, then
 the numerator's reduced rows.  None of it depends on the elimination order.
@@ -293,21 +293,18 @@ class QuotientPresentation:
     maps quotient coordinates back, with project(lift(c)) = c exactly and
     lift(project(v)) - v in the denominator for every v in the numerator.
 
-    The numerator is taken to be the span of ``denominator_rows`` and
+    The numerator is taken to be the span of ``echelon``'s rows and
     ``candidates``; :func:`quotient_space` checks that it is the one it was given.
     """
 
-    def __init__(self, ambient: GradedSpace, field: ExactField, denominator_rows, candidates):
-        """``denominator_rows`` and ``candidates`` are sparse dicts index ->
-        scalar; ``denominator_rows`` may also be an ``_Echelon`` of them,
-        which the presentation takes over."""
+    def __init__(self, ambient: GradedSpace, field: ExactField, echelon: _Echelon, candidates):
+        """``echelon`` holds spanning vectors of the denominator, and the
+        presentation takes it over; ``candidates`` are sparse dicts index ->
+        scalar."""
         self.ambient = ambient
         self.field = field
         self.numerator = self.denominator = None  # the Subspaces, set by quotient_space
-        if isinstance(denominator_rows, _Echelon):
-            self._echelon = denominator_rows
-        else:
-            self._echelon = _Echelon(field, [_sparse(field, r, ambient.dim) for r in denominator_rows])
+        self._echelon = echelon
         self._rep_of = {}  # pivot of a representative's row -> its index
         reps = []
         for v in candidates:

@@ -22,8 +22,8 @@ category operations, where the only signs are Koszul signs:
   sum_{j>=2} (k_src_j - k_tgt_j) * sum_{i<j} (deg_i - 1).
 
 These three exponents are the whole sign convention; d o d = 0 on every
-Hom-complex and Maurer-Cartan for every cone are the correctness
-certificates.
+Hom-complex and Maurer-Cartan for every twisted complex are the
+correctness certificates.
 
 Every m_p evaluation here (``mu1``, :class:`HomComplexResult`, ``mu2``,
 Maurer-Cartan) goes through one kernel, ``_chain_sums``.  The value of a
@@ -143,9 +143,13 @@ def _chain_sums(cat: AInfCategory, terms, den: int) -> dict:
 
 
 class TwistedComplex:
-    """Entries (object, shift) with a strictly one-sided degree-1 connection."""
+    """Entries (object, shift) with a strictly one-sided degree-1 connection.
 
-    def __init__(self, cat: AInfCategory, entries, conn=None, check_mc: bool = True):
+    Every complex is certified on construction: each connection entry is a
+    degree-1 component of the complex into itself (:func:`_check_entry`),
+    and the connection satisfies Maurer-Cartan (ModuleError otherwise)."""
+
+    def __init__(self, cat: AInfCategory, entries, conn=None):
         self.cat = cat
         self.entries = tuple((o, int(k)) for o, k in entries)
         for o, _ in self.entries:
@@ -159,23 +163,12 @@ class TwistedComplex:
                 continue
             if not (0 <= t < s < len(self.entries)):
                 raise ModuleError(f"connection key ({t},{s}) is not strictly one-sided")
-            ot, kt = self.entries[t]
-            os_, ks = self.entries[s]
             for lab in elem:
-                if (cat.src(lab), cat.tgt(lab)) != (ot, os_):
-                    raise ModuleError(
-                        f"connection entry ({t},{s}) must lie in hom({ot!r},{os_!r})"
-                    )
-                if cat.deg(lab) != 1 - ks + kt:
-                    raise ModuleError(
-                        f"connection entry ({t},{s}) has degree {cat.deg(lab)}, "
-                        f"expected {1 - ks + kt}"
-                    )
+                _check_entry(self, self, 1, t, s, lab)
             self.conn[(t, s)] = elem
-        if check_mc:
-            bad = maurer_cartan_defect(self)
-            if bad:
-                raise ModuleError(f"Maurer-Cartan fails at components {sorted(bad)}")
+        bad = maurer_cartan_defect(self)
+        if bad:
+            raise ModuleError(f"Maurer-Cartan fails at components {sorted(bad)}")
 
     @property
     def size(self) -> int:
@@ -351,25 +344,27 @@ def representable(aus: AuslanderCategory, i: int) -> TwistedComplex:
 def psi(aus: AuslanderCategory, i: int) -> ModuleMorphismElement:
     """The degree-0 morphism P_{i+1} -> P_i carried by the class of the
     unit in hom(i -> i+1); on evaluations it acts as the inclusion-style map.
-    It is closed, which ``cone(psi(aus, i))`` checks."""
+    The unit lies in R = F^0, the numerator of Gamma(i, i+1) (the build
+    refuses F^0 != R), so it is projected without a residue check.  It is
+    closed, which ``cone(psi(aus, i))`` certifies."""
     if not 0 <= i <= aus.n - 2:
         raise ModuleError(f"psi index {i} out of range 0..{aus.n - 2}")
     gamma = aus.gamma
     r = aus.base
     obj = r.objects[0]
     unit_vec = r.element_to_coords(r.unit_vector(obj), obj, obj)
-    elem = gamma.coords_to_element(aus.quotients[(i, i + 1)].project_strict(unit_vec), i, i + 1)
+    elem = gamma.coords_to_element(aus.quotients[(i, i + 1)].project(unit_vec), i, i + 1)
     return ModuleMorphismElement(representable(aus, i + 1), representable(aus, i), 0, {(0, 0): elem})
 
 
 def cone(f: ModuleMorphismElement) -> TwistedComplex:
     """Entries of the target followed by the source shifted one step; the
-    morphism fills the connecting block.  Requires f closed of degree 0: the
-    one place where a morphism is checked for both (ModuleError otherwise)."""
+    morphism fills the connecting block.  Requires f of degree 0 and closed
+    (ModuleError otherwise).  Closedness is certified by the cone's own
+    Maurer-Cartan check: x and y satisfy Maurer-Cartan, so the cone's
+    defect is its (t, s + y.size) blocks, which are +-mu1(f) at (t, s)."""
     if f.degree != 0:
         raise ModuleError(f"cone requires a degree-0 morphism, got degree {f.degree}")
-    if not is_closed(f):
-        raise ModuleError("cone requires a closed morphism")
     x, y = f.source, f.target
     off = y.size
     entries = list(y.entries) + [(o, k + 1) for o, k in x.entries]
@@ -380,7 +375,7 @@ def cone(f: ModuleMorphismElement) -> TwistedComplex:
         conn[(t + off, s + off)] = dict(e)
     for (t, s), e in f.comps.items():
         conn[(t, s + off)] = dict(e)
-    return TwistedComplex(x.cat, entries, conn, check_mc=True)
+    return TwistedComplex(x.cat, entries, conn)
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +563,11 @@ def end_comparison(aus: AuslanderCategory, s_i: TwistedComplex, end: HomComplexR
 
 def _lift_rbar_class(aus: AuslanderCategory, top, elem: dict, gamma_obj) -> dict:
     """Class in hom(o -> o) of a representative of an element of R/F^1 =
-    Gamma(top, top)."""
+    Gamma(top, top).  The representative lies in R = F^0, the numerator of
+    Gamma(o, o), so it is projected without a residue check."""
     cat = aus.gamma
     ambient = aus.quotients[(top, top)].lift(cat.element_to_coords(elem, top, top))
-    cls = aus.quotients[(gamma_obj, gamma_obj)].project_strict(ambient)
+    cls = aus.quotients[(gamma_obj, gamma_obj)].project(ambient)
     return cat.coords_to_element(cls, gamma_obj, gamma_obj)
 
 

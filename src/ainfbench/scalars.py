@@ -15,16 +15,37 @@ class FieldError(ValueError):
     pass
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster 2015).  The first 12 are not enough: 318665857834031151167461 is a
+# strong pseudoprime to each.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Whether ``p`` is prime, by deterministic Miller-Rabin; FieldError for
+    ``p`` at or above ``_MR_LIMIT``, where these bases do not decide it."""
+    if p >= _MR_LIMIT:
+        raise FieldError(f"characteristic {p} is too large: primes below {_MR_LIMIT} are supported")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

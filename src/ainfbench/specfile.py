@@ -286,14 +286,15 @@ def category_to_dict(cat: AInfCategory, filtration: Filtration | None = None,
                     {"name": str(lab), "source": rename[x], "target": rename[y], "degree": d}
                 )
     units = {rename[x]: str(u) for x, u in sorted(cat.units.items(), key=lambda kv: str(kv[0]))}
-    mult = []
-    for p in sorted(cat.mult):
-        for key in sorted(cat.mult[p], key=lambda t: [str(l) for l in t]):
-            out = {
-                str(lab): field.unparse(c)
-                for lab, c in sorted(cat.mult[p][key].items(), key=lambda kv: str(kv[0]))
-            }
-            mult.append({"arity": p, "inputs": [str(l) for l in key], "output": out})
+
+    def entries(table: dict) -> list:
+        """The entries of a table of label tuples, sorted by key and by output label."""
+        return [{"inputs": [str(l) for l in key],
+                 "output": {str(lab): field.unparse(c)
+                            for lab, c in sorted(table[key].items(), key=lambda kv: str(kv[0]))}}
+                for key in sorted(table, key=lambda t: [str(l) for l in t])]
+
+    mult = [{"arity": p, **entry} for p in sorted(cat.mult) for entry in entries(cat.mult[p])]
     data = {
         "field": field_to_dict(field),
         "objects": objects,
@@ -312,14 +313,7 @@ def category_to_dict(cat: AInfCategory, filtration: Filtration | None = None,
             levels.append(level)
         data["filtration"] = levels
     if cochain is not None:
-        entries = []
-        for key in sorted(cochain["table"], key=lambda t: [str(l) for l in t]):
-            out = {
-                str(lab): field.unparse(c)
-                for lab, c in sorted(cochain["table"][key].items(), key=lambda kv: str(kv[0]))
-            }
-            entries.append({"inputs": [str(l) for l in key], "output": out})
-        data["cochain"] = {"arity": cochain["arity"], "table": entries}
+        data["cochain"] = {"arity": cochain["arity"], "table": entries(cochain["table"])}
     if kappa is not None:
         data["kappa"] = kappa
     return data

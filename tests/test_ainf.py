@@ -321,7 +321,7 @@ def test_unit_tuples_skipped_on_strictly_unital_inputs(field):
     cases = [(toy_algebra(field), 5), (_gamma_of_toy(field), 4), (_x4_gamma(field), 3),
              (_non_cocycle_deformations(1, field)[0], 3), (nonassociative_example(field), 3)]
     for cat, n_max in cases:
-        assert _units_certify(cat)
+        assert _units_certify(validate_structure(cat))
         units = set(cat.units.values())
         pairs = _relation_pairs(cat, n_max)
         full = _insertion_sums(cat, pairs)
@@ -363,8 +363,8 @@ def _not_strictly_unital(field):
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
 def test_unit_tuples_swept_when_units_do_not_certify(field):
     for cat, failing in _not_strictly_unital(field):
-        assert not _units_certify(cat)
         report = validate_structure(cat)
+        assert not _units_certify(report)
         assert not report.check(failing).passed
         assert report.check("units").passed is (failing != "units")
         n_max = 2 * cat.arity_bound - 1
@@ -468,7 +468,7 @@ def test_scrambled_failures_list_every_witness_in_report_order():
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
 def test_check_stasheff_reads_the_unit_verdict_from_the_structure_report(field, monkeypatch):
     # the caller's structure report gives the same relation report, with no
-    # second unit pass; without one, check_stasheff walks the units itself
+    # second unit pass; without one, check_stasheff builds the report itself
     cats = _structure_cases(field)
     passes = []
     walk = ainf._unit_witnesses
@@ -481,7 +481,6 @@ def test_check_stasheff_reads_the_unit_verdict_from_the_structure_report(field, 
         assert not passes
         assert given.to_json() == check_stasheff(cat, n_max).to_json()
         assert passes == [1]
-        assert _units_certify(cat, structure) == _units_certify(cat)
 
 
 
@@ -491,8 +490,9 @@ def test_check_stasheff_ignores_a_structure_report_of_another_category(field):
     # of a category that is not strictly unital
     foreign = validate_structure(toy_algebra(field))
     assert foreign.passed and foreign.category is not None
+    assert _units_certify(foreign)
     for cat, _ in _not_strictly_unital(field):
-        assert not _units_certify(cat, foreign)
+        assert not _units_certify(validate_structure(cat))
         n_max = 2 * cat.arity_bound - 1
         assert check_stasheff(cat, n_max, foreign).to_json() == check_stasheff(cat, n_max).to_json()
 

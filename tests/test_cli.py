@@ -6,17 +6,19 @@ import io
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from ainfbench import GF, QQ, cli
+from ainfbench import GF, QQ, cli, scalars
 from ainfbench.ainf import AInfCategory
 from ainfbench.cli import main
 from ainfbench.filtration import check_filtration, degree_filtration
 from ainfbench.hochschild import diagonal_bimodule, hochschild_differential
+from ainfbench.scalars import FieldError
 from ainfbench.specfile import (
     SpecError,
     category_to_dict,
@@ -35,6 +37,7 @@ from .corpus import (
     random_associative_algebra,
     random_cochain,
     rescaled,
+    trivial_extension,
     truncated_polynomial,
 )
 
@@ -94,6 +97,39 @@ def test_parse_rejects_nonprime_characteristic():
     data["field"] = {"kind": "prime-field", "characteristic": 6}
     with pytest.raises(SpecError):
         parse_spec_dict(data)
+
+
+def test_prime_characteristic_decided_by_miller_rabin():
+    # exact below the limit: it agrees with trial division on every p < 10^4,
+    # refuses the Carmichael number 561, 2^61 + 1 = 3 * 768614336404564651
+    # and 318665857834031151167461, a strong pseudoprime to the first 12
+    # prime bases; at the limit it refuses to decide
+    def trial(p):
+        return p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+    assert all(scalars._is_prime(p) == trial(p) for p in range(10 ** 4))
+    for composite in (561, 2 ** 61 + 1, 318665857834031151167461):
+        assert not scalars._is_prime(composite)
+    assert scalars._is_prime(2 ** 61 - 1) and scalars._is_prime(10 ** 16 + 61)
+    with pytest.raises(FieldError, match="too large"):
+        GF(scalars._MR_LIMIT)
+
+
+@pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 0), (2 ** 61 + 1, 2), (3317044064679887385961981, 2)],
+                         ids=["mersenne-61", "composite", "too-large"])
+def test_cli_large_characteristic_is_decided_at_once(p, code, tmp_path, capsys):
+    # trial division up to sqrt(p) stalled every command over GF(2^61 - 1)
+    data = json.loads(Path(DUAL).read_text())
+    data["field"] = {"kind": "prime-field", "characteristic": p}
+    src = tmp_path / "dual.json"
+    src.write_text(json.dumps(data))
+    started = time.perf_counter()
+    got, out, err = run(capsys, "validate", str(src))
+    assert time.perf_counter() - started < 5
+    if code == 0:
+        assert got == 0 and json.loads(out)["verdict"] == "PASS"
+    else:
+        assert got == 2 and err.startswith("error:")
 
 
 def test_parse_rejects_duplicate_labels():
@@ -215,6 +251,30 @@ def test_cli_filtration_appendix(tmp_path, capsys):
     # kappa can also come from the file
     code2, out2, _ = run(capsys, "filtration", "appendix", TOY, "-o", str(out_file))
     assert code2 == 0
+
+
+def _trivial_extension_levels(a, kappa):
+    """Appendix levels of k[x]/x^a ⋉ (k[x]/x^a)[kappa]: J = (x), R_{-kappa} =
+    span(y_0, ..., y_{a-1}) and J^u R_{-kappa} J^v = span(y_{u+v}, ...), so
+    2a, then a + max(a - p, 0) for p = 1..N, then a - q for q = 1..a."""
+    big_n = max((kappa + 2) * (a - 1), 1)
+    return [2 * a] + [a + max(a - p, 0) for p in range(1, big_n + 1)] + [a - q for q in range(1, a + 1)]
+
+
+@pytest.mark.parametrize("alg, kappa, levels", [
+    (truncated_polynomial(4), 1000, [4, 3, 2, 1, 0]),
+    (trivial_extension(1, 1), 1, _trivial_extension_levels(1, 1)),
+    (trivial_extension(4, 3), 3, _trivial_extension_levels(4, 3)),
+    (trivial_extension(5, 2), 2, _trivial_extension_levels(5, 2)),
+], ids=["x4-kappa-1000", "trivext-1-1", "trivext-4-3", "trivext-5-2"])
+def test_cli_filtration_appendix_closed_forms(alg, kappa, levels, tmp_path, capsys):
+    # k[x]/x^4 has no degree -1000 part: N = 3006, but the levels stop at
+    # J^4 = 0, the first zero level
+    src, out_file = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(serialize(category_to_dict(alg)))
+    code, out, _ = run(capsys, "filtration", "appendix", str(src), "--kappa", str(kappa), "-o", str(out_file))
+    assert code == 0 and json.loads(out)["levels"] == levels
+    assert parse_spec(str(out_file)).filtration.dims() == tuple(levels)
 
 
 @pytest.mark.parametrize("p, name, nilpotent", [

@@ -368,8 +368,9 @@ def test_appendix_filtration_semisimple_trivial():
 def test_appendix_filtration_nonassociative_levels():
     # Degree-0 part k[e], degree -1 part k*t with e*t = t, t*e = 0 and no
     # higher product.  This is not associative ((e*e)*t = 0 but e*(e*t) = t),
-    # so the resulting level chain is NOT product-compatible; the level
-    # dimensions themselves still follow the radical-power recipe.
+    # so the recursion M_q = J M_{q-1} + M_{q-1} J never vanishes: M_q = k*t
+    # for every q >= 1.  The levels stop at level N + 2a - 1, where M_q = 0
+    # on every associative input, and the chain fails its certificate there.
     alg = algebra(
         QQ,
         [("1", 0), ("e", 0), ("t", -1)],
@@ -379,9 +380,10 @@ def test_appendix_filtration_nonassociative_levels():
     assert not check_stasheff(alg, n_max=3).passed  # genuinely non-associative
     filt, params = appendix_filtration(alg, kappa=1)
     assert params.nil_index == 2 and params.big_n == 3
-    assert filt.n == 5
-    assert filt.dims() == (3, 2, 1, 1, 1, 0)
-    assert not check_filtration(alg, filt).passed
+    assert filt.n == 6
+    assert filt.dims() == (3, 2, 1, 1, 1, 1, 1)
+    report = check_filtration(alg, filt)
+    assert [c.name for c in report.checks if not c.passed] == ["fn_zero"]
 
 
 def test_appendix_filtration_semisimple_with_lower_part():
@@ -399,6 +401,24 @@ def test_appendix_filtration_semisimple_with_lower_part():
     assert check_filtration(alg, filt).passed
     rbar, _ = quotient_by_ideal(alg, filt.levels[1])
     assert radical(rbar).dim == 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_appendix_recursion_multiplies_on_both_sides(field, side):
+    # k[x]/x^2 in degree 0 and y, z in degree -1, with x acting on one side
+    # only: x*y = z (left) or y*x = z (right), every other product of x, y,
+    # z zero.  M_1 = J R_{-1} + R_{-1} J = span(z) needs that side's product
+    # and M_2 = 0: levels R, J + R_{-1}, then R_{-1} up to N = 3, M_1, 0.
+    key = ("x", "y") if side == "left" else ("y", "x")
+    alg = algebra(field, [("1", 0), ("x", 0), ("y", -1), ("z", -1)], "1",
+                  {2: unital_m2(["1", "x", "y", "z"], "1", {key: {"z": 1}}, field)})
+    assert validate_structure(alg).passed and check_stasheff(alg).passed
+    filt, params = appendix_filtration(alg, kappa=1)
+    assert (params.nil_index, params.big_n) == (2, 3)
+    assert filt.dims() == (4, 3, 2, 2, 1, 0)
+    assert filt.levels[4] == span_of(alg, ["z"])
+    assert check_filtration(alg, filt).passed
 
 
 def test_appendix_rejects_bad_grading():

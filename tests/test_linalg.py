@@ -98,8 +98,7 @@ def test_dense_vectors_are_refused():
         for call in (lambda: Subspace(amb, QQ, [dense_vec]),
                      lambda: s.contains(dense_vec),
                      lambda: quotient_space(s, Subspace(amb, QQ, ()), preferred=[dense_vec]),
-                     lambda: QuotientPresentation(amb, QQ, [dense_vec], []),
-                     lambda: QuotientPresentation(amb, QQ, [], [dense_vec])):
+                     lambda: QuotientPresentation(amb, QQ, linalg._Echelon(QQ), [dense_vec])):
             with pytest.raises(LinAlgError, match=r"sparse dicts \{index: scalar\}"):
                 call()
     # a FiniteComplex takes sparse columns only, dense rows are refused
@@ -273,13 +272,13 @@ def test_quotient_projection_lift_invariants_random():
         assert presentation_holds(q)
     # presentations that quotient_space did not make: no numerator Subspace
     amb = GradedSpace(("a", "b"), (0, 0))
-    assert presentation_holds(QuotientPresentation(amb, QQ, [], [{0: 1}]))
+    assert presentation_holds(QuotientPresentation(amb, QQ, linalg._Echelon(QQ), [{0: 1}]))
     c = FiniteComplex(QQ, {-1: ("e_src", "t_src"), 0: ("1", "e", "t")},
                       {-1: {0: {1: F(1)}, 1: {2: F(1)}}})
     assert presentation_holds(complex_cohomology(c).groups[0])
     # a broken presentation fails the check: its representative's column
     # no longer reads it as the class e_0
-    broken = QuotientPresentation(amb, QQ, [], [{0: 1}])
+    broken = QuotientPresentation(amb, QQ, linalg._Echelon(QQ), [{0: 1}])
     broken._columns[0] = ({0: F(2)}, {})
     assert not presentation_holds(broken)
 
@@ -373,7 +372,7 @@ def test_projections_and_lifts_are_ascending_sparse(field):
         # seeded from the denominator's reduced rows: the representatives of
         # the presentation that eliminates the reduced rows again, and no row
         # shared with the Subspace
-        again = QuotientPresentation(amb, field, den.rows, (*preferred, *num.rows))
+        again = QuotientPresentation(amb, field, linalg._Echelon(field, den.rows), (*preferred, *num.rows))
         assert q.reps == again.reps
         assert not {id(r) for r in q._echelon.rows.values()} & {id(r) for r in den._echelon.rows.values()}
         lifts = [q.lift(dict(enumerate(rand_vec(q.dim)))) for _ in range(3)]
@@ -678,7 +677,8 @@ def _presented_eagerly(c):
     for q, labels in sorted(c.components.items()):
         image = _rows(zip(*dense_differential(c, q - 1)))
         kernel = linalg._kernel(c.field, _rows(dense_differential(c, q)), len(labels))
-        groups[q] = QuotientPresentation(GradedSpace(labels, (q,) * len(labels)), c.field, image, kernel)
+        groups[q] = QuotientPresentation(GradedSpace(labels, (q,) * len(labels)), c.field,
+                                         linalg._Echelon(c.field, image), kernel)
     return groups
 
 

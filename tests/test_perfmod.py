@@ -86,7 +86,7 @@ def toy_deg_aus():
 
 def shifted(x, k):
     """The twisted complex ``x`` with every shift raised by ``k``."""
-    return TwistedComplex(x.cat, [(o, sh + k) for o, sh in x.entries], dict(x.conn), check_mc=False)
+    return TwistedComplex(x.cat, [(o, sh + k) for o, sh in x.entries], dict(x.conn))
 
 
 def scaled(f, c):
@@ -242,6 +242,33 @@ def test_cone_requires_closed_degree_zero(toy_aus):
     bad = ModuleMorphismElement(p1, p0, 1)
     with pytest.raises(ModuleError):
         cone(bad)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_cone_refuses_exactly_the_morphisms_that_are_not_closed(field):
+    # the cone's Maurer-Cartan check is the one closedness certificate: over
+    # toy's appendix and degree filtrations, every degree-0 basis morphism
+    # between the P_i and S_i, and twice it, gives a cone iff mu1 kills it
+    # (S_{n-1} = P_{n-1} is listed once: 184 morphisms, 78 not closed)
+    toy = toy_algebra(field)
+    refused = accepted = 0
+    for filt in (appendix_filtration(toy, kappa=1)[0], degree_filtration(toy)):
+        aus = build_auslander(toy, filt)
+        ps = [representable(aus, i) for i in range(aus.n)]
+        objects = ps + [cone(psi(aus, i)) for i in range(aus.n - 1)]
+        for x, y in itertools.product(objects, repeat=2):
+            h = hom_complex(x, y)
+            for j in range(len(h.basis_by_degree.get(0, ()))):
+                for c in (1, 2):
+                    f = h.morphism_from_coords(0, {j: field.of_int(c)})
+                    if mu1(f).is_zero():
+                        assert cone(f).size == x.size + y.size
+                        accepted += 1
+                    else:
+                        with pytest.raises(ModuleError, match="Maurer-Cartan fails"):
+                            cone(f)
+                        refused += 1
+    assert (refused, accepted) == (78, 106)
 
 
 def test_cone_of_zero_from_empty_is_identity(toy_aus):
@@ -449,9 +476,10 @@ def test_hom_differential_matches_naive_oracle(field):
             assert maurer_cartan_defect(x) == naive_maurer_cartan(x) == {}
             for j in aus.gamma.objects:
                 assert evaluation_columns(value_at(x, j)) == naive_evaluation_columns(x, j)
-        # the defect of random connections, built without the check: shifts
-        # one step apart and mostly one object, so that paths of three
-        # degree-0 labels reach m_3
+        # the defect of random connections, built without the constructor,
+        # which refuses a complex that fails Maurer-Cartan: shifts one step
+        # apart and mostly one object, so that paths of three degree-0
+        # labels reach m_3
         cat = aus.gamma
         for _ in range(8):
             o = rng.randrange(aus.n)
@@ -459,7 +487,10 @@ def test_hom_differential_matches_naive_oracle(field):
             conn = {(t, s): {lab: random_scalar() for lab in cat.basis(entries[t][0], entries[s][0])
                              if cat.deg(lab) == 1 - entries[s][1] + entries[t][1]}
                     for s in range(4) for t in range(s)}
-            broken = TwistedComplex(cat, entries, conn, check_mc=False)
+            broken = object.__new__(TwistedComplex)
+            broken.cat, broken.entries = cat, tuple(entries)
+            broken.conn = {key: nonzero for key, elem in conn.items()
+                           if (nonzero := {lab: c for lab, c in elem.items() if c != 0})}
             want = naive_maurer_cartan(broken)
             assert maurer_cartan_defect(broken) == want
             broken_seen += bool(want)
