@@ -16,7 +16,10 @@ Conventions (used consistently by every module in this package):
 
   where inserting ``m_s`` past the first r arguments contributes the Koszul
   sign ``(-1)^(s * (|a_1| + ... + |a_r|))`` (from the rule
-  ``(f (x) g)(x (x) y) = (-1)^{|g||x|} f(x) (x) g(y)``).
+  ``(f (x) g)(x (x) y) = (-1)^{|g||x|} f(x) (x) g(y)``).  Reports and
+  witnesses use this unshifted convention.  The sums are evaluated in the
+  bar convention (:func:`_insertion_sums`), where the relations are the
+  brace ``b{b} = 0`` and the one sign is :func:`_epsilon`.
 * Strict unitality: ``m_2(1, f) = f = m_2(f, 1)`` and every ``m_p`` with
   ``p != 2`` vanishes as soon as one argument is a unit.
 
@@ -394,21 +397,43 @@ def _breaks(info: dict, key: tuple) -> list:
     return [u for u in range(len(key) - 1) if info[key[u]][0] != info[key[u + 1]][1]]
 
 
+def _epsilon(degs) -> int:
+    """The one sign of the bar (suspended) convention, eps(a_1..a_p) =
+    sum_u (p - u) * |a_u| mod 2: on the key K = (a_1..a_p), ``(-1)^eps(K) *
+    T[K]`` turns a table T of the unshifted convention into the bar one,
+    where an m_p is an operation of degree 1 on inputs shifted down by one,
+    and the same sign turns it back."""
+    return sum(degs[-2::-2]) & 1  # the |a_u| with p - u odd
+
+
 def _insertion_sums(cat: AInfCategory, pairs, singles=(), skip=frozenset()) -> dict:
     """Signed sums of Gerstenhaber insertions, tuple by tuple, exactly.
 
     Tables map label tuples to sparse output vectors whose labels ``cat``
-    knows.  Each of ``pairs`` is ``(outer, inner, outer_sign, inner_sign)``:
-    for every outer key K, slot r and inner key J whose output has
-    coefficient x at the label K[r], the tuple K[:r] + J + K[r+1:] receives
-    ``(-1)^(a + c + b*s) * x * outer[K]``, where ``(a, b) = outer_sign(dK,
-    r)``, ``(c, s) = inner_sign(dJ)`` and dK, dJ are the degree tuples of K
-    and J.  Each of ``singles`` is ``(table, sign)``: the key K receives
-    ``(-1)^sign(dK) * table[K]``.  Only composable tuples receive terms,
-    and none that holds a label of ``skip``: such inner keys and singles are
-    dropped, and an outer key that holds one is summed only at its slot.  The
-    sums on every other tuple are those of the full sweep.
-    Returns the nonzero sums as ``{tuple: {label: scalar}}``.
+    knows.  Each of ``pairs`` is ``(outer, inner, sign, degree)``: the brace
+    ``sign * outer{inner}`` of the bar convention, sign +1 or -1, where the
+    inner table is an operation of degree |J| = ``degree`` on shifted inputs
+    (1 for every m_s).  For every outer key K, slot r and inner key J whose
+    output has coefficient x at the label K[r], the tuple
+    K[:r] + J + K[r+1:] receives
+
+        sign * (-1)^(eps(K) + eps(J) + |J| * sum_{u<r} (|K_u| - 1)) * x * outer[K],
+
+    with eps of :func:`_epsilon` and the Koszul sign of moving J past the
+    shifted prefix (Getzler 1993, brace operations; Lefevre-Hasegawa 2003,
+    1.2).  In eps(K), slot r has the degree J outputs,
+    sum_u |J_u| + |J| + 1 - len(J): that is |K[r]| when the table passes the
+    degree check, and it keeps the unshifted sums exact on one that does
+    not.  Each of ``singles`` is ``(table, sign)``: the key K receives
+    ``sign * (-1)^eps(K) * table[K]``.  Each nonzero sum at a tuple T is
+    multiplied by ``(-1)^eps(T)`` at the end, which returns it in the
+    unshifted convention of the module docstring.
+
+    Only composable tuples receive terms, and none that holds a label of
+    ``skip``: such inner keys and singles are dropped, and an outer key that
+    holds one is summed only at its slot.  The sums on every other tuple are
+    those of the full sweep.  Returns the nonzero sums as
+    ``{tuple: {label: scalar}}``.
 
     Every term is a product of at most two structure constants, so over Q
     the sums run in ints scaled by D^2, D the lcm of all denominators (a
@@ -426,16 +451,21 @@ def _insertion_sums(cat: AInfCategory, pairs, singles=(), skip=frozenset()) -> d
     scale = 1 if p else math.lcm(
         *{v.denominator for t in tables.values() for vec in t.values() for v in vec.values()})
     sums: dict = {}
-    for outer, inner, outer_sign, inner_sign in pairs:
-        by_output: dict = {}
-        for key, vec in inner.items():
-            if _breaks(info, key) or not skip.isdisjoint(key):
-                continue
-            c, s = inner_sign(tuple(info[lab][2] for lab in key))
-            ends = (info[key[0]][1], info[key[-1]][0]) if key else None
-            for lab, v in vec.items():
-                v = v.numerator * (scale // v.denominator)
-                by_output.setdefault(lab, []).append((key, ends, -v if c % 2 else v, s % 2))
+    indexed: dict = {}  # inner terms by output label, once per (inner, sign, degree)
+    for outer, inner, sign, degree in pairs:
+        by_output = indexed.get((id(inner), sign, degree))
+        if by_output is None:
+            by_output = indexed[id(inner), sign, degree] = {}
+            for key, vec in inner.items():
+                if _breaks(info, key) or not skip.isdisjoint(key):
+                    continue
+                degs = [info[lab][2] for lab in key]
+                flip = _epsilon(degs) ^ (sign < 0)
+                slot = (sum(degs) + degree + 1 - len(key)) & 1  # the degree J outputs
+                ends = (info[key[0]][1], info[key[-1]][0]) if key else None
+                for lab, v in vec.items():
+                    v = v.numerator * (scale // v.denominator)
+                    by_output.setdefault(lab, []).append((key, ends, -v if flip else v, slot))
         for key, vec in outer.items():
             held = [r for r, lab in enumerate(key) if lab in skip]
             if len(held) > 1:
@@ -450,19 +480,22 @@ def _insertion_sums(cat: AInfCategory, pairs, singles=(), skip=frozenset()) -> d
                     continue
                 if out is None:
                     out = [(l, v.numerator * (scale // v.denominator)) for l, v in vec.items()]
-                    degs = tuple(info[l][2] for l in key)
-                a, b = outer_sign(degs, r)
-                a, b = a % 2, b % 2
+                    degs = [info[l][2] for l in key]
+                    eps = _epsilon(degs)
+                # eps(K) without slot r's term, which each J supplies, and
+                # the prefix Koszul sign |J| * sum_{u<r} (|K_u| - 1)
+                after = (last - r) & 1
+                a = eps ^ (after & degs[r]) ^ (degree & (sum(degs[:r]) - r) & 1)
                 left = info[key[r - 1]][0] if r else None
                 right = info[key[r + 1]][1] if r < last else None
                 head, tail = key[:r], key[r + 1:]
-                for j, ends, v, s in terms:
+                for j, ends, v, slot in terms:
                     if ends is None:  # an empty J joins K[r-1] to K[r+1]
                         if 0 < r < last and left != right:
                             continue
                     elif (r and ends[0] != left) or (r < last and ends[1] != right):
                         continue
-                    if a ^ (b & s):
+                    if a ^ (after & slot):
                         v = -v
                     t = head + j + tail
                     for l, w in out:
@@ -471,15 +504,18 @@ def _insertion_sums(cat: AInfCategory, pairs, singles=(), skip=frozenset()) -> d
         for key, vec in table.items():
             if _breaks(info, key) or not skip.isdisjoint(key):
                 continue
-            flip = sign(tuple(info[lab][2] for lab in key)) % 2
+            flip = _epsilon([info[lab][2] for lab in key]) ^ (sign < 0)
             for l, v in vec.items():
                 v = v.numerator * (scale // v.denominator) * scale
                 sums[key, l] = sums.get((key, l), 0) + (-v if flip else v)
     result: dict = {}
     for (key, l), v in sums.items():
-        v = v % p if p else v
-        if v:
-            result.setdefault(key, {})[l] = v if p else Fraction(v, scale * scale)
+        if v % p if p else v:
+            result.setdefault(key, {})[l] = v
+    for key, vec in result.items():  # back to the unshifted convention
+        flip = -1 if _epsilon([info[lab][2] for lab in key]) else 1
+        for l, v in vec.items():
+            vec[l] = flip * v % p if p else Fraction(flip * v, scale * scale)
     return result
 
 
@@ -497,8 +533,9 @@ def check_stasheff(c: AInfCategory, n_max: int | None = None,
     """Evaluate the defining relations on every composable tuple up to n_max.
 
     The relation sum is the insertion of the structure maps into themselves,
-    m_s into m_p for every p + s - 1 <= n_max, with the signs of the module
-    docstring; a tuple no term reaches satisfies its relation trivially.
+    b_s into b_p for every p + s - 1 <= n_max, the brace b{b} of the bar
+    convention, reported with the signs of the module docstring; a tuple no
+    term reaches satisfies its relation trivially.
     The default bound 2*arity_bound - 1 is sharp: above it every insertion
     term vanishes identically.
 
@@ -515,15 +552,8 @@ def check_stasheff(c: AInfCategory, n_max: int | None = None,
         structure = validate_structure(c)
     skip = set(c.units.values()) if _units_certify(structure) else frozenset()
 
-    def outer_sign(degs, r):  # (-1)^(r + s*t + s*(|a_1| + ... + |a_r|))
-        return r, len(degs) - 1 - r + sum(degs[:r])
-
-    def inner_sign(degs):
-        return 0, len(degs)
-
     defects = _insertion_sums(c, [
-        (c.mult[p], c.mult[s], outer_sign, inner_sign)
-        for p in c.mult for s in c.mult if p + s - 1 <= n_max
+        (c.mult[p], c.mult[s], 1, 1) for p in c.mult for s in c.mult if p + s - 1 <= n_max
     ], skip=skip)
     by_arity: dict = {n: [] for n in range(1, n_max + 1)}
     for labels, defect in defects.items():

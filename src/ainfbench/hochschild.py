@@ -26,13 +26,15 @@ a nonzero m_1 or m_k, k >= 3 (:func:`_higher_product`), and give no verdict
 on it.
 
 The differential, the functor equations of :func:`coboundary_trivialization`
-and the relation check of :mod:`ainfbench.ainf` are all sums of Gerstenhaber
-insertions, and all three are summed by the one sparse join
-:func:`ainfbench.ainf._insertion_sums`, each with its own signs.  Cochains
-and bimodules are validated where they enter, and what is built from them
-(extensions, deformations, differentials) is valid by construction and not
-checked again; ``deform`` builds one square-zero extension, which its
-differential and its deformation share.
+and the relation check of :mod:`ainfbench.ainf` are all braces of the bar
+convention (b{b} = 0, [b, phi], F o b_src = b_tgt o F), summed by the one
+sparse join :func:`ainfbench.ainf._insertion_sums` under its one sign rule:
+each caller passes table pairs with a constant sign and the inner table's
+degree, and no sign function.  Cochains and bimodules are validated where
+they enter, and what is built from them (extensions, deformations,
+differentials) is valid by construction and not checked again; ``deform``
+builds one square-zero extension, which its differential and its
+deformation share.
 """
 
 from __future__ import annotations
@@ -254,14 +256,16 @@ class HochschildCochain:
 def hochschild_differential(phi: HochschildCochain, ext: AInfCategory | None = None) -> HochschildCochain:
     """Arity-(n+1) component of the commutator with m_2.
 
-    The terms are the insertions of m_2 into the cochain (inner parity 0)
-    and of the cochain into the m_2 of the square-zero extension at the
-    shift n - 2 used by deformations (inner parity n + d), with the
-    (-1)^(r+st) and Koszul signs of the relation checker.  The overall sign
-    is chosen so that degree-0 associative inputs reproduce the classical
-    alternating formula.  An arity-0 cochain has no inputs: it enters the
-    insertions under the key (), and only the composable products of the
-    extension place its value at the right object.
+    In the bar convention it is (-1)^|phi| [b_2, phi], that is
+    (-1)^|phi| b_2{phi} minus phi{b_2}, where |phi| = d + 1 is phi's degree
+    as a bar operation (d its internal degree): two pairs of
+    :func:`ainfbench.ainf._insertion_sums`, with b_2 the m_2 of the base
+    inside phi and the m_2 of the square-zero extension at the shift n - 2
+    used by deformations around it.  The
+    overall sign (-1)^|phi| makes degree-0 associative inputs reproduce the
+    classical alternating formula.  An arity-0 cochain has no inputs: it
+    enters the insertions under the key (), and only the composable products
+    of the extension place its value at the right object.
 
     The sweep skips every tuple that holds a unit of the base, so the
     result is normalized as it comes out of the kernel.  It is valid by
@@ -276,24 +280,12 @@ def hochschild_differential(phi: HochschildCochain, ext: AInfCategory | None = N
         ext = square_zero_extension(base, phi.module, n - 2)
     phi_table = phi.table if n else {(): {lab: c for vec in phi.table.values() for lab, c in vec.items()}}
     ext_m2 = {key: vec for key, vec in ext.mult.get(2, {}).items() if ext.composable(key)}
-
-    def outer_sign(parity):
-        # (-1)^(r + s*t + parity*(|a_1| + ... + |a_r|)), times the overall
-        # minus sign of the raw commutator defect
-        return lambda degs, r: (1 + r + parity * sum(degs[:r]), len(degs) - 1 - r)
-
-    def inner_sign(degs):
-        return 0, len(degs)
-
+    degree = phi.internal_degree + 1  # |phi| as a bar operation
     table = _insertion_sums(ext, [
-        (phi_table, base.mult.get(2, {}), outer_sign(0), inner_sign),
-        (ext_m2, phi_table, outer_sign(n + phi.internal_degree), inner_sign),
+        (phi_table, base.mult.get(2, {}), -1, 1),
+        (ext_m2, phi_table, -1 if degree % 2 else 1, degree),
     ], skip=set(base.units.values()))
     return HochschildCochain._trusted(base, phi.module, n + 1, table, phi.internal_degree)
-
-
-def is_cocycle(phi: HochschildCochain) -> bool:
-    return hochschild_differential(phi).is_zero()
 
 
 def _higher_product(c: AInfCategory):
@@ -359,14 +351,11 @@ def _deform(c: AInfCategory, ext: AInfCategory, eta: HochschildCochain) -> AInfC
 
 def coboundary_trivialization(c: AInfCategory, m: Bimodule, phi: HochschildCochain) -> bool:
     """Verify the explicit change of coordinates killing the deformation by
-    d(phi): the functor from the deformed extension to the plain one whose
-    first component is the identity and whose component at arity phi.arity
-    is (-1)^(arity+1) * phi satisfies the functor equations bit-exactly.
-    (For arity 1 the two components merge into the map 1 + phi.)
-
-    For even arity, id - phi is checked as id + phi from the plain to the
-    deformed extension, with the same defect up to sign: d(phi) and phi take
-    pure-C inputs to module outputs.  The deformation reuses ``plain``.
+    d(phi): the functor F = id + phi, phi at arity phi.arity, from the
+    deformed extension to the plain one satisfies the functor equations of
+    the bar convention bit-exactly (:func:`_verify_functor`).  (For arity 1
+    the two components merge into the map 1 + phi.)  The deformation reuses
+    ``plain``.
     HochschildError unless phi is over ``c`` with values in ``m``
     (:func:`_check_over`), and on a base with a nonzero m_1 or m_k, k >= 3,
     where d(phi) is not the differential's whole value (:func:`_higher_product`).
@@ -380,52 +369,24 @@ def coboundary_trivialization(c: AInfCategory, m: Bimodule, phi: HochschildCocha
     if eta.table and eta.internal_degree:
         raise HochschildError(f"d(phi) has internal degree {eta.internal_degree}, not 0")
     plain = square_zero_extension(c, m, eta.arity - 2)
-    deformed = _deform(c, plain, eta)
-    src, tgt = (deformed, plain) if phi.arity % 2 else (plain, deformed)
-    return _verify_functor(src, tgt, phi, phi.arity)
+    return _verify_functor(_deform(c, plain, eta), plain, phi)
 
 
-def _bar_exp(degs) -> int:
-    p = len(degs)
-    return sum((p - u) * (degs[u - 1] - 1) for u in range(1, p)) % 2
+def _verify_functor(src: AInfCategory, tgt: AInfCategory, phi: HochschildCochain) -> bool:
+    """Check the functor equations for F = id + phi, phi at arity phi.arity.
 
-
-def _verify_functor(src: AInfCategory, tgt: AInfCategory, phi: HochschildCochain, q: int) -> bool:
-    """Check the suspended functor equations for F = id + phi (phi at arity q).
-
-    The defect D = (m_src - m_tgt) + phi o m_src - m_tgt o phi must vanish
-    on every composable tuple.  Signs are the bar convention: ``_bar_exp``
-    of each operation's inputs, the Koszul term sum(|a_u| - 1) for sliding
-    an inner operation past a prefix, and a phi block of degree
-    sum|a| + d - (q - 1) (for q = 1, F_1 keeps its input's degree).  Terms
-    with two phi blocks vanish: the target is a square-zero extension and
-    its tables hold at most one module label per key.  An arity-0 phi
-    gives F no component, so for q = 0 only m_src = m_tgt is checked.
+    In the bar convention F o b_src = b_tgt o F, so the defect
+    (b_src - b_tgt) + phi{b_src} - b_tgt{phi} must vanish on every
+    composable tuple: two pairs and two singles of
+    :func:`ainfbench.ainf._insertion_sums`, where every b has degree 1 and
+    phi, a component of a functor, has degree d (its internal degree, 0 for
+    a deformation).  Terms with two phi blocks vanish: the target is a
+    square-zero extension and its tables hold at most one module label per
+    key.  An arity-0 phi gives F no component, so for arity 0 only
+    b_src = b_tgt is checked.
     """
-    shift = phi.internal_degree - (q - 1) if q > 1 else 0
-    phi_table = phi.table if q else {}
+    phi_table = phi.table if phi.arity else {}
     src_table = {key: vec for t in src.mult.values() for key, vec in t.items()}
     tgt_table = {key: vec for t in tgt.mult.values() for key, vec in t.items()}
-
-    # _bar_exp of the outer key with the inner block in slot r: the slot
-    # counts 0 when it has degree 1, and (p - 1 - r) * (block degree - 1) on
-    # top, which is b * s with s the block degree minus 1
-    def phi_of_m(degs, r):
-        return (sum(x - 1 for x in degs[:r]) + _bar_exp(degs[:r] + (1,) + degs[r + 1:]),
-                len(degs) - 1 - r)
-
-    def m_of_phi(degs, r):
-        return 1 + _bar_exp(degs[:r] + (1,) + degs[r + 1:]), len(degs) - 1 - r
-
-    def m_block(degs):  # m_s of the inputs has degree sum|a| + 2 - s
-        return _bar_exp(degs), sum(degs) + 1 - len(degs)
-
-    def phi_block(degs):
-        return _bar_exp(degs), sum(degs) + shift - 1
-
-    defect = _insertion_sums(
-        src,
-        [(phi_table, src_table, phi_of_m, m_block), (tgt_table, phi_table, m_of_phi, phi_block)],
-        [(src_table, _bar_exp), (tgt_table, lambda degs: 1 + _bar_exp(degs))],
-    )
-    return not defect
+    pairs = [(phi_table, src_table, 1, 1), (tgt_table, phi_table, -1, phi.internal_degree)]
+    return not _insertion_sums(src, pairs, [(src_table, 1), (tgt_table, -1)])

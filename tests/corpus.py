@@ -146,6 +146,26 @@ def nonassociative_example(field=QQ):
     )
 
 
+def graded_non_ainf(field=QQ, seed=31):
+    """A seeded, strictly unital graded category that fails its relations on
+    many tuples: the unit 1 and a, b, c, d in degrees -1, 0, 1, 2, with
+    m_1, m_2 and m_3 entries of the right degree (2 - p) drawn at random on
+    the non-unit labels, with coefficients in -2..2.  Its witnesses carry
+    the Koszul signs of odd-degree labels in every slot."""
+    rng = random.Random(seed)
+    basis = [("1", 0), ("a", -1), ("b", 0), ("c", 1), ("d", 2)]
+    degree = dict(basis)
+    by_degree = {d: lab for lab, d in basis if lab != "1"}
+    mult: dict = {1: {}, 2: unital_m2([lab for lab, _ in basis], "1", {}, field), 3: {}}
+    for p, chance in ((1, 1.0), (2, 0.6), (3, 0.3)):
+        for key in itertools.product("abcd", repeat=p):
+            out = by_degree.get(sum(degree[lab] for lab in key) + 2 - p)
+            coeff = rng.randint(-2, 2)
+            if out and coeff and rng.random() < chance:
+                mult[p][key] = {out: field.of_int(coeff)}
+    return algebra(field, basis, "1", mult)
+
+
 def truncated_polynomial(m, field=QQ):
     """k[x]/(x^m) with basis 1, x, ..., x^(m-1)."""
     labels = ["1"] + [f"x{i}" for i in range(1, m)]

@@ -11,7 +11,8 @@ wording differs across Python versions.
 The matrix runs every command (``stasheff`` also with ``--max-arity 3``,
 ``sod`` in JSON and text, ``deform`` by the cochain of ``fixtures/dual.json``)
 on the four fixtures and on k[x]/x^3..x^6, Beilinson P^2, the trivial
-extension (2, 1), the incompatible filtration, the DG input and toy, each
+extension (2, 1), the incompatible filtration, the DG input, toy and a
+seeded graded input that fails its relations (``graded_non_ainf``), each
 over Q, GF(3) and GF(5), then ``filtration check``, ``sod`` and ``gamma
 build`` on every file that ``filtration appendix`` wrote, and a few usage
 errors.  The slow cases, Beilinson P^3 and k[x]/x^10 over Q, run only from
@@ -44,6 +45,7 @@ from ainfbench.specfile import category_to_dict, serialize  # noqa: E402
 from tests.corpus import (  # noqa: E402
     beilinson_algebra,
     dg_closure_example,
+    graded_non_ainf,
     incompatible_filtration,
     toy_algebra,
     trivial_extension,
@@ -68,6 +70,7 @@ CORPUS = {
     "incompatible": incompatible_filtration,
     "dg": dg_closure_example,
     "toy": _unfiltered(toy_algebra),
+    "graded": _unfiltered(graded_non_ainf),
 }
 SLOW = {
     "beilinson-3": _unfiltered(lambda f: beilinson_algebra(3, f)),

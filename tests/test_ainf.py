@@ -16,7 +16,7 @@ from ainfbench.ainf import (
 )
 from ainfbench.auslander import build_auslander
 from ainfbench.filtration import Filtration
-from ainfbench.hochschild import HochschildCochain, deform_by_cocycle, diagonal_bimodule, is_cocycle
+from ainfbench.hochschild import HochschildCochain, deform_by_cocycle, diagonal_bimodule, hochschild_differential
 from ainfbench.linalg import GradedSpace
 from ainfbench.specfile import parse_spec
 from ainfbench.scalars import FieldError
@@ -27,6 +27,7 @@ from .corpus import (
     _subspace_from_labels,
     dual_numbers,
     full_subcategory,
+    graded_non_ainf,
     nonassociative_example,
     opposite,
     path_algebra_a3,
@@ -143,7 +144,7 @@ def _non_cocycle_deformations(count, field=QQ):
             if out and rng.random() < 0.5:
                 table[key] = out
         eta = HochschildCochain(c, m, 2, table)
-        if not is_cocycle(eta):
+        if not hochschild_differential(eta).is_zero():
             found.append(deform_by_cocycle(c, m, eta))
     return found
 
@@ -212,6 +213,31 @@ def test_stasheff_witnesses_match_oracle_randomized(field):
     assert failing >= 10
 
 
+def _misgraded(cat, rng):
+    """``cat`` with the output of every entry whose key holds no unit moved
+    to a random non-unit label, most often one of the wrong degree."""
+    labels = [lab for lab in cat.all_labels() if not cat.is_unit(lab)]
+    mult = {p: {key: vec if any(map(cat.is_unit, key)) else {rng.choice(labels): v for v in vec.values()}
+                for key, vec in table.items()}
+            for p, table in cat.mult.items()}
+    return AInfCategory(cat.field, cat.objects, cat.hom, cat.units, mult)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_stasheff_graded_witnesses_match_oracle(field):
+    # labels of degree -1..2 and m_1..m_3: the sums of the bar convention,
+    # turned back into the unshifted one, equal the oracle's value by value,
+    # also when the outputs are moved to labels of the wrong degree
+    rng = random.Random(41)
+    for seed in (31, 32, 33):
+        cat = graded_non_ainf(field, seed)
+        misgraded = _misgraded(cat, rng)
+        assert not validate_structure(misgraded).check("degrees").passed
+        for c in (cat, misgraded, rescaled(cat, rng, LARGE_DENOMINATORS)):
+            witnesses = _stasheff_witnesses(c, 4)
+            assert witnesses and witnesses == _oracle_witnesses(c, 4)
+
+
 def _non_composable_key_category():
     """f, g: a -> b with m_2(eb, eb) = eb + g, so g lands in a wrong
     hom-space, and m_2(g, f) = 2f on a non-composable key; unital otherwise."""
@@ -252,14 +278,16 @@ def test_insertion_sums_composable_tuples_only():
         ("x", "y"): GradedSpace(("p",), (0,)),
         ("y", "x"): GradedSpace(("q",), (0,)),
     }
+    # All labels have degree 0, so eps is 0, and with |J| = 1 a term's sign
+    # is the prefix Koszul sign (-1)^(sum_{u<r} (|K_u| - 1)) = (-1)^r: the
+    # empty J's term at slot 1 of (p, ex, q) is negative.
     c = AInfCategory(QQ, ("x", "y"), hom, {"x": "ex", "y": "ey"}, {})
-    plus = lambda degs, r=None: (0, 0)
     empty_inner = ({("p", "ex", "q"): {"p": F(1, 2)}, ("p", "ex", "p"): {"p": F(1)}},
-                   {(): {"ex": F(1, 3)}}, plus, plus)
-    far_break = ({("p", "p", "ex"): {"p": F(1)}}, {("ex", "ex"): {"ex": F(1)}}, plus, plus)
-    singles = [({("q", "p"): {"ey": F(3, 4)}, ("p", "p"): {"p": F(1)}}, lambda degs: 1)]
+                   {(): {"ex": F(1, 3)}}, 1, 1)
+    far_break = ({("p", "p", "ex"): {"p": F(1)}}, {("ex", "ex"): {"ex": F(1)}}, 1, 1)
+    singles = [({("q", "p"): {"ey": F(3, 4)}, ("p", "p"): {"p": F(1)}}, -1)]
     sums = _insertion_sums(c, [empty_inner, far_break], singles)
-    assert sums == {("p", "q"): {"p": F(1, 6)}, ("q", "p"): {"ey": F(-3, 4)}}
+    assert sums == {("p", "q"): {"p": F(-1, 6)}, ("q", "p"): {"ey": F(-3, 4)}}
 
 
 def _restricted(sums, skip):
@@ -277,23 +305,23 @@ def test_insertion_sums_skip_empty_inner_and_singles():
         ("y", "x"): GradedSpace(("q",), (0,)),
     }
     c = AInfCategory(QQ, ("x", "y"), hom, {"x": "ex", "y": "ey"}, {})
-    plus = lambda degs, r=None: (0, 0)
     outer = {("p", "ex", "q"): {"p": F(1, 2)}, ("ex", "q"): {"q": F(2)}, ("ey", "p"): {"p": F(1)},
              ("q", "ey"): {"q": F(1)}, ("ex", "ex"): {"ex": F(1)}}
     inner = {(): {"ex": F(1, 3), "ey": F(1, 5)}, ("q", "p"): {"ex": F(1)}, ("ex", "ex"): {"ex": F(1)},
              ("p", "q"): {"ey": F(1, 7)}}
     singles = [({("q", "p"): {"ey": F(3, 4)}, ("ex", "q"): {"q": F(1)}, ("ey", "p"): {"p": F(5)}},
-                lambda degs: 1)]
-    pairs = [(outer, inner, plus, plus)]
+                -1)]
+    pairs = [(outer, inner, 1, 1)]
     full = _insertion_sums(c, pairs, singles)
     for skip in ({"ex"}, {"ey"}, {"ex", "ey"}):
         pruned = _insertion_sums(c, pairs, singles, skip=skip)
         assert pruned == _restricted(full, skip)
         assert pruned != full
     pruned = _insertion_sums(c, pairs, singles, skip={"ex"})
-    # the empty and the nonempty inner key at the unit's own slot of (p, ex, q)
-    assert pruned[("p", "q")] == {"p": F(1, 6)}
-    assert pruned[("p", "q", "p", "q")] == {"p": F(1, 2)}
+    # the empty and the nonempty inner key at the unit's own slot of (p, ex,
+    # q), each past the prefix p with the sign (-1)^(|J| * (|p| - 1)) = -1
+    assert pruned[("p", "q")] == {"p": F(-1, 6)}
+    assert pruned[("p", "q", "p", "q")] == {"p": F(-1, 2)}
     # (ex, q) gets a single, (ex, ex, q) the inner key (ex, ex)
     assert {("ex", "q"), ("ex", "ex", "q")} <= set(full) - set(pruned)
 
@@ -307,10 +335,8 @@ def _x4_gamma(field):
 
 
 def _relation_pairs(cat, n_max):
-    """The insertions that check_stasheff sums, with its signs."""
-    return [(cat.mult[p], cat.mult[s], lambda degs, r: (r, len(degs) - 1 - r + sum(degs[:r])),
-             lambda degs: (0, len(degs)))
-            for p in cat.mult for s in cat.mult if p + s - 1 <= n_max]
+    """The insertions that check_stasheff sums: b{b} in the bar convention."""
+    return [(cat.mult[p], cat.mult[s], 1, 1) for p in cat.mult for s in cat.mult if p + s - 1 <= n_max]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -18,7 +19,6 @@ from ainfbench.hochschild import (
     deform_by_cocycle,
     diagonal_bimodule,
     hochschild_differential,
-    is_cocycle,
     square_zero_extension,
 )
 from ainfbench.linalg import GradedSpace
@@ -32,6 +32,7 @@ from .corpus import (
     bimodule_direct_sum,
     dg_closure_example,
     dual_numbers,
+    path_algebra_a3,
     random_associative_algebra,
     random_cochain,
     rescaled,
@@ -39,6 +40,7 @@ from .corpus import (
     trivial_extension,
     truncated_polynomial,
     upper_triangular_2,
+    upper_triangular_3,
     zero_bimodule,
 )
 from .oracles import naive_hochschild_differential
@@ -245,13 +247,95 @@ def test_differential_graded_toy_frozen():
     }
 
 
+@pytest.mark.parametrize("arity,table,expected", [
+    # internal degree 1: the cochain passes y0 and y1 of degree -1 with a sign
+    (1, {("y0",): {"M.1": F(1)}}, {
+        ("y0", "x1"): {"M.x1": F(1)}, ("x1", "y0"): {"M.x1": F(1)},
+        ("y0", "y1"): {"M.y1": F(1)}, ("y1", "y0"): {"M.y1": F(-1)},
+    }),
+    # internal degree 2
+    (2, {("y0", "y0"): {"M.1": F(1)}}, {
+        ("y0", "y0", "x1"): {"M.x1": F(-1)}, ("x1", "y0", "y0"): {"M.x1": F(1)},
+        ("y0", "y0", "y1"): {"M.y1": F(-1)}, ("y1", "y0", "y0"): {"M.y1": F(1)},
+    }),
+    # internal degree 0
+    (2, {("y0", "x1"): {"M.y0": F(1)}}, {
+        ("x1", "y0", "x1"): {"M.y1": F(1)}, ("y0", "x1", "x1"): {"M.y1": F(-1)},
+    }),
+], ids=["odd", "even", "zero"])
+def test_differential_graded_trivial_extension_frozen(arity, table, expected):
+    # k[x]/x^2 ⋉ (k[x]/x^2)[1], where y0 and y1 have degree -1
+    c = trivial_extension(2, 1)
+    m = diagonal_bimodule(c)
+    assert hochschild_differential(HochschildCochain(c, m, arity, table)).table == expected
+
+
 def test_eta_epsilon_squared_is_cocycle():
     # the hand evaluation: (d eta)(e,e,e) = e eta(e,e) - eta(e^2,e)
     # + eta(e,e^2) - eta(e,e) e = M.e - 0 + 0 - M.e = 0
     c = dual_numbers()
     m = diagonal_bimodule(c)
     eta = HochschildCochain(c, m, 2, {("e", "e"): {"M.1": F(1)}})
-    assert is_cocycle(eta)
+    assert hochschild_differential(eta).is_zero()
+
+
+def _graded_bases(field):
+    """m_2-only bases, most with labels of odd degree."""
+    return [trivial_extension(2, 1, field), trivial_extension(2, 2, field), trivial_extension(3, 1, field),
+            dual_numbers(field), beilinson_algebra(2, field), path_algebra_a3(field)]
+
+
+def _graded_cochain(rng, c, m, arity, internal_degree):
+    """A random cochain of the given internal degree with values in
+    ``m = diagonal_bimodule(c)``, or None when the draw is zero: each
+    composable tuple of non-unit labels gets, with probability 0.3, an output
+    on the labels of the right degree, with coefficients -1, 1 or 2."""
+    labels = [lab for lab in c.all_labels() if not c.is_unit(lab)]
+    table = {}
+    for key in itertools.product(labels, repeat=arity):
+        if not c.composable(key) or rng.random() >= 0.3:
+            continue
+        want = sum(map(c.deg, key)) + internal_degree
+        out = {f"M.{lab}": c.field.of_int(rng.choice((-1, 1, 2)))
+               for lab in c.basis(c.src(key[-1]), c.tgt(key[0])) if c.deg(lab) == want and rng.random() < 0.5}
+        if out:
+            table[key] = out
+    return HochschildCochain(c, m, arity, table, internal_degree) if table else None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_dd_zero_graded_cochains(field):
+    # d o d = 0 for every internal degree -2..2, on bases with labels of odd
+    # degree; the draws hit tuples with nonzero d(phi) in every degree
+    rng = random.Random(17)
+    nonzero = set()
+    for c in _graded_bases(field):
+        m = diagonal_bimodule(c)
+        for arity, internal, _ in itertools.product((1, 2), range(-2, 3), range(3)):
+            phi = _graded_cochain(rng, c, m, arity, internal)
+            if phi is None:
+                continue
+            d = hochschild_differential(phi)
+            assert hochschild_differential(d).is_zero(), (arity, internal, phi.table)
+            if not d.is_zero():
+                nonzero.add(internal)
+    assert nonzero == set(range(-2, 3))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_coboundary_trivialization_on_graded_bases(field):
+    # id + phi kills the deformation by d(phi) for q = 1, 2, 3
+    rng = random.Random(19)
+    trivialized = set()
+    for c in _graded_bases(field):
+        m = diagonal_bimodule(c)
+        for q in (1, 2, 3):
+            phi = _graded_cochain(rng, c, m, q, 0)
+            if phi is None or hochschild_differential(phi).is_zero():
+                continue
+            assert coboundary_trivialization(c, m, phi), (q, phi.table)
+            trivialized.add(q)
+    assert trivialized == {1, 2, 3}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
@@ -375,7 +459,7 @@ def test_deform_iff_cocycle_randomized(field):
         tried += 1
         deformed = deform_by_cocycle(c, m, eta)
         passes = check_stasheff(deformed).passed
-        cocycle = is_cocycle(eta)
+        cocycle = hochschild_differential(eta).is_zero()
         assert passes == cocycle, (arity, table)
         cocycles += cocycle
     assert tried >= 30
@@ -409,7 +493,7 @@ def test_coboundaries_deform_trivially():
         if phi.internal_degree != 0 or phi.is_zero():
             continue
         eta = hochschild_differential(phi)
-        assert is_cocycle(eta)
+        assert hochschild_differential(eta).is_zero()
         deformed = deform_by_cocycle(
             c, m, HochschildCochain(c, m, eta.arity, eta.table, internal_degree=0)
         )
@@ -424,12 +508,16 @@ def test_coboundaries_deform_trivially():
     [
         (dual_numbers, 1, {("e",): {"M.1": F(1)}}),
         (upper_triangular_2, 2, {("a", "x"): {"M.x": F(1)}}),
+        (upper_triangular_3, 3, {("a1", "x", "y"): {"M.z": F(1)}}),
+        (lambda: trivial_extension(2, 1), 1, {("y0",): {"M.y0": F(1)}}),
+        (lambda: trivial_extension(2, 1), 2, {("y0", "x1"): {"M.y0": F(1)}}),
+        (lambda: trivial_extension(3, 1), 3, {("x1", "y0", "x1"): {"M.y0": F(1)}}),
     ],
-    ids=["q1", "q2"],
+    ids=["q1", "q2", "q3", "graded-q1", "graded-q2", "graded-q3"],
 )
 def test_functor_check_rejects_wrong_multiple(make, q, table):
-    # the deformation by d(phi) is killed by id + (-1)^(q+1) phi and by
-    # no other multiple of phi, since d(phi) != 0
+    # the deformation by d(phi) is killed by id + phi, from the deformed to
+    # the plain extension, and by no other multiple of phi, since d(phi) != 0
     c = make()
     m = diagonal_bimodule(c)
     eta = hochschild_differential(HochschildCochain(c, m, q, table))
@@ -439,12 +527,11 @@ def test_functor_check_rejects_wrong_multiple(make, q, table):
 
     def functor(k):
         scaled = {key: {lab: k * v for lab, v in vec.items()} for key, vec in table.items()}
-        return _verify_functor(deformed, plain, HochschildCochain(c, m, q, scaled), q)
+        return _verify_functor(deformed, plain, HochschildCochain(c, m, q, scaled))
 
-    sign = (-1) ** (q + 1)
     assert coboundary_trivialization(c, m, HochschildCochain(c, m, q, table))
-    assert functor(sign)
-    assert not functor(-sign)
+    assert functor(1)
+    assert not functor(-1)
     assert not functor(2)
     assert not functor(0)
 
