@@ -271,11 +271,5 @@ class _Table(Mapping):
     def __len__(self):
         return len(self._whole())
 
-    def __eq__(self, other):
-        return self._whole() == other
-
     def items(self):
         return self._whole().items()
-
-    def values(self):
-        return self._whole().values()

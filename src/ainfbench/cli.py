@@ -38,9 +38,12 @@ evaluated on demand and not by its build, so its entries are paid for in
 after ``build_s``, in ``validate_structure`` and serialization.
 ``filtration appendix`` also reports FAIL, with a failed ``radical`` check,
 when the trace kernel of a valid input is not its radical.  ``deform``
-reports FAIL, with a failed ``higher_products`` check naming the arity and
-one key of its table, and writes no file, for a base with a nonzero m_1 or
-m_k, k >= 3: its Hochschild differential inserts only m_2, so no
+builds by ``hochschild.deform_by_cocycle``, which holds its gates: a
+cochain off the base, of arity 0 or of internal degree other than 0 is a
+usage error (exit 2); a base with a nonzero m_1 or m_k, k >= 3 is then
+refused (``HigherProductsError``), reported as FAIL with a failed
+``higher_products`` check naming the arity and one key of its table, and no
+file is written: the Hochschild differential inserts only m_2, so no
 ``cocycle`` verdict is given there.  ``stasheff --max-arity N`` needs
 N >= 1.  ``--jobs N`` is accepted for compatibility and has no effect.
 
@@ -79,14 +82,11 @@ from .filtration import (
     degree_filtration,
 )
 from .hochschild import (
+    HigherProductsError,
     HochschildCochain,
     HochschildError,
-    _check_deformable,
-    _deform,
-    _higher_product,
+    deform_by_cocycle,
     diagonal_bimodule,
-    hochschild_differential,
-    square_zero_extension,
 )
 from .perfmod import ModuleError, sod_report
 from .specfile import (
@@ -289,18 +289,15 @@ def cmd_deform(args, spec, started) -> int:
         for key, vec in raw["table"].items()
     }
     eta = HochschildCochain(cat, module, raw["arity"], table)
-    _check_deformable(cat, module, eta)
-    higher = _higher_product(cat)
-    if higher:  # the differential inserts only m_2: no cocycle verdict here
-        k, key = higher
+    try:
+        deformed, cocycle = deform_by_cocycle(cat, module, eta)
+    except HigherProductsError as exc:  # the differential inserts only m_2: no cocycle verdict here
+        k = exc.arity
         report = ValidationReport()
         needs = "m_1 = 0 and no m_k, k >= 3" if k == 1 else "no m_k, k >= 3"
         report.add("higher_products", False, detail=f"m_{k} is nonzero; deform needs a base with {needs}",
-                   witnesses=[{"arity": k, "tuple": list(key)}])
+                   witnesses=[{"arity": k, "tuple": list(exc.key)}])
         raise _Refused({"report": report.to_json()})
-    ext = square_zero_extension(cat, module, eta.arity - 2)
-    cocycle = hochschild_differential(eta, ext).is_zero()
-    deformed = _deform(cat, ext, eta)
     ok, body = _checked(deformed)
     _write_out(args.output, serialize(category_to_dict(deformed)))
     return _report(args, ok, {"cocycle": cocycle, "output": args.output, **body}, started)

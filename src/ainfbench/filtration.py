@@ -56,11 +56,6 @@ def full_subspace(r: AInfCategory) -> Subspace:
     return Subspace(space, r.field, [{i: r.field.one} for i in range(space.dim)])
 
 
-def zero_subspace(r: AInfCategory) -> Subspace:
-    _, space = _one_object(r)
-    return Subspace(space, r.field, ())
-
-
 def subspace_product(r: AInfCategory, s: Subspace, t: Subspace) -> Subspace:
     """Span of m_2(s, t) over spanning vectors."""
     _, space = _one_object(r)
@@ -355,8 +350,9 @@ def quotient_by_ideal(r: AInfCategory, ideal: Subspace, prefix: str = "q"):
 # radicals
 
 
-def radical(a: AInfCategory) -> Subspace:
-    """Jacobson radical of an associative algebra in degree 0.
+def _radical_powers(a: AInfCategory) -> list:
+    """[A, J, J^2, ..., 0] for J the Jacobson radical of an associative
+    algebra in degree 0.
 
     rad lies in the kernel J of the trace form (x, y) -> trace(L_{xy}) in
     every characteristic (xy is nilpotent for x in rad), so J is the radical
@@ -367,11 +363,6 @@ def radical(a: AInfCategory) -> Subspace:
     (:func:`quotient_by_ideal`); R/J has zero trace kernel, else RadicalError
     with a vector of that kernel.
     """
-    return _radical_powers(a)[1]
-
-
-def _radical_powers(a: AInfCategory) -> list:
-    """[A, J, J^2, ..., 0] for J = radical(a), certified as there."""
     _, space = _one_object(a)
     field = a.field
     if any(p != 2 for p in a.mult):
@@ -497,7 +488,7 @@ def appendix_filtration(r: AInfCategory, kappa: int):
     if unit not in labels0:
         raise FiltrationError("unit does not lie in degree 0")
     a0 = AInfCategory(field, (obj,), {(obj, obj): space0}, {obj: unit}, {2: m2_0})
-    # J's powers from radical's nilpotency check, moved into R's coordinates;
+    # J's powers from the radical's nilpotency check, moved into R's coordinates;
     # a product of degree-0 vectors has degree 0, so J^p is the same in R
     at = [space.index(lab) for lab in labels0]
     moved = [[{at[i]: c for i, c in row.items()} for row in p.rows] for p in _radical_powers(a0)[1:]]

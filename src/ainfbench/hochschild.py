@@ -21,9 +21,9 @@ On associative bases the commutator has no other components, so d o d = 0 and
 the deformation equivalence are exact there.  For bases with a differential
 or higher products the remaining components (the insertions of m_1 and of
 m_k, k >= 3) are not captured by the m_2-only differential, so
-:func:`coboundary_trivialization` and the CLI's ``deform`` refuse a base with
-a nonzero m_1 or m_k, k >= 3 (:func:`_higher_product`), and give no verdict
-on it.
+:func:`deform_by_cocycle` and :func:`coboundary_trivialization` refuse a base
+with a nonzero m_1 or m_k, k >= 3 (:class:`HigherProductsError`), and give no
+verdict on it.
 
 The differential, the functor equations of :func:`coboundary_trivialization`
 and the relation check of :mod:`ainfbench.ainf` are all braces of the bar
@@ -32,9 +32,10 @@ sparse join :func:`ainfbench.ainf._insertion_sums` under its one sign rule:
 each caller passes table pairs with a constant sign and the inner table's
 degree, and no sign function.  Cochains and bimodules are validated where
 they enter, and what is built from them (extensions, deformations,
-differentials) is valid by construction and not checked again; ``deform``
-builds one square-zero extension, which its differential and its
-deformation share.
+differentials) is valid by construction and not checked again.
+:func:`deform_by_cocycle` is the path the CLI's ``deform`` runs: it gates
+the cochain, then the base, and builds one square-zero extension, which the
+differential and the deformation share.
 """
 
 from __future__ import annotations
@@ -45,6 +46,17 @@ from .linalg import GradedSpace
 
 class HochschildError(ValueError):
     pass
+
+
+class HigherProductsError(HochschildError):
+    """A base with a nonzero m_1 or m_k, k >= 3: the differential inserts
+    only m_2, so it is not the whole [m, phi] there, and no verdict is
+    given.  ``arity`` is the least such k and ``key`` the least key of m_k."""
+
+    def __init__(self, arity: int, key: tuple):
+        super().__init__(f"the base has a nonzero m_{arity} (at {key}); "
+                         "the differential inserts only m_2")
+        self.arity, self.key = arity, key
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +123,6 @@ class Bimodule:
 
     def deg(self, label):
         return self._info[label][2]
-
-    def total_dim(self) -> int:
-        return sum(sp.dim for sp in self.spaces.values())
 
 
 def diagonal_bimodule(c: AInfCategory, prefix: str = "M") -> Bimodule:
@@ -288,28 +297,41 @@ def hochschild_differential(phi: HochschildCochain, ext: AInfCategory | None = N
     return HochschildCochain._trusted(base, phi.module, n + 1, table, phi.internal_degree)
 
 
-def _higher_product(c: AInfCategory):
-    """(k, key): the least arity k other than 2 at which ``c`` has a nonzero
-    m_k (m_1 or m_k, k >= 3), and the least key of that table; None when
-    ``c`` has no such product, the only bases on which
-    :func:`hochschild_differential` is the whole [m, phi]."""
+def _refuse_higher_products(c: AInfCategory) -> None:
+    """HigherProductsError when ``c`` has a nonzero m_k for some k other
+    than 2; on every other base :func:`hochschild_differential` is the
+    whole [m, phi]."""
     k = min((p for p in c.mult if p != 2), default=None)
-    return None if k is None else (k, min(c.mult[k]))
+    if k is not None:
+        raise HigherProductsError(k, min(c.mult[k]))
 
 
 # ---------------------------------------------------------------------------
 # deformations
 
 
-def deform_by_cocycle(c: AInfCategory, m: Bimodule, eta: HochschildCochain) -> AInfCategory:
-    """The square-zero extension with m_n augmented by eta on pure-C inputs.
+def deform_by_cocycle(c: AInfCategory, m: Bimodule, eta: HochschildCochain) -> tuple:
+    """(deformed, cocycle): the square-zero extension at the shift n - 2
+    with m_n augmented by eta on pure-C inputs, and whether eta is a
+    Hochschild cocycle, which holds iff the deformation satisfies the
+    defining relations.
 
-    Requires eta of internal degree 0, so the added component has operator
-    degree 2 - n at the shift n - 2 (:func:`_check_deformable`).  The result
-    satisfies the defining relations iff eta is a Hochschild cocycle.
+    The gates run in this order: HochschildError unless eta is a cochain
+    over ``c`` with values in ``m`` (:func:`_check_over`), of arity >= 1 and
+    internal degree 0 (so the added component has operator degree 2 - n);
+    then HigherProductsError for a base with a nonzero m_1 or m_k, k >= 3.
+    Only then is the one extension built that the differential and the
+    deformation share.
     """
-    _check_deformable(c, m, eta)
-    return _deform(c, square_zero_extension(c, m, eta.arity - 2), eta)
+    _check_over(c, m, eta)
+    if eta.arity < 1:
+        raise HochschildError("deformations need cochain arity >= 1")
+    if eta.internal_degree != 0:
+        raise HochschildError(f"cocycle internal degree {eta.internal_degree} "
+                              f"does not match the shift {eta.arity - 2}")
+    _refuse_higher_products(c)
+    ext = square_zero_extension(c, m, eta.arity - 2)
+    return _deform(c, ext, eta), hochschild_differential(eta, ext).is_zero()
 
 
 def _check_over(c: AInfCategory, m: Bimodule, phi: HochschildCochain) -> None:
@@ -318,17 +340,6 @@ def _check_over(c: AInfCategory, m: Bimodule, phi: HochschildCochain) -> None:
         raise HochschildError("cochain is not over the given category")
     if phi.module is not m and any(lab not in m._info for vec in phi.table.values() for lab in vec):
         raise HochschildError("cochain values lie outside the given bimodule")
-
-
-def _check_deformable(c: AInfCategory, m: Bimodule, eta: HochschildCochain) -> None:
-    """HochschildError unless eta is a cochain over ``c`` with values in
-    ``m`` (:func:`_check_over`), of arity >= 1 and internal degree 0."""
-    _check_over(c, m, eta)
-    if eta.arity < 1:
-        raise HochschildError("deformations need cochain arity >= 1")
-    if eta.internal_degree != 0:
-        raise HochschildError(f"cocycle internal degree {eta.internal_degree} "
-                              f"does not match the shift {eta.arity - 2}")
 
 
 def _deform(c: AInfCategory, ext: AInfCategory, eta: HochschildCochain) -> AInfCategory:
@@ -357,14 +368,11 @@ def coboundary_trivialization(c: AInfCategory, m: Bimodule, phi: HochschildCocha
     the two components merge into the map 1 + phi.)  The deformation reuses
     ``plain``.
     HochschildError unless phi is over ``c`` with values in ``m``
-    (:func:`_check_over`), and on a base with a nonzero m_1 or m_k, k >= 3,
-    where d(phi) is not the differential's whole value (:func:`_higher_product`).
+    (:func:`_check_over`), then HigherProductsError on a base with a nonzero
+    m_1 or m_k, k >= 3, where d(phi) is not the differential's whole value.
     """
     _check_over(c, m, phi)
-    higher = _higher_product(c)
-    if higher:
-        raise HochschildError(f"the base has a nonzero m_{higher[0]} (at {higher[1]}); "
-                              "the differential inserts only m_2")
+    _refuse_higher_products(c)
     eta = hochschild_differential(phi)
     if eta.table and eta.internal_degree:
         raise HochschildError(f"d(phi) has internal degree {eta.internal_degree}, not 0")

@@ -452,9 +452,6 @@ class FiniteComplex:
                     a = field.add(a, field.mul(col[k], nxt[k].get(i, field.zero)))
                 raise ComplexError(f"d o d != 0: entry ({i},{j}) from degree {q} equals {a}")
 
-    def dims(self) -> dict:
-        return {q: len(ls) for q, ls in self.components.items()}
-
 
 def _scaled_columns(cols: dict) -> dict:
     """Sparse columns of Fractions times the lcm of their denominators, as ints."""
@@ -510,9 +507,6 @@ class CohomologyData:
 
     def dims(self) -> dict:
         return {q: d for q, d in self._dims.items() if d > 0}
-
-    def total_dim(self) -> int:
-        return sum(self._dims.values())
 
     def class_coords(self, q, cocycle: dict) -> dict:
         """Coordinates of a cocycle's class in the chosen degree-q basis."""

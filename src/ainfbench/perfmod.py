@@ -424,9 +424,6 @@ class HomComplexResult:
         self.complex = FiniteComplex(cat.field, self.basis_by_degree, diff)
         self.cohomology = complex_cohomology(self.complex)
 
-    def dims(self) -> dict:
-        return {d: len(keys) for d, keys in self.basis_by_degree.items()}
-
     def cohomology_dims(self) -> dict:
         return self.cohomology.dims()
 

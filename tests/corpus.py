@@ -7,7 +7,7 @@ import random
 
 from ainfbench import QQ
 from ainfbench.ainf import AInfCategory, CategoryError, algebra
-from ainfbench.filtration import Filtration, check_filtration, full_subspace, zero_subspace
+from ainfbench.filtration import Filtration, _one_object, check_filtration, full_subspace
 from ainfbench.hochschild import Bimodule, HochschildCochain, HochschildError
 from ainfbench.linalg import GradedSpace, Subspace
 
@@ -25,6 +25,12 @@ def unital_m2(labels, unit, products, field=QQ):
         if not table[key]:
             del table[key]
     return table
+
+
+def zero_subspace(r: AInfCategory) -> Subspace:
+    """The last level F^n = 0 of a one-object category's filtration."""
+    _, space = _one_object(r)
+    return Subspace(space, r.field, ())
 
 
 def toy_algebra(field=QQ):
@@ -184,6 +190,16 @@ def incompatible_filtration(field=QQ):
     space = alg.hom[(alg.objects[0],) * 2]
     ideal = Subspace(space, field, [{i: field.one} for i in (1, 2, 3)])
     return alg, Filtration(alg, [full_subspace(alg), ideal, zero_subspace(alg)])
+
+
+def nondecreasing_filtration(field=QQ):
+    """k[x]/x^4 with F = (R, (x^2), (x), 0), whose levels do not decrease
+    ((x) is not in (x^2)), so the filtration check fails with ``decreasing``
+    witnesses and the quotient category build refuses it."""
+    alg = truncated_polynomial(4, field)
+    space = alg.hom[(alg.objects[0],) * 2]
+    x2, x = (Subspace(space, field, [{i: field.one} for i in range(low, 4)]) for low in (2, 1))
+    return alg, Filtration(alg, [full_subspace(alg), x2, x, zero_subspace(alg)])
 
 
 def dg_closure_example(field=QQ):

@@ -11,9 +11,9 @@ wording differs across Python versions.
 The matrix runs every command (``stasheff`` also with ``--max-arity 3``,
 ``sod`` in JSON and text, ``deform`` by the cochain of ``fixtures/dual.json``)
 on the four fixtures and on k[x]/x^3..x^6, Beilinson P^2, the trivial
-extension (2, 1), the incompatible filtration, the DG input, toy and a
-seeded graded input that fails its relations (``graded_non_ainf``), each
-over Q, GF(3) and GF(5), then ``filtration check``, ``sod`` and ``gamma
+extension (2, 1), the incompatible filtration, a filtration whose levels do
+not decrease, the DG input, toy and a seeded graded input that fails its
+relations (``graded_non_ainf``), each over Q, GF(3) and GF(5), then ``filtration check``, ``sod`` and ``gamma
 build`` on every file that ``filtration appendix`` wrote, and a few usage
 errors.  The slow cases, Beilinson P^3 and k[x]/x^10 over Q, run only from
 the command line:
@@ -47,6 +47,7 @@ from tests.corpus import (  # noqa: E402
     dg_closure_example,
     graded_non_ainf,
     incompatible_filtration,
+    nondecreasing_filtration,
     toy_algebra,
     trivial_extension,
     truncated_polynomial,
@@ -68,6 +69,7 @@ CORPUS = {
     "beilinson-2": _unfiltered(lambda f: beilinson_algebra(2, f)),
     "trivext-2-1": _unfiltered(lambda f: trivial_extension(2, 1, f)),
     "incompatible": incompatible_filtration,
+    "nondecreasing": nondecreasing_filtration,
     "dg": dg_closure_example,
     "toy": _unfiltered(toy_algebra),
     "graded": _unfiltered(graded_non_ainf),

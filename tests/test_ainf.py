@@ -16,7 +16,13 @@ from ainfbench.ainf import (
 )
 from ainfbench.auslander import build_auslander
 from ainfbench.filtration import Filtration
-from ainfbench.hochschild import HochschildCochain, deform_by_cocycle, diagonal_bimodule, hochschild_differential
+from ainfbench.hochschild import (
+    HochschildCochain,
+    _deform,
+    deform_by_cocycle,
+    diagonal_bimodule,
+    square_zero_extension,
+)
 from ainfbench.linalg import GradedSpace
 from ainfbench.specfile import parse_spec
 from ainfbench.scalars import FieldError
@@ -143,18 +149,19 @@ def _non_cocycle_deformations(count, field=QQ):
             out = {f"M.{l}": field.of_int(v) for l in c.all_labels() if (v := rng.randint(-1, 1))}
             if out and rng.random() < 0.5:
                 table[key] = out
-        eta = HochschildCochain(c, m, 2, table)
-        if not hochschild_differential(eta).is_zero():
-            found.append(deform_by_cocycle(c, m, eta))
+        deformed, cocycle = deform_by_cocycle(c, m, HochschildCochain(c, m, 2, table))
+        if not cocycle:
+            found.append(deformed)
     return found
 
 
 def _graded_deformation():
     """The toy algebra (t in degree -1) deformed by the non-cocycle
-    phi(e) = M.1, so that the Koszul sign of an m_1 insertion matters."""
+    phi(e) = M.1, so that the Koszul sign of an m_1 insertion matters.
+    ``deform_by_cocycle`` refuses toy's m_3, so it is built ungated."""
     c = toy_algebra()
     m = diagonal_bimodule(c)
-    return deform_by_cocycle(c, m, HochschildCochain(c, m, 1, {("e",): {"M.1": F(1)}}))
+    return _deform(c, square_zero_extension(c, m, -1), HochschildCochain(c, m, 1, {("e",): {"M.1": F(1)}}))
 
 
 def _stasheff_witnesses(cat, n_max):

@@ -21,7 +21,6 @@ from ainfbench.filtration import (
     degree_filtration,
     full_subspace,
     quotient_by_ideal,
-    zero_subspace,
 )
 from ainfbench.linalg import QuotientPresentation, Subspace
 from ainfbench.perfmod import sod_report
@@ -38,6 +37,7 @@ from .corpus import (
     toy_algebra,
     trivial_extension,
     truncated_polynomial,
+    zero_subspace,
 )
 from .oracles import (
     check_index_inequalities_exhaustive,

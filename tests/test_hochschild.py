@@ -7,13 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from ainfbench import GF, QQ, ainf, cli, hochschild
+from ainfbench import GF, QQ, ainf, hochschild
 from ainfbench.ainf import AInfCategory, check_stasheff, validate_structure
 from ainfbench.cli import main
 from ainfbench.hochschild import (
     Bimodule,
+    HigherProductsError,
     HochschildCochain,
     HochschildError,
+    _deform,
     _verify_functor,
     coboundary_trivialization,
     deform_by_cocycle,
@@ -51,7 +53,7 @@ F = Fraction
 def test_diagonal_bimodule_shape():
     c = dual_numbers()
     m = diagonal_bimodule(c)
-    assert m.total_dim() == 2
+    assert sum(sp.dim for sp in m.spaces.values()) == 2
     assert 2 in m.action
 
 
@@ -97,7 +99,7 @@ def test_direct_sum_dims_add():
     m2 = diagonal_bimodule(c, prefix="B")
     both = bimodule_direct_sum(m1, m2)
     ext = square_zero_extension(c, both, 0)
-    assert ext.total_dim() == c.total_dim() + m1.total_dim() + m2.total_dim()
+    assert ext.total_dim() == c.total_dim() + sum(sp.dim for m in (m1, m2) for sp in m.spaces.values())
     assert check_stasheff(ext).passed
 
 
@@ -138,7 +140,8 @@ def _extension_cases(field):
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
 def test_trusted_extension_equals_the_constructed_one(field):
     # the extension and the deformation are built valid by construction; the
-    # checking constructor gives the same tables from them
+    # checking constructor gives the same tables from them.  The deformation
+    # is built ungated, as deform_by_cocycle refuses toy's m_3 and the DG m_1
     rng = random.Random(3)
     for c in _extension_cases(field):
         for m in (diagonal_bimodule(c), bimodule_direct_sum(diagonal_bimodule(c), diagonal_bimodule(c, "N"))):
@@ -151,7 +154,7 @@ def test_trusted_extension_equals_the_constructed_one(field):
             for eta in (HochschildCochain(c, m, arity, {}), random_cochain(rng, c, m, arity)):
                 if eta is None or eta.internal_degree:
                     continue
-                deformed = deform_by_cocycle(c, m, eta)
+                deformed = _deform(c, square_zero_extension(c, m, arity - 2), eta)
                 assert deformed.tables_equal(AInfCategory(field, c.objects, deformed.hom, c.units, deformed.mult))
                 assert all(table for table in deformed.mult.values())
 
@@ -161,8 +164,8 @@ def test_deform_drops_an_empty_top_table():
     # which would raise arity_bound and the relation sweep's bound
     c = dual_numbers()
     m = diagonal_bimodule(c)
-    deformed = deform_by_cocycle(c, m, HochschildCochain(c, m, 3, {}))
-    assert set(deformed.mult) == {2} and deformed.arity_bound == 2
+    deformed, cocycle = deform_by_cocycle(c, m, HochschildCochain(c, m, 3, {}))
+    assert cocycle and set(deformed.mult) == {2} and deformed.arity_bound == 2
     assert deformed.tables_equal(square_zero_extension(c, m, 1))
 
 
@@ -173,7 +176,7 @@ def test_deform_refuses_a_cochain_valued_outside_the_bimodule():
         deform_by_cocycle(c, m, HochschildCochain(c, other, 2, {("e", "e"): {"N.1": F(1)}}))
     same = diagonal_bimodule(c)  # an equal bimodule of its own is accepted
     eta = HochschildCochain(c, same, 2, {("e", "e"): {"M.1": F(1)}})
-    assert deform_by_cocycle(c, m, eta).tables_equal(deform_by_cocycle(c, same, eta))
+    assert deform_by_cocycle(c, m, eta)[0].tables_equal(deform_by_cocycle(c, same, eta)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +405,15 @@ def test_deform_zero_cochain_is_extension():
     c = dual_numbers()
     m = diagonal_bimodule(c)
     eta = HochschildCochain(c, m, 2, {})
-    assert deform_by_cocycle(c, m, eta).tables_equal(square_zero_extension(c, m, 0))
+    assert deform_by_cocycle(c, m, eta)[0].tables_equal(square_zero_extension(c, m, 0))
 
 
 def test_deform_dual_numbers_by_epsilon_cocycle():
     c = dual_numbers()
     m = diagonal_bimodule(c)
     eta = HochschildCochain(c, m, 2, {("e", "e"): {"M.1": F(1)}})
-    deformed = deform_by_cocycle(c, m, eta)
-    assert deformed.apply_labels(2, ("e", "e")) == {"M.1": F(1)}
+    deformed, cocycle = deform_by_cocycle(c, m, eta)
+    assert cocycle and deformed.apply_labels(2, ("e", "e")) == {"M.1": F(1)}
     assert validate_structure(deformed).passed
     assert check_stasheff(deformed).passed
 
@@ -422,7 +425,7 @@ def test_non_normalized_cochain_rejected_then_breaks():
         HochschildCochain(c, m, 2, {("1", "e"): {"M.1": F(1)}})
     # the same table, unchecked: deform_by_cocycle has no normalization gate
     raw = HochschildCochain._trusted(c, m, 2, {("1", "e"): {"M.1": F(1)}}, 0)
-    broken = deform_by_cocycle(c, m, raw)
+    broken, _ = deform_by_cocycle(c, m, raw)
     ok = validate_structure(broken).passed and check_stasheff(broken).passed
     assert not ok
 
@@ -457,10 +460,10 @@ def test_deform_iff_cocycle_randomized(field):
         if eta.internal_degree != 0:
             continue
         tried += 1
-        deformed = deform_by_cocycle(c, m, eta)
+        deformed, cocycle = deform_by_cocycle(c, m, eta)
         passes = check_stasheff(deformed).passed
-        cocycle = hochschild_differential(eta).is_zero()
-        assert passes == cocycle, (arity, table)
+        # the differential on its own extension, not the one deform_by_cocycle shares
+        assert passes == cocycle == hochschild_differential(eta).is_zero(), (arity, table)
         cocycles += cocycle
     assert tried >= 30
 
@@ -494,10 +497,10 @@ def test_coboundaries_deform_trivially():
             continue
         eta = hochschild_differential(phi)
         assert hochschild_differential(eta).is_zero()
-        deformed = deform_by_cocycle(
+        deformed, cocycle = deform_by_cocycle(
             c, m, HochschildCochain(c, m, eta.arity, eta.table, internal_degree=0)
         )
-        assert check_stasheff(deformed).passed
+        assert cocycle and check_stasheff(deformed).passed
         assert coboundary_trivialization(c, m, phi)
         done += 1
     assert done >= 10
@@ -522,7 +525,7 @@ def test_functor_check_rejects_wrong_multiple(make, q, table):
     m = diagonal_bimodule(c)
     eta = hochschild_differential(HochschildCochain(c, m, q, table))
     assert not eta.is_zero()
-    deformed = deform_by_cocycle(c, m, HochschildCochain(c, m, eta.arity, eta.table, internal_degree=0))
+    deformed, _ = deform_by_cocycle(c, m, HochschildCochain(c, m, eta.arity, eta.table, internal_degree=0))
     plain = square_zero_extension(c, m, q - 1)
 
     def functor(k):
@@ -538,21 +541,26 @@ def test_functor_check_rejects_wrong_multiple(make, q, table):
 
 def test_coboundary_trivialization_refuses_a_base_with_higher_products():
     # toy has m_3(e, e, e) = t, which the differential does not insert: the
-    # functor check used to fail on most single-entry phi of toy
+    # functor check used to fail on most single-entry phi of toy.  The
+    # refusal names the arity and key of the CLI's witness
     c = toy_algebra()
     m = diagonal_bimodule(c)
-    for q, key in ((1, ("e",)), (2, ("e", "e"))):
-        with pytest.raises(HochschildError, match="m_3"):
-            coboundary_trivialization(c, m, HochschildCochain(c, m, q, {key: {"M.e": F(1)}}))
+    for check, (q, key) in itertools.product((coboundary_trivialization, deform_by_cocycle),
+                                             ((1, ("e",)), (2, ("e", "e")))):
+        with pytest.raises(HigherProductsError, match="m_3") as err:
+            check(c, m, HochschildCochain(c, m, q, {key: {"M.e": F(1)}}))
+        assert (err.value.arity, err.value.key) == (3, ("e", "e", "e"))
 
 
 def test_coboundary_trivialization_refuses_a_dg_base():
     # m_1(a) = b, which the differential does not insert either
     c, _ = dg_closure_example()
     m = diagonal_bimodule(c)
-    for q, key in ((1, ("b",)), (2, ("b", "b"))):
-        with pytest.raises(HochschildError, match="m_1"):
-            coboundary_trivialization(c, m, HochschildCochain(c, m, q, {key: {"M.b": F(1)}}))
+    for check, (q, key) in itertools.product((coboundary_trivialization, deform_by_cocycle),
+                                             ((1, ("b",)), (2, ("b", "b")))):
+        with pytest.raises(HigherProductsError, match="m_1") as err:
+            check(c, m, HochschildCochain(c, m, q, {key: {"M.b": F(1)}}))
+        assert (err.value.arity, err.value.key) == (1, ("a",))
 
 
 
@@ -634,7 +642,6 @@ def test_deform_builds_each_category_once(tmp_path, capsys, monkeypatch):
     assert main(argv) == 0
     expected = capsys.readouterr().out
     monkeypatch.setattr(hochschild, "square_zero_extension", counted("extension", extension))
-    monkeypatch.setattr(cli, "square_zero_extension", counted("extension", extension))
     monkeypatch.setattr(AInfCategory, "__init__", counted("init", init))
     monkeypatch.setattr(AInfCategory, "_trusted", classmethod(counted("trusted", trusted)))
     monkeypatch.setattr(ainf, "_unit_witnesses", counted("units", units))

@@ -490,7 +490,6 @@ def test_complex_identity_acyclic():
     c = FiniteComplex(QQ, {0: ("a",), 1: ("b",)}, {0: {0: {0: F(1)}}})
     h = complex_cohomology(c)
     assert h.dims() == {}
-    assert h.total_dim() == 0
 
 
 def test_complex_cone_of_inclusion():
@@ -699,7 +698,6 @@ def test_cohomology_dims_from_ranks_present_classes_on_demand(field, monkeypatch
         want = {q: len(labels) - ranks.get(q, 0) - ranks.get(q - 1, 0)
                 for q, labels in sorted(c.components.items())}
         assert h.dims() == {q: d for q, d in want.items() if d}
-        assert h.total_dim() == sum(want.values())
         assert not built  # dimensions alone present nothing
 
         def check_classes(q):
