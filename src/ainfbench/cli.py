@@ -400,9 +400,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     started = time.perf_counter()
     try:
-        return globals()[args.func](args, parse_spec(args.file), started)
-    except _Refused as refused:
-        return _report(args, False, refused.args[0], started)
+        try:
+            return globals()[args.func](args, parse_spec(args.file), started)
+        except _Refused as refused:  # its report is printed under the handler below
+            return _report(args, False, refused.args[0], started)
     except (SpecError, FiltrationError, HochschildError, ModuleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,13 +10,16 @@ entries; any other form, a coordinate tuple among them, raises
 ``Subspace``, the representatives of a ``QuotientPresentation``,
 projections, lifts and cohomology classes) has no zero entry and its keys in
 ascending index order.  A :class:`FiniteComplex` takes its differentials as
-sparse columns ``{j: {i: scalar}}`` and keeps them that way.
+sparse columns ``{j: {i: scalar}}`` and keeps them as int columns over one
+denominator per degree.
 
-All elimination is one private sparse semi-echelon form, ``_Echelon``: rows
-``{col: scalar}`` keyed by pivot, each 1 at its pivot and 0 before it and at
-every earlier pivot.  ``_reduced`` inserts every row, then re-inserts the
-rows in descending pivot order, which gives the reduced row echelon form: the
-canonical representative, so two subspaces are equal iff their rows are.
+``_Echelon`` is the one elimination that hands out vectors; ranks come from
+integer elimination (``_rank``).  ``_Echelon`` is a private sparse
+semi-echelon form: rows ``{col: scalar}`` keyed by pivot, each 1 at its
+pivot and 0 before it and at every earlier pivot.  ``_reduced`` inserts
+every row, then re-inserts the rows in descending pivot order, which gives
+the reduced row echelon form: the canonical representative, so two
+subspaces are equal iff their rows are.
 A :class:`Subspace` keeps those reduced rows as its echelon (they vanish at
 every pivot but their own) and tests membership by one reduction.
 Homogeneous vectors stay homogeneous under row reduction (basis vectors of
@@ -44,20 +47,27 @@ rows; only a failed count looks for the first denominator row outside N, the
 witness.
 
 The dimension of a cohomology group H^q comes from the ranks of d_q and
-d_{q-1}, one echelon of sparse columns each.  Its classes are presented the
-same way as a quotient, one degree at a time, when that degree is first
-asked for: the echelon of d_{q-1}'s columns seeds the presentation and the
-candidates are the kernel basis of d_q, computed from the rows transposed
-from its columns.  No containment test is needed, as ``FiniteComplex`` has
-checked d o d = 0, in ints, on every pair of consecutive nonzero maps: over
-Q the columns of those maps are scaled by the lcm of their denominators first.
-``_solve`` reads one preimage off the reduced rows of the same transpose.
+d_{q-1}, each one integer elimination of the map's int columns with no
+Fraction: modular over F_p, and fraction-free over Q, as integer-preserving
+elimination is (Bareiss 1968, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination"), here with each new row divided
+by the gcd of its entries.  Its
+classes are presented the same way as a quotient, one degree at a time, when
+that degree is first asked for: the ``_Echelon`` of d_{q-1}'s columns as
+field scalars seeds the presentation and the candidates are the kernel basis
+of d_q, computed from the rows transposed from its columns; the
+presentation's dim cross-checks the integer ranks.  No containment test is
+needed, as ``FiniteComplex`` has checked d o d = 0, in ints, on every pair of
+consecutive nonzero maps.  ``_solve`` reads one preimage off the reduced rows
+of the same transpose.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 from .scalars import ExactField
 
@@ -401,16 +411,20 @@ class FiniteComplex:
     ``components[q]`` is the ordered basis (labels) in complex degree q and
     ``diff[q]`` the map d: C^q -> C^{q+1} as sparse columns ``{j: {i:
     scalar}}``; any other form raises ComplexError.  Its entries pass
-    ``field.coerce`` and only the nonzero ones are kept, as the sparse
-    columns ``columns[q]``.  d o d = 0 is checked on construction and
-    violations report the failing matrix entry (i, j), the first in
-    row-major order.
+    ``field.coerce`` and only the nonzero ones are kept, in ints:
+    ``integral[q]`` = (columns, den), sparse int columns over the lcm of
+    their denominators (1 over F_p, where the ints are the scalars).
+    ``columns[q]``, the same columns as field scalars, is built on first
+    use.  d o d = 0 is checked on construction, in ints, and violations
+    report the failing matrix entry (i, j), the first in row-major order.
+    ``_trusted`` takes int columns valid by construction (a Hom-complex's)
+    as they are, and reaches the same check.
     """
 
     def __init__(self, field: ExactField, components: dict, diff: dict):
-        self.field = field
-        self.components = {q: tuple(labels) for q, labels in components.items() if labels}
-        self.columns = {}  # q -> {j: nonzero column j of d_q as {i: scalar}}
+        p = field.characteristic
+        components = {q: tuple(labels) for q, labels in components.items() if labels}
+        integral = {}
         for q, m in diff.items():
             if not isinstance(m, dict) or not all(isinstance(col, dict) for col in m.values()):
                 raise ComplexError(f"differential at degree {q} is not sparse columns {{j: {{i: scalar}}}}")
@@ -422,20 +436,38 @@ class FiniteComplex:
                         cols.setdefault(j, {})[i] = a
             if not cols:
                 continue
-            src = len(self.components.get(q, ()))
-            tgt = len(self.components.get(q + 1, ()))
+            src = len(components.get(q, ()))
+            tgt = len(components.get(q + 1, ()))
             if any(not 0 <= j < src or not all(0 <= i < tgt for i in col) for j, col in cols.items()):
                 raise ComplexError(f"differential at degree {q} has wrong shape")
-            self.columns[q] = cols
-        # d o d in ints, on the pairs (q, q + 1) where both maps are nonzero:
-        # over Q each such degree's columns are scaled by the lcm of their
-        # denominators; only a failing entry is recomputed in the field
+            if p:
+                integral[q] = (cols, 1)
+            else:  # Fractions times the lcm of their denominators
+                den = math.lcm(*{a.denominator for col in cols.values() for a in col.values()})
+                integral[q] = ({j: {i: a.numerator * (den // a.denominator) for i, a in col.items()}
+                                for j, col in cols.items()}, den)
+        self._certify(field, components, integral)
+
+    @classmethod
+    def _trusted(cls, field: ExactField, components: dict, integral: dict) -> "FiniteComplex":
+        """The complex of ``integral`` as it is kept: every position in
+        range, every entry a nonzero int (reduced, over 1, over F_p).  Taken
+        uncoerced and uncopied; only d o d = 0 is checked."""
+        c = cls.__new__(cls)
+        c._certify(field, components, integral)
+        return c
+
+    def _certify(self, field: ExactField, components: dict, integral: dict) -> None:
+        """Keep the nonzero maps and check d o d = 0 in ints on every pair
+        (q, q + 1) of them: a product of entries over den_q * den_{q+1}."""
+        self.field = field
+        self.components = {q: tuple(labels) for q, labels in components.items() if labels}
+        self.integral = {q: (cols, den) for q, (cols, den) in integral.items() if cols}
         p = field.characteristic
-        pairs = [q for q in self.columns if q + 1 in self.columns]
-        ints = {q: self.columns[q] if p else _scaled_columns(self.columns[q])
-                for q in {*pairs, *(q + 1 for q in pairs)}}
-        for q in pairs:
-            cols, nxt = ints[q], ints[q + 1]
+        for q, (cols, den) in self.integral.items():
+            if q + 1 not in self.integral:
+                continue
+            nxt, nxt_den = self.integral[q + 1]
             bad = []
             for j, col in cols.items():
                 out: dict = {}
@@ -443,42 +475,80 @@ class FiniteComplex:
                     c = col[k]
                     for i, a in nxt[k].items():
                         out[i] = out.get(i, 0) + c * a
-                bad += [(i, j) for i, s in out.items() if (s % p if p else s)]
+                bad += [(i, j, s) for i, s in out.items() if (s % p if p else s)]
             if bad:
-                i, j = min(bad)
-                col, nxt = self.columns[q][j], self.columns[q + 1]
-                a = field.zero
-                for k in col.keys() & nxt.keys():
-                    a = field.add(a, field.mul(col[k], nxt[k].get(i, field.zero)))
-                raise ComplexError(f"d o d != 0: entry ({i},{j}) from degree {q} equals {a}")
+                i, j, s = min(bad)
+                value = s % p if p else Fraction(s, den * nxt_den)
+                raise ComplexError(f"d o d != 0: entry ({i},{j}) from degree {q} equals {value}")
+
+    @cached_property
+    def columns(self) -> dict:
+        """q -> the nonzero columns {j: {i: scalar}} of d_q, as field scalars."""
+        if self.field.characteristic:
+            return {q: cols for q, (cols, _) in self.integral.items()}
+        return {q: {j: {i: Fraction(a, den) for i, a in col.items()} for j, col in cols.items()}
+                for q, (cols, den) in self.integral.items()}
 
 
-def _scaled_columns(cols: dict) -> dict:
-    """Sparse columns of Fractions times the lcm of their denominators, as ints."""
-    den = math.lcm(*{a.denominator for col in cols.values() for a in col.values()})
-    return {j: {i: a.numerator * (den // a.denominator) for i, a in col.items()} for j, col in cols.items()}
+def _rank(p: int, vectors) -> int:
+    """Rank over F_p, or over Q when ``p`` is 0, of sparse int vectors
+    {index: int} with no zero entry.  Rows are keyed by pivot and 0 at every
+    earlier pivot, as in ``_Echelon``; v is cleared at a row's pivot by
+    a v - c row (c its entry there, a the row's).  Over F_p rows are 1 at
+    their pivot and the step is reduced mod p; over Q it is fraction-free,
+    a and c divided by their gcd, and each new row by the gcd of its
+    entries."""
+    rows: dict = {}  # pivot -> row
+    for v in vectors:
+        for piv, row in rows.items():
+            c = v.get(piv)
+            if c is None:
+                continue
+            a = row[piv]
+            if not p:
+                g = math.gcd(a, c)
+                a, c = a // g, c // g
+            w = dict(v) if a == 1 else {k: a * x for k, x in v.items()}
+            for k, b in row.items():
+                s = w.get(k, 0) - c * b
+                if p:
+                    s %= p
+                if s:
+                    w[k] = s
+                else:
+                    del w[k]
+            v = w
+        if v:
+            piv = min(v)
+            if p:
+                inv = pow(v[piv], p - 2, p)
+                v = {k: x * inv % p for k, x in v.items()}
+            else:
+                g = math.gcd(*v.values())
+                v = {k: x // g for k, x in v.items()}
+            rows[piv] = v
+    return len(rows)
 
 
 class CohomologyData:
     """Cohomology of a finite complex with explicit representative cocycles.
 
-    Dimensions come from ranks: the constructor inserts the sparse columns of
-    each d_q into one echelon, and dim H^q = dim C^q - rank d_q - rank d_{q-1},
-    exact because ``FiniteComplex`` has checked d o d = 0.  Classes are
-    presented one degree at a time, on first use of ``group(q)`` or
-    ``class_coords(q, ...)``: H^q is a ``QuotientPresentation`` whose
-    echelon is the one of d_{q-1}'s columns, taken over, with the kernel
-    basis of d_q as candidates, so its ``reps`` are the representative
-    cocycles; its dim is checked against the one from ranks.  ``groups``
-    presents every degree.
+    Dimensions come from ranks: dim H^q = dim C^q - rank d_q - rank d_{q-1},
+    exact because ``FiniteComplex`` has checked d o d = 0, each rank a count
+    from one integer elimination (:func:`_rank`) of the int columns
+    ``integral[q]``.  Classes are presented one degree at a time, on first
+    use of ``group(q)`` or ``class_coords(q, ...)``: H^q is a
+    ``QuotientPresentation`` whose echelon is the ``_Echelon`` of d_{q-1}'s
+    columns as field scalars, with the kernel basis of d_q as candidates,
+    so its ``reps`` are the representative cocycles; its dim is checked
+    against the one from the integer ranks.  ``groups`` presents every
+    degree.
     """
 
     def __init__(self, complex_: FiniteComplex):
         self.complex = complex_
-        field = complex_.field
-        # q -> echelon of the columns of d_q, which span its image in C^{q+1}
-        self._images = {q: _Echelon(field, cols.values()) for q, cols in complex_.columns.items()}
-        rank = {q: len(e.rows) for q, e in self._images.items()}
+        p = complex_.field.characteristic
+        rank = {q: _rank(p, cols.values()) for q, (cols, _) in complex_.integral.items()}
         self._dims = {
             q: len(labels) - rank.get(q, 0) - rank.get(q - 1, 0)
             for q, labels in sorted(complex_.components.items())
@@ -490,11 +560,12 @@ class CohomologyData:
         g = self._groups.get(q)
         if g is None and q in self._dims:
             field = self.complex.field
+            columns = self.complex.columns
             labels = self.complex.components[q]
             ambient = GradedSpace(labels, (q,) * len(labels))
-            rows = _transpose(self.complex.columns.get(q, {}))  # the rows of d_q
+            rows = _transpose(columns.get(q, {}))  # the rows of d_q
             kernel = _kernel(field, rows.values(), len(labels))
-            image = self._images.pop(q - 1, None) or _Echelon(field)
+            image = _Echelon(field, columns.get(q - 1, {}).values())
             g = self._groups[q] = QuotientPresentation(ambient, field, image, kernel)
             if g.dim != self._dims[q]:
                 raise LinAlgError(f"H^{q} presented with dim {g.dim}, ranks give {self._dims[q]}")

@@ -35,7 +35,12 @@ each concatenation costs one table lookup, so a category whose tables are
 evaluated on demand (the quotient category of ``auslander``) evaluates only
 the entries these lookups meet.  Terms are summed as ints scaled by D, the lcm
 of the denominators of the table entries met so far times the chains'
-denominators: one division (over Q) or reduction (over F_p) per nonzero entry.
+denominators, and over F_p reduced once.  A Hom-complex takes these ints and
+D as they are: its differential stays in ints, through the d o d check, to
+the integer ranks of its cohomology (see ``linalg``), and becomes field
+scalars only for a degree whose classes are presented.  ``mu1``, ``mu2`` and
+Maurer-Cartan divide by D (over Q) once per nonzero entry, in
+:func:`_scalars`.
 """
 
 from __future__ import annotations
@@ -97,17 +102,18 @@ def _join(a, b):
 _EMPTY = [((), (), (), 1)]  # the empty chain, coefficient 1
 
 
-def _chain_sums(cat: AInfCategory, terms, den: int) -> dict:
+def _chain_sums(cat: AInfCategory, terms, den: int) -> tuple:
     """The kernel: signed m_p summed over concatenated label chains.
 
     Each term (key, pre, mid, post) holds three lists of chains (labels,
     shift parities, degrees minus one, int coefficient over ``den``); every
     concatenation pre + mid + post that m_p maps to a nonzero entry adds it,
     times the product of the coefficients and the sign of :func:`_odd`, at
-    ``key``.  Returns the nonzero sums {(key, label): scalar}: ints over
-    ``den`` times a scale that grows with the table entries met (the running
-    sums are multiplied by the missing factor when an entry's denominator
-    does not divide it), divided (Q) or reduced (F_p) once.
+    ``key``.  Returns (sums, D): the nonzero sums {(key, label): int} over
+    their common denominator D, ``den`` times a scale that grows with the
+    table entries met (the running sums are multiplied by the missing factor
+    when an entry's denominator does not divide it); over F_p the sums are
+    reduced once, and D is 1.  :func:`_scalars` makes field scalars of them.
     """
     tables, unit = defaultdict(dict, cat.mult), 1
     sums: dict = {}
@@ -133,9 +139,16 @@ def _chain_sums(cat: AInfCategory, terms, den: int) -> dict:
                         sums[k] = sums.get(k, 0) + c * v.numerator * (unit // d)
     p = cat.field.characteristic
     if p:
-        return {k: v % p for k, v in sums.items() if v % p}
-    scale = unit * den
-    return {k: Fraction(v, scale) for k, v in sums.items() if v}
+        return {k: v % p for k, v in sums.items() if v % p}, 1
+    return {k: v for k, v in sums.items() if v}, unit * den
+
+
+def _scalars(field, sums: dict, den: int) -> dict:
+    """The kernel's int ``sums`` over ``den`` as field scalars: divided
+    over Q, and as they are over F_p (reduced, over 1)."""
+    if field.characteristic:
+        return sums
+    return {k: Fraction(v, den) for k, v in sums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +211,7 @@ def maurer_cartan_defect(x: TwistedComplex) -> dict:
     chains, den = x._label_chains
     terms = (((t, s), chains[s][t], _EMPTY, _EMPTY) for s in range(x.size) for t in range(s))
     bad: dict = {}
-    for ((t, s), lab), v in _chain_sums(x.cat, terms, den).items():
+    for ((t, s), lab), v in _scalars(x.cat.field, *_chain_sums(x.cat, terms, den)).items():
         bad.setdefault((t, s), {})[lab] = v
     return bad
 
@@ -268,11 +281,11 @@ def _morphism_chains(f: ModuleMorphismElement):
     return chains, _integral(chains.values())
 
 
-def _mu1_sums(x: TwistedComplex, y: TwistedComplex, slots, den: int) -> dict:
-    """mu1 on Hom(x, y) by :func:`_chain_sums`.  ``slots`` are (key, t, s,
-    chains), the chains (ints over ``den``) of a morphism's component at
-    (t, s); its terms m(delta_x^a, f, delta_y^b) land at ((key, t_out,
-    s_out), label)."""
+def _mu1_sums(x: TwistedComplex, y: TwistedComplex, slots, den: int) -> tuple:
+    """mu1 on Hom(x, y) by :func:`_chain_sums`, whose (sums, D) it returns.
+    ``slots`` are (key, t, s, chains), the chains (ints over ``den``) of a
+    morphism's component at (t, s); its terms m(delta_x^a, f, delta_y^b)
+    land at ((key, t_out, s_out), label)."""
     (xc, dx), (yc, dy) = x._label_chains, y._label_chains
     terms = (((key, t_out, s_out), xc[s_out][s], mid, post)
              for key, t, s, mid in slots for s_out in range(s, x.size) for t_out, post in enumerate(yc[t]))
@@ -285,7 +298,8 @@ def mu1(f: ModuleMorphismElement) -> ModuleMorphismElement:
     chains, den = _morphism_chains(f)
     slots = ((0, t, s, mid) for (t, s), mid in chains.items())
     out: dict = {}
-    for ((_, t, s), lab), v in _mu1_sums(f.source, f.target, slots, den).items():
+    sums = _scalars(f.source.cat.field, *_mu1_sums(f.source, f.target, slots, den))
+    for ((_, t, s), lab), v in sums.items():
         out.setdefault((t, s), {})[lab] = v
     return ModuleMorphismElement(f.source, f.target, f.degree + 1, out)
 
@@ -314,7 +328,7 @@ def mu2(f: ModuleMorphismElement, g: ModuleMorphismElement) -> ModuleMorphismEle
                       for s_out in range(sx, x.size) for t_out, post in enumerate(zc[tz])]
     field = x.cat.field
     out: dict = {}
-    for ((t, s), lab), v in _chain_sums(x.cat, terms, dx * dg * dy * df * dz).items():
+    for ((t, s), lab), v in _scalars(field, *_chain_sums(x.cat, terms, dx * dg * dy * df * dz)).items():
         out.setdefault((t, s), {})[lab] = field.neg(v) if (g.degree + 1) % 2 else v
     return ModuleMorphismElement(x, z, f.degree + g.degree, out)
 
@@ -390,10 +404,11 @@ class HomComplexResult:
     Every degree's columns come from one kernel call for the whole complex
     (see the module docstring): a one-label chain per basis slot (t, s, lab)
     of each degree that has a next one, keyed by (degree, column), with the
-    sums split by degree into sparse columns keyed by positions in the next
-    degree.  The (t, s, lab) keys themselves are the labels of the
-    :class:`FiniteComplex`.  Both complexes must live over one category
-    (ModuleError otherwise).
+    sums split by degree into sparse int columns keyed by positions in the
+    next degree, all over the kernel's one denominator, which the
+    :class:`FiniteComplex` takes as they are (``FiniteComplex._trusted``).
+    The (t, s, lab) keys themselves are the labels of the complex.  Both
+    complexes must live over one category (ModuleError otherwise).
     """
 
     def __init__(self, source: TwistedComplex, target: TwistedComplex):
@@ -412,16 +427,18 @@ class HomComplexResult:
             d: {key: i for i, key in enumerate(keys)}
             for d, keys in self.basis_by_degree.items()
         }
-        # degree -> sparse columns {j: {i: scalar}}, for each degree with a next one
+        # degree -> sparse int columns {j: {i: int}}, for each degree with a next one
         diff: dict = {d: {} for d in self.basis_by_degree if d + 1 in self._pos}
         slots = (((d, j), t, s, [_slot_chain(source, target, t, s, lab, 1)])
                  for d in diff for j, (t, s, lab) in enumerate(self.basis_by_degree[d]))
-        for (((d, j), t2, s2), lab2), c in _mu1_sums(source, target, slots, 1).items():
+        sums, den = _mu1_sums(source, target, slots, 1)
+        for (((d, j), t2, s2), lab2), c in sums.items():
             i = self._pos[d + 1].get((t2, s2, lab2))
             if i is None:  # only a malformed table gets here; this raises
                 _check_entry(source, target, d + 1, t2, s2, lab2)
             diff[d].setdefault(j, {})[i] = c
-        self.complex = FiniteComplex(cat.field, self.basis_by_degree, diff)
+        integral = {d: (cols, den) for d, cols in diff.items()}
+        self.complex = FiniteComplex._trusted(cat.field, self.basis_by_degree, integral)
         self.cohomology = complex_cohomology(self.complex)
 
     def cohomology_dims(self) -> dict:

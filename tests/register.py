@@ -11,12 +11,14 @@ wording differs across Python versions.
 The matrix runs every command (``stasheff`` also with ``--max-arity 3``,
 ``sod`` in JSON and text, ``deform`` by the cochain of ``fixtures/dual.json``)
 on the four fixtures and on k[x]/x^3..x^6, Beilinson P^2, the trivial
-extension (2, 1), the incompatible filtration, a filtration whose levels do
-not decrease, the DG input, toy and a seeded graded input that fails its
-relations (``graded_non_ainf``), each over Q, GF(3) and GF(5), then ``filtration check``, ``sod`` and ``gamma
-build`` on every file that ``filtration appendix`` wrote, and a few usage
-errors.  The slow cases, Beilinson P^3 and k[x]/x^10 over Q, run only from
-the command line:
+extensions (2, 1), (3, 1) and (3, 2), the incompatible filtration, a
+filtration whose levels do not decrease, the DG input, toy and a seeded
+graded input that fails its relations (``graded_non_ainf``), each over Q,
+GF(3) and GF(5), then ``filtration check``, ``sod`` and ``gamma build`` on
+every file that ``filtration appendix`` wrote, and a few usage errors.
+``filtration appendix`` runs with ``--kappa 1``, and with ``--kappa 2`` on
+the trivial extension (3, 2).  The slow cases, Beilinson P^3 and k[x]/x^10
+over Q, run only from the command line:
 
     python tests/register.py            # compare every case; exit 1 on a difference
     python tests/register.py --write    # rewrite the register from this checkout
@@ -68,20 +70,25 @@ CORPUS = {
     **{f"x{m}": _unfiltered(lambda f, m=m: truncated_polynomial(m, f)) for m in range(3, 7)},
     "beilinson-2": _unfiltered(lambda f: beilinson_algebra(2, f)),
     "trivext-2-1": _unfiltered(lambda f: trivial_extension(2, 1, f)),
+    "trivext-3-1": _unfiltered(lambda f: trivial_extension(3, 1, f)),
+    "trivext-3-2": _unfiltered(lambda f: trivial_extension(3, 2, f)),
     "incompatible": incompatible_filtration,
     "nondecreasing": nondecreasing_filtration,
     "dg": dg_closure_example,
     "toy": _unfiltered(toy_algebra),
     "graded": _unfiltered(graded_non_ainf),
 }
+# the appendix filtration of a trivial extension (a, kappa) takes its kappa
+KAPPA = {"trivext-3-2": 2}
 SLOW = {
     "beilinson-3": _unfiltered(lambda f: beilinson_algebra(3, f)),
     "x10": _unfiltered(lambda f: truncated_polynomial(10, f)),
 }
 
 
-def _commands(name: str, path: str) -> list:
-    """(id, argv, output path or None) of every command on one input."""
+def _commands(name: str, path: str, kappa: int = 1) -> list:
+    """(id, argv, output path or None) of every command on one input;
+    ``filtration appendix`` takes ``--kappa kappa``."""
     out = "WORK/" + name.replace("/", ".")
     appendix = f"{out}.appendix.json"
     runs = [
@@ -90,7 +97,7 @@ def _commands(name: str, path: str) -> list:
         ("stasheff --max-arity 3", ["stasheff", path, "--max-arity", "3"], None),
         ("filtration check", ["filtration", "check", path], None),
         ("filtration degree", ["filtration", "degree", path, "-o", f"{out}.degree.json"], f"{out}.degree.json"),
-        ("filtration appendix", ["filtration", "appendix", path, "--kappa", "1", "-o", appendix], appendix),
+        ("filtration appendix", ["filtration", "appendix", path, "--kappa", str(kappa), "-o", appendix], appendix),
         ("gamma build", ["gamma", "build", path, "-o", f"{out}.gamma.json"], f"{out}.gamma.json"),
         ("sod", ["sod", path], None),
         ("sod --format text", ["sod", path, "--format", "text"], None),
@@ -122,7 +129,7 @@ def cases(slow: bool) -> list:
         out += _commands(f"fixture-{fixture}", f"fixtures/{fixture}.json")
     for name in CORPUS:
         for fname in FIELDS:
-            out += _commands(f"{name}/{fname}", f"WORK/{name}.{fname}.json")
+            out += _commands(f"{name}/{fname}", f"WORK/{name}.{fname}.json", KAPPA.get(name, 1))
     out += USAGE
     if slow:
         for name in SLOW:

@@ -313,6 +313,27 @@ def test_cli_filtration_appendix_over_prime_field(p, name, nilpotent, tmp_path, 
         assert not out_file.exists()
 
 
+def test_cli_refusal_to_a_closed_stdout_is_a_usage_error(tmp_path, monkeypatch):
+    """A refusal's report meets the same OSError handler as every other
+    report: printed to a closed pipe it gives ``error:`` and exit 2, not a
+    traceback and the FAIL code.  Trivial extension (3, 2) over GF(3) is
+    refused by ``filtration appendix`` (its trace kernel is not nilpotent)."""
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    src = tmp_path / "in.json"
+    src.write_text(serialize(category_to_dict(trivial_extension(3, 2, GF(3)))))
+    err = io.StringIO()
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    monkeypatch.setattr("sys.stderr", err)
+    code = main(["filtration", "appendix", str(src), "--kappa", "2", "-o", str(tmp_path / "out.json")])
+    monkeypatch.undo()
+    assert code == cli.EXIT_USAGE
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+
+
 def test_cli_deform_cocycle(tmp_path, capsys):
     alg = {
         "field": {"kind": "rationals"},

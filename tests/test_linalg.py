@@ -544,6 +544,23 @@ def test_complex_dd_checked_across_a_gap(field):
     assert str(err.value) == f"d o d != 0: entry (0,0) from degree 2 equals {field.add(field.one, half)}"
 
 
+@pytest.mark.parametrize("field, integral, value", [
+    (QQ, {0: ({0: {0: 3}, 1: {0: 1}}, 2), 1: ({0: {0: 1, 1: 5}}, 7)}, "3/14"),
+    (GF(5), {0: ({0: {0: 3}, 1: {0: 1}}, 1), 1: ({0: {0: 1, 1: 2}}, 1)}, "3"),
+], ids=["Q", "GF5"])
+def test_complex_dd_checked_on_the_int_path(field, integral, value):
+    # _trusted takes int columns over one denominator per degree as they
+    # are; d o d != 0 there raises the checked constructor's message
+    comps = {0: ("a0", "a1"), 1: ("b0",), 2: ("c0", "c1")}
+    diff = {q: {j: {i: F(a, den) if field == QQ else a for i, a in col.items()}
+                for j, col in cols.items()} for q, (cols, den) in integral.items()}
+    with pytest.raises(ComplexError) as checked:
+        FiniteComplex(field, comps, diff)
+    with pytest.raises(ComplexError) as trusted:
+        FiniteComplex._trusted(field, comps, integral)
+    assert str(trusted.value) == str(checked.value) == f"d o d != 0: entry (0,0) from degree 0 equals {value}"
+
+
 def test_complex_entries_are_exact():
     # the float used to be accepted and only failed inside complex_cohomology
     comps = {0: ("a",), 1: ("b",)}
@@ -667,6 +684,45 @@ def test_euler_characteristic_random_complexes(field):
                 if any(a != 0 for a in _apply(field, dense_differential(c, q), v)):
                     with pytest.raises(LinAlgError):
                         h.class_coords(q, {j: field.one})
+
+
+def _random_sparse_columns(field, rng, nrows, ncols):
+    """Sparse columns of an nrows x ncols matrix, about half of them zero
+    or combinations of earlier ones; over Q the entries are +-n/d with d up
+    to 10^6."""
+    def scalar():
+        if field == QQ:
+            return F(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+        return field.of_int(rng.randint(1, field.characteristic - 1))
+
+    cols = []
+    for _ in range(ncols):
+        kind = rng.random()
+        if kind < 0.15 or not nrows:
+            col = {}
+        elif kind < 0.45 and cols:
+            col = {}
+            for earlier in rng.sample(cols, min(len(cols), rng.randint(1, 3))):
+                field.add_scaled(col, earlier, scalar())
+        else:
+            col = {i: scalar() for i in rng.sample(range(nrows), rng.randint(1, nrows))}
+        cols.append(col)
+    return {j: col for j, col in enumerate(cols) if col}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+def test_integer_ranks_match_the_dense_oracle(field):
+    # dims() takes each rank from one integer elimination (fraction-free over
+    # Q, modular over F_p); on seeded random sparse maps C^0 -> C^1, with zero
+    # and dependent columns, they equal the ranks of the dense naive_rref
+    rng = random.Random(33)
+    for _ in range(60):
+        n0, n1 = rng.randint(1, 8), rng.randint(1, 8)
+        c = FiniteComplex(field, {0: tuple(f"a{j}" for j in range(n0)), 1: tuple(f"b{i}" for i in range(n1))},
+                          {0: _random_sparse_columns(field, rng, n1, n0)})
+        rank = naive_rank(field, dense_differential(c, 0), n0)
+        want = {0: n0 - rank, 1: n1 - rank}
+        assert complex_cohomology(c).dims() == {q: d for q, d in want.items() if d}
 
 
 def _presented_eagerly(c):

@@ -20,7 +20,7 @@ from ainfbench.filtration import (
     degree_filtration,
     full_subspace,
 )
-from ainfbench.linalg import Subspace, _kernel, _transpose
+from ainfbench.linalg import FiniteComplex, Subspace, _kernel, _transpose, complex_cohomology
 import ainfbench.perfmod as perfmod
 from ainfbench.perfmod import (
     HomComplexResult,
@@ -512,9 +512,12 @@ def test_chain_sums_rescale_running_sums_when_a_denominator_is_new():
         chain = [((lab,), (0,), (-1,), 1)]
         return ("k", chain, chain, perfmod._EMPTY)
 
-    alone = [perfmod._chain_sums(cat, [term(lab)], 1)[("k", "a")] for lab in ("a", "b")]
+    def sums(terms):  # the kernel's ints over their denominator, as Fractions
+        return perfmod._scalars(QQ, *perfmod._chain_sums(cat, terms, 1))
+
+    alone = [sums([term(lab)])[("k", "a")] for lab in ("a", "b")]
     assert sorted(map(abs, alone)) == [Fraction(1, 3), Fraction(1, 2)]
-    assert perfmod._chain_sums(cat, [term("a"), term("b")], 1) == {("k", "a"): sum(alone)}
+    assert sums([term("a"), term("b")]) == {("k", "a"): sum(alone)}
 
 
 def test_complexes_over_different_categories_are_rejected():
@@ -640,13 +643,14 @@ def test_sod_report_evaluates_mu1_once_per_morphism(monkeypatch):
 
 
 def test_hom_complex_makes_one_kernel_call(monkeypatch):
-    # every degree's columns of a Hom-complex come from one _mu1_sums call,
-    # one per complex however many degrees it has (x^10: 154 complexes)
+    # every degree's columns of a Hom-complex come from one call of the
+    # kernel, _chain_sums, one per complex however many degrees it has
+    # (x^10: 154 complexes)
     alg = truncated_polynomial(10)
     aus = build_auslander(alg, appendix_filtration(alg, 1)[0])
     calls = []
-    sums = perfmod._mu1_sums
-    monkeypatch.setattr(perfmod, "_mu1_sums", lambda *a: calls.append(a) or sums(*a))
+    sums = perfmod._chain_sums
+    monkeypatch.setattr(perfmod, "_chain_sums", lambda *a: calls.append(a) or sums(*a))
     per_complex = []
     init = HomComplexResult.__init__
 
@@ -716,18 +720,38 @@ def test_sod_report_matches_golden(case, monkeypatch):
     S_i), and Hom(S_j, S_i) for j <= i (End(S_i) is the S/S table's
     diagonal), End(P_{n-1}) = End(S_{n-1}) once for both tables and for
     R/F^1; the cells j > i follow from the P/S table.  No other complex is
-    built: every ``FiniteComplex`` is a Hom-complex's."""
+    built: every ``FiniteComplex`` is a Hom-complex's (both constructors
+    reach ``_certify``, which counts them)."""
     name, field = case.split("/")
     aus = build_auslander(*SOD_CASES[name](QQ if field == "Q" else GF(3)))
     built, complexes = [], []
-    init, complex_init = HomComplexResult.__init__, perfmod.FiniteComplex.__init__
+    init, certify = HomComplexResult.__init__, perfmod.FiniteComplex._certify
     monkeypatch.setattr(HomComplexResult, "__init__", lambda self, x, y: built.append((x, y)) or init(self, x, y))
-    monkeypatch.setattr(perfmod.FiniteComplex, "__init__",
-                        lambda self, *a: complexes.append(self) or complex_init(self, *a))
+    monkeypatch.setattr(perfmod.FiniteComplex, "_certify",
+                        lambda self, *a: complexes.append(self) or certify(self, *a))
     report = sod_report(aus).to_json()
     golden = json.loads(SOD_GOLDEN.read_text(encoding="utf-8"))[case]
     assert json.dumps(report, indent=2) == json.dumps(golden, indent=2)
     assert len(built) == len(complexes) == aus.n ** 2 + aus.n * (aus.n + 1) // 2 - 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+@pytest.mark.parametrize("make", [_appendix(toy_algebra, 1), _appendix(lambda f: truncated_polynomial(4, f), 1)],
+                         ids=["toy", "x4"])
+def test_hom_complexes_from_the_kernel_match_the_checked_constructor(make, field, monkeypatch):
+    # the kernel hands its int sums to FiniteComplex._trusted; the same
+    # differential through the checked constructor, as field scalars, has
+    # the same columns and the same dims, for every Hom-complex sod builds
+    results = []
+    init = HomComplexResult.__init__
+    monkeypatch.setattr(HomComplexResult, "__init__", lambda self, x, y: results.append(self) or init(self, x, y))
+    aus = build_auslander(*make(field))
+    assert sod_report(aus).passed
+    assert len(results) == aus.n ** 2 + aus.n * (aus.n + 1) // 2 - 1
+    for h in results:
+        checked = FiniteComplex(field, h.basis_by_degree, h.complex.columns)
+        assert checked.columns == h.complex.columns
+        assert complex_cohomology(checked).dims() == h.cohomology_dims()
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
