@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .linalg import GradedSpace
 from .scalars import ExactField
@@ -435,21 +434,20 @@ def _insertion_sums(cat: AInfCategory, pairs, singles=(), skip=frozenset()) -> d
     those of the full sweep.  Returns the nonzero sums as
     ``{tuple: {label: scalar}}``.
 
-    Every term is a product of at most two structure constants, so over Q
-    the sums run in ints scaled by D^2, D the lcm of all denominators (a
-    single term enters times D), and are divided once at the end; over F_p
-    the ints are reduced once at the end.  A joined tuple is composable iff
-    J is, every break of K (see :func:`_breaks`) touches slot r, and the
-    seams at both ends of J hold, so per term only the seams are tested.
+    Every term is a product of at most two structure constants, so the sums
+    run in the integer form of :mod:`~ainfbench.scalars` over D^2, D the lcm
+    of all denominators (a single term enters times D), and become scalars
+    once at the end.  A joined tuple is composable iff J is, every break of
+    K (see :func:`_breaks`) touches slot r, and the seams at both ends of J
+    hold, so per term only the seams are tested.
     The sums are kept per (tuple, label) in one flat dict: on valid input
     almost every tuple cancels, and a dict per tuple would take about twice
     the memory.
     """
     info = cat._info
-    p = cat.field.characteristic
+    field = cat.field
     tables = {id(t): t for pair in pairs for t in pair[:2]} | {id(t): t for t, _ in singles}
-    scale = 1 if p else math.lcm(
-        *{v.denominator for t in tables.values() for vec in t.values() for v in vec.values()})
+    scale = math.lcm(*{v.denominator for t in tables.values() for vec in t.values() for v in vec.values()})
     sums: dict = {}
     indexed: dict = {}  # inner terms by output label, once per (inner, sign, degree)
     for outer, inner, sign, degree in pairs:
@@ -508,14 +506,11 @@ def _insertion_sums(cat: AInfCategory, pairs, singles=(), skip=frozenset()) -> d
             for l, v in vec.items():
                 v = v.numerator * (scale // v.denominator) * scale
                 sums[key, l] = sums.get((key, l), 0) + (-v if flip else v)
-    result: dict = {}
+    result: dict = {}  # the nonzero sums, back in the unshifted convention
     for (key, l), v in sums.items():
-        if v % p if p else v:
-            result.setdefault(key, {})[l] = v
-    for key, vec in result.items():  # back to the unshifted convention
-        flip = -1 if _epsilon([info[lab][2] for lab in key]) else 1
-        for l, v in vec.items():
-            vec[l] = flip * v % p if p else Fraction(flip * v, scale * scale)
+        if field.residue(v):
+            flip = -1 if _epsilon([info[lab][2] for lab in key]) else 1
+            result.setdefault(key, {})[l] = field.ratio(flip * v, scale * scale)
     return result
 
 

@@ -47,8 +47,8 @@ rows; only a failed count looks for the first denominator row outside N, the
 witness.
 
 The dimension of a cohomology group H^q comes from the ranks of d_q and
-d_{q-1}, each one integer elimination of the map's int columns with no
-Fraction: modular over F_p, and fraction-free over Q, as integer-preserving
+d_{q-1}, each one fraction-free elimination of the map's int columns (the
+integer form of :mod:`~ainfbench.scalars`), as integer-preserving
 elimination is (Bareiss 1968, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination"), here with each new row divided
 by the gcd of its entries.  Its
@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .scalars import ExactField
@@ -413,7 +412,7 @@ class FiniteComplex:
     scalar}}``; any other form raises ComplexError.  Its entries pass
     ``field.coerce`` and only the nonzero ones are kept, in ints:
     ``integral[q]`` = (columns, den), sparse int columns over the lcm of
-    their denominators (1 over F_p, where the ints are the scalars).
+    their denominators, the integer form of :mod:`~ainfbench.scalars`.
     ``columns[q]``, the same columns as field scalars, is built on first
     use.  d o d = 0 is checked on construction, in ints, and violations
     report the failing matrix entry (i, j), the first in row-major order.
@@ -422,7 +421,6 @@ class FiniteComplex:
     """
 
     def __init__(self, field: ExactField, components: dict, diff: dict):
-        p = field.characteristic
         components = {q: tuple(labels) for q, labels in components.items() if labels}
         integral = {}
         for q, m in diff.items():
@@ -440,19 +438,16 @@ class FiniteComplex:
             tgt = len(components.get(q + 1, ()))
             if any(not 0 <= j < src or not all(0 <= i < tgt for i in col) for j, col in cols.items()):
                 raise ComplexError(f"differential at degree {q} has wrong shape")
-            if p:
-                integral[q] = (cols, 1)
-            else:  # Fractions times the lcm of their denominators
-                den = math.lcm(*{a.denominator for col in cols.values() for a in col.values()})
-                integral[q] = ({j: {i: a.numerator * (den // a.denominator) for i, a in col.items()}
-                                for j, col in cols.items()}, den)
+            den = math.lcm(*{a.denominator for col in cols.values() for a in col.values()})
+            integral[q] = ({j: {i: a.numerator * (den // a.denominator) for i, a in col.items()}
+                            for j, col in cols.items()}, den)
         self._certify(field, components, integral)
 
     @classmethod
     def _trusted(cls, field: ExactField, components: dict, integral: dict) -> "FiniteComplex":
         """The complex of ``integral`` as it is kept: every position in
-        range, every entry a nonzero int (reduced, over 1, over F_p).  Taken
-        uncoerced and uncopied; only d o d = 0 is checked."""
+        range, every entry an int of nonzero residue.  Taken uncoerced and
+        uncopied; only d o d = 0 is checked."""
         c = cls.__new__(cls)
         c._certify(field, components, integral)
         return c
@@ -463,7 +458,6 @@ class FiniteComplex:
         self.field = field
         self.components = {q: tuple(labels) for q, labels in components.items() if labels}
         self.integral = {q: (cols, den) for q, (cols, den) in integral.items() if cols}
-        p = field.characteristic
         for q, (cols, den) in self.integral.items():
             if q + 1 not in self.integral:
                 continue
@@ -475,58 +469,47 @@ class FiniteComplex:
                     c = col[k]
                     for i, a in nxt[k].items():
                         out[i] = out.get(i, 0) + c * a
-                bad += [(i, j, s) for i, s in out.items() if (s % p if p else s)]
+                bad += [(i, j, s) for i, s in out.items() if field.residue(s)]
             if bad:
                 i, j, s = min(bad)
-                value = s % p if p else Fraction(s, den * nxt_den)
-                raise ComplexError(f"d o d != 0: entry ({i},{j}) from degree {q} equals {value}")
+                raise ComplexError(f"d o d != 0: entry ({i},{j}) from degree {q} equals "
+                                   f"{field.ratio(s, den * nxt_den)}")
 
     @cached_property
     def columns(self) -> dict:
         """q -> the nonzero columns {j: {i: scalar}} of d_q, as field scalars."""
-        if self.field.characteristic:
-            return {q: cols for q, (cols, _) in self.integral.items()}
-        return {q: {j: {i: Fraction(a, den) for i, a in col.items()} for j, col in cols.items()}
+        ratio = self.field.ratio
+        return {q: {j: {i: ratio(a, den) for i, a in col.items()} for j, col in cols.items()}
                 for q, (cols, den) in self.integral.items()}
 
 
-def _rank(p: int, vectors) -> int:
-    """Rank over F_p, or over Q when ``p`` is 0, of sparse int vectors
-    {index: int} with no zero entry.  Rows are keyed by pivot and 0 at every
-    earlier pivot, as in ``_Echelon``; v is cleared at a row's pivot by
-    a v - c row (c its entry there, a the row's).  Over F_p rows are 1 at
-    their pivot and the step is reduced mod p; over Q it is fraction-free,
-    a and c divided by their gcd, and each new row by the gcd of its
-    entries."""
+def _rank(field: ExactField, vectors) -> int:
+    """Rank over ``field`` of sparse int vectors {index: int} with no entry
+    of zero residue.  Rows are keyed by pivot and 0 at every earlier pivot,
+    as in ``_Echelon``; v is cleared at a row's pivot by a v - c row (c its
+    entry there, a the row's, both divided by their gcd, so prime to p over
+    F_p), each touched entry taken by ``residue``, and each new row divided
+    by the gcd of its entries, then taken by ``residue``."""
+    residue = field.residue
     rows: dict = {}  # pivot -> row
     for v in vectors:
         for piv, row in rows.items():
             c = v.get(piv)
             if c is None:
                 continue
-            a = row[piv]
-            if not p:
-                g = math.gcd(a, c)
-                a, c = a // g, c // g
+            g = math.gcd(row[piv], c)
+            a, c = row[piv] // g, c // g
             w = dict(v) if a == 1 else {k: a * x for k, x in v.items()}
             for k, b in row.items():
-                s = w.get(k, 0) - c * b
-                if p:
-                    s %= p
+                s = residue(w.get(k, 0) - c * b)
                 if s:
                     w[k] = s
                 else:
                     del w[k]
             v = w
         if v:
-            piv = min(v)
-            if p:
-                inv = pow(v[piv], p - 2, p)
-                v = {k: x * inv % p for k, x in v.items()}
-            else:
-                g = math.gcd(*v.values())
-                v = {k: x // g for k, x in v.items()}
-            rows[piv] = v
+            g = math.gcd(*v.values())
+            rows[min(v)] = {k: residue(x // g) for k, x in v.items()}
     return len(rows)
 
 
@@ -547,8 +530,7 @@ class CohomologyData:
 
     def __init__(self, complex_: FiniteComplex):
         self.complex = complex_
-        p = complex_.field.characteristic
-        rank = {q: _rank(p, cols.values()) for q, (cols, _) in complex_.integral.items()}
+        rank = {q: _rank(complex_.field, cols.values()) for q, (cols, _) in complex_.integral.items()}
         self._dims = {
             q: len(labels) - rank.get(q, 0) - rank.get(q - 1, 0)
             for q, labels in sorted(complex_.components.items())

@@ -33,13 +33,13 @@ shift parities, degrees minus one, coefficient), and so does each morphism
 for its components; a term is three lists of chains (pre, mid, post), and
 each concatenation costs one table lookup, so a category whose tables are
 evaluated on demand (the quotient category of ``auslander``) evaluates only
-the entries these lookups meet.  Terms are summed as ints scaled by D, the lcm
-of the denominators of the table entries met so far times the chains'
-denominators, and over F_p reduced once.  A Hom-complex takes these ints and
-D as they are: its differential stays in ints, through the d o d check, to
-the integer ranks of its cohomology (see ``linalg``), and becomes field
-scalars only for a degree whose classes are presented.  ``mu1``, ``mu2`` and
-Maurer-Cartan divide by D (over Q) once per nonzero entry, in
+the entries these lookups meet.  Terms are summed in the integer form of
+:mod:`~ainfbench.scalars`, over D, the lcm of the denominators of the table
+entries met so far times the chains' denominators.  A Hom-complex takes these
+ints and D as they are: its differential stays in ints, through the d o d
+check, to the integer ranks of its cohomology (see ``linalg``), and becomes
+field scalars only for a degree whose classes are presented.  ``mu1``,
+``mu2`` and Maurer-Cartan make scalars of them once per nonzero entry, in
 :func:`_scalars`.
 """
 
@@ -49,7 +49,6 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import cached_property
 
 from .ainf import AInfCategory
@@ -86,8 +85,7 @@ def _slot_chain(x: TwistedComplex, y: TwistedComplex, t, s, lab, c):
 
 def _integral(groups) -> int:
     """D, the lcm of the coefficient denominators in ``groups`` (lists of
-    chains; 1 over F_p), after scaling every coefficient to an int times D,
-    in place."""
+    chains), after scaling every coefficient to an int times D, in place."""
     den = math.lcm(*{ch[3].denominator for cs in groups for ch in cs})
     for cs in groups:
         cs[:] = [(*ch[:3], ch[3].numerator * (den // ch[3].denominator)) for ch in cs]
@@ -112,8 +110,8 @@ def _chain_sums(cat: AInfCategory, terms, den: int) -> tuple:
     ``key``.  Returns (sums, D): the nonzero sums {(key, label): int} over
     their common denominator D, ``den`` times a scale that grows with the
     table entries met (the running sums are multiplied by the missing factor
-    when an entry's denominator does not divide it); over F_p the sums are
-    reduced once, and D is 1.  :func:`_scalars` makes field scalars of them.
+    when an entry's denominator does not divide it), in the integer form of
+    :mod:`~ainfbench.scalars`.  :func:`_scalars` makes field scalars of them.
     """
     tables, unit = defaultdict(dict, cat.mult), 1
     sums: dict = {}
@@ -137,18 +135,13 @@ def _chain_sums(cat: AInfCategory, terms, den: int) -> tuple:
                             sums = {k: s * grow for k, s in sums.items()}
                         k = (key, out_lab)
                         sums[k] = sums.get(k, 0) + c * v.numerator * (unit // d)
-    p = cat.field.characteristic
-    if p:
-        return {k: v % p for k, v in sums.items() if v % p}, 1
-    return {k: v for k, v in sums.items() if v}, unit * den
+    residue = cat.field.residue
+    return {k: r for k, v in sums.items() if (r := residue(v))}, unit * den
 
 
 def _scalars(field, sums: dict, den: int) -> dict:
-    """The kernel's int ``sums`` over ``den`` as field scalars: divided
-    over Q, and as they are over F_p (reduced, over 1)."""
-    if field.characteristic:
-        return sums
-    return {k: Fraction(v, den) for k, v in sums.items()}
+    """The kernel's int ``sums`` over ``den`` as field scalars."""
+    return {k: field.ratio(v, den) for k, v in sums.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,24 @@ Every computation in this package is exact.  Rational scalars are
 ``fractions.Fraction`` (arbitrary-precision), prime-field scalars are plain
 ints reduced to ``range(p)``.  An :class:`ExactField` bundles the arithmetic
 so the linear algebra layer never has to branch on the scalar kind.
+
+The integer form.  A kernel that sums products of scalars sums them as ints
+n over one denominator D, the lcm of the scalars' ``denominator`` (an int's
+is 1, so D is 1 over F_p).  ``residue(n)`` is n mod p over F_p and n over Q,
+0 iff n / D is 0; ``ratio(n, den)`` is the scalar n / den, for den prime to p.
+
+Scalars are read (``parse``) from JSON ints or from strings of one grammar:
+an optional sign and ASCII digits, and over Q also one ``/`` followed by
+ASCII digits.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")  # no zero denominator
 
 
 class FieldError(ValueError):
@@ -85,30 +98,16 @@ class ExactField:
         raise FieldError(f"not an exact scalar of {self!r}: {a!r}")
 
     def parse(self, text):
-        """Parse a scalar from its file representation.
-
-        Rationals are strings like ``"3"`` or ``"-2/5"``; prime-field scalars
-        are ints (or digit strings) reduced mod p.  No floats anywhere.
-        """
-        if isinstance(text, bool):
-            raise FieldError(f"not a scalar: {text!r}")
-        if self.characteristic == 0:
-            if isinstance(text, int):
-                return Fraction(text)
-            if isinstance(text, str):
-                try:
-                    return Fraction(text)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise FieldError(f"bad rational scalar {text!r}: {exc}") from None
-            raise FieldError(f"bad rational scalar {text!r}")
-        if isinstance(text, int):
-            return text % self.characteristic
-        if isinstance(text, str):
-            try:
-                return int(text, 10) % self.characteristic
-            except ValueError:
-                raise FieldError(f"bad prime-field scalar {text!r}") from None
-        raise FieldError(f"bad prime-field scalar {text!r}")
+        """Parse a scalar from its file representation: a JSON int, or a
+        string of the module docstring's grammar (``"3"``, ``"-2/5"`` over
+        Q), reduced mod p over F_p.  No floats anywhere."""
+        p = self.characteristic
+        if isinstance(text, int) and not isinstance(text, bool):
+            return self.of_int(text)
+        m = (_INTEGER if p else _RATIONAL).fullmatch(text) if isinstance(text, str) else None
+        if m is None:
+            raise FieldError(f"bad {'prime-field' if p else 'rational'} scalar {text!r}")
+        return int(text) % p if p else Fraction(int(m[1]), int(m[2] or 1))
 
     def unparse(self, a):
         if self.characteristic == 0:
@@ -138,6 +137,16 @@ class ExactField:
         if self.characteristic == 0:
             return 1 / Fraction(a)
         return pow(a, self.characteristic - 2, self.characteristic)
+
+    def residue(self, n: int) -> int:
+        """n mod p over F_p, n over Q: 0 iff n / D is 0 (the integer form)."""
+        p = self.characteristic
+        return n % p if p else n
+
+    def ratio(self, n: int, den: int):
+        """The scalar n / den of ints, ``den`` prime to p over F_p."""
+        p = self.characteristic
+        return n * pow(den, -1, p) % p if p else Fraction(n, den)
 
     def is_zero(self, a) -> bool:
         return a == 0

@@ -14,7 +14,8 @@ The normative layout (see the shipped fixtures for a complete example):
       "kappa": 1                                    # optional
     }
 
-Scalars are decimal strings "a/b" (rationals) or integers mod p; no floats
+Scalars are JSON ints or strings of the grammar of ``ExactField.parse``
+("3", "-2/5" over the rationals; read mod p over a prime field); no floats
 are accepted anywhere.  Omitted multiplication entries mean zero and tables
 never store zero vectors.  Unknown fields are rejected.  Serialization is
 canonical: serialize(parse(serialize(x))) is byte-identical to serialize(x).

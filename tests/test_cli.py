@@ -1,3 +1,4 @@
+import ast
 import builtins
 import contextlib
 import functools
@@ -797,6 +798,24 @@ MALFORMED = {
 }
 
 
+def _scalar_written(text, p=0):
+    """An edit of dual.json: the coefficient of m_2(1, e) written ``text``,
+    over GF(p) when ``p``."""
+    def edit(spec):
+        if p:
+            spec["field"] = {"kind": "prime-field", "characteristic": p}
+        spec["mult"][1]["output"]["e"] = text
+    return edit
+
+
+# strings outside the scalar grammar, which Fraction(str) or int(str) used to
+# take; over GF(5), "1_000" used to be read as 0
+MALFORMED |= {f"scalar-{name}": _scalar_written(text) for name, text in [
+    ("exponent", "1e3"), ("decimal", "1.5"), ("underscore", "1_000"), ("spaces", " 3 "), ("arabic-digit", "٣")]}
+MALFORMED |= {f"gf5-scalar-{name}": _scalar_written(text, 5) for name, text in [
+    ("underscore", "1_000"), ("spaces", " 3 "), ("arabic-digit", "٣")]}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_cli_malformed_spec_is_a_usage_error(case, tmp_path, capsys):
     # exit 2 with an error line, not a traceback (which also exits 1) or a
@@ -922,6 +941,24 @@ def test_cli_exit_codes_survive_any_replaced_value(name, tmp_path, capsys):
                     pytest.fail(f"{argv[0]} with {path} -> {junk!r} raised {exc!r}")
                 capsys.readouterr()
                 assert code in (0, 1, 2), (argv[0], path, junk)
+
+
+def test_only_scalars_knows_the_field_kind():
+    # the integer form is read back by ExactField.residue and .ratio: no
+    # other module imports fractions, and only specfile, which writes the
+    # field's kind, reads .characteristic
+    package = Path(scalars.__file__).parent
+    readers, importers = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "characteristic":
+                readers.add(path.name)
+            elif isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+                importers.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                importers.add(path.name)
+    assert readers == {"scalars.py", "specfile.py"}
+    assert importers == {"scalars.py"}
 
 
 def test_package_root_exports_only_the_fields():

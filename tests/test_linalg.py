@@ -547,12 +547,14 @@ def test_complex_dd_checked_across_a_gap(field):
 @pytest.mark.parametrize("field, integral, value", [
     (QQ, {0: ({0: {0: 3}, 1: {0: 1}}, 2), 1: ({0: {0: 1, 1: 5}}, 7)}, "3/14"),
     (GF(5), {0: ({0: {0: 3}, 1: {0: 1}}, 1), 1: ({0: {0: 1, 1: 2}}, 1)}, "3"),
-], ids=["Q", "GF5"])
+    (GF(2), {0: ({0: {0: 3}, 1: {0: 1}}, 1), 1: ({0: {0: 1, 1: 3}}, 1)}, "1"),
+], ids=["Q", "GF5", "GF2"])
 def test_complex_dd_checked_on_the_int_path(field, integral, value):
     # _trusted takes int columns over one denominator per degree as they
-    # are; d o d != 0 there raises the checked constructor's message
+    # are (over GF(2), the unreduced 3s); d o d != 0 there raises the
+    # checked constructor's message
     comps = {0: ("a0", "a1"), 1: ("b0",), 2: ("c0", "c1")}
-    diff = {q: {j: {i: F(a, den) if field == QQ else a for i, a in col.items()}
+    diff = {q: {j: {i: field.ratio(a, den) for i, a in col.items()}
                 for j, col in cols.items()} for q, (cols, den) in integral.items()}
     with pytest.raises(ComplexError) as checked:
         FiniteComplex(field, comps, diff)
@@ -710,10 +712,10 @@ def _random_sparse_columns(field, rng, nrows, ncols):
     return {j: col for j, col in enumerate(cols) if col}
 
 
-@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "GF3", "GF5"])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=["Q", "GF2", "GF3", "GF5"])
 def test_integer_ranks_match_the_dense_oracle(field):
-    # dims() takes each rank from one integer elimination (fraction-free over
-    # Q, modular over F_p); on seeded random sparse maps C^0 -> C^1, with zero
+    # dims() takes each rank from one fraction-free elimination, the same
+    # over Q and F_p; on seeded random sparse maps C^0 -> C^1, with zero
     # and dependent columns, they equal the ranks of the dense naive_rref
     rng = random.Random(33)
     for _ in range(60):
@@ -723,6 +725,25 @@ def test_integer_ranks_match_the_dense_oracle(field):
         rank = naive_rank(field, dense_differential(c, 0), n0)
         want = {0: n0 - rank, 1: n1 - rank}
         assert complex_cohomology(c).dims() == {q: d for q, d in want.items() if d}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(2 ** 61 - 1)],
+                         ids=["Q", "GF2", "GF3", "GF5", "GF-mersenne-61"])
+def test_residue_and_ratio_read_the_integer_form(field):
+    # an int n over a denominator d prime to p: ratio(n * d, d) is the
+    # scalar n, and residue(n) is 0 exactly when that scalar is, negative n
+    # and multiples of p included
+    p = field.characteristic
+    rng = random.Random(34)
+    ns = [0, 1, -1, p, -p, 2 * p + 1, -3 * p - 2] + [rng.randint(-10 ** 30, 10 ** 30) for _ in range(50)]
+    dens = [d for d in (1, 2, 3, 7, 10, 2 ** 61 - 2, 10 ** 25 + 1) if not p or d % p]
+    for n in ns:
+        assert (field.residue(n) == 0) == (field.of_int(n) == 0)
+        assert field.residue(n) == (n % p if p else n)
+        for d in dens:
+            assert field.ratio(n * d, d) == field.of_int(n)
+    for d in dens:
+        assert field.ratio(1, d) == field.inv(field.of_int(d))
 
 
 def _presented_eagerly(c):
